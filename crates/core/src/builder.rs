@@ -150,7 +150,8 @@ impl GssBuilder {
     /// `Strict` drains the write-ahead log and writes evicted pages back synchronously
     /// on the ingest path (zero acknowledged-item loss under `SIGKILL`); `Buffered`
     /// batches log drains and moves page write-back onto a background flusher thread
-    /// (bounded loss window, faster ingest).  Ignored by the in-memory backend.
+    /// (bounded loss window; measured no faster than `Strict`, see
+    /// [`Durability::Buffered`]).  Ignored by the in-memory backend.
     pub fn durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
         self

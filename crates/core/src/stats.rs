@@ -39,8 +39,11 @@ pub struct GssStats {
     pub colliding_hashes: usize,
     /// Current write-ahead-log bytes of a file-backed sketch (0 for in-memory).
     pub wal_bytes: u64,
-    /// Drains of the write-ahead-log buffer to disk (one per insert under
-    /// `Durability::Strict`; batched under `Buffered`).
+    /// Drains of the write-ahead log's pending frames into the log file: one per
+    /// group-commit round (a round carries the frames of every writer committing in
+    /// its window, so under `Durability::Strict` this is at most — not exactly — one
+    /// per insert or batch; under `Buffered`, one per 64 KiB of frames), plus one ahead
+    /// of any page write-back the pending frames cover and one per checkpoint.
     pub wal_flushes: u64,
     /// Group-commit rounds this sketch's log led (each round drains the pending window
     /// of every committing writer in one positioned write).

@@ -84,28 +84,88 @@ pub fn wal_path(sketch_path: &Path) -> PathBuf {
     sketch_path.with_file_name(name)
 }
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven; the frame checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for [`Crc32`]: `CRC_TABLES[0]` is the classic bytewise
+/// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-                bit += 1;
-            }
-            table[i] = crc;
+            let previous = tables[k - 1][i];
+            tables[k][i] = (previous >> 8) ^ tables[0][(previous & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+        k += 1;
     }
-    !crc
+    tables
+};
+
+/// Incremental CRC-32 (IEEE 802.3, the zlib polynomial): feeding a message in any
+/// number of pieces yields the checksum [`crc32`] gives for the whole, so a caller
+/// sealing `header ++ payload` never has to copy the two into one buffer first.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// The checksum of the empty message so far.
+    pub const fn new() -> Self {
+        Self { state: 0xFFFF_FFFF }
+    }
+
+    /// Absorbs the next piece of the message, eight bytes per table round.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let low = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            let high = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+            crc = CRC_TABLES[7][(low & 0xFF) as usize]
+                ^ CRC_TABLES[6][((low >> 8) & 0xFF) as usize]
+                ^ CRC_TABLES[5][((low >> 16) & 0xFF) as usize]
+                ^ CRC_TABLES[4][(low >> 24) as usize]
+                ^ CRC_TABLES[3][(high & 0xFF) as usize]
+                ^ CRC_TABLES[2][((high >> 8) & 0xFF) as usize]
+                ^ CRC_TABLES[1][((high >> 16) & 0xFF) as usize]
+                ^ CRC_TABLES[0][(high >> 24) as usize];
+        }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything absorbed.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
+/// CRC-32 (IEEE 802.3, the zlib polynomial) of `bytes`; the frame checksum of the
+/// write-ahead log, the sketch-file sections and the wire protocol.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// Seals `tag | payload` into one encoded frame with its CRC, entirely on the caller's
@@ -551,6 +611,12 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        // Fed in pieces that straddle the eight-byte rounds, the answer is the same.
+        let mut pieces = Crc32::new();
+        for piece in [&b"The quick b"[..], b"", b"rown fox jumps over the la", b"zy dog"] {
+            pieces.update(piece);
+        }
+        assert_eq!(pieces.finish(), 0x414F_A339);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::time::Duration;
 pub enum ClientError {
     /// The transport failed (connect, read, write, or server closed).
     Io(io::Error),
-    /// The server's bytes did not form a valid frame.
+    /// The server's bytes did not form a valid frame, or the request does not fit one
+    /// (`Oversized`; nothing was sent).
     Protocol(ProtocolError),
     /// The server answered with a typed error response.
     Server { code: u16, message: String },
@@ -82,9 +83,13 @@ impl GssClient {
         Ok(Self { conn })
     }
 
-    /// One request/response exchange; a typed server error becomes `Err(Server)`.
+    /// One request/response exchange; a typed server error becomes `Err(Server)`.  A
+    /// request over the frame cap fails here, before any byte is sent — the server
+    /// would have to treat it as framing damage and close the connection.
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.conn.write_frame(&protocol::encode_request(request))?;
+        let mut frame = Vec::new();
+        protocol::encode_request_into(request, &mut frame)?;
+        self.conn.write_frame(&frame)?;
         let (kind, payload) = self.conn.read_frame()?;
         match protocol::decode_response(kind, &payload)? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -100,7 +105,8 @@ impl GssClient {
         }
     }
 
-    /// Batch-ingests `(source, destination, weight)` items.
+    /// Batch-ingests `(source, destination, weight)` items.  One call is one frame,
+    /// which holds at most 349 525 items; a larger batch is an `Err` and sends nothing.
     pub fn ingest(&mut self, items: &[(u64, u64, i64)]) -> Result<IngestAck, ClientError> {
         let items = items
             .iter()
@@ -138,7 +144,10 @@ impl GssClient {
         }
     }
 
-    /// Reachability query; `max_hops == 0` means unbounded.
+    /// Reachability query.  `max_hops` is the search's visited-vertex budget, not a
+    /// hop count; `0` searches exhaustively.  Only an exhaustive `false` is the
+    /// sketch's one-sided "no path": a `false` under a budget may just mean the
+    /// budget ran out (see [`Request::Reachable`]).
     pub fn reachable(
         &mut self,
         source: u64,

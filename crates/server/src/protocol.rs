@@ -17,6 +17,13 @@
 //! [14 .. )    payload
 //! ```
 //!
+//! ## Pipelining
+//!
+//! A peer may send further requests before reading the answers to earlier ones;
+//! answers are one frame each, in request order.  Nothing in a frame says where a
+//! burst ends — the connection layer ([`crate::net::FrameConn`]) batches what has
+//! arrived and writes out what is owed before it blocks.
+//!
 //! ## Robustness contract
 //!
 //! [`decode_frame`] and the payload decoders never panic: truncated, bit-flipped,
@@ -37,7 +44,7 @@
 //! [`err`], codes `0x0100..0x02FF` carry [`gss_core::GssError::wire_code`]
 //! unchanged, and `0x0300` marks a failed snapshot/checkpoint).
 
-use gss_core::wal::crc32;
+use gss_core::wal::Crc32;
 use std::fmt;
 
 /// Magic bytes opening every frame.
@@ -68,6 +75,8 @@ pub mod err {
     pub const BUSY: u16 = 0x0006;
     /// The tenant could not be opened (bad namespace name, unrecoverable files).
     pub const TENANT_UNAVAILABLE: u16 = 0x0007;
+    /// The answer is larger than one frame may carry ([`super::MAX_PAYLOAD_BYTES`]).
+    pub const ANSWER_TOO_LARGE: u16 = 0x0008;
     /// A snapshot/checkpoint request failed (persistence error; message has details).
     pub const SNAPSHOT_FAILED: u16 = 0x0300;
 }
@@ -109,7 +118,11 @@ pub enum Request {
     Successors { vertex: u64 },
     /// 1-hop precursor query (fans out across shards server-side).
     Precursors { vertex: u64 },
-    /// Reachability query (`max_hops == 0` means unbounded).
+    /// Reachability query.  Despite its name `max_hops` is not a hop count: it is the
+    /// search's visited-vertex budget (`0` = exhaustive).  `true` is always a path in
+    /// the sketch; an exhaustive `false` means the sketch holds no path, hence the
+    /// stream had none (one-sided error); a `false` under a budget only means the
+    /// budget ran out, and promises nothing.
     Reachable { source: u64, destination: u64, max_hops: u32 },
     /// Checkpoint every shard of the bound tenant to disk.
     Snapshot,
@@ -202,18 +215,51 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// The frame checksum: header bytes `[0..10)` then the payload, fed to the CRC in
+/// place.
+fn frame_crc(preamble: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(preamble);
+    crc.update(payload);
+    crc.finish()
+}
+
+/// Opens a frame at the end of `out` — its kind, length and checksum still blank — and
+/// returns where it starts; the payload is appended next and [`seal_frame`] closes it.
+fn open_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.extend_from_slice(&[0; HEADER_BYTES - 5]);
+    start
+}
+
+/// Fills in the kind, length and checksum of the frame opened at `start`.  A payload
+/// over [`MAX_PAYLOAD_BYTES`] is one every conforming peer must refuse, so it is
+/// refused here: `out` is cut back to `start` and nothing of the frame remains.
+fn seal_frame(out: &mut Vec<u8>, start: usize, kind: u8) -> Result<(), ProtocolError> {
+    let len = out.len() - start - HEADER_BYTES;
+    if len > MAX_PAYLOAD_BYTES {
+        out.truncate(start);
+        return Err(ProtocolError::Oversized(u32::try_from(len).unwrap_or(u32::MAX)));
+    }
+    out[start + 5] = kind;
+    out[start + 6..start + 10].copy_from_slice(&(len as u32).to_le_bytes());
+    let (header, payload) = out[start..].split_at(HEADER_BYTES);
+    let crc = frame_crc(&header[..10], payload);
+    out[start + 10..start + HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
 /// Seals `kind` + `payload` into one encoded frame.
+///
+/// # Panics
+/// If the payload is over [`MAX_PAYLOAD_BYTES`].
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD_BYTES);
     let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(VERSION);
-    frame.push(kind);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = frame.clone(); // bytes [0..10)
-    crc_input.extend_from_slice(payload);
-    frame.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    let start = open_frame(&mut frame);
     frame.extend_from_slice(payload);
+    seal_frame(&mut frame, start, kind).expect("payload within the frame cap");
     frame
 }
 
@@ -240,10 +286,7 @@ pub fn decode_header(header: &[u8]) -> Result<(u8, usize), ProtocolError> {
 /// Checks a complete frame's CRC given its header and payload.
 pub fn check_crc(header: &[u8; HEADER_BYTES], payload: &[u8]) -> Result<(), ProtocolError> {
     let declared = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
-    let mut crc_input = Vec::with_capacity(10 + payload.len());
-    crc_input.extend_from_slice(&header[..10]);
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != declared {
+    if frame_crc(&header[..10], payload) != declared {
         return Err(ProtocolError::BadCrc);
     }
     Ok(())
@@ -329,48 +372,62 @@ fn push_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&s.as_bytes()[..len as usize]);
 }
 
-/// Encodes a request as one frame.
-pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut payload = Vec::new();
+/// Appends a request to `out` as one frame, the payload written in place behind its
+/// header.  Fails with [`ProtocolError::Oversized`], leaving `out` as it was, when the
+/// request does not fit one frame (an INGEST of more than 349 525 items).
+pub fn encode_request_into(request: &Request, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    let start = open_frame(out);
     let kind = match request {
         Request::Hello { tenant, token } => {
-            push_string(&mut payload, tenant);
-            push_string(&mut payload, token);
+            push_string(out, tenant);
+            push_string(out, token);
             REQ_HELLO
         }
         Request::Ingest { items } => {
-            payload.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            out.reserve(4 + items.len().min(MAX_PAYLOAD_BYTES / 24) * 24);
+            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
             for item in items {
-                payload.extend_from_slice(&item.source.to_le_bytes());
-                payload.extend_from_slice(&item.destination.to_le_bytes());
-                payload.extend_from_slice(&item.weight.to_le_bytes());
+                out.extend_from_slice(&item.source.to_le_bytes());
+                out.extend_from_slice(&item.destination.to_le_bytes());
+                out.extend_from_slice(&item.weight.to_le_bytes());
             }
             REQ_INGEST
         }
         Request::Edge { source, destination } => {
-            payload.extend_from_slice(&source.to_le_bytes());
-            payload.extend_from_slice(&destination.to_le_bytes());
+            out.extend_from_slice(&source.to_le_bytes());
+            out.extend_from_slice(&destination.to_le_bytes());
             REQ_EDGE
         }
         Request::Successors { vertex } => {
-            payload.extend_from_slice(&vertex.to_le_bytes());
+            out.extend_from_slice(&vertex.to_le_bytes());
             REQ_SUCCESSORS
         }
         Request::Precursors { vertex } => {
-            payload.extend_from_slice(&vertex.to_le_bytes());
+            out.extend_from_slice(&vertex.to_le_bytes());
             REQ_PRECURSORS
         }
         Request::Reachable { source, destination, max_hops } => {
-            payload.extend_from_slice(&source.to_le_bytes());
-            payload.extend_from_slice(&destination.to_le_bytes());
-            payload.extend_from_slice(&max_hops.to_le_bytes());
+            out.extend_from_slice(&source.to_le_bytes());
+            out.extend_from_slice(&destination.to_le_bytes());
+            out.extend_from_slice(&max_hops.to_le_bytes());
             REQ_REACHABLE
         }
         Request::Snapshot => REQ_SNAPSHOT,
         Request::Stats => REQ_STATS,
         Request::Health => REQ_HEALTH,
     };
-    encode_frame(kind, &payload)
+    seal_frame(out, start, kind)
+}
+
+/// Encodes a request as one frame.
+///
+/// # Panics
+/// If the request does not fit one frame; [`encode_request_into`] returns that as an
+/// error.
+pub fn encode_request(request: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_request_into(request, &mut frame).expect("request within the frame cap");
+    frame
 }
 
 /// Decodes a request payload for `kind` (as returned by [`decode_frame`]).
@@ -406,61 +463,75 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request, ProtocolError
     Ok(request)
 }
 
-/// Encodes a response as one frame.
-pub fn encode_response(response: &Response) -> Vec<u8> {
-    let mut payload = Vec::new();
+/// Appends a response to `out` as one frame, the payload written in place behind its
+/// header.  Fails with [`ProtocolError::Oversized`], leaving `out` as it was, when the
+/// answer does not fit one frame (a VERTICES list of more than 1 048 575 vertices).
+pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    let start = open_frame(out);
     let kind = match response {
         Response::Ok => RESP_OK,
         Response::Ingested { accepted, acked_total, durability } => {
-            payload.extend_from_slice(&accepted.to_le_bytes());
-            payload.extend_from_slice(&acked_total.to_le_bytes());
-            payload.push(*durability);
+            out.extend_from_slice(&accepted.to_le_bytes());
+            out.extend_from_slice(&acked_total.to_le_bytes());
+            out.push(*durability);
             RESP_INGESTED
         }
         Response::EdgeWeight(weight) => {
             match weight {
                 Some(w) => {
-                    payload.push(1);
-                    payload.extend_from_slice(&w.to_le_bytes());
+                    out.push(1);
+                    out.extend_from_slice(&w.to_le_bytes());
                 }
-                None => payload.push(0),
+                None => out.push(0),
             }
             RESP_EDGE
         }
         Response::Vertices(vertices) => {
-            payload.extend_from_slice(&(vertices.len() as u32).to_le_bytes());
+            out.reserve(4 + vertices.len().min(MAX_PAYLOAD_BYTES / 8) * 8);
+            out.extend_from_slice(&(vertices.len() as u32).to_le_bytes());
             for v in vertices {
-                payload.extend_from_slice(&v.to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
             }
             RESP_VERTICES
         }
         Response::Bool(b) => {
-            payload.push(u8::from(*b));
+            out.push(u8::from(*b));
             RESP_BOOL
         }
         Response::Stats(stats) => {
-            payload.extend_from_slice(&stats.items_inserted.to_le_bytes());
-            payload.extend_from_slice(&stats.matrix_edges.to_le_bytes());
-            payload.extend_from_slice(&stats.buffered_edges.to_le_bytes());
-            payload.extend_from_slice(&stats.shards.to_le_bytes());
-            payload.push(u8::from(stats.poisoned));
-            payload.extend_from_slice(&stats.acked_items.to_le_bytes());
-            payload.extend_from_slice(&stats.durable_items.to_le_bytes());
-            payload.extend_from_slice(&stats.breached_items.to_le_bytes());
+            out.extend_from_slice(&stats.items_inserted.to_le_bytes());
+            out.extend_from_slice(&stats.matrix_edges.to_le_bytes());
+            out.extend_from_slice(&stats.buffered_edges.to_le_bytes());
+            out.extend_from_slice(&stats.shards.to_le_bytes());
+            out.push(u8::from(stats.poisoned));
+            out.extend_from_slice(&stats.acked_items.to_le_bytes());
+            out.extend_from_slice(&stats.durable_items.to_le_bytes());
+            out.extend_from_slice(&stats.breached_items.to_le_bytes());
             RESP_STATS
         }
         Response::Health { namespaces, connections } => {
-            payload.extend_from_slice(&namespaces.to_le_bytes());
-            payload.extend_from_slice(&connections.to_le_bytes());
+            out.extend_from_slice(&namespaces.to_le_bytes());
+            out.extend_from_slice(&connections.to_le_bytes());
             RESP_HEALTH
         }
         Response::Error { code, message } => {
-            payload.extend_from_slice(&code.to_le_bytes());
-            push_string(&mut payload, message);
+            out.extend_from_slice(&code.to_le_bytes());
+            push_string(out, message);
             RESP_ERROR
         }
     };
-    encode_frame(kind, &payload)
+    seal_frame(out, start, kind)
+}
+
+/// Encodes a response as one frame.
+///
+/// # Panics
+/// If the response does not fit one frame; [`encode_response_into`] returns that as
+/// an error.
+pub fn encode_response(response: &Response) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_response_into(response, &mut frame).expect("response within the frame cap");
+    frame
 }
 
 /// Decodes a response payload for `kind` (as returned by [`decode_frame`]).
@@ -509,6 +580,7 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, ProtocolErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gss_core::wal::crc32;
 
     fn all_requests() -> Vec<Request> {
         vec![

@@ -20,9 +20,12 @@ use std::time::Duration;
 
 /// Default cap on concurrent connections.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
-/// A connection that stays silent this long is closed so it cannot pin a
-/// connection-cap slot forever.
+/// A connection that stays silent this long — sends nothing, or sends requests and
+/// never reads the answers — is closed so it cannot pin a connection-cap slot forever.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(60);
+/// The request-payload and response-frame buffers a connection keeps across frames
+/// are cut back to this, so one 8 MiB exchange leaves no standing memory behind.
+const RETAINED_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Shared server state: the registry plus the connection accounting.
 struct Shared {
@@ -108,7 +111,9 @@ impl Server {
                         code: err::BUSY,
                         message: "connection cap reached".to_string(),
                     };
-                    let _ = conn.write_frame(&protocol::encode_response(&busy));
+                    if conn.write_frame(&protocol::encode_response(&busy)).is_ok() {
+                        let _ = conn.flush();
+                    }
                 }
                 continue;
             }
@@ -143,32 +148,65 @@ impl Drop for ConnectionGuard<'_> {
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let Ok(mut conn) = FrameConn::new(stream) else { return };
     let _ = conn.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = conn.set_write_timeout(Some(READ_TIMEOUT));
+    serve_frames(&mut conn, shared);
+    // Whatever ended the conversation, the answers already produced — the typed
+    // PROTOCOL error among them — go out before the socket closes.
+    let _ = conn.flush();
+}
+
+/// The frame loop of [`serve_connection`].  Answers are queued on the connection,
+/// which writes them out before it next blocks on the client: a request at a time
+/// costs one write per answer, a pipelined burst one write per few KiB of answers.
+fn serve_frames(conn: &mut FrameConn, shared: &Shared) {
     // The tenant this connection is bound to after a successful HELLO.
     let mut bound: Option<Arc<crate::namespace::Namespace>> = None;
+    let mut payload = Vec::new();
+    let mut frame = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let (kind, payload) = match conn.read_frame() {
-            Ok(frame) => frame,
+        let response = match conn.read_frame_into(&mut payload) {
             Err(FrameError::Io(_)) => return,
             Err(FrameError::Protocol(damage)) => {
                 // Framing damage means the byte stream can no longer be resynced:
                 // answer with the typed error, then close.
                 let response = Response::Error { code: err::PROTOCOL, message: damage.to_string() };
-                let _ = conn.write_frame(&protocol::encode_response(&response));
+                encode_answer(&response, &mut frame);
+                let _ = conn.write_frame(&frame);
                 return;
             }
+            Ok(kind) => match protocol::decode_request(kind, &payload) {
+                // A malformed payload inside a well-framed message leaves the stream
+                // intact, so the connection survives.
+                Err(damage) => Response::Error { code: err::PROTOCOL, message: damage.to_string() },
+                Ok(request) => dispatch(request, &mut bound, shared),
+            },
         };
-        let response = match protocol::decode_request(kind, &payload) {
-            // A malformed payload inside a well-framed message leaves the stream
-            // intact, so the connection survives.
-            Err(damage) => Response::Error { code: err::PROTOCOL, message: damage.to_string() },
-            Ok(request) => dispatch(request, &mut bound, shared),
-        };
-        if conn.write_frame(&protocol::encode_response(&response)).is_err() {
+        encode_answer(&response, &mut frame);
+        if conn.write_frame(&frame).is_err() {
             return;
         }
+        for buffer in [&mut payload, &mut frame] {
+            buffer.clear();
+            buffer.shrink_to(RETAINED_BUFFER_BYTES);
+        }
+    }
+}
+
+/// Overwrites `frame` with `response` as one frame.  An answer over the frame cap (the
+/// neighbour list of a hub with more than a million neighbours) would be refused by
+/// every conforming client as framing damage, so it goes out as a typed error instead.
+fn encode_answer(response: &Response, frame: &mut Vec<u8>) {
+    frame.clear();
+    if let Err(oversized) = protocol::encode_response_into(response, frame) {
+        let refusal = Response::Error {
+            code: err::ANSWER_TOO_LARGE,
+            message: format!("the answer does not fit one frame: {oversized}"),
+        };
+        protocol::encode_response_into(&refusal, frame)
+            .expect("an ERROR frame carries at most a 64 KiB message");
     }
 }
 
@@ -321,6 +359,40 @@ mod tests {
             other => panic!("expected BUSY or close, got {other:?}"),
         }
         drop(second);
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_answer_over_the_frame_cap_goes_out_as_a_typed_error() {
+        let mut frame = b"left over from the previous answer".to_vec();
+        // 2^20 vertices are 8 MiB of payload plus the four-byte count: just over.
+        encode_answer(&Response::Vertices(vec![7; 1 << 20]), &mut frame);
+        let (kind, payload, consumed) = protocol::decode_frame(&frame).unwrap();
+        assert_eq!(consumed, frame.len());
+        match protocol::decode_response(kind, payload).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, err::ANSWER_TOO_LARGE),
+            other => panic!("expected ANSWER_TOO_LARGE, got {other:?}"),
+        }
+        // One vertex fewer fits, and goes out as itself.
+        encode_answer(&Response::Vertices(vec![7; (1 << 20) - 1]), &mut frame);
+        let (kind, payload, _) = protocol::decode_frame(&frame).unwrap();
+        assert_eq!(payload.len(), protocol::MAX_PAYLOAD_BYTES - 4);
+        assert!(matches!(protocol::decode_response(kind, payload), Ok(Response::Vertices(_))));
+    }
+
+    #[test]
+    fn an_ingest_over_the_frame_cap_fails_client_side_and_sends_nothing() {
+        let (handle, dir) = boot("bigingest", "tenant alpha token=secret width=64", 8);
+        let mut client = GssClient::connect(handle.addr()).unwrap();
+        client.hello("alpha", "secret").unwrap();
+        let too_many = vec![(1, 2, 1); (protocol::MAX_PAYLOAD_BYTES - 4) / 24 + 1];
+        match client.ingest(&too_many) {
+            Err(ClientError::Protocol(protocol::ProtocolError::Oversized(_))) => {}
+            other => panic!("expected a client-side Oversized, got {other:?}"),
+        }
+        // Had any byte of it been sent, the server would have closed on framing damage.
+        assert_eq!(client.ingest(&too_many[..3]).unwrap().acked_total, 3);
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,12 +4,15 @@
 //! flips, lying length fields, outright garbage — must never panic the parser and
 //! must always come back as a typed [`ProtocolError`].  Well-formed frames must
 //! round-trip exactly, and the CRC must catch every single-bit flip anywhere in a
-//! frame.
+//! frame.  Last, pipelining against a live server: a burst of requests sent without
+//! waiting comes back as that many answers in request order.
 
 use gss_server::protocol::{
-    decode_frame, decode_request, decode_response, encode_request, encode_response, ProtocolError,
-    Request, Response, WireEdge, WireStats, HEADER_BYTES, MAX_PAYLOAD_BYTES,
+    decode_frame, decode_request, decode_response, encode_request, encode_request_into,
+    encode_response, encode_response_into, ProtocolError, Request, Response, WireEdge, WireStats,
+    HEADER_BYTES, MAX_PAYLOAD_BYTES,
 };
+use gss_server::{FrameConn, Server, ServerConfig};
 use proptest::prelude::*;
 
 fn arb_edge() -> impl Strategy<Value = WireEdge> {
@@ -95,6 +98,21 @@ proptest! {
         prop_assert_eq!(decode_response(kind, payload).unwrap(), response);
     }
 
+    /// Encoding into a buffer appends exactly the frame the `Vec`-returning encoder
+    /// builds, whatever the buffer already holds.
+    #[test]
+    fn encoding_in_place_appends_the_same_frame(
+        request in arb_request(),
+        response in arb_response(),
+        held in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let mut out = held.clone();
+        encode_request_into(&request, &mut out).unwrap();
+        encode_response_into(&response, &mut out).unwrap();
+        let expected = [held, encode_request(&request), encode_response(&response)].concat();
+        prop_assert_eq!(out, expected);
+    }
+
     /// Truncating a valid frame anywhere yields a typed error, never a panic and
     /// never a bogus success.
     #[test]
@@ -177,4 +195,74 @@ proptest! {
             Err(ProtocolError::Oversized(excess))
         );
     }
+}
+
+/// A frame over the cap is refused by the encoder — every conforming reader would
+/// refuse it as `Oversized` — and leaves nothing of itself in the buffer.
+#[test]
+fn a_request_over_the_frame_cap_is_refused_by_the_encoder() {
+    let item = WireEdge { source: 1, destination: 2, weight: 3 };
+    let mut out = b"kept".to_vec();
+    let most = (MAX_PAYLOAD_BYTES - 4) / 24;
+    assert_eq!(most, 349_525, "the item limit the client documents");
+    encode_request_into(&Request::Ingest { items: vec![item; most] }, &mut out).unwrap();
+    let (kind, payload, _) = decode_frame(&out[4..]).unwrap();
+    assert!(
+        matches!(decode_request(kind, payload), Ok(Request::Ingest { items }) if items.len() == most)
+    );
+
+    out.truncate(4);
+    assert_eq!(
+        encode_request_into(&Request::Ingest { items: vec![item; most + 1] }, &mut out),
+        Err(ProtocolError::Oversized((4 + (most + 1) * 24) as u32))
+    );
+    assert_eq!(out, b"kept");
+}
+
+/// 512 requests of three kinds written in one piece, none of the answers read until
+/// all are sent: 512 answers come back, each of its request's kind and value.
+#[test]
+fn a_pipelined_burst_is_answered_whole_and_in_order() {
+    let dir = std::env::temp_dir().join(format!("gss-pipeline-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ServerConfig::parse("tenant alpha token=secret shards=2 width=128").unwrap();
+    let handle = Server::bind("127.0.0.1:0", dir.clone(), config, 4).unwrap().spawn().unwrap();
+    let mut conn = FrameConn::new(std::net::TcpStream::connect(handle.addr()).unwrap()).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+
+    // Set-up rides the same pipeline: HELLO and INGEST are queued, not awaited.
+    let chain = (1..=512).map(|i| WireEdge { source: i, destination: i + 1, weight: i as i64 });
+    let hello = Request::Hello { tenant: "alpha".into(), token: "secret".into() };
+    conn.write_frame(&encode_request(&hello)).unwrap();
+    conn.write_frame(&encode_request(&Request::Ingest { items: chain.collect() })).unwrap();
+
+    let request = |i: u64| match i % 3 {
+        0 => Request::Edge { source: i, destination: i + 1 },
+        1 => Request::Successors { vertex: i },
+        _ => Request::Health,
+    };
+    let burst: Vec<u8> = (1..=512).flat_map(|i| encode_request(&request(i))).collect();
+    conn.write_raw(&burst).unwrap();
+
+    let mut answer = || {
+        let (kind, payload) = conn.read_frame().unwrap();
+        decode_response(kind, &payload).unwrap()
+    };
+    assert_eq!(answer(), Response::Ok);
+    assert!(matches!(answer(), Response::Ingested { accepted: 512, .. }));
+    for i in 1..=512u64 {
+        match (request(i), answer()) {
+            // One-sided error: a sketch may over-count, never under-count or forget.
+            (Request::Edge { .. }, Response::EdgeWeight(Some(weight))) => {
+                assert!(weight >= i as i64, "answer {i} is not edge {i}'s: {weight}");
+            }
+            (Request::Successors { .. }, Response::Vertices(vertices)) => {
+                assert!(vertices.contains(&(i + 1)), "answer {i} is not vertex {i}'s");
+            }
+            (Request::Health, Response::Health { connections: 1, .. }) => {}
+            (request, response) => panic!("answer {i}: {request:?} got {response:?}"),
+        }
+    }
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -138,6 +138,39 @@ proptest! {
             let _ = sketch.detailed_stats();
         }
     }
+
+    /// The slicing-by-8 checksum, whole or fed in arbitrary pieces, is the bytewise
+    /// one: the bytes the WAL, the sketch-file sections and the wire carry are unchanged.
+    #[test]
+    fn crc32_equals_the_bytewise_reference_on_any_split(
+        bytes in prop::collection::vec(any::<u8>(), 0..300),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+    ) {
+        let expected = bytewise_crc32(&bytes);
+        prop_assert_eq!(gss_core::wal::crc32(&bytes), expected);
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut.index(bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut incremental = gss_core::wal::Crc32::new();
+        let mut from = 0;
+        for cut in cuts {
+            incremental.update(&bytes[from..cut]);
+            from = cut;
+        }
+        incremental.update(&bytes[from..]);
+        prop_assert_eq!(incremental.finish(), expected);
+    }
+}
+
+/// The one-table, one-byte-per-step CRC-32 the log format was defined with.
+fn bytewise_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in bytes {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
 }
 
 #[test]
