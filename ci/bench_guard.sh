@@ -12,12 +12,9 @@
 # gate softly: only a collapse below the tolerance relative to their committed points
 # fails).
 #
-# Durability reports (detected via `"bench": "durability"`): the Strict file-ingest
-# rate is the hard gate — it is the number group commit exists to protect — and the
-# Buffered and in-memory rates gate softly the same way.  On top of the trajectory
-# gate, the *fresh* report must keep Strict within GUARD_STRICT_GAP of Buffered
-# (default 0.75x, i.e. Strict may give back at most 25% on a noisy CI box; the
-# committed trajectory itself records Strict within 10%).
+# Durability reports (detected via `"bench": "durability"`): the file-ingest rate
+# (`ingest_file_strict`) is the hard gate — it is the number group commit exists to
+# protect — and the in-memory rate gates softly the same way.
 #
 # Usage: ci/bench_guard.sh <committed json> <fresh json> [<committed json> <fresh json>]...
 set -euo pipefail
@@ -32,10 +29,6 @@ fi
 # runner class, set BENCH_GUARD_TOLERANCE in the workflow instead of letting the
 # guard rot red.
 TOLERANCE="${BENCH_GUARD_TOLERANCE:-0.70}"
-
-# The fresh Strict rate must stay within this fraction of the fresh Buffered rate
-# (durability reports only).
-STRICT_GAP="${GUARD_STRICT_GAP:-0.75}"
 
 # The reports are written by gss_experiments::BenchReport: one result object per line,
 # so each sharded entry is grep-able without a JSON parser.
@@ -71,31 +64,16 @@ while [ "$#" -gt 0 ]; do
       continue
     fi
     if ! gate "[$fresh] strict file ingest" "$old" "$new"; then
-      echo "bench guard [$fresh]: Strict ingest regressed vs the committed trajectory"
+      echo "bench guard [$fresh]: file ingest regressed vs the committed trajectory"
       failures=$((failures + 1))
       continue
     fi
-    # Buffered and memory rates: tracked, gated only against collapse.
-    for name in ingest_file_buffered ingest_memory; do
-      old_n=$(extract_named "$baseline" "$name")
-      new_n=$(extract_named "$fresh" "$name")
-      [ -z "$old_n" ] || [ -z "$new_n" ] && continue
-      if ! gate "[$fresh] $name" "$old_n" "$new_n"; then
-        echo "bench guard [$fresh]: $name collapsed vs the committed point"
-        failures=$((failures + 1))
-      fi
-    done
-    # Group commit's whole point: Strict must track Buffered, fresh-vs-fresh.
-    buffered=$(extract_named "$fresh" ingest_file_buffered)
-    if [ -n "$buffered" ]; then
-      echo "bench guard [$fresh]: strict ${new} vs buffered ${buffered} Mitems/s" \
-        "(floor ${STRICT_GAP}x)"
-      if ! awk -v s="$new" -v b="$buffered" -v g="$STRICT_GAP" \
-        'BEGIN { exit !(s + 0 >= b * g) }'; then
-        echo "bench guard [$fresh]: Strict fell below ${STRICT_GAP}x of Buffered —" \
-          "group commit is no longer absorbing the fsync cost"
-        failures=$((failures + 1))
-      fi
+    # Memory rate: tracked, gated only against collapse.
+    old_n=$(extract_named "$baseline" ingest_memory)
+    new_n=$(extract_named "$fresh" ingest_memory)
+    if [ -n "$old_n" ] && [ -n "$new_n" ] && ! gate "[$fresh] ingest_memory" "$old_n" "$new_n"; then
+      echo "bench guard [$fresh]: ingest_memory collapsed vs the committed point"
+      failures=$((failures + 1))
     fi
     continue
   fi

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Crash kill-matrix: prove that a SIGKILL'd file-backed ingest run is recoverable.
 #
-# For each mode (strict, buffered, threaded) this starts the matching `crash_harness`
-# ingest, SIGKILLs it at a randomized offset, then runs the matching verify, which
-# reopens the sketch file(s) (write-ahead-log replay) and asserts:
-#   * strict:   zero acknowledged-item loss (window 0), and
-#   * buffered: loss bounded by the documented WAL buffer window (items), and
-#   * threaded: 3 concurrent strict writers over a sharded sketch (one file + log per
+# For each mode (strict, threaded, group-commit) this starts the matching
+# `crash_harness` ingest, SIGKILLs it at a randomized offset, then runs the matching
+# verify, which reopens the sketch file(s) (write-ahead-log replay) and asserts:
+#   * strict:   one writer, zero acknowledged-item loss, and
+#   * threaded: 3 concurrent writers over a sharded sketch (one file + log per
 #               shard) — zero loss of any thread's acknowledged items, with the killed
 #               process's stale .lock sidecars reclaimed on reopen, and
 #   * group-commit: the threaded run under a deliberately wide group-commit window
 #               (50 ms / 4 MiB), so the kill lands mid-window with the cadence
-#               `fdatasync` still pending — strict acknowledgement is write()-based,
-#               so zero acknowledged loss must hold anyway, and
+#               `fdatasync` still pending — acknowledgement is write()-based, so
+#               zero acknowledged loss must hold anyway, and
 #   * in all:   every recovered item's edge answers with at least its exact weight.
 #
 # Usage: ci/crash_matrix.sh [iterations-per-mode]   (default 3)
@@ -21,9 +20,6 @@ cd "$(dirname "$0")/.."
 
 ITERATIONS="${1:-3}"
 ITEMS=1200000
-# Documented buffered loss window: WAL_BUFFER_BYTES (64 KiB) at ≥ ~30 logged bytes per
-# item is < 2200 items; 4096 adds headroom for the in-flight batch.
-BUFFERED_WINDOW=4096
 
 # release-witness = release + debug-assertions: the kill-matrix doubles as the runtime
 # lock-order witness's integration run — an inversion panics the harness and fails CI.
@@ -50,22 +46,17 @@ save_artifacts() {
 }
 
 failures=0
-for mode in strict buffered threaded group-commit; do
-  window=0
+for mode in strict threaded group-commit; do
   ingest_cmd=ingest
   verify_cmd=verify
-  durability="$mode"
   case "$mode" in
-    buffered) window=$BUFFERED_WINDOW ;;
     threaded)
       ingest_cmd=ingest-threaded
       verify_cmd=verify-threaded
-      durability=strict
       ;;
     group-commit)
       ingest_cmd=ingest-group
       verify_cmd=verify-group
-      durability=strict
       ;;
   esac
   for i in $(seq 1 "$ITERATIONS"); do
@@ -74,12 +65,11 @@ for mode in strict buffered threaded group-commit; do
     # Kill offset in [0.30, 1.29] s: from "barely created" to "deep into the stream",
     # varied per mode and per iteration (and per run via the seed).
     delay=$(awk -v s="$SEED" -v i="$i" -v m="$mode" 'BEGIN {
-      srand(s * 31 + i * 7919 + (m == "buffered") * 104729 + (m == "threaded") * 611953 \
-        + (m == "group-commit") * 999331);
+      srand(s * 31 + i * 7919 + (m == "threaded") * 611953 + (m == "group-commit") * 999331);
       rand();
       printf "%.2f", 0.30 + rand()
     }')
-    "$BIN" "$ingest_cmd" "$sketch" "$progress" "$durability" "$ITEMS" &
+    "$BIN" "$ingest_cmd" "$sketch" "$progress" "$ITEMS" &
     pid=$!
     sleep "$delay"
     kill -9 "$pid" 2>/dev/null || true
@@ -102,7 +92,7 @@ for mode in strict buffered threaded group-commit; do
       continue
     fi
     echo "--- $mode #$i: killed after ${delay}s at $acknowledged acknowledged items"
-    if "$BIN" "$verify_cmd" "$sketch" "$progress" "$durability" "$window"; then
+    if "$BIN" "$verify_cmd" "$sketch" "$progress"; then
       echo "--- $mode #$i: OK"
     else
       echo "--- $mode #$i: FAILED"
@@ -117,4 +107,4 @@ if [ "$failures" -ne 0 ]; then
     "progress sidecars saved under $ARTIFACTS/"
   exit 1
 fi
-echo "crash matrix: all $((4 * ITERATIONS)) kills recovered within their windows"
+echo "crash matrix: all $((3 * ITERATIONS)) kills recovered with zero acknowledged loss"

@@ -56,8 +56,6 @@ for i in $(seq 1 "$SCHEDULES"); do
   sketch="$WORKDIR/fault-$i.gss"
   progress="$WORKDIR/progress-$i"
   ingest_log="$WORKDIR/ingest-$i.log"
-  # Alternate the two single-writer durability contracts.
-  if [ $((i % 2)) -eq 0 ]; then durability=buffered; else durability=strict; fi
   # Schedule mix: 40% hard write faults (EIO/ENOSPC/torn), 20% failed fsync,
   # 10% failed truncate, 20% transient-only, 10% transient-then-hard combos.
   # Occurrence ranges track real call frequencies: writes are per-item-ish,
@@ -85,9 +83,9 @@ for i in $(seq 1 "$SCHEDULES"); do
       printf "write:eintr@%d;write:eio@%d", 1 + int(rand() * 30), 50 + int(rand() * 400);
     }
   }')
-  echo "--- schedule #$i ($durability): GSS_FAULT_PLAN=\"$spec\""
-  if ! GSS_FAULT_PLAN="$spec" "$BIN" fault-ingest "$sketch" "$progress" "$durability" \
-      "$ITEMS" >"$ingest_log" 2>&1; then
+  echo "--- schedule #$i: GSS_FAULT_PLAN=\"$spec\""
+  if ! GSS_FAULT_PLAN="$spec" "$BIN" fault-ingest "$sketch" "$progress" "$ITEMS" \
+      >"$ingest_log" 2>&1; then
     echo "--- schedule #$i: FAILED (ingest half broke the fail-stop contract)"
     cat "$ingest_log"
     failures=$((failures + 1))
@@ -103,7 +101,7 @@ for i in $(seq 1 "$SCHEDULES"); do
     transient_runs=$((transient_runs + 1))
   fi
   # Verify with the plan cleared: recovery itself runs against healthy I/O.
-  if "$BIN" fault-verify "$sketch" "$progress" "$durability" 0; then
+  if "$BIN" fault-verify "$sketch" "$progress"; then
     echo "--- schedule #$i: OK"
   else
     echo "--- schedule #$i: FAILED"

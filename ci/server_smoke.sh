@@ -5,10 +5,10 @@
 #   * liveness (HEALTH) and byte-level protocol conformance (`wirecheck`: pinned
 #     frame layout, typed rejection of garbage and lying length fields),
 #   * batch ingest + edge/successor/reachability queries + snapshot + stats on a
-#     strict tenant, plus a buffered tenant on the same server,
+#     tenant, plus a second tenant on the same server,
 #   * per-tenant token-bucket rate limiting (typed RATE_LIMITED, 0x0005),
 #   * SIGKILL the server mid-ingest, restart it on the same data directory, and
-#     verify every acknowledged item of the strict tenant recovered (per-shard
+#     verify every acknowledged item of the tenant recovered (per-shard
 #     write-ahead-log replay; stale .lock sidecars from the dead process are
 #     reclaimed),
 #   * the poisoned-tenant error path: restart with GSS_FAULT_PLAN scoped to one
@@ -33,8 +33,8 @@ cleanup() {
 trap cleanup EXIT
 
 cat > "$WORKDIR/tenants.conf" <<'EOF'
-tenant alpha   token=alpha-secret   durability=strict   shards=2 width=128
-tenant beta    token=beta-secret    durability=buffered shards=2 width=128
+tenant alpha   token=alpha-secret   durability=strict shards=2 width=128
+tenant beta    token=beta-secret    durability=strict shards=2 width=128
 tenant limited token=limited-secret rate=5 burst=5 width=64
 tenant poison  token=poison-secret  durability=strict shards=1 width=64
 EOF
@@ -82,7 +82,7 @@ alpha successors 1 | grep -q '\[2\]' || { echo "successors of 1 should be [2]"; 
 alpha snapshot
 alpha stats | grep -q 'poisoned false' || { echo "alpha must not be poisoned"; exit 1; }
 
-# A second tenant with the buffered contract on the same server.
+# A second tenant on the same server.
 "$CLIENT" --addr "$ADDR" --tenant beta --token beta-secret ingest 100 | tail -n 1
 "$CLIENT" --addr "$ADDR" --tenant beta --token beta-secret verify 100
 

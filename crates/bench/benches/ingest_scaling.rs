@@ -4,16 +4,15 @@
 //!
 //! Every writer feeds its slice of the stream through the batched ingest path
 //! (`insert_batch`), so the measurement compares lock granularity and per-shard load, not
-//! batching itself.  The single-lock baseline is `ShardedGss` with one shard — the exact
-//! code path of the deprecated `ConcurrentGss` wrapper (one sketch, one `RwLock`).
+//! batching itself.  The single-lock baseline is `ShardedGss` with one shard (one sketch,
+//! one `RwLock`).
 //!
 //! Results are printed as a table and written as `BENCH_ingest.json` at the workspace root
 //! via [`gss_experiments::BenchReport`], seeding the bench trajectory.
 //!
 //! Set `GSS_STORAGE=file` to run the same sweep with every shard's room matrix on the
 //! paged file backend (one sketch file per shard under the temp dir) — the configuration
-//! that matters for larger-than-RAM matrices — and `GSS_DURABILITY=strict|buffered` to
-//! pick its write-ahead-log / write-back policy.
+//! that matters for larger-than-RAM matrices.
 
 use gss_core::{GssConfig, ShardedGss};
 use gss_datasets::{Xoshiro256, ZipfSampler};
@@ -71,13 +70,7 @@ fn measure(
         // cache-starved configuration and measure eviction thrash instead of lock
         // granularity; equal per-store budgets compare the concurrency paths fairly.
         let storage = storage_backend_from_env(scale, &format!("ingest-s{shards}-t{threads}"));
-        let sketch = ShardedGss::with_storage_durability(
-            config,
-            shards,
-            &storage,
-            gss_experiments::durability_from_env(),
-        )
-        .expect("valid config");
+        let sketch = ShardedGss::with_storage(config, shards, &storage).expect("valid config");
         let chunk_size = items.len().div_ceil(threads);
         let start = Instant::now();
         std::thread::scope(|scope| {

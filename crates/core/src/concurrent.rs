@@ -1,10 +1,10 @@
 //! Sharded concurrent ingest: [`ShardedGss`].
 //!
 //! Graph streams are frequently consumed by several ingest threads (the paper's CAIDA use
-//! case is a multi-link packet capture).  The historical [`ConcurrentGss`] wrapper
-//! serialised all writers behind one `RwLock`; [`ShardedGss`] replaces it with `N`
-//! independent sketch shards behind per-shard locks, so writers touching different shards
-//! never contend.
+//! case is a multi-link packet capture).  Instead of serialising all writers behind one
+//! `RwLock`, [`ShardedGss`] keeps `N` independent sketch shards behind per-shard locks,
+//! so writers touching different shards never contend (`ShardedGss::new(config, 1)` is
+//! the single-lock special case).
 //!
 //! ## Sharding semantics
 //!
@@ -36,7 +36,7 @@
 //! without contention.
 
 use crate::config::{Durability, GroupCommit, GssConfig};
-use crate::error::ConfigError;
+use crate::error::{ConfigError, GssError, StoreFault};
 use crate::group_commit::GroupCommitter;
 use crate::pager::witness::{self, LockClass};
 use crate::sketch::GssSketch;
@@ -45,18 +45,6 @@ use crate::storage::StorageBackend;
 use gss_graph::{StreamEdge, SummaryRead, SummaryStats, SummaryWrite, VertexId, Weight};
 use parking_lot::RwLock;
 use std::sync::Arc;
-
-/// Deprecated single-lock wrapper, kept as a thin alias.
-///
-/// Migration: `ConcurrentGss::new(config)` becomes `ShardedGss::new(config, shards)` —
-/// `ShardedGss::new(config, 1)` reproduces the old single-lock behaviour exactly (one
-/// sketch, one lock), while `shards > 1` unlocks concurrent ingest.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ShardedGss` (`ShardedGss::new(config, 1)` \
-     reproduces the single-lock behaviour)"
-)]
-pub type ConcurrentGss = ShardedGss;
 
 /// A cloneable, thread-safe handle to a set of GSS sketch shards partitioned by source
 /// vertex (see the [module docs](self) for the sharding semantics).
@@ -81,8 +69,9 @@ impl ShardedGss {
 
     /// Builds `shards` empty sketches sharing one configuration on an explicit storage
     /// backend.  A [`StorageBackend::File`] base path fans out to one file per shard
-    /// (`<name>.shard0`, `<name>.shard1`, …), so each shard owns its page cache and its
-    /// portion of the on-disk matrix.
+    /// (`<name>.shard0`, `<name>.shard1`, …), so each shard owns its page cache, its
+    /// portion of the on-disk matrix and its own write-ahead log (`<name>.shardN.wal`) —
+    /// shards recover independently after a crash.
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
@@ -92,42 +81,20 @@ impl ShardedGss {
         shards: usize,
         storage: &StorageBackend,
     ) -> Result<Self, ConfigError> {
-        Self::with_storage_durability(config, shards, storage, Durability::Strict)
+        Self::with_storage_grouped(config, shards, storage, GroupCommit::default())
     }
 
-    /// [`with_storage`](Self::with_storage) with an explicit [`Durability`] policy.  Each
-    /// file-backed shard owns its own write-ahead log (`<name>.shardN.wal`) alongside its
-    /// sketch file, so shards recover independently after a crash.
+    /// [`with_storage`](Self::with_storage) with an explicit group-commit knob.  All
+    /// shard logs register with **one** coordinator, so a single cadence `fdatasync`
+    /// covers every shard that wrote since the last one — N writer threads share one
+    /// fsync schedule instead of paying one each.
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability(
+    pub fn with_storage_grouped(
         config: GssConfig,
         shards: usize,
         storage: &StorageBackend,
-        durability: Durability,
-    ) -> Result<Self, ConfigError> {
-        Self::with_storage_durability_grouped(
-            config,
-            shards,
-            storage,
-            durability,
-            GroupCommit::default(),
-        )
-    }
-
-    /// [`with_storage_durability`](Self::with_storage_durability) with an explicit
-    /// group-commit knob.  All shard logs register with **one** coordinator, so a single
-    /// cadence `fdatasync` covers every shard that wrote since the last one — N writer
-    /// threads share one fsync schedule instead of paying one each.
-    ///
-    /// # Errors
-    /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability_grouped(
-        config: GssConfig,
-        shards: usize,
-        storage: &StorageBackend,
-        durability: Durability,
         group_commit: GroupCommit,
     ) -> Result<Self, ConfigError> {
         if shards == 0 {
@@ -136,10 +103,9 @@ impl ShardedGss {
         let group = GroupCommitter::new(group_commit);
         let shards = (0..shards)
             .map(|index| {
-                GssSketch::with_storage_durability_grouped(
+                GssSketch::with_storage_grouped(
                     config,
                     storage.for_shard(index),
-                    durability,
                     Arc::clone(&group),
                 )
             })
@@ -155,7 +121,7 @@ impl ShardedGss {
     /// shard recovering independently through its own write-ahead log — this is the
     /// restart path of a long-lived service (`gss-server` reopens every tenant this
     /// way).  All shard logs register with one fresh group-commit coordinator built
-    /// from `group_commit`.
+    /// from `group_commit`; `durability` has a single value and changes nothing.
     ///
     /// # Errors
     /// Returns a [`PersistenceError`](crate::PersistenceError) if `shards == 0`, any shard file is missing or
@@ -165,7 +131,7 @@ impl ShardedGss {
         base: impl AsRef<std::path::Path>,
         shards: usize,
         cache_pages: usize,
-        durability: Durability,
+        _durability: Durability,
         group_commit: GroupCommit,
     ) -> Result<Self, crate::persistence::PersistenceError> {
         use crate::persistence::PersistenceError;
@@ -179,12 +145,7 @@ impl ShardedGss {
                 let StorageBackend::File { path, cache_pages } = backend.for_shard(index) else {
                     unreachable!("file backend shards stay file-backed");
                 };
-                GssSketch::open_file_durability_grouped(
-                    path,
-                    cache_pages,
-                    durability,
-                    Arc::clone(&group),
-                )
+                GssSketch::open_file_grouped(path, cache_pages, Arc::clone(&group))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let config = *opened[0].config();
@@ -242,8 +203,7 @@ impl ShardedGss {
         Self::with_storage_equal_memory(config, shards, &StorageBackend::Memory)
     }
 
-    /// [`new_equal_memory`](Self::new_equal_memory) on an explicit storage backend: the
-    /// single place where the equal-memory width rule meets shard construction.
+    /// [`new_equal_memory`](Self::new_equal_memory) on an explicit storage backend.
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
@@ -253,46 +213,23 @@ impl ShardedGss {
         shards: usize,
         storage: &StorageBackend,
     ) -> Result<Self, ConfigError> {
-        Self::with_storage_equal_memory_durability(config, shards, storage, Durability::Strict)
+        Self::with_storage_equal_memory_grouped(config, shards, storage, GroupCommit::default())
     }
 
     /// [`with_storage_equal_memory`](Self::with_storage_equal_memory) with an explicit
-    /// [`Durability`] policy: the single place where the equal-memory width rule meets
-    /// shard construction.
-    ///
-    /// # Errors
-    /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
-    /// shard file cannot be created.
-    pub fn with_storage_equal_memory_durability(
-        config: GssConfig,
-        shards: usize,
-        storage: &StorageBackend,
-        durability: Durability,
-    ) -> Result<Self, ConfigError> {
-        Self::with_storage_equal_memory_durability_grouped(
-            config,
-            shards,
-            storage,
-            durability,
-            GroupCommit::default(),
-        )
-    }
-
-    /// [`with_storage_equal_memory_durability`](Self::with_storage_equal_memory_durability)
-    /// with an explicit group-commit knob (see
-    /// [`with_storage_durability_grouped`](Self::with_storage_durability_grouped)).
+    /// group-commit knob (see [`with_storage_grouped`](Self::with_storage_grouped)): the
+    /// single place where the equal-memory width rule meets shard construction.
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_equal_memory_durability_grouped(
+    pub fn with_storage_equal_memory_grouped(
         config: GssConfig,
         shards: usize,
         storage: &StorageBackend,
-        durability: Durability,
         group_commit: GroupCommit,
     ) -> Result<Self, ConfigError> {
         let per_shard = GssConfig { width: config.equal_memory_width(shards), ..config };
-        Self::with_storage_durability_grouped(per_shard, shards, storage, durability, group_commit)
+        Self::with_storage_grouped(per_shard, shards, storage, group_commit)
     }
 
     /// Builds a sharded sketch with one shard per available CPU (capped at 16).
@@ -337,14 +274,28 @@ impl ShardedGss {
         self.shards[self.shard_index(source)].write().insert(source, destination, weight);
     }
 
-    /// Inserts a batch through a shared reference: items are grouped by shard, then each
-    /// shard is locked once and fed its sub-batch via [`GssSketch::insert_batch`] — so a
-    /// batch both amortises hashing *and* takes each lock once instead of per item.
+    /// Inserts a batch through a shared reference.  This **is**
+    /// [`try_insert_batch`](Self::try_insert_batch) plus a panic: the same partitioning,
+    /// scheduling and per-shard commit, with a store fault (the faulted shard is already
+    /// poisoned) unwinding instead of being returned.
     pub fn insert_batch(&self, items: &[StreamEdge]) {
+        self.try_insert_batch(items)
+            .unwrap_or_else(|error| panic!("sharded batch insert failed: {error}"));
+    }
+
+    /// Inserts a batch through a shared reference with typed fail-stop errors: items are
+    /// grouped by shard, then each shard is locked once and fed its sub-batch — so a
+    /// batch both amortises hashing *and* takes each lock once instead of per item.
+    ///
+    /// Shards fail independently: a fault poisons only its own shard, the remaining
+    /// shards still stage and acknowledge their sub-batches, and the **first** fault
+    /// encountered is returned.  A failed shard's sub-batch may be partially applied and
+    /// is never acknowledged; its [`durability_report`](Self::durability_report)
+    /// quantifies any breach.
+    pub fn try_insert_batch(&self, items: &[StreamEdge]) -> Result<(), GssError> {
         if self.shards.len() == 1 {
             let _shard_held = witness::acquire(LockClass::Shard);
-            self.shards[0].write().insert_batch(items);
-            return;
+            return self.shards[0].write().try_insert_batch(items);
         }
         // Not `vec![Vec::with_capacity(..); n]`: `Vec::clone` drops capacity, which would
         // silently discard the pre-sizing for every buffer but one.
@@ -374,7 +325,17 @@ impl ShardedGss {
             .map(|step| (start + step) % self.shards.len())
             .filter(|&index| !per_shard[index].is_empty())
             .collect();
+        let mut first_fault: Option<StoreFault> = None;
         let mut acks: Vec<(usize, crate::file_store::WalAck)> = Vec::with_capacity(pending.len());
+        let mut stage = |shard: &mut GssSketch, index: usize| match shard
+            .insert_batch_deferred(&per_shard[index])
+        {
+            Ok(Some(ack)) => acks.push((index, ack)),
+            Ok(None) => {}
+            Err(fault) => {
+                first_fault.get_or_insert(fault);
+            }
+        };
         // Opportunistic sweep first: take whichever shard locks are free right now, so a
         // writer never parks behind a peer while another shard's sub-batch could
         // proceed.  Whatever stays contended is processed blocking afterwards.
@@ -382,9 +343,7 @@ impl ShardedGss {
             let _shard_held = witness::acquire(LockClass::Shard);
             match self.shards[index].try_write() {
                 Some(mut shard) => {
-                    if let Some(ack) = shard.insert_batch_deferred(&per_shard[index]) {
-                        acks.push((index, ack));
-                    }
+                    stage(&mut shard, index);
                     false
                 }
                 None => true,
@@ -392,53 +351,16 @@ impl ShardedGss {
         });
         for index in pending {
             let _shard_held = witness::acquire(LockClass::Shard);
-            if let Some(ack) = self.shards[index].write().insert_batch_deferred(&per_shard[index]) {
-                acks.push((index, ack));
-            }
+            stage(&mut self.shards[index].write(), index);
         }
         for (index, ack) in acks {
             if let Some(handle) = &self.ack_handles[index] {
-                handle.ack(ack);
-            }
-        }
-    }
-
-    /// [`insert_batch`](Self::insert_batch) with typed fail-stop errors instead of the
-    /// storage-contract panics.  Shards fail independently: a fault poisons only its own
-    /// shard, the remaining shards still stage and acknowledge their sub-batches, and
-    /// the **first** fault encountered is returned.  A failed shard's sub-batch may be
-    /// partially applied and is never acknowledged; its
-    /// [`durability_report`](Self::durability_report) quantifies any breach.
-    pub fn try_insert_batch(&self, items: &[StreamEdge]) -> Result<(), crate::error::GssError> {
-        let mut per_shard: Vec<Vec<StreamEdge>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for item in items {
-            per_shard[self.shard_index(item.source)].push(*item);
-        }
-        let mut first_fault: Option<crate::error::StoreFault> = None;
-        let mut acks: Vec<(usize, crate::file_store::WalAck)> = Vec::new();
-        for (index, sub_batch) in per_shard.iter().enumerate() {
-            if sub_batch.is_empty() {
-                continue;
-            }
-            let _shard_held = witness::acquire(LockClass::Shard);
-            match self.shards[index].write().try_insert_batch_deferred(sub_batch) {
-                Ok(Some(ack)) => acks.push((index, ack)),
-                Ok(None) => {}
-                Err(fault) => first_fault = first_fault.or(Some(fault)),
-            }
-        }
-        for (index, ack) in acks {
-            if let Some(handle) = &self.ack_handles[index] {
-                if let Err(fault) = handle.try_ack(ack) {
-                    first_fault = first_fault.or(Some(fault));
+                if let Err(fault) = handle.ack(ack) {
+                    first_fault.get_or_insert(fault);
                 }
             }
         }
-        match first_fault {
-            Some(fault) => Err(fault.into()),
-            None => Ok(()),
-        }
+        first_fault.map_or(Ok(()), |fault| Err(fault.into()))
     }
 
     /// The honest durability account aggregated across shards: `poisoned` when **any**
@@ -542,7 +464,9 @@ impl ShardedGss {
     fn merge_sketches(config: GssConfig, sketches: &[GssSketch]) -> GssSketch {
         let mut merged = GssSketch::merge_all(config, sketches)
             .expect("shards share one configuration by construction");
-        merged.set_items_inserted(sketches.iter().map(GssSketch::items_inserted).sum());
+        merged
+            .set_items_inserted(sketches.iter().map(GssSketch::items_inserted).sum())
+            .expect("the merged sketch is in-memory and cannot fault");
         merged
     }
 
@@ -575,9 +499,9 @@ impl ShardedGss {
         }
     }
 
-    /// Drops every shard with no checkpoint and no background-queue drain
-    /// ([`GssSketch::abandon`] per shard), leaving file-backed shard files exactly as a
-    /// process kill would — for crash tests over concurrent writers.
+    /// Drops every shard with no checkpoint ([`GssSketch::abandon`] per shard), leaving
+    /// file-backed shard files exactly as a process kill would — for crash tests over
+    /// concurrent writers.
     ///
     /// # Errors
     /// Returns `self` unchanged when other handles still exist (they could still write).
@@ -916,13 +840,5 @@ mod tests {
             .is_err());
         assert!(ShardedGss::open_sharded(&base, 2, 16, Durability::Strict, GroupCommit::default())
             .is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_resolves() {
-        let sketch: ConcurrentGss = ShardedGss::new(GssConfig::paper_default(16), 1).unwrap();
-        sketch.insert(1, 2, 1);
-        assert_eq!(sketch.edge_weight(1, 2), Some(1));
     }
 }

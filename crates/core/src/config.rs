@@ -40,38 +40,23 @@ pub const MAX_TOTAL_ROOMS: u128 = 1 << 34;
 
 /// Durability policy of a file-backed sketch (ignored by the in-memory backend).
 ///
-/// Both modes keep a write-ahead room log (`<sketch>.wal`, see [`crate::wal`]) so an
-/// unclean file is **recoverable** instead of rejected; they differ in how much of the
-/// most recent stream a crash may lose and in where page write-back runs:
+/// There is one policy.  A file-backed sketch keeps a write-ahead room log
+/// (`<sketch>.wal`, see [`crate::wal`]), drains it to the log file before every
+/// `insert`/`insert_batch` call returns, and writes evicted dirty pages back
+/// synchronously on the ingest path: a killed process loses **no acknowledged item**,
+/// and an unclean file is recovered by log replay instead of rejected.
 ///
-/// * [`Strict`](Self::Strict) — the log is drained to disk before every
-///   `insert`/`insert_batch` call returns, and evicted dirty pages are written back
-///   synchronously on the ingest path (the pre-durability behaviour).  A killed process
-///   loses **no acknowledged item**.
-/// * [`Buffered`](Self::Buffered) — log frames accumulate in memory and drain every
-///   [`WAL_BUFFER_BYTES`] (or before any page write-back, preserving the write-ahead
-///   invariant), and dirty pages are handed to a background flusher thread instead of
-///   being written on the ingest path.  A crash loses at most the undrained log window —
-///   items, never consistency.
-///
-/// This is a runtime knob, not part of [`GssConfig`]: it is never persisted, and a file
-/// written under one mode reopens under the other.
+/// The type survives as a single-variant enum only because callers outside this
+/// workspace's crates name it ([`GssBuilder::durability`](crate::GssBuilder::durability),
+/// [`ShardedGss::open_sharded`](crate::ShardedGss::open_sharded)); nothing branches on
+/// it.  Deferring the log drain or the page write-back has been measured and bought a
+/// loss window, not speed — see the README's durability section before adding a mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Durability {
     /// Synchronous write-ahead logging and write-back: zero acknowledged-item loss.
     #[default]
     Strict,
-    /// Batched logging and background write-back: bounded loss window.  Not faster:
-    /// since group commit took the sync off the commit path, `Strict` ingests at least
-    /// as fast on every committed measurement (`BENCH_durability.json`: 0.46 vs 0.27
-    /// Mitems/s).
-    Buffered,
 }
-
-/// Bytes of pending write-ahead-log frames that trigger a drain under
-/// [`Durability::Buffered`].  Bounds the crash-loss window: at the minimum frame cost of
-/// ~30 bytes per stream item this is no more than ~2200 items.
-pub const WAL_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Scheduling knob of the group-commit coordinator (see [`crate::group_commit`]).
 ///
@@ -82,8 +67,8 @@ pub const WAL_BUFFER_BYTES: usize = 64 * 1024;
 /// power-loss staleness bound at the cost of more syncs; zero in either field forces a
 /// synchronous sweep on every drain round (classic per-commit fsync).
 ///
-/// Like [`Durability`] this is a runtime knob — never persisted, and a file written
-/// under one setting reopens under any other.
+/// This is a runtime knob, not part of [`GssConfig`]: it is never persisted, and a file
+/// written under one setting reopens under any other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupCommit {
     /// Maximum microseconds between log syncs while commits are flowing.

@@ -5,7 +5,8 @@
 //! ## Fail-stop semantics
 //!
 //! The first failed fsync or unrecoverable write-back flips a store's sticky
-//! [`StoreHealth`] to poisoned.  From then on every fallible write path returns
+//! [`StoreHealth`] to poisoned.  From then on every write path — they are all fallible;
+//! only the infallible `SummaryWrite` wrappers turn the error into a panic — returns
 //! [`GssError::StoreFailed`] carrying the *original* [`StoreFault`] (first cause
 //! wins), reads keep serving from cache, and no sync/ack path retries a failed
 //! fsync — retrying an fsync whose dirty pages the kernel already dropped and
@@ -199,8 +200,8 @@ impl GssError {
 
 /// The sticky per-store poison state: flipped by the first failed fsync or
 /// unrecoverable write-back, never cleared for the store's lifetime (a clean reopen
-/// builds a fresh store with fresh health).  Shared by the store, its write-ahead-log
-/// membership and its background flusher, so a failure on any of the three paths
+/// builds a fresh store with fresh health).  Shared by the store and its write-ahead-log
+/// membership, so a failure on either path — page write-back or log drain/sync —
 /// fail-stops all writes at once while reads keep serving from cache.
 #[derive(Debug, Default)]
 pub struct StoreHealth {

@@ -5,10 +5,9 @@
 //! of fixed-size little-endian room records ([`ROOM_RECORD_BYTES`] each, the same layout
 //! snapshots use) and serves reads/writes through the [`crate::pager`] module family —
 //! a lock-striped page cache of 4-KiB pages with per-page latches
-//! ([`crate::pager::page_cache`]), positioned I/O over one shared handle
-//! ([`crate::pager::page_file`]) and a background flusher draining dirty pages in
-//! elevator order with adjacent-page write coalescing ([`crate::pager::flusher`]).
-//! Std-only, no `mmap`, no platform dependencies beyond `pread`/`pwrite` on Unix.
+//! ([`crate::pager::page_cache`]) over positioned I/O on one shared handle
+//! ([`crate::pager::page_file`]).  Std-only, no `mmap`; the one platform dependency is
+//! `pread`/`pwrite`, so the crate builds on Unix only.
 //!
 //! ## Concurrency
 //!
@@ -57,13 +56,11 @@
 //! unclean file with no log (e.g. a v1 file) still fails with
 //! [`PersistenceError::Corrupt`].
 //!
-//! The [`Durability`] knob picks the policy: `Strict` drains the log before every insert
-//! returns and writes evicted pages back synchronously (zero acknowledged-item loss);
-//! `Buffered` batches log drains ([`WAL_BUFFER_BYTES`]) and moves page write-back onto
-//! the background flusher thread (bounded queue, barriered by checkpoint and drop).
-//! Both route their drains through the group-commit coordinator, which additionally
-//! `fdatasync`s the log on the [`GroupCommit`] cadence — bounding how far a power loss
-//! (not just a process kill) can rewind the stream.
+//! There is one durability policy: the log is drained before every insert returns and
+//! evicted pages are written back synchronously on the ingest path, so a killed process
+//! loses no acknowledged item.  Drains go through the group-commit coordinator, which
+//! additionally `fdatasync`s the log on the [`GroupCommit`] cadence — bounding how far a
+//! power loss (not just a process kill) can rewind the stream.
 //!
 //! Checkpoints are **incremental**: the buffer and node tail sections carry generation
 //! stamps, and a checkpoint rewrites only the sections whose generation moved (plus the
@@ -80,15 +77,21 @@
 //! ([`crate::GssSketch::write_snapshot_to`]) to read a live sketch's state from another
 //! process.
 //!
-//! Runtime I/O failures (disk full, file removed under us) inside the [`RoomStore`] hot
-//! path panic with a descriptive message — the trait is infallible by design because the
-//! in-memory backend is; construction, open and sync report errors properly.
+//! ## Failure model
+//!
+//! Every write-path function returns `Result<_, StoreFault>`: the first runtime I/O
+//! failure (disk full, failed fsync, file removed under us) **poisons** the store's
+//! sticky [`StoreHealth`] and comes back as the typed cause, every later write is
+//! rejected with that same cause, and reads keep serving — cache hits directly, misses
+//! degraded to uncached reads of the file image.  Only the read-side [`RoomStore`]
+//! methods (`room`, `find_*`, `scan_*`), whose signatures carry no error, still panic on
+//! an unreadable page (poisoning first); construction, open and sync report errors
+//! properly.
 
-use crate::config::{Durability, GroupCommit, GssConfig, WAL_BUFFER_BYTES};
+use crate::config::{GroupCommit, GssConfig};
 use crate::error::{DurabilityReport, StoreFault, StoreHealth};
 use crate::group_commit::{GroupCommitter, WalMember, WalState};
 use crate::matrix::Room;
-use crate::pager::flusher::Flusher;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor, PageIo};
 use crate::pager::page_file::PageFile;
@@ -104,7 +107,7 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub use crate::pager::{PageCacheStats, PAGE_BYTES};
@@ -169,7 +172,7 @@ pub enum FlushPoint {
     WalArenaSwap,
     /// Pending write-ahead-log frames were appended to the log file.
     WalFlush,
-    /// A dirty page was written back to the room region (foreground writes only).
+    /// A dirty page was written back to the room region.
     PageWriteBack,
     /// Tail sections were rewritten; the header still describes the old tail.
     TailWrite,
@@ -217,13 +220,8 @@ pub struct DurabilityStats {
     pub wal_bytes: u64,
     /// Drains of the pending log buffer into the log file.
     pub wal_flushes: u64,
-    /// Dirty pages written back on the foreground (eviction/checkpoint) path.
+    /// Dirty pages written back (on eviction and by checkpoints).
     pub pages_written: u64,
-    /// Dirty pages written back by the background flusher thread.
-    pub pages_written_background: u64,
-    /// Positioned writes the background flusher issued; less than
-    /// `pages_written_background` when adjacent pages were coalesced into one write.
-    pub background_write_batches: u64,
     /// Tail-section bytes rewritten by checkpoints (incremental checkpoints keep this
     /// far below `checkpoints × tail size`).
     pub tail_bytes_written: u64,
@@ -248,62 +246,55 @@ pub struct DurabilityStats {
     pub store_poisoned: u64,
 }
 
-/// The deferred half of a two-phase commit: [`FileStore::try_log_commit_deferred`] appends
-/// the commit frame and returns this token; [`FileStore::ack_commit`] consumes it to
-/// apply the durability policy.  Multi-shard batches append every shard's frame before
-/// acknowledging any of them, so concurrent drain rounds cover each other's bytes.
+/// The deferred half of a two-phase commit: [`FileStore::log_commit_deferred`] appends
+/// the commit frame and returns this token; [`FileStore::ack_commit`] (or the shard's
+/// [`WalAckHandle`]) consumes it to drain the log.  Multi-shard batches append every
+/// shard's frame before acknowledging any of them, so concurrent drain rounds cover
+/// each other's bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WalAck {
     /// Log bytes that must be drained before the commit is acknowledged.
     target: u64,
-    /// Pending (undrained) log bytes at append time — decides whether a
-    /// [`Durability::Buffered`] store drains early.
-    pending: usize,
     /// Cumulative stream items the commit frame covers — credited to the durability
     /// accounting ([`DurabilityReport`]) when the commit is acknowledged.
     items: u64,
 }
 
-/// A lock-free acknowledger for one store's deferred commits: the durability policy plus
-/// `Arc`s to the group-commit coordinator and the store's log membership — everything
+/// Acknowledges a deferred commit: its frames are in the log file before this returns
+/// (the acknowledged items are now crash-safe), drained through the group-commit
+/// coordinator so concurrent shard commits share one drain round and one sync cadence.
+/// A failed drain or sync poisons the store and returns its sticky [`StoreFault`]; on
+/// success the items are credited as acknowledged.
+fn ack_commit(group: &GroupCommitter, wal: &Arc<WalMember>, ack: WalAck) -> Result<(), StoreFault> {
+    wal.health().check()?;
+    group.commit(wal, ack.target).map_err(|error| {
+        wal.health().poison(StoreFault::from_io("write-ahead-log group commit", &error))
+    })?;
+    wal.record_ack(ack.items);
+    Ok(())
+}
+
+/// A lock-free acknowledger for one store's deferred commits: `Arc`s to the
+/// group-commit coordinator and the store's log membership — everything
 /// [`FileStore::ack_commit`] touches, none of it behind the sketch lock.  The sharded
 /// batch path captures one per shard at construction so its acknowledgement pass never
 /// re-takes a shard lock.
 #[derive(Clone)]
 pub(crate) struct WalAckHandle {
-    durability: Durability,
     group: Arc<GroupCommitter>,
     wal: Arc<WalMember>,
 }
 
 impl std::fmt::Debug for WalAckHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalAckHandle").field("durability", &self.durability).finish_non_exhaustive()
+        f.debug_struct("WalAckHandle").finish_non_exhaustive()
     }
 }
 
 impl WalAckHandle {
-    /// [`FileStore::ack_commit`] through the handle.  Hot-path I/O failures panic by the
-    /// storage contract, exactly as they do through the store.
-    pub(crate) fn ack(&self, ack: WalAck) {
-        self.try_ack(ack)
-            .unwrap_or_else(|fault| panic!("write-ahead-log group commit failed: {fault}"));
-    }
-
-    /// Fallible [`ack`](Self::ack): a failed drain or sync surfaces as the store's
-    /// sticky [`StoreFault`] instead of a panic.  On success the acknowledged items are
-    /// credited to the durability accounting.
-    pub(crate) fn try_ack(&self, ack: WalAck) -> Result<(), StoreFault> {
-        self.wal.health().check()?;
-        if self.durability == Durability::Strict || ack.pending >= WAL_BUFFER_BYTES {
-            self.group.commit(&self.wal, ack.target).map_err(|error| {
-                self.wal
-                    .health()
-                    .poison(StoreFault::from_io("write-ahead-log group commit", &error))
-            })?;
-        }
-        self.wal.record_ack(ack.items);
-        Ok(())
+    /// [`FileStore::ack_commit`] through the handle.
+    pub(crate) fn ack(&self, ack: WalAck) -> Result<(), StoreFault> {
+        ack_commit(&self.group, &self.wal, ack)
     }
 }
 
@@ -319,27 +310,23 @@ struct SyncState {
 }
 
 /// A paged file-backed [`RoomStore`]: lock-striped page cache with per-page latches,
-/// write-ahead room log behind its own append mutex, elevator write-back flusher and
-/// incremental checkpoints.  Reads (`&self`) run concurrently; see the module docs.
+/// write-ahead room log behind its own append mutex and incremental checkpoints.
+/// Reads (`&self`) run concurrently; see the module docs.
 pub struct FileStore {
     path: PathBuf,
     width: usize,
     rooms_per_bucket: usize,
     cache_pages: usize,
-    durability: Durability,
-    /// Positioned I/O over the sketch file, shared with the background flusher.
-    file: Arc<PageFile>,
+    /// Positioned I/O over the sketch file.
+    file: PageFile,
     /// The lock-striped page table (see [`crate::pager::page_cache`]).
     cache: PageCache,
     /// Bucket-occupancy bitmaps with atomic words (never written to the file; rebuilt
     /// from the room region on [`FileStore::open`]), steering scans past empty buckets.
     index: AtomicOccupancyIndex,
     occupied_rooms: AtomicUsize,
-    /// Dirty pages written back on the foreground path.
+    /// Dirty pages written back (eviction and checkpoint).
     pages_written: AtomicU64,
-    /// Set by [`FileStore::abandon`]: drop will not drain the background queue, leaving
-    /// the file exactly as a `SIGKILL` would.
-    abandoned: AtomicBool,
     /// The write-ahead room log, clean flag and drain arenas (see [`crate::wal`] and
     /// [`crate::group_commit`]).  Its append mutex is never held while taking a
     /// page-table stripe mutex.
@@ -352,12 +339,10 @@ pub struct FileStore {
     /// Taken only on the single-writer mutation path, never by readers.
     write_cursor: Mutex<PageCursor>,
     sync_state: Mutex<SyncState>,
-    /// Background write-back thread ([`Durability::Buffered`] only).
-    flusher: Option<Flusher>,
-    /// Sticky fail-stop state, shared with the write-ahead-log membership and the
-    /// background flusher: the first failed fsync or unrecoverable write-back poisons
-    /// it, after which every fallible write path returns the original cause while
-    /// reads keep serving from cache (see [`crate::error::StoreHealth`]).
+    /// Sticky fail-stop state, shared with the write-ahead-log membership: the first
+    /// failed fsync or unrecoverable write-back poisons it, after which every write
+    /// path returns the original cause while reads keep serving from cache (see
+    /// [`crate::error::StoreHealth`]).
     health: Arc<StoreHealth>,
     /// Advisory single-opener lock; released (sidecar removed) when the store drops.
     _lock: LockFile,
@@ -370,41 +355,25 @@ impl std::fmt::Debug for FileStore {
             .field("width", &self.width)
             .field("rooms_per_bucket", &self.rooms_per_bucket)
             .field("cache_pages", &self.cache_pages)
-            .field("durability", &self.durability)
             .finish_non_exhaustive()
     }
 }
 
-/// How the page cache reaches the file: faults read through the flusher's steal-back
-/// path, evictions pass the write-ahead barrier and then go to the file (strict) or the
-/// background queue (buffered).
+/// How the page cache reaches the file: faults read the page image, evictions pass the
+/// write-ahead barrier and then write the page back synchronously.
 impl PageIo for FileStore {
-    fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<bool> {
-        // A page sitting in the background queue has not reached the file yet: take it
-        // back (still dirty) instead of reading stale bytes.
-        if let Some(flusher) = &self.flusher {
-            if let Some(data) = flusher.steal(index)? {
-                into.copy_from_slice(&data[..]);
-                return Ok(true);
-            }
-        }
-        self.file.read_exact_at(&mut into[..], page_offset(index))?;
-        Ok(false)
+    fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<()> {
+        self.file.read_exact_at(&mut into[..], page_offset(index))
     }
 
     fn write_back(&self, index: u64, data: &[u8; PAGE_BYTES]) -> io::Result<()> {
         // Write-ahead barrier: frames covering this page must be durable before the
         // page itself is.
         self.drain_wal()?;
-        match &self.flusher {
-            Some(flusher) => flusher.enqueue(index, Box::new(*data)),
-            None => {
-                self.file.write_all_at(&data[..], page_offset(index))?;
-                self.pages_written.fetch_add(1, Ordering::Relaxed);
-                self.fire(FlushPoint::PageWriteBack);
-                Ok(())
-            }
-        }
+        self.file.write_all_at(&data[..], page_offset(index))?;
+        self.pages_written.fetch_add(1, Ordering::Relaxed);
+        self.fire(FlushPoint::PageWriteBack);
+        Ok(())
     }
 }
 
@@ -412,37 +381,20 @@ impl FileStore {
     /// Default page-cache capacity: 1024 pages = 4 MiB of resident room records.
     pub const DEFAULT_CACHE_PAGES: usize = 1024;
 
-    /// Creates a fresh sketch file at `path` with [`Durability::Strict`] (truncating any
-    /// existing file): header with `config`, a zeroed page-aligned room region sized by
-    /// `set_len`, no tail, an empty write-ahead log at `<path>.wal`.
+    /// Creates a fresh sketch file at `path` (truncating any existing file): header with
+    /// `config`, a zeroed page-aligned room region sized by `set_len`, no tail, an empty
+    /// write-ahead log at `<path>.wal`.  The store gets a private group-commit
+    /// coordinator with the default [`GroupCommit`] cadence.
     pub fn create(path: &Path, config: &GssConfig, cache_pages: usize) -> io::Result<Self> {
-        Self::create_durable(path, config, cache_pages, Durability::Strict)
+        Self::create_grouped(path, config, cache_pages, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`create`](Self::create) with an explicit durability policy (private group-commit
-    /// coordinator with the default [`GroupCommit`] cadence).
-    pub fn create_durable(
+    /// [`create`](Self::create) registering the new store's log with a shared
+    /// group-commit coordinator (sharded stores pool their fsync scheduling).
+    pub fn create_grouped(
         path: &Path,
         config: &GssConfig,
         cache_pages: usize,
-        durability: Durability,
-    ) -> io::Result<Self> {
-        Self::create_durable_grouped(
-            path,
-            config,
-            cache_pages,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`create_durable`](Self::create_durable) registering the new store's log with a
-    /// shared group-commit coordinator (sharded stores pool their fsync scheduling).
-    pub fn create_durable_grouped(
-        path: &Path,
-        config: &GssConfig,
-        cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> io::Result<Self> {
         // Claim the single-opener lock before truncating anything: a create aimed at a
@@ -450,9 +402,7 @@ impl FileStore {
         let lock = LockFile::acquire(path)?;
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        let width = config.width;
-        let rooms_per_bucket = config.rooms;
-        let room_count = width * width * rooms_per_bucket;
+        let room_count = config.room_count();
         // A fresh file carries the canonical empty tail: two zero-count sections of 8
         // bytes each, so incremental checkpoints can rewrite either section alone from
         // the very first sync.  `set_len` zero-fills them (a zero count *is* all-zeroes).
@@ -483,70 +433,40 @@ impl FileStore {
             node_len: empty_section_len,
             node_crc: empty_crc,
         };
-        let file = Arc::new(PageFile::with_faults(file, crate::pager::faults::plan_for(path)));
-        let health = Arc::new(StoreHealth::new());
-        let flusher = match durability {
-            Durability::Strict => None,
-            Durability::Buffered => Some(Flusher::spawn(Arc::clone(&file), Arc::clone(&health))?),
-        };
-        let wal = WalMember::new(wal, true, Arc::clone(&health));
-        group.register(&wal);
-        Ok(Self {
-            path: path.to_path_buf(),
-            width,
-            rooms_per_bucket,
-            cache_pages: cache_pages.max(1),
-            durability,
+        Ok(Self::assemble(
+            path,
+            config,
+            cache_pages,
             file,
-            cache: PageCache::new(cache_pages),
-            index: AtomicOccupancyIndex::new(width),
-            occupied_rooms: AtomicUsize::new(0),
-            pages_written: AtomicU64::new(0),
-            abandoned: AtomicBool::new(false),
+            0,
+            true,
+            AtomicOccupancyIndex::new(config.width),
             wal,
+            synced,
             group,
-            write_cursor: Mutex::new(PageCursor::default()),
-            sync_state: Mutex::new(SyncState { synced, tail_bytes_written: 0, checkpoints: 0 }),
-            flusher,
-            health,
-            _lock: lock,
-        })
+            lock,
+        ))
     }
 
-    /// Opens an existing sketch file in place with [`Durability::Strict`], validating the
-    /// header and reading the tail.  The room region is **streamed once** (sequential
-    /// reads, occupancy flags only, no per-room decode or insert pass) to rebuild the
-    /// in-memory occupancy index — open cost is one sequential pass over the file plus
-    /// the (usually tiny) tail.
+    /// Opens an existing sketch file in place, validating the header and reading the
+    /// tail.  The room region is **streamed once** (sequential reads, occupancy flags
+    /// only, no per-room decode or insert pass) to rebuild the in-memory occupancy index
+    /// — open cost is one sequential pass over the file plus the (usually tiny) tail.
+    /// The store gets a private group-commit coordinator with the default
+    /// [`GroupCommit`] cadence.
     ///
     /// An **unclean** v2 file (crash before the last checkpoint completed) is recovered
     /// by replaying its write-ahead log; see the module docs.  Unclean v1 files are still
     /// rejected as [`PersistenceError::Corrupt`] — they predate the log.
     pub fn open(path: &Path, cache_pages: usize) -> Result<(Self, FileHeader), PersistenceError> {
-        Self::open_durable(path, cache_pages, Durability::Strict)
+        Self::open_grouped(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`open`](Self::open) with an explicit durability policy for the reopened store
-    /// (private group-commit coordinator with the default [`GroupCommit`] cadence).
-    pub fn open_durable(
+    /// [`open`](Self::open) registering the reopened store's log with a shared
+    /// group-commit coordinator (sharded stores pool their fsync scheduling).
+    pub fn open_grouped(
         path: &Path,
         cache_pages: usize,
-        durability: Durability,
-    ) -> Result<(Self, FileHeader), PersistenceError> {
-        Self::open_durable_grouped(
-            path,
-            cache_pages,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`open_durable`](Self::open_durable) registering the reopened store's log with a
-    /// shared group-commit coordinator (sharded stores pool their fsync scheduling).
-    pub fn open_durable_grouped(
-        path: &Path,
-        cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> Result<(Self, FileHeader), PersistenceError> {
         let lock = LockFile::acquire(path)?;
@@ -595,7 +515,6 @@ impl FileStore {
                 items_inserted,
                 synced,
                 cache_pages,
-                durability,
                 group,
                 lock,
             );
@@ -613,10 +532,7 @@ impl FileStore {
             )));
         }
         let tail_offset = Self::tail_offset_for(room_count);
-        let file_len = file.metadata()?.len();
-        if file_len < tail_offset + tail_len {
-            return Err(PersistenceError::UnexpectedEof);
-        }
+        Self::section_end(tail_offset, tail_len, file.metadata()?.len())?;
         let mut tail = vec![0u8; tail_len as usize];
         file.seek(SeekFrom::Start(tail_offset))?;
         file.read_exact(&mut tail)?;
@@ -661,7 +577,6 @@ impl FileStore {
             path,
             &config,
             cache_pages,
-            durability,
             file,
             occupied as usize,
             true,
@@ -670,7 +585,7 @@ impl FileStore {
             synced,
             group,
             lock,
-        )?;
+        );
         Ok((store, FileHeader { config, items_inserted, tail, recovered: false }))
     }
 
@@ -685,7 +600,6 @@ impl FileStore {
         header_items: u64,
         synced: SyncedTail,
         cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
         lock: LockFile,
     ) -> Result<(Self, FileHeader), PersistenceError> {
@@ -699,10 +613,12 @@ impl FileStore {
             )
         })?;
         let tail_offset = Self::tail_offset_for(room_count);
+        let file_len = file.metadata()?.len();
         // Base tail sections: the image a mid-checkpoint crash logged wins; otherwise the
         // file's sections, which the header CRCs must validate (they were written by the
         // last completed checkpoint and not touched since).
         let mut read_section = |offset: u64, len: u64, crc: u32, what: &str| {
+            Self::section_end(offset, len, file_len)?;
             let mut bytes = vec![0u8; len as usize];
             file.seek(SeekFrom::Start(offset))?;
             file.read_exact(&mut bytes)?;
@@ -720,7 +636,7 @@ impl FileStore {
         let node_bytes = match replay.tail_node {
             Some(bytes) => bytes,
             None => read_section(
-                tail_offset + synced.buffer_len,
+                Self::section_end(tail_offset, synced.buffer_len, file_len)?,
                 synced.node_len,
                 synced.node_crc,
                 "node",
@@ -757,7 +673,6 @@ impl FileStore {
             path,
             &config,
             cache_pages,
-            durability,
             file,
             occupied,
             false,
@@ -766,7 +681,7 @@ impl FileStore {
             synced,
             group,
             lock,
-        )?;
+        );
         // Checkpoint the recovered state: tail rewritten whole, header counts re-derived,
         // clean flag set, log truncated.  A crash during *this* checkpoint replays to the
         // same state (its tail image lands behind the frames it supersedes).
@@ -788,13 +703,12 @@ impl FileStore {
         Ok((store, FileHeader { config, items_inserted: items, tail, recovered: true }))
     }
 
-    /// Shared tail of `open`/`recover`: builds the store around an open file.
+    /// Shared tail of `create`/`open`/`recover`: builds the store around an open file.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         path: &Path,
         config: &GssConfig,
         cache_pages: usize,
-        durability: Durability,
         file: File,
         occupied_rooms: usize,
         clean: bool,
@@ -803,38 +717,38 @@ impl FileStore {
         synced: SyncedTail,
         group: Arc<GroupCommitter>,
         lock: LockFile,
-    ) -> Result<Self, PersistenceError> {
-        let file = Arc::new(PageFile::with_faults(file, crate::pager::faults::plan_for(path)));
+    ) -> Self {
         let health = Arc::new(StoreHealth::new());
-        let flusher = match durability {
-            Durability::Strict => None,
-            Durability::Buffered => Some(
-                Flusher::spawn(Arc::clone(&file), Arc::clone(&health))
-                    .map_err(PersistenceError::from)?,
-            ),
-        };
         let wal = WalMember::new(wal, clean, Arc::clone(&health));
         group.register(&wal);
-        Ok(Self {
+        Self {
             path: path.to_path_buf(),
             width: config.width,
             rooms_per_bucket: config.rooms,
             cache_pages: cache_pages.max(1),
-            durability,
-            file,
+            file: PageFile::with_faults(file, crate::pager::faults::plan_for(path)),
             cache: PageCache::new(cache_pages),
             index,
             occupied_rooms: AtomicUsize::new(occupied_rooms),
             pages_written: AtomicU64::new(0),
-            abandoned: AtomicBool::new(false),
             wal,
             group,
             write_cursor: Mutex::new(PageCursor::default()),
             sync_state: Mutex::new(SyncState { synced, tail_bytes_written: 0, checkpoints: 0 }),
-            flusher,
             health,
             _lock: lock,
-        })
+        }
+    }
+
+    /// Bounds a header-supplied section `[offset, offset + len)` by the file length with
+    /// checked arithmetic, returning its end — called **before** anything is allocated
+    /// for the section, so a header lying about its lengths is a typed error, never an
+    /// overflow or a capacity panic.
+    fn section_end(offset: u64, len: u64, file_len: u64) -> Result<u64, PersistenceError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= file_len => Ok(end),
+            _ => Err(PersistenceError::UnexpectedEof),
+        }
     }
 
     /// Streams the room region sequentially and rebuilds the occupancy index from the
@@ -879,22 +793,10 @@ impl FileStore {
         self.cache_pages
     }
 
-    /// The durability policy this store runs under.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
     /// Installs (or clears) the durability-point observer used by kill-point tests.
     pub fn set_flush_hook(&self, hook: Option<FlushHook>) {
         let _hook_held = witness::acquire(LockClass::Hook);
         *self.wal.hook.lock() = hook;
-    }
-
-    /// Marks the store as crash-simulated: drop will neither drain the background queue
-    /// nor checkpoint, leaving the file exactly as a `SIGKILL` would.
-    pub fn abandon(&self) {
-        // relaxed: a lone flag read once at drop; no other memory depends on it.
-        self.abandoned.store(true, Ordering::Relaxed);
     }
 
     /// Byte offset where the tail begins (room region rounded up to whole pages).
@@ -913,10 +815,10 @@ impl FileStore {
         (row * self.width + column) * self.rooms_per_bucket + slot
     }
 
-    /// Unwraps a hot-path I/O result, panicking with context on failure (see module
-    /// docs).  The store is poisoned *before* the panic unwinds, so concurrent threads
-    /// and any catch-unwind boundary observe the typed fail-stop state, not just the
-    /// panic message.
+    /// Unwraps a read-path I/O result, panicking with context on failure (the read-side
+    /// [`RoomStore`] signatures carry no error; see the module docs).  The store is
+    /// poisoned *before* the panic unwinds, so concurrent threads and any catch-unwind
+    /// boundary observe the typed fail-stop state, not just the panic message.
     fn io_fail<T>(&self, result: io::Result<T>) -> T {
         result.unwrap_or_else(|error| {
             self.health.poison(StoreFault::from_io("sketch file I/O", &error));
@@ -981,20 +883,16 @@ impl FileStore {
     /// Runs `read` over one page's bytes: through the cache normally, degrading to an
     /// uncached image read once the store is poisoned.  A cache *miss* may have to
     /// evict a dirty page, and a poisoned store can no longer write anything back — so
-    /// instead of surfacing that dead end, misses bypass the cache entirely: newest
-    /// queued write-back bytes if still pending ([`Flusher::peek`]), else the file
-    /// image.  Cache hits (including dirty pages) keep serving either way, which is
-    /// the "reads keep serving from cache" half of the fail-stop contract.
+    /// instead of surfacing that dead end, misses bypass the cache entirely and read
+    /// the file image (an evicted page is always already in the file).  Cache hits
+    /// (including dirty pages) keep serving either way, which is the "reads keep
+    /// serving from cache" half of the fail-stop contract.
     fn with_page<T>(&self, page_index: u64, read: impl FnOnce(&[u8]) -> T) -> io::Result<T> {
         match self.cache.lookup(page_index, self) {
             Ok(slot) => Ok(read(&self.cache.read(&slot)[..])),
             Err(_) if self.health.is_poisoned() => {
                 let mut buffer = [0u8; PAGE_BYTES];
-                if let Some(data) = self.flusher.as_ref().and_then(|f| f.peek(page_index)) {
-                    buffer.copy_from_slice(&data[..]);
-                } else {
-                    self.file.read_exact_at(&mut buffer[..], page_offset(page_index))?;
-                }
+                self.file.read_exact_at(&mut buffer[..], page_offset(page_index))?;
                 Ok(read(&buffer))
             }
             Err(error) => Err(error),
@@ -1105,7 +1003,7 @@ impl FileStore {
     /// in the sketch, not in room storage — only its durability passes through here):
     /// fail-stop gated, and a failed unclean-flag write poisons the store instead of
     /// panicking.
-    pub(crate) fn try_log_buffer_insert(
+    pub(crate) fn log_buffer_insert(
         &self,
         source: u64,
         destination: u64,
@@ -1123,7 +1021,7 @@ impl FileStore {
     }
 
     /// Logs a `⟨H(v), v⟩` registration to the write-ahead log (fail-stop gated).
-    pub(crate) fn try_log_node(&self, hash: u64, vertex: u64) -> Result<(), StoreFault> {
+    pub(crate) fn log_node(&self, hash: u64, vertex: u64) -> Result<(), StoreFault> {
         self.health.check()?;
         let frame = wal::node_frame(hash, vertex);
         let wal_held = witness::acquire(LockClass::WalAppend);
@@ -1140,16 +1038,16 @@ impl FileStore {
     /// reopen), with the append lock released before any I/O so encoding, the log write
     /// and the sync all run outside it.  Returns the total log bytes — so the sketch
     /// can trigger an automatic checkpoint when the log grows past its bound — plus the
-    /// [`WalAck`] token [`ack_commit`](Self::ack_commit) consumes to apply the
-    /// durability policy.  A multi-shard batch appends every shard's frame before
-    /// acknowledging any of them, so drain rounds led by concurrent writers cover the
-    /// earlier shards' bytes and most acknowledgements return on the coordinator's
-    /// already-drained fast path instead of leading a small round each.
+    /// [`WalAck`] token [`ack_commit`](Self::ack_commit) consumes to drain the log.  A
+    /// multi-shard batch appends every shard's frame before acknowledging any of them,
+    /// so drain rounds led by concurrent writers cover the earlier shards' bytes and
+    /// most acknowledgements return on the coordinator's already-drained fast path
+    /// instead of leading a small round each.
     ///
     /// Fail-stop gated, and the commit is registered with the durability accounting so
     /// [`durability_report`](Self::durability_report) can tell acknowledged items from
     /// durable ones.
-    pub(crate) fn try_log_commit_deferred(&self, items: u64) -> Result<(u64, WalAck), StoreFault> {
+    pub(crate) fn log_commit_deferred(&self, items: u64) -> Result<(u64, WalAck), StoreFault> {
         self.health.check()?;
         let frame = wal::commit_frame(items);
         let wal_held = witness::acquire(LockClass::WalAppend);
@@ -1159,146 +1057,34 @@ impl FileStore {
             // Unclean-before-drain: a drained log behind a still-clean header would be
             // discarded on reopen, losing the items this commit acknowledges.
             self.mark_unclean_locked(&mut wal)?;
-            Ok((wal.writer.bytes(), wal.writer.appended_bytes(), wal.writer.pending_bytes()))
+            Ok((wal.writer.bytes(), wal.writer.appended_bytes()))
         })();
         drop(wal);
         drop(wal_held);
-        let (bytes, target, pending) =
+        let (bytes, target) =
             result.map_err(|error: io::Error| self.poison_fault("unclean-flag write", &error))?;
         self.wal.record_commit(target, items);
-        Ok((bytes, WalAck { target, pending, items }))
+        Ok((bytes, WalAck { target, items }))
     }
 
     /// The acknowledgement half of a commit appended by
-    /// [`try_log_commit_deferred`](Self::try_log_commit_deferred): under [`Durability::Strict`]
-    /// the commit's frames are in the log file before this returns (the acknowledged
-    /// items are now crash-safe); under [`Durability::Buffered`] the drain waits until
-    /// the pending buffer exceeds [`WAL_BUFFER_BYTES`].  Both drain through the
-    /// group-commit coordinator — concurrent shard commits share one drain round and
-    /// one sync cadence.
-    pub(crate) fn ack_commit(&self, ack: WalAck) {
-        let result = self.try_ack_commit(ack);
-        self.io_fail(result.map_err(|fault| fault.to_io()));
-    }
-
-    /// Fallible [`ack_commit`](Self::ack_commit): a failed drain or sync returns the
-    /// store's sticky [`StoreFault`]; on success the items are credited as acknowledged.
-    pub(crate) fn try_ack_commit(&self, ack: WalAck) -> Result<(), StoreFault> {
-        self.health.check()?;
-        if self.durability == Durability::Strict || ack.pending >= WAL_BUFFER_BYTES {
-            self.group
-                .commit(&self.wal, ack.target)
-                .map_err(|error| self.poison_fault("write-ahead-log group commit", &error))?;
-        }
-        self.wal.record_ack(ack.items);
-        Ok(())
-    }
-
-    /// Fallible [`RoomStore::add_weight`]: fail-stop gated, poisons on failure instead
-    /// of panicking.
-    pub(crate) fn try_add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), StoreFault> {
-        self.health.check()?;
-        let index = self.room_index(row, column, slot);
-        self.read_room(index)
-            .and_then(|mut room| {
-                debug_assert!(room.occupied, "adding weight to an empty room");
-                room.weight += weight;
-                self.write_room(index, &room)
-            })
-            .map_err(|error| self.poison_fault("room write", &error))
-    }
-
-    /// Fallible [`RoomStore::store_room`]: fail-stop gated, poisons on failure instead
-    /// of panicking.
-    pub(crate) fn try_store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), StoreFault> {
-        self.health.check()?;
-        debug_assert!(room.occupied, "storing an unoccupied room");
-        let index = self.room_index(row, column, slot);
-        debug_assert!(
-            // An unreadable room is the write's problem, not the assert's.
-            self.read_room(index).map(|existing| !existing.occupied).unwrap_or(true),
-            "overwriting an occupied room"
-        );
-        self.write_room(index, &room).map_err(|error| self.poison_fault("room write", &error))?;
-        // relaxed: a monotone counter; the occupancy index, not this count, gates scans.
-        self.occupied_rooms.fetch_add(1, Ordering::Relaxed);
-        self.index.mark(row, column);
-        Ok(())
-    }
-
-    /// Fallible [`RoomStore::probe_bucket`]: the probe that opens every edge placement.
-    /// A cache miss here may have to evict a dirty page, so a latched write-back fault
-    /// (or a hard read fault) surfaces as the sticky [`StoreFault`] instead of the
-    /// infallible trait's panic — the typed fail-stop path runs through this.
-    pub(crate) fn try_probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Result<BucketProbe, StoreFault> {
-        self.health.check()?;
-        let start = self.room_index(row, column, 0);
-        let mut matched = None;
-        let mut first_empty = None;
-        self.scan_bucket(start, &mut |slot, room| {
-            if room.matches(
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            ) {
-                matched = Some(slot);
-                false
-            } else {
-                if !room.occupied && first_empty.is_none() {
-                    first_empty = Some(slot);
-                }
-                true
-            }
-        })
-        .map_err(|error| self.poison_fault("bucket probe page load", &error))?;
-        Ok(match (matched, first_empty) {
-            (Some(slot), _) => BucketProbe::Match(slot),
-            (None, Some(slot)) => BucketProbe::Empty(slot),
-            (None, None) => BucketProbe::Full,
-        })
+    /// [`log_commit_deferred`](Self::log_commit_deferred) (see the free [`ack_commit`]).
+    pub(crate) fn ack_commit(&self, ack: WalAck) -> Result<(), StoreFault> {
+        ack_commit(&self.group, &self.wal, ack)
     }
 
     /// A [`WalAckHandle`] for this store — acknowledges deferred commits without the
     /// sketch lock held.
     pub(crate) fn ack_handle(&self) -> WalAckHandle {
-        WalAckHandle {
-            durability: self.durability,
-            group: Arc::clone(&self.group),
-            wal: Arc::clone(&self.wal),
-        }
+        WalAckHandle { group: Arc::clone(&self.group), wal: Arc::clone(&self.wal) }
     }
 
     /// Flushes every dirty page to the file (pages stay cached, now clean), draining the
-    /// write-ahead log and barriering the background flusher first.  Does **not**
-    /// checkpoint.
+    /// write-ahead log first.  Does **not** checkpoint.
     pub fn flush_pages(&self) -> io::Result<()> {
-        // Write-ahead barrier, then the background queue, then the cache's dirty pages
-        // in ascending page order (a sequentially-filled matrix flushes sequentially).
+        // Write-ahead barrier, then the cache's dirty pages in ascending page order (a
+        // sequentially-filled matrix flushes sequentially).
         self.drain_wal()?;
-        if let Some(flusher) = &self.flusher {
-            flusher.barrier()?;
-        }
         let dirty = self.cache.dirty_slots();
         let wrote = !dirty.is_empty();
         for slot in &dirty {
@@ -1334,8 +1120,6 @@ impl FileStore {
             wal_bytes,
             wal_flushes,
             pages_written: self.pages_written.load(Ordering::Relaxed),
-            pages_written_background: self.flusher.as_ref().map_or(0, Flusher::pages_written),
-            background_write_batches: self.flusher.as_ref().map_or(0, Flusher::write_batches),
             tail_bytes_written: sync.tail_bytes_written,
             checkpoints: sync.checkpoints,
             wal_group_commits,
@@ -1353,36 +1137,6 @@ impl FileStore {
         let _sync_held = witness::acquire(LockClass::CheckpointState);
         let sync = self.sync_state.lock();
         (sync.synced.buffer_gen, sync.synced.node_gen, sync.synced.buffer_len)
-    }
-
-    /// Full-grid row scan ignoring the occupancy index — the pre-index behaviour, kept as
-    /// the measurable baseline (every room of the row probed individually through the
-    /// page cache).
-    pub fn scan_row_naive(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
-        let start = self.room_index(row, 0, 0);
-        let rooms_per_row = self.width * self.rooms_per_bucket;
-        for offset in 0..rooms_per_row {
-            let room = self.io_fail(self.read_room(start + offset));
-            if room.occupied {
-                visit(offset / self.rooms_per_bucket, room);
-            }
-        }
-    }
-
-    /// Full-grid column scan ignoring the occupancy index (see
-    /// [`scan_row_naive`](Self::scan_row_naive)); each probed bucket sits on a different
-    /// page once `m·l·16 > 4096`, which is what made naive precursor queries fault in
-    /// nearly the whole sketch file.
-    pub fn scan_column_naive(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        for row in 0..self.width {
-            let start = (row * self.width + column) * self.rooms_per_bucket;
-            for slot in 0..self.rooms_per_bucket {
-                let room = self.io_fail(self.read_room(start + slot));
-                if room.occupied {
-                    visit(row, room);
-                }
-            }
-        }
     }
 
     /// Indexed row scan: word-by-word over the row's occupancy bitmap, so only buckets
@@ -1508,8 +1262,8 @@ impl FileStore {
                 self.file.sync_data()?;
             }
         }
-        // 3. Every dirty page out: background queue barriered, cache flushed.  The WAL
-        //    lock is released — drains and page traffic stay independently locked.
+        // 3. Every dirty page out.  The WAL lock is released — drains and page traffic
+        //    stay independently locked.
         self.flush_pages()?;
         // 4. Only the tail sections whose generation moved are rewritten.
         let tail_offset = Self::tail_offset_for(self.room_count_internal());
@@ -1574,6 +1328,7 @@ impl FileStore {
     /// [`checkpoint`](Self::checkpoint): the bytes land as the "buffer" section and an
     /// empty node section, which decodes identically — section boundaries only matter
     /// for incremental rewrites and CRCs).
+    #[cfg(test)]
     pub fn write_tail(&self, items_inserted: u64, tail: &[u8]) -> io::Result<()> {
         let force_gen = {
             let _sync_held = witness::acquire(LockClass::CheckpointState);
@@ -1594,18 +1349,12 @@ impl FileStore {
     }
 }
 
-/// Joins the background flusher.  A normal drop drains the queue first (every enqueued
-/// page reaches the file); an [`abandoned`](FileStore::abandon) store discards it,
-/// leaving the file exactly as a crash would.
+/// Leaves the shared group-commit coordinator (sharded stores outlive each other): the
+/// sync cadence must stop sweeping this store's log file.  Dropping a bare store never
+/// checkpoints — that is the sketch's job — so the file is left as a crash would.
 impl Drop for FileStore {
     fn drop(&mut self) {
-        // Leave the shared group-commit coordinator (sharded stores outlive each
-        // other): the sync cadence must stop sweeping this store's log file.
         self.group.deregister(&self.wal);
-        if let Some(mut flusher) = self.flusher.take() {
-            // relaxed: drop has exclusive access; the flag cannot race anything.
-            flusher.shutdown(self.abandoned.load(Ordering::Relaxed));
-        }
     }
 }
 
@@ -1673,6 +1422,9 @@ impl RoomStore for FileStore {
         found
     }
 
+    /// The probe that opens every edge placement.  A cache miss here may have to evict
+    /// a dirty page, so a write-back fault (or a hard read fault) poisons the store and
+    /// surfaces as the sticky [`StoreFault`].
     fn probe_bucket(
         &self,
         row: usize,
@@ -1681,26 +1433,73 @@ impl RoomStore for FileStore {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
-        let result = self.try_probe_bucket(
-            row,
-            column,
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
+    ) -> Result<BucketProbe, StoreFault> {
+        self.health.check()?;
+        let start = self.room_index(row, column, 0);
+        let mut matched = None;
+        let mut first_empty = None;
+        self.scan_bucket(start, &mut |slot, room| {
+            if room.matches(
+                source_fingerprint,
+                destination_fingerprint,
+                source_index,
+                destination_index,
+            ) {
+                matched = Some(slot);
+                false
+            } else {
+                if !room.occupied && first_empty.is_none() {
+                    first_empty = Some(slot);
+                }
+                true
+            }
+        })
+        .map_err(|error| self.poison_fault("bucket probe page load", &error))?;
+        Ok(match (matched, first_empty) {
+            (Some(slot), _) => BucketProbe::Match(slot),
+            (None, Some(slot)) => BucketProbe::Empty(slot),
+            (None, None) => BucketProbe::Full,
+        })
+    }
+
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        self.health.check()?;
+        let index = self.room_index(row, column, slot);
+        self.read_room(index)
+            .and_then(|mut room| {
+                debug_assert!(room.occupied, "adding weight to an empty room");
+                room.weight += weight;
+                self.write_room(index, &room)
+            })
+            .map_err(|error| self.poison_fault("room write", &error))
+    }
+
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
+        self.health.check()?;
+        debug_assert!(room.occupied, "storing an unoccupied room");
+        let index = self.room_index(row, column, slot);
+        debug_assert!(
+            // An unreadable room is the write's problem, not the assert's.
+            self.read_room(index).map(|existing| !existing.occupied).unwrap_or(true),
+            "overwriting an occupied room"
         );
-        self.io_fail(result.map_err(|fault| fault.to_io()))
-    }
-
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
-        let result = self.try_add_weight(row, column, slot, weight);
-        self.io_fail(result.map_err(|fault| fault.to_io()));
-    }
-
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room) {
-        let result = self.try_store_room(row, column, slot, room);
-        self.io_fail(result.map_err(|fault| fault.to_io()));
+        self.write_room(index, &room).map_err(|error| self.poison_fault("room write", &error))?;
+        // relaxed: a monotone counter; the occupancy index, not this count, gates scans.
+        self.occupied_rooms.fetch_add(1, Ordering::Relaxed);
+        self.index.mark(row, column);
+        Ok(())
     }
 
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
@@ -1754,9 +1553,9 @@ mod tests {
             assert_eq!(store.room_count(), 8 * 8 * 2);
             assert_eq!(store.occupied_rooms(), 0);
             assert_eq!(store.find_empty(3, 5), Some(0));
-            store.store_room(3, 5, 0, sample_room(42));
-            store.store_room(7, 0, 1, sample_room(-7));
-            store.add_weight(3, 5, 0, 8);
+            store.store_room(3, 5, 0, sample_room(42)).unwrap();
+            store.store_room(7, 0, 1, sample_room(-7)).unwrap();
+            store.add_weight(3, 5, 0, 8).unwrap();
             assert_eq!(store.room(3, 5, 0).weight, 50);
             assert_eq!(store.find_match(3, 5, 17, 23, 1, 2), Some(0));
             assert_eq!(store.find_empty(3, 5), Some(1));
@@ -1784,7 +1583,7 @@ mod tests {
         let config = GssConfig::paper_default(40);
         let mut store = FileStore::create(&path, &config, 1).unwrap();
         for row in 0..40 {
-            store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1));
+            store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1)).unwrap();
         }
         for row in 0..40 {
             assert_eq!(store.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
@@ -1801,34 +1600,12 @@ mod tests {
     }
 
     #[test]
-    fn buffered_store_round_trips_through_the_background_flusher() {
-        let path = temp_path("buffered");
-        let config = GssConfig::paper_default(40);
-        let mut store = FileStore::create_durable(&path, &config, 1, Durability::Buffered).unwrap();
-        for row in 0..40 {
-            store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1));
-        }
-        // Reads see every write even while pages sit in the background queue (steal-back).
-        for row in 0..40 {
-            assert_eq!(store.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
-        }
-        store.write_tail(40, b"t").unwrap();
-        let stats = store.durability_stats();
-        assert_eq!(stats.checkpoints, 1);
-        drop(store);
-        let (reopened, header) = FileStore::open(&path, 4).unwrap();
-        assert_eq!(header.items_inserted, 40);
-        assert_eq!(reopened.occupied_rooms(), 40);
-        remove(&path);
-    }
-
-    #[test]
     fn row_and_column_scans_match_memory_semantics() {
         let path = temp_path("scan");
         let mut store = FileStore::create(&path, &GssConfig::paper_default(3), 8).unwrap();
-        store.store_room(1, 0, 0, sample_room(10));
-        store.store_room(1, 2, 1, sample_room(20));
-        store.store_room(0, 2, 0, sample_room(30));
+        store.store_room(1, 0, 0, sample_room(10)).unwrap();
+        store.store_room(1, 2, 1, sample_room(20)).unwrap();
+        store.store_room(0, 2, 0, sample_room(30)).unwrap();
         let mut row1 = Vec::new();
         store.scan_row(1, &mut |c, room| row1.push((c, room.weight)));
         assert_eq!(row1, vec![(0, 10), (2, 20)]);
@@ -1843,9 +1620,9 @@ mod tests {
         let path = temp_path("unclean");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
-            store.store_room(0, 0, 0, sample_room(1));
-            let (_, ack) = store.try_log_commit_deferred(1).unwrap();
-            store.ack_commit(ack);
+            store.store_room(0, 0, 0, sample_room(1)).unwrap();
+            let (_, ack) = store.log_commit_deferred(1).unwrap();
+            store.ack_commit(ack).unwrap();
             // No write_tail: the clean flag stays cleared, the room lives only in the
             // cache — and in the drained WAL.
         }
@@ -1858,7 +1635,7 @@ mod tests {
         // Same crash state but the log is gone: unrecoverable, rejected.
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
-            store.store_room(0, 0, 0, sample_room(1));
+            store.store_room(0, 0, 0, sample_room(1)).unwrap();
         }
         std::fs::remove_file(wal_path(&path)).unwrap();
         assert!(matches!(
@@ -1880,7 +1657,7 @@ mod tests {
         let config = GssConfig::paper_default(8);
         {
             let mut store = FileStore::create(&path, &config, 4).unwrap();
-            store.store_room(2, 3, 0, sample_room(9));
+            store.store_room(2, 3, 0, sample_room(9)).unwrap();
             store.write_tail(5, b"oldtail").unwrap();
         }
         // Rewrite the header as PR-3/4 would have written it: v1 magic, no section fields.
@@ -1913,7 +1690,7 @@ mod tests {
         let v1_tail = [0u8; 16];
         {
             let mut store = FileStore::create(&path, &config, 4).unwrap();
-            store.store_room(2, 3, 0, sample_room(9));
+            store.store_room(2, 3, 0, sample_room(9)).unwrap();
             store.write_tail(5, &v1_tail).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1927,10 +1704,9 @@ mod tests {
             // Open the v1 file (upgrading it), mutate, then crash before any checkpoint.
             let (mut store, header) = FileStore::open(&path, 4).unwrap();
             assert_eq!(header.tail, v1_tail);
-            store.store_room(1, 1, 0, sample_room(4));
-            let (_, ack) = store.try_log_commit_deferred(6).unwrap();
-            store.ack_commit(ack);
-            store.abandon();
+            store.store_room(1, 1, 0, sample_room(4)).unwrap();
+            let (_, ack) = store.log_commit_deferred(6).unwrap();
+            store.ack_commit(ack).unwrap();
         }
         let (recovered, header) = FileStore::open(&path, 4).unwrap();
         assert!(header.recovered, "the acknowledged mutation survives the crash");
@@ -1946,7 +1722,7 @@ mod tests {
         let path = temp_path("truncated");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(32), 2).unwrap();
-            store.store_room(0, 0, 0, sample_room(1));
+            store.store_room(0, 0, 0, sample_room(1)).unwrap();
             store.write_tail(1, b"abc").unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
@@ -1984,9 +1760,9 @@ mod tests {
         let path = temp_path("index-rebuild");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 4).unwrap();
-            store.store_room(7, 11, 0, sample_room(5));
-            store.store_room(7, 40, 1, sample_room(6));
-            store.store_room(33, 11, 0, sample_room(7));
+            store.store_room(7, 11, 0, sample_room(5)).unwrap();
+            store.store_room(7, 40, 1, sample_room(6)).unwrap();
+            store.store_room(33, 11, 0, sample_room(7)).unwrap();
             store.write_tail(3, &[]).unwrap();
         }
         let (reopened, _) = FileStore::open(&path, 4).unwrap();
@@ -2003,7 +1779,7 @@ mod tests {
         reopened.scan_column(11, &mut |_, _| count += 1);
         let indexed_lookups = reopened.page_stats().lookups - before.lookups;
         let before = reopened.page_stats();
-        reopened.scan_column_naive(11, &mut |_, _| count += 1);
+        crate::storage::naive_scan_column(&reopened, 11, &mut |_, _| count += 1);
         let naive_lookups = reopened.page_stats().lookups - before.lookups;
         assert_eq!(count, 4);
         assert!(
@@ -2018,7 +1794,7 @@ mod tests {
         let path = temp_path("occupancy-mismatch");
         {
             let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
-            store.store_room(1, 1, 0, sample_room(1));
+            store.store_room(1, 1, 0, sample_room(1)).unwrap();
             store.write_tail(1, &[]).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -2082,40 +1858,82 @@ mod tests {
     fn injected_wal_fault_fail_stops_writes_reads_keep_serving_and_the_report_is_honest() {
         let path = temp_path("failstop");
         // Target only the log file: its magic write at create is occurrence 1, the
-        // first drain's arena write is occurrence 2.
+        // first and second drains' arena writes are occurrences 2 and 3.
         let token = format!("gss-file-store-{}-failstop.gss.wal", std::process::id());
         let _guard = crate::pager::faults::install(
-            crate::pager::faults::FaultPlan::parse("write:eio@2")
+            crate::pager::faults::FaultPlan::parse("write:eio@3")
                 .expect("parse plan")
                 .with_path_token(&token),
         );
         let config = GssConfig::paper_default(8);
-        let mut store = FileStore::create_durable(&path, &config, 4, Durability::Buffered).unwrap();
-        store.store_room(0, 0, 0, sample_room(7));
-        let (_, ack) = store.try_log_commit_deferred(1).unwrap();
-        // Buffered with a tiny pending arena: acknowledged without a drain.
-        store.try_ack_commit(ack).unwrap();
+        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        store.store_room(0, 0, 0, sample_room(7)).unwrap();
+        let (_, ack) = store.log_commit_deferred(1).unwrap();
+        store.ack_commit(ack).unwrap();
         let healthy = store.durability_report();
         assert!(!healthy.poisoned);
-        assert_eq!((healthy.acked_items, healthy.breached_items), (1, 0));
-        // The flush forces the drain, which hits the injected EIO.
-        let error = store.flush_pages().expect_err("injected drain failure must surface");
+        assert_eq!((healthy.acked_items, healthy.durable_items, healthy.breached_items), (1, 1, 0));
+        // The second commit's drain hits the injected EIO: it is never acknowledged.
+        store.store_room(0, 1, 0, sample_room(9)).unwrap();
+        let (_, ack) = store.log_commit_deferred(2).unwrap();
+        let error = store.ack_commit(ack).expect_err("injected drain failure must surface");
         assert!(store.health().is_poisoned());
         // Writes fail-stop with the sticky cause...
-        let fault = store.try_store_room(0, 1, 0, sample_room(1)).unwrap_err();
+        let fault = store.store_room(0, 2, 0, sample_room(1)).unwrap_err();
         assert_eq!(fault.kind(), error.kind());
-        assert!(store.try_log_commit_deferred(2).is_err());
+        assert!(store.log_commit_deferred(3).is_err());
         // ...reads keep serving from cache...
         assert_eq!(store.room(0, 0, 0).weight, 7);
-        // ...and the report names the acked-but-possibly-lost item.
+        assert_eq!(store.room(0, 1, 0).weight, 9);
+        // ...and the report counts only what was acknowledged, all of it durable.
         let report = store.durability_report();
         assert!(report.poisoned);
         assert_eq!(report.cause.as_ref().map(StoreFault::kind), Some(error.kind()));
-        assert_eq!((report.acked_items, report.durable_items, report.breached_items), (1, 0, 1));
+        assert_eq!((report.acked_items, report.durable_items, report.breached_items), (1, 1, 0));
         assert_eq!(store.durability_stats().store_poisoned, 1);
         assert!(store.durability_stats().injected_faults >= 1);
-        store.abandon();
         drop(store);
+        remove(&path);
+    }
+
+    /// Overwrites the header's tail/buffer/node length fields of the sketch file at `path`.
+    fn forge_tail_lengths(path: &Path, tail_len: u64, buffer_len: u64, node_len: u64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[OFF_TAIL_LEN..OFF_TAIL_LEN + 8].copy_from_slice(&tail_len.to_le_bytes());
+        bytes[OFF_BUFFER_LEN..OFF_BUFFER_LEN + 8].copy_from_slice(&buffer_len.to_le_bytes());
+        bytes[OFF_NODE_LEN..OFF_NODE_LEN + 8].copy_from_slice(&node_len.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn lying_header_lengths_are_typed_errors_not_panics() {
+        // `buffer_len + node_len == tail_len` holds without overflow, so only bounding
+        // each length by the file length catches the lie before `tail_offset + tail_len`
+        // overflows or a `u64::MAX`-byte buffer is requested.
+        let path = temp_path("lying-lengths");
+        let config = GssConfig::paper_default(8);
+        // Clean file: the plain open path.
+        {
+            let mut store = FileStore::create(&path, &config, 4).unwrap();
+            store.store_room(1, 1, 0, sample_room(3)).unwrap();
+            store.write_tail(1, b"tail").unwrap();
+        }
+        forge_tail_lengths(&path, u64::MAX, u64::MAX, 0);
+        assert!(matches!(FileStore::open(&path, 4), Err(PersistenceError::UnexpectedEof)));
+        // Unclean file with a replayable log: the recovery path reads each section.
+        for (buffer_len, node_len) in [(u64::MAX, 0), (8, u64::MAX), (u64::MAX, u64::MAX)] {
+            {
+                let mut store = FileStore::create(&path, &config, 4).unwrap();
+                store.store_room(1, 1, 0, sample_room(3)).unwrap();
+                let (_, ack) = store.log_commit_deferred(1).unwrap();
+                store.ack_commit(ack).unwrap();
+            }
+            forge_tail_lengths(&path, buffer_len.wrapping_add(node_len), buffer_len, node_len);
+            assert!(
+                matches!(FileStore::open(&path, 4), Err(PersistenceError::UnexpectedEof)),
+                "buffer_len {buffer_len} node_len {node_len}"
+            );
+        }
         remove(&path);
     }
 
@@ -2126,7 +1944,7 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         store.set_flush_hook(Some(Box::new(move |point| sink.lock().push(point))));
-        store.store_room(0, 0, 0, sample_room(3));
+        store.store_room(0, 0, 0, sample_room(3)).unwrap();
         store.write_tail(1, b"t").unwrap();
         let seen = seen.lock().clone();
         assert_eq!(
@@ -2146,7 +1964,7 @@ mod tests {
         let path = temp_path("concurrent-readers");
         let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 64).unwrap();
         for row in 0..48 {
-            store.store_room(row, (row * 5) % 48, 0, sample_room(row as i64 + 1));
+            store.store_room(row, (row * 5) % 48, 0, sample_room(row as i64 + 1)).unwrap();
         }
         // Warm the cache: 48·48·2 rooms = 72 KiB = 18 pages, well under the 64-page
         // budget, so the reader threads below run pure hits under shared read latches.
@@ -2186,15 +2004,17 @@ mod tests {
         let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 8).unwrap();
         // Row 2: 6 of 8 buckets occupied — well past the 50% dense threshold.
         for column in 0..6 {
-            store.store_room(2, column, 0, sample_room(column as i64 + 100));
+            store.store_room(2, column, 0, sample_room(column as i64 + 100)).unwrap();
         }
         // Row 5 stays sparse (1 of 8): exercises the bitmap path in the same store.
-        store.store_room(5, 3, 0, sample_room(7));
+        store.store_room(5, 3, 0, sample_room(7)).unwrap();
         for row in [2usize, 5] {
             let mut indexed = Vec::new();
             store.scan_row(row, &mut |column, room| indexed.push((column, room.weight)));
             let mut naive = Vec::new();
-            store.scan_row_naive(row, &mut |column, room| naive.push((column, room.weight)));
+            crate::storage::naive_scan_row(&store, row, &mut |column, room| {
+                naive.push((column, room.weight))
+            });
             assert_eq!(indexed, naive, "row {row}: dense and sparse paths agree");
         }
         let mut column3 = Vec::new();

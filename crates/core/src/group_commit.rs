@@ -102,10 +102,10 @@ pub(crate) struct WalMember {
     /// Signalled when this member's drain round ends; parked committers re-check their
     /// target.
     done: Condvar,
-    /// The owning store's sticky fail-stop state, shared with the flusher: a failed
-    /// drain or cadence sync poisons it *before* `written` advances, so a parked
-    /// committer waking on its target always observes the poison (the fix for the
-    /// "fsyncgate"-style false acknowledgement).
+    /// The owning store's sticky fail-stop state: a failed drain or cadence sync poisons
+    /// it *before* `written` advances, so a parked committer waking on its target
+    /// always observes the poison (the fix for the "fsyncgate"-style false
+    /// acknowledgement).
     health: Arc<StoreHealth>,
     /// Stream items acknowledged to callers (cumulative, per this member's log).
     acked_items: AtomicU64,

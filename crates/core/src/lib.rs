@@ -71,12 +71,10 @@ pub mod storage;
 pub mod wal;
 
 pub use builder::GssBuilder;
-#[allow(deprecated)]
-pub use concurrent::ConcurrentGss;
 pub use concurrent::ShardedGss;
 pub use config::{
     Durability, GroupCommit, GssConfig, MAX_FINGERPRINT_BITS, MAX_ROOMS_PER_BUCKET,
-    MAX_SEQUENCE_LENGTH, MAX_TOTAL_ROOMS, MAX_WIDTH, WAL_BUFFER_BYTES,
+    MAX_SEQUENCE_LENGTH, MAX_TOTAL_ROOMS, MAX_WIDTH,
 };
 pub use error::{ConfigError, DurabilityReport, GssError, StoreFault, StoreHealth};
 pub use file_store::{DurabilityStats, FileStore, FlushHook, FlushPoint, PageCacheStats};

@@ -15,6 +15,7 @@
 //! [`MemoryStore`] is the dense default backend of the [`RoomStore`] abstraction; the
 //! paged file backend lives in [`crate::file_store`].
 
+use crate::error::StoreFault;
 use crate::storage::{dense_scan, BucketProbe, OccupancyIndex, RoomStore};
 use serde::{Deserialize, Serialize};
 
@@ -64,9 +65,6 @@ pub struct MemoryStore {
     /// [`RoomStore::scan_column`] past empty buckets.
     index: OccupancyIndex,
 }
-
-/// Former name of [`MemoryStore`], kept as an alias for existing callers.
-pub type BucketMatrix = MemoryStore;
 
 impl MemoryStore {
     /// Allocates an empty matrix of `width × width` buckets with `rooms_per_bucket` rooms.
@@ -278,7 +276,7 @@ impl RoomStore for MemoryStore {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
+    ) -> Result<BucketProbe, StoreFault> {
         let mut first_empty = None;
         for (slot, room) in self.bucket(row, column).iter().enumerate() {
             if room.matches(
@@ -287,20 +285,33 @@ impl RoomStore for MemoryStore {
                 source_index,
                 destination_index,
             ) {
-                return BucketProbe::Match(slot);
+                return Ok(BucketProbe::Match(slot));
             }
             if !room.occupied && first_empty.is_none() {
                 first_empty = Some(slot);
             }
         }
-        first_empty.map_or(BucketProbe::Full, BucketProbe::Empty)
+        Ok(first_empty.map_or(BucketProbe::Full, BucketProbe::Empty))
     }
 
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
         MemoryStore::add_weight(self, row, column, slot, weight);
+        Ok(())
     }
 
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room) {
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
         debug_assert!(room.occupied, "storing an unoccupied room");
         self.store(
             row,
@@ -312,6 +323,7 @@ impl RoomStore for MemoryStore {
             room.destination_index,
             room.weight,
         );
+        Ok(())
     }
 
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
@@ -375,7 +387,7 @@ mod tests {
 
     #[test]
     fn new_matrix_is_empty() {
-        let matrix = BucketMatrix::new(4, 2);
+        let matrix = MemoryStore::new(4, 2);
         assert_eq!(matrix.width(), 4);
         assert_eq!(matrix.rooms_per_bucket(), 2);
         assert_eq!(matrix.room_count(), 32);
@@ -386,7 +398,7 @@ mod tests {
 
     #[test]
     fn store_and_find_round_trip() {
-        let mut matrix = BucketMatrix::new(4, 2);
+        let mut matrix = MemoryStore::new(4, 2);
         assert_eq!(matrix.find_empty(1, 2), Some(0));
         matrix.store(1, 2, 0, 10, 20, 3, 4, 7);
         assert_eq!(matrix.find_match(1, 2, 10, 20, 3, 4), Some(0));
@@ -400,7 +412,7 @@ mod tests {
 
     #[test]
     fn add_weight_accumulates() {
-        let mut matrix = BucketMatrix::new(2, 1);
+        let mut matrix = MemoryStore::new(2, 1);
         matrix.store(0, 1, 0, 1, 2, 0, 0, 5);
         matrix.add_weight(0, 1, 0, 3);
         assert_eq!(matrix.bucket(0, 1)[0].weight, 8);
@@ -408,7 +420,7 @@ mod tests {
 
     #[test]
     fn full_bucket_has_no_empty_room() {
-        let mut matrix = BucketMatrix::new(2, 2);
+        let mut matrix = MemoryStore::new(2, 2);
         matrix.store(0, 0, 0, 1, 1, 0, 0, 1);
         matrix.store(0, 0, 1, 2, 2, 0, 0, 1);
         assert_eq!(matrix.find_empty(0, 0), None);
@@ -417,7 +429,7 @@ mod tests {
 
     #[test]
     fn row_and_column_iteration_report_positions() {
-        let mut matrix = BucketMatrix::new(3, 2);
+        let mut matrix = MemoryStore::new(3, 2);
         matrix.store(1, 0, 0, 5, 6, 1, 2, 10);
         matrix.store(1, 2, 1, 7, 8, 3, 4, 20);
         matrix.store(0, 2, 0, 9, 10, 5, 6, 30);
@@ -439,7 +451,7 @@ mod tests {
 
     #[test]
     fn dense_rows_scan_linearly_with_identical_results() {
-        let mut matrix = BucketMatrix::new(8, 2);
+        let mut matrix = MemoryStore::new(8, 2);
         // Row 4: 6 of 8 buckets occupied — past the 50% dense threshold; row 6 sparse.
         for column in 0..6 {
             matrix.store(4, column, 0, 5, 6, 1, 2, column as i64 + 100);

@@ -10,8 +10,6 @@
 //! * [`page_cache::PageCache`] — a lock-striped page table whose entries carry their own
 //!   read/write latch and atomic dirty/recency state: cache hits on distinct pages never
 //!   contend, and faults on distinct stripes read from disk concurrently;
-//! * [`flusher::Flusher`] — the background write-back thread, draining dirty pages in
-//!   elevator (ascending-offset) order and coalescing adjacent pages into single writes;
 //! * [`lock_file::LockFile`] — the advisory single-opener lock enforcing the sketch
 //!   file's one-process contract;
 //! * [`faults::FaultPlan`] — deterministic I/O fault injection beneath every
@@ -25,7 +23,7 @@
 //! page fault    stripe mutex (held across eviction + insert) → disk read under the
 //!               fresh page's write latch, stripe mutex already released
 //! room write    WAL append mutex (append + clean-flag) → page write latch
-//! eviction      stripe mutex → group-commit mutex (write-ahead barrier) → file/flusher
+//! eviction      stripe mutex → group-commit mutex (write-ahead barrier) → file write
 //! group commit  group-commit mutex (leader election, briefly) → WAL append mutex,
 //!               group mutex already released → member log I/O outside all locks
 //! checkpoint    sync-state mutex → WAL append mutex | stripe mutexes (never both)
@@ -47,7 +45,6 @@
 //! re-checks the same order dynamically across call chains under `debug_assertions`.
 
 pub mod faults;
-pub mod flusher;
 pub mod lock_file;
 pub mod page_cache;
 pub mod page_file;

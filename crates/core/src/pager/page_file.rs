@@ -1,10 +1,9 @@
 //! Positioned page I/O over one shared file handle: [`PageFile`].
 //!
 //! Concurrent page access needs reads and writes at explicit offsets with no shared
-//! cursor.  On Unix this is `pread`/`pwrite` ([`std::os::unix::fs::FileExt`]) on a plain
-//! `&File` — no locking, the kernel serializes per-call; elsewhere the handle falls back
-//! to a mutex around `seek` + `read`/`write`, preserving correctness at the cost of
-//! serializing the I/O itself.
+//! cursor: `pread`/`pwrite` ([`std::os::unix::fs::FileExt`]) on a plain `&File` — no
+//! locking, the kernel serializes per-call.  That is the crate's one platform
+//! requirement, so it builds on Unix only.
 //!
 //! This is also the single choke point where two robustness concerns live:
 //!
@@ -19,6 +18,11 @@
 //!   after a failed fsync the kernel may have dropped the dirty pages, so a retry
 //!   that succeeds proves nothing (the "fsyncgate" hazard) — those propagate to the
 //!   caller, which fail-stops the store (see [`crate::error::StoreHealth`]).
+
+#[cfg(not(unix))]
+compile_error!(
+    "gss-core's paged file store needs positioned I/O (`pread`/`pwrite`) and builds on Unix only"
+);
 
 use crate::pager::faults::{FaultKind, FaultOp, FaultPlan};
 use std::fs::File;
@@ -46,7 +50,7 @@ fn fault_error(kind: FaultKind, op: &str) -> io::Error {
     }
 }
 
-/// The fault/retry bookkeeping shared by both platform variants.
+/// The fault/retry bookkeeping of one handle.
 #[derive(Debug, Default)]
 struct Instrumentation {
     faults: Option<Arc<FaultPlan>>,
@@ -72,14 +76,13 @@ impl Instrumentation {
     }
 }
 
-#[cfg(unix)]
+/// One shared file handle serving positioned reads and writes (see the module docs).
 #[derive(Debug)]
 pub struct PageFile {
     file: File,
     instr: Instrumentation,
 }
 
-#[cfg(unix)]
 impl PageFile {
     /// Wraps an open handle (read + write) with no fault plan.
     pub fn new(file: File) -> Self {
@@ -172,107 +175,7 @@ impl PageFile {
             None => self.file.sync_all(),
         }
     }
-}
 
-#[cfg(not(unix))]
-#[derive(Debug)]
-pub struct PageFile {
-    file: parking_lot::Mutex<File>,
-    instr: Instrumentation,
-}
-
-#[cfg(not(unix))]
-impl PageFile {
-    pub fn new(file: File) -> Self {
-        Self { file: parking_lot::Mutex::new(file), instr: Instrumentation::default() }
-    }
-
-    pub fn with_faults(file: File, faults: Option<Arc<FaultPlan>>) -> Self {
-        Self {
-            file: parking_lot::Mutex::new(file),
-            instr: Instrumentation { faults, ..Instrumentation::default() },
-        }
-    }
-
-    pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut attempts = 0u32;
-        loop {
-            let result = match self.instr.next_fault(FaultOp::Read) {
-                Some(kind) => Err(fault_error(kind, "read_exact_at")),
-                None => {
-                    let mut file = self.file.lock();
-                    file.seek(SeekFrom::Start(offset)).and_then(|_| file.read_exact(buf))
-                }
-            };
-            match result {
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {
-                    attempts += 1;
-                    if attempts > MAX_TRANSIENT_RETRIES {
-                        return Err(error);
-                    }
-                    self.instr.count_retry();
-                }
-                other => return other,
-            }
-        }
-    }
-
-    pub fn write_all_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
-        use std::io::{Seek, SeekFrom, Write};
-        let mut attempts = 0u32;
-        loop {
-            let result = match self.instr.next_fault(FaultOp::Write) {
-                Some(FaultKind::TornWrite) => {
-                    let half = buf.len() / 2;
-                    let mut file = self.file.lock();
-                    let _ = file
-                        .seek(SeekFrom::Start(offset))
-                        .and_then(|_| file.write_all(&buf[..half]));
-                    Err(fault_error(FaultKind::TornWrite, "write_all_at"))
-                }
-                Some(kind) => Err(fault_error(kind, "write_all_at")),
-                None => {
-                    let mut file = self.file.lock();
-                    file.seek(SeekFrom::Start(offset)).and_then(|_| file.write_all(buf))
-                }
-            };
-            match result {
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {
-                    attempts += 1;
-                    if attempts > MAX_TRANSIENT_RETRIES {
-                        return Err(error);
-                    }
-                    self.instr.count_retry();
-                }
-                other => return other,
-            }
-        }
-    }
-
-    pub fn set_len(&self, len: u64) -> io::Result<()> {
-        match self.instr.next_fault(FaultOp::SetLen) {
-            Some(kind) => Err(fault_error(kind, "set_len")),
-            None => self.file.lock().set_len(len),
-        }
-    }
-
-    pub fn sync_data(&self) -> io::Result<()> {
-        match self.instr.next_fault(FaultOp::SyncData) {
-            Some(kind) => Err(fault_error(kind, "sync_data")),
-            None => self.file.lock().sync_data(),
-        }
-    }
-
-    pub fn sync_all(&self) -> io::Result<()> {
-        match self.instr.next_fault(FaultOp::SyncAll) {
-            Some(kind) => Err(fault_error(kind, "sync_all")),
-            None => self.file.lock().sync_all(),
-        }
-    }
-}
-
-impl PageFile {
     /// Transient retries performed by this handle.
     pub fn io_retries(&self) -> u64 {
         // relaxed: a statistics read.

@@ -301,7 +301,9 @@ impl GssSketch {
                     config.rooms
                 )));
             }
-            sketch.restore_room(row as usize, column as usize, *slot, room);
+            sketch
+                .restore_room(row as usize, column as usize, *slot, room)
+                .map_err(|fault| PersistenceError::from(fault.to_io()))?;
             *slot += 1;
         }
 
@@ -309,7 +311,9 @@ impl GssSketch {
             let (buffer, node_map) = sketch.tail_parts_mut();
             read_tail_sections(buffer, node_map, reader)?;
         }
-        sketch.set_items_inserted(items_inserted);
+        sketch
+            .set_items_inserted(items_inserted)
+            .map_err(|fault| PersistenceError::from(fault.to_io()))?;
         // The streamed tail content bypassed the write-ahead log (only live mutations
         // are logged), so a file-backed restore must checkpoint before it is handed
         // out — otherwise a crash before the caller's first sync would recover the

@@ -19,7 +19,7 @@
 //!   ids through the `⟨H(v), v⟩` table.
 
 use crate::buffer::LeftoverBuffer;
-use crate::config::{Durability, GroupCommit, GssConfig};
+use crate::config::{GroupCommit, GssConfig};
 use crate::error::{ConfigError, DurabilityReport, GssError, StoreFault};
 use crate::file_store::{FileStore, TailSections};
 use crate::group_commit::GroupCommitter;
@@ -43,9 +43,9 @@ use std::sync::Arc;
 /// owned by the original and checkpointed by [`sync`](Self::sync) (also run on drop).
 ///
 /// File-backed sketches are crash-consistent: every mutation is write-ahead logged
-/// (see [`crate::wal`]) under the policy chosen by [`Durability`], so a killed process
-/// reopens its sketch file via [`open_file`](Self::open_file) with at most the
-/// documented `Buffered` loss window — `Strict` loses nothing acknowledged.
+/// (see [`crate::wal`]) and the log is drained before an insert returns, so a killed
+/// process reopens its sketch file via [`open_file`](Self::open_file) having lost
+/// nothing acknowledged.
 #[derive(Debug, Clone)]
 pub struct GssSketch {
     config: GssConfig,
@@ -105,39 +105,19 @@ impl GssSketch {
     /// Returns a [`ConfigError`] if the configuration is invalid or the sketch file
     /// cannot be created (the I/O failure is carried in the message).
     pub fn with_storage(config: GssConfig, storage: StorageBackend) -> Result<Self, ConfigError> {
-        Self::with_storage_durability(config, storage, Durability::Strict)
+        Self::with_storage_grouped(config, storage, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`with_storage`](Self::with_storage) with an explicit [`Durability`] policy for
-    /// the file backend (ignored by the in-memory backend).
+    /// [`with_storage`](Self::with_storage) against a caller-supplied group-commit
+    /// coordinator, so several file-backed sketches — the shards of a
+    /// [`crate::ShardedGss`] — share one fsync schedule: a single cadence sync covers
+    /// every log that wrote since the last one.  Ignored by the in-memory backend.
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability(
+    pub fn with_storage_grouped(
         config: GssConfig,
         storage: StorageBackend,
-        durability: Durability,
-    ) -> Result<Self, ConfigError> {
-        Self::with_storage_durability_grouped(
-            config,
-            storage,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`with_storage_durability`](Self::with_storage_durability) against a
-    /// caller-supplied group-commit coordinator, so several file-backed sketches — the
-    /// shards of a [`crate::ShardedGss`] — share one fsync schedule: a single cadence
-    /// sync covers every log that wrote since the last one.  Ignored by the in-memory
-    /// backend.
-    ///
-    /// # Errors
-    /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_durability_grouped(
-        config: GssConfig,
-        storage: StorageBackend,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
@@ -146,8 +126,7 @@ impl GssSketch {
                 RoomStorage::Memory(MemoryStore::new(config.width, config.rooms))
             }
             StorageBackend::File { path, cache_pages } => RoomStorage::File(Box::new(
-                FileStore::create_durable_grouped(&path, &config, cache_pages, durability, group)
-                    .map_err(|error| {
+                FileStore::create_grouped(&path, &config, cache_pages, group).map_err(|error| {
                     ConfigError::new(format!(
                         "cannot create sketch file {}: {error}",
                         path.display()
@@ -193,41 +172,20 @@ impl GssSketch {
     /// Returns a [`PersistenceError`] if the file is missing, truncated, from a different
     /// format version, unrecoverably unclean, or structurally inconsistent.
     pub fn open_file(path: impl AsRef<Path>, cache_pages: usize) -> Result<Self, PersistenceError> {
-        Self::open_file_durability(path, cache_pages, Durability::Strict)
+        Self::open_file_grouped(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
     }
 
-    /// [`open_file`](Self::open_file) with an explicit [`Durability`] policy for the
-    /// reopened sketch.
+    /// [`open_file`](Self::open_file) against a caller-supplied group-commit coordinator
+    /// (see [`with_storage_grouped`](Self::with_storage_grouped)).
     ///
     /// # Errors
     /// As [`open_file`](Self::open_file).
-    pub fn open_file_durability(
+    pub fn open_file_grouped(
         path: impl AsRef<Path>,
         cache_pages: usize,
-        durability: Durability,
-    ) -> Result<Self, PersistenceError> {
-        Self::open_file_durability_grouped(
-            path,
-            cache_pages,
-            durability,
-            GroupCommitter::new(GroupCommit::default()),
-        )
-    }
-
-    /// [`open_file_durability`](Self::open_file_durability) against a caller-supplied
-    /// group-commit coordinator (see
-    /// [`with_storage_durability_grouped`](Self::with_storage_durability_grouped)).
-    ///
-    /// # Errors
-    /// As [`open_file`](Self::open_file).
-    pub fn open_file_durability_grouped(
-        path: impl AsRef<Path>,
-        cache_pages: usize,
-        durability: Durability,
         group: Arc<GroupCommitter>,
     ) -> Result<Self, PersistenceError> {
-        let (store, header) =
-            FileStore::open_durable_grouped(path.as_ref(), cache_pages, durability, group)?;
+        let (store, header) = FileStore::open_grouped(path.as_ref(), cache_pages, group)?;
         // Decode the tail *before* assembling the sketch: if it is corrupt, returning
         // here drops only the bare store (no Drop), leaving the rejected file byte-for-
         // byte intact — a half-built sketch would checkpoint its partial state over the
@@ -257,9 +215,8 @@ impl GssSketch {
     }
 
     /// Checkpoints a file-backed sketch: logs the tail image to the write-ahead log,
-    /// flushes dirty pages (barriering the background flusher under
-    /// [`Durability::Buffered`]), rewrites **only the tail sections whose generation
-    /// stamp moved**, marks the file clean and truncates the log.  A fully unchanged
+    /// flushes dirty pages, rewrites **only the tail sections whose generation stamp
+    /// moved**, marks the file clean and truncates the log.  A fully unchanged
     /// sketch returns without touching the file; a no-op for in-memory sketches.  Runs
     /// automatically on drop (ignoring errors there — call `sync` explicitly when
     /// durability must be confirmed).
@@ -293,15 +250,11 @@ impl GssSketch {
     }
 
     /// Drops the sketch **without** checkpointing: the backing file and its write-ahead
-    /// log are left exactly as a `SIGKILL` at this point would leave them (the background
-    /// flusher, if any, stops without draining its queue).  Crash tests and the
-    /// `durability_cost` recovery bench use this; for in-memory sketches it is a plain
-    /// drop.
+    /// log are left exactly as a `SIGKILL` at this point would leave them.  Crash tests
+    /// and the `durability_cost` recovery bench use this; for in-memory sketches it is a
+    /// plain drop.
     pub fn abandon(mut self) {
         self.sync_on_drop = false;
-        if let RoomStorage::File(store) = &self.matrix {
-            store.abandon();
-        }
     }
 
     /// Which storage backend the matrix uses (`"memory"` or `"file"`).
@@ -367,7 +320,7 @@ impl GssSketch {
             wal_group_commits: durability.wal_group_commits,
             wal_group_waits: durability.wal_group_waits,
             fsyncs: durability.wal_fsyncs,
-            pages_flushed: durability.pages_written + durability.pages_written_background,
+            pages_flushed: durability.pages_written,
             checkpoints: durability.checkpoints,
             page_lookups: pages.lookups,
             page_faults: pages.faults,
@@ -554,6 +507,10 @@ impl GssSketch {
 
     /// Inserts an edge whose endpoints are already in the hashed space (used by merging);
     /// does not touch the node-id table.
+    ///
+    /// # Panics
+    /// Merging is infallible by signature, so a store fault on a file-backed target
+    /// panics (the store is already poisoned when it does).
     pub(crate) fn insert_hashed(
         &mut self,
         source_hash: u64,
@@ -562,71 +519,51 @@ impl GssSketch {
     ) {
         let source_node = self.hasher.split(source_hash);
         let destination_node = self.hasher.split(destination_hash);
-        self.insert_nodes(source_node, destination_node, weight);
+        self.insert_nodes(source_node, destination_node, weight)
+            .unwrap_or_else(|fault| panic!("sketch write failed during merge: {fault}"));
     }
 
     /// Registers a `⟨H(v), v⟩` pair, bumping the node-section generation and write-ahead
     /// logging the registration when it is new — the single mutation point of the table.
-    fn register_node(&mut self, hash: u64, vertex: VertexId) {
-        self.try_register_node(hash, vertex)
-            .unwrap_or_else(|fault| panic!("node registration failed: {fault}"));
-    }
-
-    /// Fallible [`register_node`](Self::register_node): the typed fail-stop path.
-    fn try_register_node(&mut self, hash: u64, vertex: VertexId) -> Result<(), StoreFault> {
+    fn register_node(&mut self, hash: u64, vertex: VertexId) -> Result<(), StoreFault> {
         if self.node_map.register(hash, vertex) {
             self.node_gen += 1;
             if let RoomStorage::File(store) = &self.matrix {
-                store.try_log_node(hash, vertex)?;
+                store.log_node(hash, vertex)?;
             }
         }
         Ok(())
     }
 
-    /// Marks the completion of an insert/batch in the write-ahead log (under
-    /// [`Durability::Strict`] the log drains before this returns), and checkpoints the
-    /// sketch automatically once the log outgrows
-    /// [`wal_checkpoint_bytes`](Self::set_wal_checkpoint_bytes) — long runs that never
-    /// call [`sync`](Self::sync) still keep bounded sidecar-log size and bounded
-    /// crash-recovery replay time.
-    fn commit_wal(&mut self) {
-        if let Some(ack) = self.commit_wal_deferred() {
-            self.ack_wal(ack);
-        }
-    }
-
-    /// Fallible [`commit_wal`](Self::commit_wal): the typed fail-stop path.
-    fn try_commit_wal(&mut self) -> Result<(), StoreFault> {
-        if let Some(ack) = self.try_commit_wal_deferred()? {
-            self.try_ack_wal(ack)?;
+    /// Marks the completion of an insert/batch in the write-ahead log (the log drains
+    /// before this returns), and checkpoints the sketch automatically once the log
+    /// outgrows [`wal_checkpoint_bytes`](Self::set_wal_checkpoint_bytes) — long runs
+    /// that never call [`sync`](Self::sync) still keep bounded sidecar-log size and
+    /// bounded crash-recovery replay time.
+    fn commit_wal(&mut self) -> Result<(), StoreFault> {
+        if let Some(ack) = self.commit_wal_deferred()? {
+            self.ack_wal(ack)?;
         }
         Ok(())
     }
 
     /// The append half of [`commit_wal`](Self::commit_wal) for the sharded two-phase
-    /// batch path: logs the commit frame and returns the token the caller must pass to
-    /// [`ack_wal`](Self::ack_wal) once every shard of the batch has appended.  Returns
-    /// `None` for in-memory sketches, and when the log outgrew its checkpoint bound —
-    /// the automatic checkpoint runs inline (it needs the exclusive sketch lock still
-    /// held here) and leaves the log durable past the token's target anyway.
-    pub(crate) fn commit_wal_deferred(&mut self) -> Option<crate::file_store::WalAck> {
-        self.try_commit_wal_deferred()
-            .unwrap_or_else(|fault| panic!("write-ahead-log commit failed: {fault}"))
-    }
-
-    /// Fallible [`commit_wal_deferred`](Self::commit_wal_deferred): on a poisoned or
-    /// newly failing store the sticky [`StoreFault`] comes back instead of a panic —
+    /// batch path: logs the commit frame and returns the token the caller must
+    /// acknowledge once every shard of the batch has appended.  Returns `None` for
+    /// in-memory sketches, and when the log outgrew its checkpoint bound — the
+    /// automatic checkpoint runs inline (it needs the exclusive sketch lock still held
+    /// here) and leaves the log durable past the token's target anyway.
+    ///
+    /// On a poisoned or newly failing store the sticky [`StoreFault`] comes back —
     /// including when the inline automatic checkpoint fails (the checkpoint poisons the
     /// store, so the fault it latched is returned).
-    pub(crate) fn try_commit_wal_deferred(
-        &mut self,
-    ) -> Result<Option<crate::file_store::WalAck>, StoreFault> {
+    fn commit_wal_deferred(&mut self) -> Result<Option<crate::file_store::WalAck>, StoreFault> {
         let (wal_bytes, ack) = match &self.matrix {
-            RoomStorage::File(store) => store.try_log_commit_deferred(self.items_inserted)?,
+            RoomStorage::File(store) => store.log_commit_deferred(self.items_inserted)?,
             RoomStorage::Memory(_) => return Ok(None),
         };
         if wal_bytes >= self.wal_checkpoint_bytes {
-            self.try_ack_wal(ack)?;
+            self.ack_wal(ack)?;
             // This is an insert/batch boundary, so the sketch state is consistent.
             if let Err(error) = self.sync() {
                 // The failed checkpoint poisoned the store; report its latched cause.
@@ -647,18 +584,10 @@ impl GssSketch {
     }
 
     /// The acknowledgement half of [`commit_wal_deferred`](Self::commit_wal_deferred):
-    /// applies the durability policy to a deferred commit.  Takes `&self`, so the
-    /// acknowledgement pass can run under a shared sketch lock.
-    pub(crate) fn ack_wal(&self, ack: crate::file_store::WalAck) {
-        if let RoomStorage::File(store) = &self.matrix {
-            store.ack_commit(ack);
-        }
-    }
-
-    /// Fallible [`ack_wal`](Self::ack_wal): the typed fail-stop path.
-    pub(crate) fn try_ack_wal(&self, ack: crate::file_store::WalAck) -> Result<(), StoreFault> {
+    /// drains the log up to the deferred commit.
+    fn ack_wal(&self, ack: crate::file_store::WalAck) -> Result<(), StoreFault> {
         match &self.matrix {
-            RoomStorage::File(store) => store.try_ack_commit(ack),
+            RoomStorage::File(store) => store.ack_commit(ack),
             RoomStorage::Memory(_) => Ok(()),
         }
     }
@@ -679,10 +608,15 @@ impl GssSketch {
     }
 
     /// Copies every `⟨H(v), v⟩` registration of `other` into this sketch's id table.
+    ///
+    /// # Panics
+    /// As [`insert_hashed`](Self::insert_hashed): merging is infallible by signature.
     pub(crate) fn absorb_node_map(&mut self, other: &GssSketch) {
         for (hash, vertices) in other.node_map.iter() {
             for &vertex in vertices {
-                self.register_node(hash, vertex);
+                self.register_node(hash, vertex).unwrap_or_else(|fault| {
+                    panic!("node registration failed during merge: {fault}")
+                });
             }
         }
     }
@@ -700,14 +634,14 @@ impl GssSketch {
         column: usize,
         slot: usize,
         room: crate::matrix::Room,
-    ) {
-        self.matrix.store_room(row, column, slot, room);
+    ) -> Result<(), StoreFault> {
+        self.matrix.store_room(row, column, slot, room)
     }
 
-    /// Overrides the inserted-items counter (used by persistence).
-    pub(crate) fn set_items_inserted(&mut self, items: u64) {
+    /// Overrides the inserted-items counter (used by persistence and shard merging).
+    pub(crate) fn set_items_inserted(&mut self, items: u64) -> Result<(), StoreFault> {
         self.items_inserted = items;
-        self.commit_wal();
+        self.commit_wal()
     }
 
     /// Shared insert path over hashed endpoints: probe the candidate buckets in order and
@@ -720,21 +654,10 @@ impl GssSketch {
         source_node: HashedNode,
         destination_node: HashedNode,
         weight: Weight,
-    ) {
-        self.try_insert_nodes(source_node, destination_node, weight)
-            .unwrap_or_else(|fault| panic!("sketch write failed: {fault}"));
-    }
-
-    /// Fallible [`insert_nodes`](Self::insert_nodes): the typed fail-stop path.
-    fn try_insert_nodes(
-        &mut self,
-        source_node: HashedNode,
-        destination_node: HashedNode,
-        weight: Weight,
     ) -> Result<(), StoreFault> {
         let mut candidates = [Candidate::default(); MAX_CANDIDATES];
         let count = self.collect_candidates(source_node, destination_node, &mut candidates);
-        self.try_place_edge(source_node, destination_node, &candidates[..count], weight)
+        self.place_edge(source_node, destination_node, &candidates[..count], weight)
     }
 
     /// Walks `candidates` in probe order and places the edge: add to a matching room, claim
@@ -742,7 +665,7 @@ impl GssSketch {
     /// ([`RoomStore::probe_bucket`]) that answers match/first-empty/full together,
     /// replacing the former `find_match`-then-`find_empty` double scan — half the bucket
     /// reads per candidate, and half the page-cache lookups on the file backend.
-    fn try_place_edge(
+    fn place_edge(
         &mut self,
         source_node: HashedNode,
         destination_node: HashedNode,
@@ -750,7 +673,7 @@ impl GssSketch {
         weight: Weight,
     ) -> Result<(), StoreFault> {
         for candidate in candidates {
-            match self.matrix.try_probe_bucket(
+            match self.matrix.probe_bucket(
                 candidate.row,
                 candidate.column,
                 source_node.fingerprint,
@@ -759,15 +682,10 @@ impl GssSketch {
                 candidate.destination_index,
             )? {
                 BucketProbe::Match(slot) => {
-                    return self.matrix.try_add_weight(
-                        candidate.row,
-                        candidate.column,
-                        slot,
-                        weight,
-                    );
+                    return self.matrix.add_weight(candidate.row, candidate.column, slot, weight);
                 }
                 BucketProbe::Empty(slot) => {
-                    return self.matrix.try_store_room(
+                    return self.matrix.store_room(
                         candidate.row,
                         candidate.column,
                         slot,
@@ -787,14 +705,14 @@ impl GssSketch {
         self.buffer.insert(source_node.hash, destination_node.hash, weight);
         self.buffer_gen += 1;
         if let RoomStorage::File(store) = &self.matrix {
-            store.try_log_buffer_insert(source_node.hash, destination_node.hash, weight)?;
+            store.log_buffer_insert(source_node.hash, destination_node.hash, weight)?;
         }
         Ok(())
     }
 
     /// Hashes `vertex` once per batch: returns the index of its cache entry, creating it
     /// (and registering the `⟨H(v), v⟩` pair) on first sight.
-    fn try_batch_endpoint(
+    fn batch_endpoint(
         &mut self,
         vertex: VertexId,
         index: &mut HashMap<VertexId, u32>,
@@ -805,7 +723,7 @@ impl GssSketch {
         }
         let node = self.hasher.hashed_node(vertex);
         if self.config.track_node_ids {
-            self.try_register_node(node.hash, vertex)?;
+            self.register_node(node.hash, vertex)?;
         }
         let mut addresses = [0usize; crate::config::MAX_SEQUENCE_LENGTH];
         if self.config.square_hashing {
@@ -887,14 +805,9 @@ impl Drop for GssSketch {
 /// path stages every shard first and acknowledges second (see
 /// `commit_wal_deferred`).
 impl GssSketch {
-    /// [`SummaryWrite::insert`] without the commit frame.
-    fn insert_staged(&mut self, source: VertexId, destination: VertexId, weight: Weight) {
-        self.try_insert_staged(source, destination, weight)
-            .unwrap_or_else(|fault| panic!("sketch write failed: {fault}"));
-    }
-
-    /// Fallible [`insert_staged`](Self::insert_staged): the typed fail-stop path.
-    fn try_insert_staged(
+    /// [`SummaryWrite::insert`] without the commit frame.  On a fault the store is
+    /// already poisoned — the caller must not acknowledge the item.
+    fn insert_staged(
         &mut self,
         source: VertexId,
         destination: VertexId,
@@ -904,10 +817,10 @@ impl GssSketch {
         let source_node = self.hasher.hashed_node(source);
         let destination_node = self.hasher.hashed_node(destination);
         if self.config.track_node_ids {
-            self.try_register_node(source_node.hash, source)?;
-            self.try_register_node(destination_node.hash, destination)?;
+            self.register_node(source_node.hash, source)?;
+            self.register_node(destination_node.hash, destination)?;
         }
-        self.try_insert_nodes(source_node, destination_node, weight)
+        self.insert_nodes(source_node, destination_node, weight)
     }
 
     /// Batched edge updating, observationally identical to per-item [`insert`] but with the
@@ -924,20 +837,14 @@ impl GssSketch {
     ///
     /// [`insert`]: SummaryWrite::insert
     /// [`SummaryWrite::insert_batch`] without the commit frame; returns whether a commit
-    /// is owed (`false` only for an empty batch, which mutates nothing).
-    fn insert_batch_staged(&mut self, items: &[StreamEdge]) -> bool {
-        self.try_insert_batch_staged(items)
-            .unwrap_or_else(|fault| panic!("sketch write failed: {fault}"))
-    }
-
-    /// Fallible [`insert_batch_staged`](Self::insert_batch_staged): on a fault the store
-    /// is already poisoned and the batch may be partially applied — the caller must not
-    /// acknowledge it.
-    fn try_insert_batch_staged(&mut self, items: &[StreamEdge]) -> Result<bool, StoreFault> {
+    /// is owed (`false` only for an empty batch, which mutates nothing).  On a fault the
+    /// store is already poisoned and the batch may be partially applied — the caller
+    /// must not acknowledge it.
+    fn insert_batch_staged(&mut self, items: &[StreamEdge]) -> Result<bool, StoreFault> {
         if items.len() < 2 {
             match items.first() {
                 Some(item) => {
-                    self.try_insert_staged(item.source, item.destination, item.weight)?;
+                    self.insert_staged(item.source, item.destination, item.weight)?;
                 }
                 None => return Ok(false),
             }
@@ -953,10 +860,9 @@ impl GssSketch {
         let mut edge_index: HashMap<(VertexId, VertexId), u32> =
             HashMap::with_capacity(items.len().min(4096));
         for item in items {
-            let source =
-                self.try_batch_endpoint(item.source, &mut endpoint_index, &mut endpoints)?;
+            let source = self.batch_endpoint(item.source, &mut endpoint_index, &mut endpoints)?;
             let destination =
-                self.try_batch_endpoint(item.destination, &mut endpoint_index, &mut endpoints)?;
+                self.batch_endpoint(item.destination, &mut endpoint_index, &mut endpoints)?;
             match edge_index.entry((item.source, item.destination)) {
                 std::collections::hash_map::Entry::Occupied(slot) => {
                     folded[*slot.get() as usize].2 += item.weight;
@@ -1013,34 +919,23 @@ impl GssSketch {
                 &destination.addresses,
                 &mut candidates,
             );
-            self.try_place_edge(source.node, destination.node, &candidates[..count], weight)?;
+            self.place_edge(source.node, destination.node, &candidates[..count], weight)?;
         }
         Ok(true)
     }
 
-    /// [`SummaryWrite::insert_batch`] with the commit deferred: stages the batch, appends
-    /// the commit frame, and returns the acknowledgement token for
-    /// [`ack_wal`](Self::ack_wal) — `None` when nothing is owed (empty batch, in-memory
-    /// sketch, or an inline automatic checkpoint already made the commit durable).
+    /// [`SummaryWrite::insert_batch`] with the commit deferred — the per-shard half of
+    /// the sharded two-phase commit: stages the batch, appends the commit frame, and
+    /// returns the acknowledgement token for the shard's
+    /// [`WalAckHandle`](crate::file_store::WalAckHandle) — `None` when nothing is owed
+    /// (empty batch, in-memory sketch, or an inline automatic checkpoint already made
+    /// the commit durable).
     pub(crate) fn insert_batch_deferred(
         &mut self,
         items: &[StreamEdge],
-    ) -> Option<crate::file_store::WalAck> {
-        if self.insert_batch_staged(items) {
-            self.commit_wal_deferred()
-        } else {
-            None
-        }
-    }
-
-    /// Fallible [`insert_batch_deferred`](Self::insert_batch_deferred): the typed
-    /// fail-stop path of the sharded two-phase commit.
-    pub(crate) fn try_insert_batch_deferred(
-        &mut self,
-        items: &[StreamEdge],
     ) -> Result<Option<crate::file_store::WalAck>, StoreFault> {
-        if self.try_insert_batch_staged(items)? {
-            self.try_commit_wal_deferred()
+        if self.insert_batch_staged(items)? {
+            self.commit_wal_deferred()
         } else {
             Ok(None)
         }
@@ -1057,8 +952,8 @@ impl GssSketch {
         destination: VertexId,
         weight: Weight,
     ) -> Result<(), GssError> {
-        self.try_insert_staged(source, destination, weight)?;
-        self.try_commit_wal()?;
+        self.insert_staged(source, destination, weight)?;
+        self.commit_wal()?;
         Ok(())
     }
 
@@ -1067,8 +962,8 @@ impl GssSketch {
     /// applied and is **not** acknowledged; the store rejects all further writes with
     /// the same sticky cause.
     pub fn try_insert_batch(&mut self, items: &[StreamEdge]) -> Result<(), GssError> {
-        if self.try_insert_batch_staged(items)? {
-            self.try_commit_wal()?;
+        if self.insert_batch_staged(items)? {
+            self.commit_wal()?;
         }
         Ok(())
     }
@@ -1088,15 +983,17 @@ impl GssSketch {
 }
 
 impl SummaryWrite for GssSketch {
+    /// [`try_insert`](GssSketch::try_insert) plus a panic: the trait is infallible, so
+    /// a store fault (the store is already poisoned) unwinds.
     fn insert(&mut self, source: VertexId, destination: VertexId, weight: Weight) {
-        self.insert_staged(source, destination, weight);
-        self.commit_wal();
+        self.try_insert(source, destination, weight)
+            .unwrap_or_else(|error| panic!("sketch write failed: {error}"));
     }
 
+    /// [`try_insert_batch`](GssSketch::try_insert_batch) plus a panic (see
+    /// [`insert`](SummaryWrite::insert)).
     fn insert_batch(&mut self, items: &[StreamEdge]) {
-        if self.insert_batch_staged(items) {
-            self.commit_wal();
-        }
+        self.try_insert_batch(items).unwrap_or_else(|error| panic!("sketch write failed: {error}"));
     }
 
     /// Streams through [`insert_batch`](SummaryWrite::insert_batch) in fixed-size chunks so

@@ -41,9 +41,8 @@ pub struct GssStats {
     pub wal_bytes: u64,
     /// Drains of the write-ahead log's pending frames into the log file: one per
     /// group-commit round (a round carries the frames of every writer committing in
-    /// its window, so under `Durability::Strict` this is at most — not exactly — one
-    /// per insert or batch; under `Buffered`, one per 64 KiB of frames), plus one ahead
-    /// of any page write-back the pending frames cover and one per checkpoint.
+    /// its window, so this is at most — not exactly — one per insert or batch), plus
+    /// one ahead of any page write-back the pending frames cover and one per checkpoint.
     pub wal_flushes: u64,
     /// Group-commit rounds this sketch's log led (each round drains the pending window
     /// of every committing writer in one positioned write).
@@ -54,7 +53,8 @@ pub struct GssStats {
     /// `fdatasync` calls issued for this sketch's log by the group-commit cadence
     /// (`GroupCommit { max_delay_us, max_bytes }`) and by checkpoints.
     pub fsyncs: u64,
-    /// Dirty pages written back to the sketch file (foreground + background flusher).
+    /// Dirty pages written back to the sketch file — always on the calling thread, at
+    /// eviction or checkpoint.
     pub pages_flushed: u64,
     /// Completed checkpoints of the sketch file.
     pub checkpoints: u64,

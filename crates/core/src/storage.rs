@@ -23,6 +23,7 @@
 //! matrix, sketch files and snapshots without translation.
 
 use crate::config::GssConfig;
+use crate::error::StoreFault;
 use crate::file_store::FileStore;
 use crate::matrix::{MemoryStore, Room};
 use crate::persistence::PersistenceError;
@@ -400,6 +401,16 @@ impl StorageBackend {
 /// store-wide lock.  Mutation stays `&mut self`, so a store has at most one writer at a
 /// time; concurrent ingest scales by sharding (`ShardedGss`), one store per shard, with
 /// readers fanning out across all shards.
+///
+/// **Failure contract**: the three write-path methods — [`probe_bucket`], [`add_weight`]
+/// and [`store_room`] — return `Result<_, StoreFault>`.  The in-memory backend always
+/// answers `Ok`; the file backend health-gates each call and returns its sticky
+/// fail-stop cause (see [`crate::error::StoreHealth`]), which is how
+/// [`GssSketch::try_insert`](crate::GssSketch::try_insert) surfaces typed errors.
+///
+/// [`probe_bucket`]: RoomStore::probe_bucket
+/// [`add_weight`]: RoomStore::add_weight
+/// [`store_room`]: RoomStore::store_room
 pub trait RoomStore {
     /// Side length `m`.
     fn width(&self) -> usize;
@@ -428,7 +439,9 @@ pub trait RoomStore {
     /// fingerprint/index quadruple, else the first empty slot, else
     /// [`BucketProbe::Full`] — observationally identical to [`find_match`] followed by
     /// [`find_empty`], in one pass over the bucket (half the bucket reads, and half the
-    /// page-cache lookups on the file backend).
+    /// page-cache lookups on the file backend).  On the file backend a probe's cache
+    /// miss may have to evict a dirty page, so even this read-side step can trip over a
+    /// write-back fault.
     ///
     /// [`find_match`]: RoomStore::find_match
     /// [`find_empty`]: RoomStore::find_empty
@@ -440,7 +453,7 @@ pub trait RoomStore {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
+    ) -> Result<BucketProbe, StoreFault> {
         let mut first_empty = None;
         for slot in 0..self.rooms_per_bucket() {
             let room = self.room(row, column, slot);
@@ -450,18 +463,30 @@ pub trait RoomStore {
                 source_index,
                 destination_index,
             ) {
-                return BucketProbe::Match(slot);
+                return Ok(BucketProbe::Match(slot));
             }
             if !room.occupied && first_empty.is_none() {
                 first_empty = Some(slot);
             }
         }
-        first_empty.map_or(BucketProbe::Full, BucketProbe::Empty)
+        Ok(first_empty.map_or(BucketProbe::Full, BucketProbe::Empty))
     }
     /// Adds `weight` to the (occupied) room at `slot` of bucket `(row, column)`.
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64);
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault>;
     /// Writes a fresh edge into the (empty) room at `slot` of bucket `(row, column)`.
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room);
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault>;
     /// Visits every occupied room of matrix row `row` as `(column, room)`.
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room));
     /// Visits every occupied room of matrix column `column` as `(row, room)`.
@@ -515,7 +540,7 @@ pub fn naive_scan_column<S: RoomStore + ?Sized>(
 }
 
 /// The store a [`GssSketch`](crate::GssSketch) holds: enum dispatch over the two backends.
-/// The file backend is boxed — its WAL, flusher and checkpoint state would otherwise
+/// The file backend is boxed — its WAL, page-cache and checkpoint state would otherwise
 /// inflate every in-memory sketch by the size of the larger variant.
 #[derive(Debug)]
 pub enum RoomStorage {
@@ -526,76 +551,6 @@ pub enum RoomStorage {
 }
 
 impl RoomStorage {
-    /// Fallible [`RoomStore::add_weight`]: the in-memory backend cannot fail, the file
-    /// backend health-gates the write and returns the sticky
-    /// [`StoreFault`](crate::error::StoreFault) instead of panicking — the typed
-    /// fail-stop path ([`GssSketch::try_insert`](crate::GssSketch::try_insert)) runs
-    /// through this.
-    pub fn try_add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), crate::error::StoreFault> {
-        match self {
-            Self::Memory(store) => {
-                store.add_weight(row, column, slot, weight);
-                Ok(())
-            }
-            Self::File(store) => store.try_add_weight(row, column, slot, weight),
-        }
-    }
-
-    /// Fallible [`RoomStore::probe_bucket`] (see [`try_add_weight`](Self::try_add_weight)):
-    /// on the file backend a probe's cache miss may have to evict a dirty page, so even
-    /// this read-side step can trip over a latched write-back fault.
-    pub fn try_probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Result<BucketProbe, crate::error::StoreFault> {
-        match self {
-            Self::Memory(store) => Ok(store.probe_bucket(
-                row,
-                column,
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            )),
-            Self::File(store) => store.try_probe_bucket(
-                row,
-                column,
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            ),
-        }
-    }
-
-    /// Fallible [`RoomStore::store_room`] (see [`try_add_weight`](Self::try_add_weight)).
-    pub fn try_store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), crate::error::StoreFault> {
-        match self {
-            Self::Memory(store) => {
-                store.store_room(row, column, slot, room);
-                Ok(())
-            }
-            Self::File(store) => store.try_store_room(row, column, slot, room),
-        }
-    }
-
     /// Which backend this is, for stats and display.
     pub fn backend_name(&self) -> &'static str {
         match self {
@@ -612,24 +567,16 @@ impl RoomStorage {
         }
     }
 
-    /// Full-grid row scan ignoring the occupancy index — the pre-index behaviour, kept as
-    /// the baseline the `query_scaling` bench and the equivalence tests measure against.
-    /// The file backend takes its page-cache lock once for the whole scan, exactly like
-    /// the indexed [`RoomStore::scan_row`].
+    /// Full-grid row scan ignoring the occupancy index ([`naive_scan_row`]) — the
+    /// pre-index behaviour, kept as the baseline the `query_scaling` bench and the
+    /// equivalence tests measure against.
     pub fn scan_row_naive(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
-        match self {
-            Self::Memory(store) => naive_scan_row(store, row, visit),
-            Self::File(store) => store.scan_row_naive(row, visit),
-        }
+        naive_scan_row(self, row, visit);
     }
 
-    /// Full-grid column scan ignoring the occupancy index (see
-    /// [`scan_row_naive`](Self::scan_row_naive)).
+    /// Full-grid column scan ignoring the occupancy index ([`naive_scan_column`]).
     pub fn scan_column_naive(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        match self {
-            Self::Memory(store) => naive_scan_column(store, column, visit),
-            Self::File(store) => store.scan_column_naive(column, visit),
-        }
+        naive_scan_column(self, column, visit);
     }
 }
 
@@ -644,7 +591,9 @@ impl Clone for RoomStorage {
             Self::File(store) => {
                 let mut memory = MemoryStore::new(store.width(), store.rooms_per_bucket());
                 store.scan_occupied(&mut |row, column, room| {
-                    memory.store_room(row, column, memory_slot_for(&memory, row, column), room);
+                    memory
+                        .store_room(row, column, memory_slot_for(&memory, row, column), room)
+                        .expect("the in-memory store never fails");
                 });
                 Self::Memory(memory)
             }
@@ -719,7 +668,7 @@ impl RoomStore for RoomStorage {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> BucketProbe {
+    ) -> Result<BucketProbe, StoreFault> {
         dispatch!(self, store => store.probe_bucket(
             row,
             column,
@@ -730,11 +679,28 @@ impl RoomStore for RoomStorage {
         ))
     }
 
-    fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
-        dispatch!(self, store => store.add_weight(row, column, slot, weight))
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        // Not `dispatch!`: `MemoryStore`'s inherent (infallible) `add_weight` would shadow
+        // the trait method.
+        match self {
+            RoomStorage::Memory(store) => RoomStore::add_weight(store, row, column, slot, weight),
+            RoomStorage::File(store) => store.add_weight(row, column, slot, weight),
+        }
     }
 
-    fn store_room(&mut self, row: usize, column: usize, slot: usize, room: Room) {
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
         dispatch!(self, store => store.store_room(row, column, slot, room))
     }
 
@@ -897,23 +863,26 @@ mod tests {
     fn probe_bucket_fuses_find_match_and_find_empty() {
         let mut storage = RoomStorage::Memory(MemoryStore::new(4, 2));
         // Empty bucket: first empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4), BucketProbe::Empty(0));
-        storage.store_room(1, 2, 0, sample_room());
+        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Empty(0));
+        storage.store_room(1, 2, 0, sample_room()).unwrap();
         // Match wins over the remaining empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 0xA1B2, 0x0304, 7, 11), BucketProbe::Match(0));
+        assert_eq!(
+            storage.probe_bucket(1, 2, 0xA1B2, 0x0304, 7, 11).unwrap(),
+            BucketProbe::Match(0)
+        );
         // Miss falls through to the empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4), BucketProbe::Empty(1));
-        storage.store_room(1, 2, 1, Room { source_fingerprint: 9, ..sample_room() });
-        assert_eq!(storage.probe_bucket(1, 2, 9, 0x0304, 7, 11), BucketProbe::Match(1));
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4), BucketProbe::Full);
+        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Empty(1));
+        storage.store_room(1, 2, 1, Room { source_fingerprint: 9, ..sample_room() }).unwrap();
+        assert_eq!(storage.probe_bucket(1, 2, 9, 0x0304, 7, 11).unwrap(), BucketProbe::Match(1));
+        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Full);
     }
 
     #[test]
     fn naive_scans_visit_what_indexed_scans_visit() {
         let mut store = MemoryStore::new(5, 2);
-        store.store_room(2, 0, 0, sample_room());
-        store.store_room(2, 4, 0, sample_room());
-        store.store_room(0, 4, 0, sample_room());
+        store.store_room(2, 0, 0, sample_room()).unwrap();
+        store.store_room(2, 4, 0, sample_room()).unwrap();
+        store.store_room(0, 4, 0, sample_room()).unwrap();
         let mut indexed = Vec::new();
         store.scan_row(2, &mut |column, _| indexed.push(column));
         let mut naive = Vec::new();
@@ -934,13 +903,13 @@ mod tests {
         assert_eq!(storage.backend_name(), "memory");
         assert_eq!(storage.width(), 4);
         assert_eq!(storage.room_count(), 32);
-        storage.store_room(1, 2, 0, sample_room());
+        storage.store_room(1, 2, 0, sample_room()).unwrap();
         assert_eq!(storage.occupied_rooms(), 1);
         let got = storage.room(1, 2, 0);
         assert_eq!(got, sample_room());
         assert_eq!(storage.find_match(1, 2, 0xA1B2, 0x0304, 7, 11), Some(0));
         assert_eq!(storage.find_empty(1, 2), Some(1));
-        storage.add_weight(1, 2, 0, 10);
+        storage.add_weight(1, 2, 0, 10).unwrap();
         assert_eq!(storage.room(1, 2, 0).weight, -123_456_779);
         let mut seen = Vec::new();
         storage.scan_occupied(&mut |r, c, room| seen.push((r, c, room.weight)));

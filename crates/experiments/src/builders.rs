@@ -5,7 +5,7 @@
 //! suite on the paged file backend, which is how `GSS_SCALE=paper` matrices larger than
 //! RAM are exercised.
 
-use crate::scale::{durability_from_env, storage_backend_from_env, ExperimentScale};
+use crate::scale::{storage_backend_from_env, ExperimentScale};
 use gss_analysis::tcm_width_for_ratio;
 use gss_baselines::TcmSketch;
 use gss_core::{GssConfig, GssSketch};
@@ -27,19 +27,14 @@ pub fn gss_config_for(dataset: SyntheticDataset, width: usize, fingerprint_bits:
 }
 
 /// Builds the GSS sketch the paper evaluates for a dataset/width/fingerprint combination,
-/// on the storage backend selected by `GSS_STORAGE` (memory by default) under the
-/// durability policy selected by `GSS_DURABILITY` (strict by default).
+/// on the storage backend selected by `GSS_STORAGE` (memory by default).
 pub fn build_gss(dataset: SyntheticDataset, width: usize, fingerprint_bits: u32) -> GssSketch {
     let storage = storage_backend_from_env(
         ExperimentScale::from_env(),
         &format!("{}-w{width}-f{fingerprint_bits}", dataset.name()),
     );
-    GssSketch::with_storage_durability(
-        gss_config_for(dataset, width, fingerprint_bits),
-        storage,
-        durability_from_env(),
-    )
-    .expect("paper configurations are valid and the sketch file is creatable")
+    GssSketch::with_storage(gss_config_for(dataset, width, fingerprint_bits), storage)
+        .expect("paper configurations are valid and the sketch file is creatable")
 }
 
 /// Builds the TCM baseline sized at `ratio ×` the memory of the *16-bit fingerprint* GSS at

@@ -49,4 +49,4 @@ pub use figures::{
 pub use report::{
     emit, experiments_dir, fmt_float, workspace_root, BenchReport, BenchResult, Table,
 };
-pub use scale::{durability_from_env, remove_run_files, storage_backend_from_env, ExperimentScale};
+pub use scale::{remove_run_files, storage_backend_from_env, ExperimentScale};

@@ -16,11 +16,9 @@
 //! Orthogonally, `GSS_STORAGE` (`memory` — default, `file`) selects the room-storage
 //! backend experiment sketches are built on ([`storage_backend_from_env`]): `file` routes
 //! every sketch through the paged [`gss_core::FileStore`] so paper-scale matrices that
-//! exceed RAM still run, at the cost of page-cache I/O on the hot path.  With the file
-//! backend, `GSS_DURABILITY` (`strict` — default, `buffered`) selects the write-ahead
-//! logging / page write-back policy ([`durability_from_env`]).
+//! exceed RAM still run, at the cost of page-cache I/O on the hot path.
 
-use gss_core::{Durability, StorageBackend};
+use gss_core::StorageBackend;
 use gss_datasets::{DatasetProfile, SyntheticDataset};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,26 +177,9 @@ pub fn remove_run_files(storage: &StorageBackend) {
     }
 }
 
-/// The durability policy file-backed experiment sketches run under, from the
-/// `GSS_DURABILITY` environment variable: `strict` (default) or `buffered`.  Ignored by
-/// in-memory sketches, so it composes freely with `GSS_STORAGE`.
-pub fn durability_from_env() -> Durability {
-    match std::env::var("GSS_DURABILITY").unwrap_or_default().to_ascii_lowercase().as_str() {
-        "buffered" => Durability::Buffered,
-        _ => Durability::Strict,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn durability_env_defaults_to_strict() {
-        // The test environment does not set GSS_DURABILITY (and if it ever does, the
-        // call still returns one of the two valid policies).
-        assert!(matches!(durability_from_env(), Durability::Strict | Durability::Buffered));
-    }
 
     #[test]
     fn parse_accepts_known_names_case_insensitively() {

@@ -3,7 +3,7 @@
 //! see every `allow` in the tree.
 //!
 //! Exit codes: 0 clean, 1 findings (or, under `--deny-all`, reason-less or stale
-//! waivers), 2 usage/IO error.
+//! waivers, or an L003 scope name that matches no function), 2 usage/IO error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -11,14 +11,18 @@ use std::process::ExitCode;
 use gss_lint::{analyze_file, FileReport};
 
 struct Options {
-    /// Fail on any unwaived finding, reason-less waiver, or stale waiver.
+    /// Fail on any unwaived finding, reason-less waiver, stale waiver, or L003 scope
+    /// name that matches no function in its file.
     deny_all: bool,
     roots: Vec<PathBuf>,
 }
 
 fn usage() -> ExitCode {
     eprintln!("usage: gss-lint [--deny-all] <path>...");
-    eprintln!("  --deny-all   exit non-zero on unwaived findings, reason-less or stale waivers");
+    eprintln!(
+        "  --deny-all   exit non-zero on unwaived findings, reason-less or stale waivers, \
+         and L003 scope names matching no fn"
+    );
     ExitCode::from(2)
 }
 
@@ -50,6 +54,7 @@ fn main() -> ExitCode {
 
     let mut unwaived = 0usize;
     let mut waived = 0usize;
+    let mut unmatched_scope = 0usize;
     let mut inventory: Vec<(String, gss_lint::Waiver)> = Vec::new();
     for path in &files {
         let display = path.to_string_lossy().replace('\\', "/");
@@ -74,6 +79,13 @@ fn main() -> ExitCode {
                     finding.message
                 );
             }
+        }
+        for name in &report.unmatched_scope {
+            unmatched_scope += 1;
+            println!(
+                "{display}: L003(panic-in-recovery) scope lists `{name}`, but the file \
+                 defines no such function — update `l003_scope` after the rename"
+            );
         }
         for waiver in report.waivers {
             inventory.push((display.clone(), waiver));
@@ -107,10 +119,11 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "gss-lint: {} files, {unwaived} finding(s), {waived} waived, {bad_waivers} waiver problem(s)",
+        "gss-lint: {} files, {unwaived} finding(s), {waived} waived, {bad_waivers} waiver \
+         problem(s), {unmatched_scope} unmatched scope name(s)",
         files.len()
     );
-    if unwaived > 0 || (options.deny_all && bad_waivers > 0) {
+    if unwaived > 0 || (options.deny_all && bad_waivers + unmatched_scope > 0) {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

@@ -79,7 +79,7 @@ fn waived_drop(file: &std::fs::File) {
     file.sync_data();
 }
 
-impl Flusher for Store {
+impl Syncer for Store {
     // `impl Trait for Type` must not count as a loop body.
     fn flush(&self) -> std::io::Result<()> {
         self.file.sync_data()

@@ -146,6 +146,11 @@ fn the_workspace_itself_is_clean_under_deny_all_semantics() {
                         finding.message
                     );
                 }
+                assert!(
+                    report.unmatched_scope.is_empty(),
+                    "{display}: L003 scope names {:?} match no fn",
+                    report.unmatched_scope
+                );
                 for waiver in &report.waivers {
                     assert!(
                         !waiver.reason.is_empty() && waiver.rule.is_some() && waiver.used,

@@ -7,7 +7,7 @@
 //! connection cap).
 //!
 //! Tenancy ([`namespace`]): each tenant name maps to its own [`gss_core::ShardedGss`]
-//! and sketch-file directory with independent durability/group-commit knobs, opened
+//! and sketch-file directory with its own group-commit cadence, opened
 //! lazily on first authenticated use and guarded by the existing single-opener
 //! lock.  Static per-tenant tokens ([`auth`]) and a token-bucket rate limiter
 //! ([`rate_limit`]) keep tenants from reading — or starving — each other.

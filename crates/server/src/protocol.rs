@@ -137,8 +137,9 @@ pub enum Request {
 pub enum Response {
     /// Success with no payload (HELLO, SNAPSHOT).
     Ok,
-    /// Ingest acknowledgement: what an ack *means* depends on the tenant's
-    /// durability mode — see the README's guarantee table.
+    /// Ingest acknowledgement: the accepted items are in the tenant's write-ahead log
+    /// file — see the README's guarantee table.  The `durability` byte stays on the wire
+    /// for format stability and is always [`DURABILITY_STRICT`].
     Ingested { accepted: u64, acked_total: u64, durability: u8 },
     /// Edge weight, or `None` for "no such edge reported".
     EdgeWeight(Option<i64>),
@@ -154,10 +155,9 @@ pub enum Response {
     Error { code: u16, message: String },
 }
 
-/// Durability byte values in [`Response::Ingested`].
+/// The durability byte of [`Response::Ingested`] (value 1 named a mode that no longer
+/// exists and is never sent).
 pub const DURABILITY_STRICT: u8 = 0;
-/// See [`DURABILITY_STRICT`].
-pub const DURABILITY_BUFFERED: u8 = 1;
 
 const REQ_HELLO: u8 = 0x01;
 const REQ_INGEST: u8 = 0x02;

@@ -49,9 +49,6 @@ pub use gss_graph as graph;
 
 /// The most commonly used items, re-exported for `use gss::prelude::*`.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use gss_core::ConcurrentGss;
-
     pub use gss_baselines::TcmSketch;
     pub use gss_core::{GssBuilder, GssConfig, GssSketch, ShardedGss, StorageBackend};
     pub use gss_datasets::{DatasetProfile, SyntheticDataset};

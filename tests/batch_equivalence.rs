@@ -28,17 +28,32 @@ fn stream_strategy(vertices: u64, len: usize) -> impl Strategy<Value = Vec<Strea
 /// Feeds `items` per-item into `sequential` and in `chunk`-sized batches into `batched`,
 /// then asserts the two are observationally identical over the whole vertex universe.
 fn assert_batch_equivalent<S: GraphSummary>(
+    sequential: S,
+    batched: S,
+    items: &[StreamEdge],
+    chunk: usize,
+    vertices: u64,
+) {
+    assert_batch_route_equivalent(sequential, batched, items, chunk, vertices, |summary, batch| {
+        summary.insert_batch(batch)
+    });
+}
+
+/// [`assert_batch_equivalent`] with the batch ingest route as an input: `ingest` feeds
+/// one chunk into the batched summary.
+fn assert_batch_route_equivalent<S: GraphSummary>(
     mut sequential: S,
     mut batched: S,
     items: &[StreamEdge],
     chunk: usize,
     vertices: u64,
+    mut ingest: impl FnMut(&mut S, &[StreamEdge]),
 ) {
     for item in items {
         sequential.insert_item(item);
     }
     for batch in items.chunks(chunk) {
-        batched.insert_batch(batch);
+        ingest(&mut batched, batch);
     }
     let name = sequential.name();
     assert_eq!(
@@ -96,7 +111,8 @@ proptest! {
     }
 
     /// Batch ≡ sequential for the sharded concurrent front-end (routing + per-shard
-    /// batches must not change answers).
+    /// batches must not change answers), through both public routes into its one batch
+    /// body: the infallible `insert_batch` and the typed `try_insert_batch`.
     #[test]
     fn sharded_batches_match_per_item_inserts(
         items in stream_strategy(64, 240),
@@ -104,6 +120,9 @@ proptest! {
     ) {
         let make = || ShardedGss::new(GssConfig::paper_small(24), 4).unwrap();
         assert_batch_equivalent(make(), make(), &items, chunk, 64);
+        assert_batch_route_equivalent(make(), make(), &items, chunk, 64, |sharded, batch| {
+            sharded.try_insert_batch(batch).expect("in-memory shards never fail")
+        });
     }
 
     /// gSketch is write-only (`SummaryWrite` alone): batch ingest must produce the same

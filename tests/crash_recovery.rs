@@ -1,12 +1,12 @@
 //! End-to-end crash recovery: a file-backed sketch killed at *any* durability point must
 //! reopen via write-ahead-log replay with the documented guarantees — zero acknowledged
-//! loss under `Durability::Strict`, a bounded window under `Buffered`, and one-sided
-//! answers (never an under-estimate, never a lost edge) for every recovered item.
+//! loss, and one-sided answers (never an under-estimate, never a lost edge) for every
+//! recovered item.
 //!
 //! Kill points are simulated two ways:
 //!
-//! * [`GssSketch::abandon`] drops the sketch with no checkpoint and no queue drain — the
-//!   steady-state mid-ingest crash;
+//! * [`GssSketch::abandon`] drops the sketch with no checkpoint — the steady-state
+//!   mid-ingest crash;
 //! * an injectable [`FlushHook`] snapshots the sketch file **and** its log at a chosen
 //!   [`FlushPoint`] occurrence (everything below the point is on disk, nothing above it
 //!   is), covering the windows *between* a WAL append, a page write-back and the tail
@@ -14,7 +14,7 @@
 
 use gss::prelude::*;
 use gss_core::wal::wal_path;
-use gss_core::{Durability, FlushPoint};
+use gss_core::FlushPoint;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,11 +41,10 @@ fn stream(count: usize) -> Vec<(u64, u64, i64)> {
 }
 
 /// Small matrix + tiny cache: buffer spills and page evictions both happen mid-stream.
-fn build(path: &Path, durability: Durability) -> GssSketch {
-    GssSketch::with_storage_durability(
+fn build(path: &Path) -> GssSketch {
+    GssSketch::with_storage(
         GssConfig::paper_small(24),
         StorageBackend::File { path: path.to_path_buf(), cache_pages: 2 },
-        durability,
     )
     .unwrap()
 }
@@ -75,7 +74,7 @@ fn assert_no_loss(sketch: &GssSketch, items: &[(u64, u64, i64)]) {
 fn strict_crash_loses_no_acknowledged_item() {
     let path = temp_path("strict-no-loss");
     let items = stream(3_000);
-    let mut sketch = build(&path, Durability::Strict);
+    let mut sketch = build(&path);
     for &(s, d, w) in &items {
         sketch.insert(s, d, w);
     }
@@ -86,34 +85,6 @@ fn strict_crash_loses_no_acknowledged_item() {
     assert_no_loss(&recovered, &items);
     // Successor/precursor answers survive too (the node table is WAL-covered).
     assert!(!recovered.successors(items[0].0).is_empty());
-    drop(recovered);
-    remove(&path);
-}
-
-#[test]
-fn buffered_crash_stays_inside_the_documented_window() {
-    let path = temp_path("buffered-window");
-    let items = stream(20_000);
-    let mut sketch = build(&path, Durability::Buffered);
-    for batch in items.chunks(64) {
-        let edges: Vec<gss_graph::StreamEdge> = batch
-            .iter()
-            .enumerate()
-            .map(|(t, &(s, d, w))| gss_graph::StreamEdge::new(s, d, t as u64, w))
-            .collect();
-        sketch.insert_batch(&edges);
-    }
-    sketch.abandon();
-    let recovered = GssSketch::open_file(&path, 8).expect("buffered crash recovers");
-    let count = recovered.items_inserted();
-    // WAL_BUFFER_BYTES (64 KiB) at ≥ ~30 logged bytes per item bounds the undrained
-    // window below ~2200 items; 4096 adds slack for the in-flight batch.
-    assert!(
-        count as usize + 4_096 >= items.len(),
-        "buffered loss window exceeded: recovered {count} of {}",
-        items.len()
-    );
-    assert_no_loss(&recovered, &items);
     drop(recovered);
     remove(&path);
 }
@@ -151,7 +122,7 @@ fn snapshot_restored_onto_a_file_backend_survives_a_crash_before_first_sync() {
 fn the_wal_is_bounded_by_automatic_checkpoints() {
     let path = temp_path("auto-checkpoint");
     let items = stream(4_000);
-    let mut sketch = build(&path, Durability::Strict);
+    let mut sketch = build(&path);
     // A tiny bound: a long sync-less ingest must checkpoint itself repeatedly instead
     // of growing the sidecar log without limit.
     sketch.set_wal_checkpoint_bytes(16 * 1024);
@@ -182,7 +153,7 @@ fn the_wal_is_bounded_by_automatic_checkpoints() {
 fn recovered_files_are_clean_and_reopen_without_replay() {
     let path = temp_path("recover-then-clean");
     let items = stream(1_500);
-    let mut sketch = build(&path, Durability::Strict);
+    let mut sketch = build(&path);
     for &(s, d, w) in &items {
         sketch.insert(s, d, w);
     }
@@ -204,7 +175,7 @@ fn kill_at(point: FlushPoint, occurrence: u64, items: &[(u64, u64, i64)]) {
     let label = format!("killpoint-{point:?}-{occurrence}");
     let path = temp_path(&label);
     let copy = temp_path(&format!("{label}-copy"));
-    let mut sketch = build(&path, Durability::Strict);
+    let mut sketch = build(&path);
     let fired = Arc::new(AtomicU64::new(0));
     {
         let fired = Arc::clone(&fired);

@@ -19,8 +19,7 @@
 use gss::prelude::*;
 use gss_core::wal::wal_path;
 use gss_core::{
-    install_fault_plan, Durability, DurabilityReport, FaultKind, FaultOp, FaultPlan, FaultSite,
-    GssError,
+    install_fault_plan, DurabilityReport, FaultKind, FaultOp, FaultPlan, FaultSite, GssError,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -87,15 +86,10 @@ fn transient_site() -> impl Strategy<Value = FaultSite> {
 
 /// Ingests under the schedule and returns `(acked, first fault seen, report,
 /// a query edge and its reply while poisoned)`.  Panics anywhere are test failures.
-fn run_hard_schedule(
-    path: &Path,
-    seed: u64,
-    durability: Durability,
-) -> (u64, bool, DurabilityReport) {
-    let sketch = GssSketch::with_storage_durability(
+fn run_hard_schedule(path: &Path, seed: u64) -> (u64, bool, DurabilityReport) {
+    let sketch = GssSketch::with_storage(
         fault_config(),
         StorageBackend::File { path: path.to_path_buf(), cache_pages: 4 },
-        durability,
     );
     let Ok(mut sketch) = sketch else {
         // The schedule hit file creation itself: a typed error, nothing durable,
@@ -163,12 +157,10 @@ proptest! {
     fn hard_fault_schedules_fail_stop_without_false_acks(
         sites in prop::collection::vec(hard_site(), 1..4),
         seed in any::<u64>(),
-        strict in any::<bool>(),
     ) {
         let (path, token) = unique_path("hard");
-        let durability = if strict { Durability::Strict } else { Durability::Buffered };
         let guard = install_fault_plan(FaultPlan::for_path_token(&token, sites));
-        let outcome = std::panic::catch_unwind(|| run_hard_schedule(&path, seed, durability));
+        let outcome = std::panic::catch_unwind(|| run_hard_schedule(&path, seed));
         drop(guard); // clear the schedule before reopening
         let (acked, faulted, report) = match outcome {
             Ok(values) => values,
@@ -210,10 +202,9 @@ proptest! {
     ) {
         let (path, token) = unique_path("transient");
         let guard = install_fault_plan(FaultPlan::for_path_token(&token, sites));
-        let mut sketch = GssSketch::with_storage_durability(
+        let mut sketch = GssSketch::with_storage(
             fault_config(),
             StorageBackend::File { path: path.clone(), cache_pages: 4 },
-            Durability::Buffered,
         )
         .expect("transient faults must not fail creation");
         let mut state = seed | 1;
@@ -272,16 +263,14 @@ fn poisoning_is_scoped_to_the_faulted_store() {
     let guard = install_fault_plan(
         FaultPlan::parse("write:eio@2").unwrap().with_path_token(format!("{token}.gss.wal")),
     );
-    let mut faulted = GssSketch::with_storage_durability(
+    let mut faulted = GssSketch::with_storage(
         fault_config(),
         StorageBackend::File { path: faulted_path.clone(), cache_pages: 4 },
-        Durability::Strict,
     )
     .expect("creation survives (occurrence 1 is the WAL magic)");
-    let mut healthy = GssSketch::with_storage_durability(
+    let mut healthy = GssSketch::with_storage(
         fault_config(),
         StorageBackend::File { path: healthy_path.clone(), cache_pages: 4 },
-        Durability::Strict,
     )
     .expect("untokened sibling resolves no plan");
     let mut state = 7u64;
@@ -306,4 +295,151 @@ fn poisoning_is_scoped_to_the_faulted_store() {
     drop(guard);
     cleanup(&faulted_path);
     cleanup(&healthy_path);
+}
+
+/// Which shard of a 3-shard `ShardedGss` owns each source in `0..sources` (routing
+/// depends only on the source id and the shard count, so an in-memory twin tells).
+fn shard_owners(sources: u64) -> Vec<usize> {
+    let twin = ShardedGss::new(fault_config(), 3).unwrap();
+    let items_per_shard =
+        || (0..3).map(|i| twin.with_shard_read(i, |s| s.items_inserted())).collect::<Vec<u64>>();
+    (0..sources)
+        .map(|source| {
+            let before = items_per_shard();
+            twin.insert(source, source + 1, 1);
+            items_per_shard()
+                .iter()
+                .zip(before)
+                .position(|(&after, before)| after > before)
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Shards fail independently inside one batch: a fault plan scoped to shard 1's
+/// write-ahead log fails that shard alone — `try_insert_batch` returns its fault, the
+/// other shards' sub-batches are staged *and* acknowledged, and later batches that
+/// touch only healthy shards keep succeeding.  With `contended`, a reader pins shard
+/// 0's read lock until the writer has swept the free shards, so shard 0 is committed
+/// by the blocking pass and the rest by the opportunistic one.
+///
+/// One-page caches make every shard evict (and therefore drain its log) while it is
+/// still *staging*, so the injected fault fires inside the sweep — the lock-free
+/// signal the contended run waits on.
+fn sharded_batch_faults_stay_inside_their_shard(contended: bool) {
+    const FAULTED: usize = 1;
+    let (base, token) = unique_path(if contended { "shards-contended" } else { "shards" });
+    // Occurrence 1 is the log's magic header at create, occurrence 2 its first drain.
+    let guard = install_fault_plan(
+        FaultPlan::parse("write:eio@2")
+            .unwrap()
+            .with_path_token(format!("{token}.gss.shard{FAULTED}.wal")),
+    );
+    let sharded = ShardedGss::with_storage(
+        fault_config(),
+        3,
+        &StorageBackend::File { path: base.clone(), cache_pages: 1 },
+    )
+    .expect("creation survives (occurrence 1 is the log magic)");
+    let owners = shard_owners(90);
+    let batch_of = |sources: std::ops::Range<u64>, keep: &dyn Fn(usize) -> bool| {
+        sources
+            .filter(|&source| keep(owners[source as usize]))
+            .map(|source| StreamEdge::new(source, source + 1, source, 2))
+            .collect::<Vec<_>>()
+    };
+    let count_on = |batch: &[StreamEdge], shard: usize| {
+        batch.iter().filter(|item| owners[item.source as usize] == shard).count() as u64
+    };
+    let shard_report = |shard: usize| sharded.with_shard_read(shard, |s| s.durability_report());
+
+    // Batch 1 touches all three shards.
+    let first = batch_of(0..60, &|_| true);
+    assert!((0..3).all(|shard| count_on(&first, shard) > 0), "the batch must span every shard");
+    let result = if contended {
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let pinned = sharded.clone();
+        std::thread::scope(|scope| {
+            let pin = scope.spawn(move || {
+                pinned.with_shard_read(0, |_| {
+                    locked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            locked_rx.recv().unwrap();
+            let writer = scope.spawn(|| sharded.try_insert_batch(&first));
+            // The fault firing means the opportunistic sweep has reached the faulted
+            // shard; shard 0 is still pinned, so it can only be committed by the
+            // blocking pass.  The plan's counter is an atomic: polling it takes no
+            // shard lock and cannot disturb the sweep.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while guard.plan().injected() == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let fired_while_pinned = guard.plan().injected() > 0;
+            release_tx.send(()).unwrap();
+            pin.join().unwrap();
+            assert!(fired_while_pinned, "the fault must fire during staging, before the ack pass");
+            writer.join().unwrap()
+        })
+    } else {
+        sharded.try_insert_batch(&first)
+    };
+    let Err(GssError::StoreFailed(fault)) = result else {
+        panic!("the faulted shard's error must come back, got {result:?}");
+    };
+    assert!(sharded.is_poisoned());
+    assert!(shard_report(FAULTED).poisoned);
+    assert_eq!(shard_report(FAULTED).acked_items, 0, "a failed sub-batch is never acknowledged");
+    for healthy in [0, 2] {
+        let report = shard_report(healthy);
+        assert!(!report.poisoned, "shard {healthy} must stay healthy");
+        assert_eq!(report.acked_items, count_on(&first, healthy), "staged and acknowledged");
+        assert_eq!(report.breached_items, 0);
+    }
+    let total = sharded.durability_report();
+    assert_eq!(total.acked_items, count_on(&first, 0) + count_on(&first, 2));
+    assert_eq!(total.breached_items, shard_report(FAULTED).breached_items);
+    assert_eq!(total.cause.as_ref().map(|cause| cause.kind()), Some(fault.kind()));
+    // Reads keep serving on every shard the batch reached.
+    let healthy_item = first.iter().find(|item| owners[item.source as usize] != FAULTED).unwrap();
+    assert_eq!(sharded.edge_weight(healthy_item.source, healthy_item.destination), Some(2));
+
+    // Batch 2 touches only healthy shards: it succeeds and is acknowledged in full.
+    let second = batch_of(60..90, &|owner| owner != FAULTED);
+    assert!(!second.is_empty());
+    sharded.try_insert_batch(&second).expect("healthy shards keep ingesting");
+    assert_eq!(
+        sharded.durability_report().acked_items,
+        total.acked_items + second.len() as u64,
+        "the healthy batch is acknowledged item for item"
+    );
+    // Batch 3 reaches the poisoned shard again: same sticky cause, healthy part acked.
+    let third = batch_of(0..60, &|_| true);
+    let Err(GssError::StoreFailed(again)) = sharded.try_insert_batch(&third) else {
+        panic!("a poisoned shard must keep rejecting writes");
+    };
+    assert_eq!(again.kind(), fault.kind());
+    assert_eq!(
+        sharded.durability_report().acked_items,
+        total.acked_items + second.len() as u64 + count_on(&third, 0) + count_on(&third, 2),
+    );
+
+    sharded.abandon().expect("last handle");
+    drop(guard);
+    for shard in 0..3 {
+        let name = format!("{}.shard{shard}", base.file_name().unwrap().to_string_lossy());
+        cleanup(&base.with_file_name(name));
+    }
+}
+
+#[test]
+fn sharded_batch_faults_stay_inside_their_shard_uncontended() {
+    sharded_batch_faults_stay_inside_their_shard(false);
+}
+
+#[test]
+fn sharded_batch_faults_stay_inside_their_shard_contended() {
+    sharded_batch_faults_stay_inside_their_shard(true);
 }

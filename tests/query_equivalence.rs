@@ -128,7 +128,7 @@ fn assert_probe_matches_two_pass(sketch: &GssSketch, label: &str) {
                 }
             }
             for (sf, df, si, di) in keys {
-                let fused = store.probe_bucket(row, column, sf, df, si, di);
+                let fused = store.probe_bucket(row, column, sf, df, si, di).expect("healthy store");
                 let expected = match store.find_match(row, column, sf, df, si, di) {
                     Some(slot) => BucketProbe::Match(slot),
                     None => {

@@ -2,8 +2,8 @@
 //!
 //! Three claims, each of which is a bullet of the multi-tenancy contract:
 //!
-//! 1. Namespaces with different durability knobs ingest **concurrently** without
-//!    seeing each other's data.
+//! 1. Namespaces with different durability knobs (group-commit cadences) ingest
+//!    **concurrently** without seeing each other's data.
 //! 2. Poisoning one tenant's storage (deterministic fault injection scoped by the
 //!    tenant's path token — the same `path=` grammar `GSS_FAULT_PLAN` accepts)
 //!    fail-stops that tenant with a typed `0x02xx` error while its neighbour keeps
@@ -31,11 +31,11 @@ fn tenants_with_different_durability_ingest_concurrently_and_stay_disjoint() {
     let handle = boot(
         &dir,
         "tenant strict-t token=s-secret durability=strict shards=2 width=64\n\
-         tenant buffered-t token=b-secret durability=buffered shards=2 width=64",
+         tenant synced-t token=b-secret group_delay_us=0 shards=2 width=64",
     );
     let addr = handle.addr();
 
-    let threads: Vec<_> = [("strict-t", "s-secret", 1000u64), ("buffered-t", "b-secret", 2000)]
+    let threads: Vec<_> = [("strict-t", "s-secret", 1000u64), ("synced-t", "b-secret", 2000)]
         .into_iter()
         .map(|(tenant, token, base)| {
             std::thread::spawn(move || {
@@ -60,16 +60,16 @@ fn tenants_with_different_durability_ingest_concurrently_and_stay_disjoint() {
     strict.hello("strict-t", "s-secret").unwrap();
     assert!(strict.edge(1000, 1001).unwrap().is_some());
     assert_eq!(strict.edge(2000, 2001).unwrap(), None, "tenants share no data");
-    let mut buffered = GssClient::connect(addr).unwrap();
-    buffered.hello("buffered-t", "b-secret").unwrap();
-    assert!(buffered.edge(2000, 2001).unwrap().is_some());
-    assert_eq!(buffered.edge(1000, 1001).unwrap(), None, "tenants share no data");
+    let mut synced = GssClient::connect(addr).unwrap();
+    synced.hello("synced-t", "b-secret").unwrap();
+    assert!(synced.edge(2000, 2001).unwrap().is_some());
+    assert_eq!(synced.edge(1000, 1001).unwrap(), None, "tenants share no data");
 
-    // The wire-visible ack semantics differ per the durability knob.
+    // The wire-visible ack semantics are the same whatever the sync cadence.
     let strict_ack = strict.ingest(&[(9000, 9001, 1)]).unwrap();
     assert_eq!(strict_ack.durability, gss_server::protocol::DURABILITY_STRICT);
-    let buffered_ack = buffered.ingest(&[(9100, 9101, 1)]).unwrap();
-    assert_eq!(buffered_ack.durability, gss_server::protocol::DURABILITY_BUFFERED);
+    let synced_ack = synced.ingest(&[(9100, 9101, 1)]).unwrap();
+    assert_eq!(synced_ack.durability, gss_server::protocol::DURABILITY_STRICT);
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();

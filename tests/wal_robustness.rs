@@ -10,7 +10,7 @@
 
 use gss::prelude::*;
 use gss_core::wal::wal_path;
-use gss_core::{Durability, PersistenceError};
+use gss_core::PersistenceError;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,10 +30,9 @@ fn crashed_fixture() -> &'static (Vec<u8>, Vec<u8>) {
     FIXTURE.get_or_init(|| {
         let path =
             std::env::temp_dir().join(format!("gss-walrobust-fixture-{}.gss", std::process::id()));
-        let mut sketch = GssSketch::with_storage_durability(
+        let mut sketch = GssSketch::with_storage(
             fixture_config(),
             StorageBackend::File { path: path.clone(), cache_pages: 4 },
-            Durability::Strict,
         )
         .unwrap();
         let mut state = 99u64;
