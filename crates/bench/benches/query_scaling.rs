@@ -10,7 +10,7 @@
 //! workspace root via [`gss_experiments::BenchReport`], seeding the repo's first
 //! query-performance trajectory next to `BENCH_ingest.json` and `BENCH_snapshot.json`.
 
-use gss_core::{GssConfig, GssSketch, StorageBackend};
+use gss_core::{naive_scan_column, naive_scan_row, GssConfig, GssSketch, StorageBackend};
 use gss_datasets::{Xoshiro256, ZipfSampler};
 use gss_experiments::{fmt_float, BenchReport, ExperimentScale, Table};
 use gss_graph::{StreamEdge, SummaryRead, SummaryWrite};
@@ -109,7 +109,7 @@ fn naive_successor_hashes(sketch: &GssSketch, vertex: u64) -> Vec<u64> {
     let node = hasher.hashed_node(vertex);
     let mut result = Vec::new();
     for (index, &row) in hasher.address_sequence(node).iter().enumerate() {
-        sketch.room_storage().scan_row_naive(row, &mut |column, room| {
+        naive_scan_row(sketch.room_storage(), row, &mut |column, room| {
             if room.source_fingerprint == node.fingerprint && room.source_index as usize == index {
                 result.push(hasher.recover_hash(
                     column,
@@ -129,7 +129,7 @@ fn naive_precursor_hashes(sketch: &GssSketch, vertex: u64) -> Vec<u64> {
     let node = hasher.hashed_node(vertex);
     let mut result = Vec::new();
     for (index, &column) in hasher.address_sequence(node).iter().enumerate() {
-        sketch.room_storage().scan_column_naive(column, &mut |row, room| {
+        naive_scan_column(sketch.room_storage(), column, &mut |row, room| {
             if room.destination_fingerprint == node.fingerprint
                 && room.destination_index as usize == index
             {

@@ -1,0 +1,424 @@
+//! Paged file-backed room storage: [`FileStore`].
+//!
+//! The room grid dominates a sketch's footprint (`m² × l` records regardless of the
+//! stream), so a paper-scale matrix can exceed RAM.  `FileStore` keeps the grid in a file
+//! of fixed-size little-endian room records
+//! ([`ROOM_RECORD_BYTES`](crate::storage::ROOM_RECORD_BYTES) each, the same layout
+//! snapshots use) and serves reads/writes through the [`crate::pager`] module family —
+//! a lock-striped page cache of 4-KiB pages with per-page latches
+//! ([`crate::pager::page_cache`]) over positioned I/O on one shared handle
+//! ([`crate::pager::page_file`]).  Std-only, no `mmap`; the one platform dependency is
+//! `pread`/`pwrite`, so the crate builds on Unix only.
+//!
+//! This file holds the store itself and its coupling to the write-ahead log — the one
+//! frame-append path, commits and the handles that acknowledge them.  The on-disk
+//! layout and header are [`mod@format`]; create, open, crash recovery and the single-opener
+//! contract are [`open`]; everything that moves bytes into the sketch file (write-ahead
+//! barrier, write-back, checkpoints) is [`write_back`]; the
+//! [`RoomStore`](crate::storage::RoomStore) impl and the failure model are [`rooms`].
+//!
+//! There is one durability policy: every room mutation, buffer spill, node registration
+//! and commit is appended to the log (`<sketch>.wal`, see [`crate::wal`]) before the
+//! page holding it may be written back, the log is drained before every insert returns
+//! and evicted pages are written back synchronously on the ingest path, so a killed
+//! process loses no acknowledged item.  Drains go through the group-commit coordinator,
+//! which additionally `fdatasync`s the log on the
+//! [`GroupCommit`](crate::config::GroupCommit) cadence — bounding how far a power loss
+//! (not just a process kill) can rewind the stream.
+//!
+//! ## Concurrency
+//!
+//! Reads (`&self`) run concurrently: a cache hit takes its stripe's mutex only long
+//! enough to clone a slot reference, then reads the bytes under the page's shared read
+//! latch — hits on distinct pages touch no common lock, and faults on distinct stripes
+//! overlap their disk reads.  Mutation stays `&mut self` (one writer per store; sharded
+//! ingest gives each shard its own store), and the write-ahead log has its own append
+//! mutex so logging never serializes page access — frames are encoded outside that
+//! mutex and drained by the group-commit coordinator ([`crate::group_commit`]), which
+//! double-buffers the pending arena so the positioned log write runs outside every
+//! lock.  The occupancy index is a plain [`OccupancyIndex`]: its only writer is
+//! `store_room(&mut self)`, so the borrow checker already rules out a reader scanning
+//! it mid-mark.  See [`crate::pager`] for the full lock map; the one global rule is
+//! that the WAL append mutex is never held while taking a page-table stripe mutex (the
+//! full order is `stripe ≺ latch ≺ group ≺ wal`).
+
+pub mod format;
+pub mod open;
+pub mod rooms;
+pub mod write_back;
+
+use crate::config::GssConfig;
+use crate::error::{DurabilityReport, StoreFault, StoreHealth};
+use crate::group_commit::{GroupCommitter, WalMember, WalState};
+use crate::pager::lock_file::LockFile;
+use crate::pager::page_cache::{PageCache, PageCursor};
+use crate::pager::page_file::PageFile;
+use crate::pager::witness::{self, LockClass};
+use crate::storage::OccupancyIndex;
+use crate::wal;
+use format::{Layout, CLEAN_FLAG_OFFSET};
+use parking_lot::Mutex;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use write_back::SyncState;
+
+pub use crate::pager::{PageCacheStats, PAGE_BYTES};
+pub use format::{FILE_MAGIC, FILE_MAGIC_V1};
+pub use write_back::TailSections;
+
+/// Everything [`FileStore::open`] recovers from an existing sketch file besides the store
+/// itself: the sketch-level state the file checkpoints.
+#[derive(Debug)]
+pub struct FileHeader {
+    /// The configuration the file was created with.
+    pub config: GssConfig,
+    /// Stream items inserted when the file was last synced (or recovered).
+    pub items_inserted: u64,
+    /// Tail bytes (buffer + node-table sections, decoded by persistence).
+    pub tail: Vec<u8>,
+    /// Whether the file was unclean and its state was rebuilt by write-ahead-log replay.
+    pub recovered: bool,
+}
+
+/// The durability points at which an installed flush hook fires (in order of a
+/// checkpoint's progress).  Kill-point tests copy the sketch file and its log at a chosen
+/// point — every write below the point is on disk, nothing above it is — which simulates
+/// a crash at exactly that boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushPoint {
+    /// A group-commit drain swapped the pending arena out under the append mutex; the
+    /// positioned write of the taken frames into the log file has not started yet.
+    /// A kill here loses the whole swapped window — which must therefore contain no
+    /// acknowledged commit.
+    WalArenaSwap,
+    /// Pending write-ahead-log frames were appended to the log file.
+    WalFlush,
+    /// A dirty page was written back to the room region.
+    PageWriteBack,
+    /// Tail sections were rewritten; the header still describes the old tail.
+    TailWrite,
+    /// The checkpoint committed (header + clean flag written); the log is not yet
+    /// truncated.
+    CheckpointDone,
+}
+
+/// An injectable observer of durability points (see [`FlushPoint`]).
+pub type FlushHook = Box<dyn FnMut(FlushPoint) + Send>;
+
+/// Cumulative durability counters of a [`FileStore`] (surfaced through
+/// [`GssStats`](crate::GssStats) and the `durability_cost` bench).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DurabilityStats {
+    /// Current write-ahead-log bytes (on disk plus pending in memory).
+    pub wal_bytes: u64,
+    /// Drains of the pending log buffer into the log file.
+    pub wal_flushes: u64,
+    /// Dirty pages written back (on eviction and by checkpoints).
+    pub pages_written: u64,
+    /// Tail-section bytes rewritten by checkpoints (incremental checkpoints keep this
+    /// far below `checkpoints × tail size`).
+    pub tail_bytes_written: u64,
+    /// Completed checkpoints.
+    pub checkpoints: u64,
+    /// Group-commit drain rounds this store's committers led.
+    pub wal_group_commits: u64,
+    /// Commits that parked behind another in-flight drain round instead of leading
+    /// their own (each shared the leader's drain and sync).
+    pub wal_group_waits: u64,
+    /// Sync (`fdatasync`) calls issued against the write-ahead log file.
+    pub wal_fsyncs: u64,
+    /// Bounded transient-failure retries (`EINTR`, short reads) across the sketch file
+    /// and the write-ahead log (see
+    /// [`MAX_TRANSIENT_RETRIES`](crate::pager::page_file::MAX_TRANSIENT_RETRIES)).
+    pub io_retries: u64,
+    /// Faults injected by an armed [`FaultPlan`](crate::pager::faults::FaultPlan)
+    /// through this store's file handles; zero in production.
+    pub injected_faults: u64,
+    /// Whether the store has fail-stopped (1 when poisoned, 0 when healthy; numeric so
+    /// the flat stats encoding stays uniform).
+    pub store_poisoned: u64,
+}
+
+/// The deferred half of a two-phase commit: [`FileStore::log_commit_deferred`] appends
+/// the commit frame and returns this token; [`FileStore::ack_commit`] (or the shard's
+/// [`WalAckHandle`]) consumes it to drain the log.  Multi-shard batches append every
+/// shard's frame before acknowledging any of them, so concurrent drain rounds cover
+/// each other's bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalAck {
+    /// Log bytes that must be drained before the commit is acknowledged.
+    target: u64,
+    /// Cumulative stream items the commit frame covers — credited to the durability
+    /// accounting ([`DurabilityReport`]) when the commit is acknowledged.
+    items: u64,
+}
+
+/// Acknowledges a deferred commit: its frames are in the log file before this returns
+/// (the acknowledged items are now crash-safe), drained through the group-commit
+/// coordinator so concurrent shard commits share one drain round and one sync cadence.
+/// A failed drain or sync poisons the store and returns its sticky [`StoreFault`]; on
+/// success the items are credited as acknowledged.
+fn ack_commit(group: &GroupCommitter, wal: &Arc<WalMember>, ack: WalAck) -> Result<(), StoreFault> {
+    wal.health().check()?;
+    group.commit(wal, ack.target).map_err(|error| {
+        wal.health().poison(StoreFault::from_io("write-ahead-log group commit", &error))
+    })?;
+    wal.record_ack(ack.items);
+    Ok(())
+}
+
+/// A lock-free acknowledger for one store's deferred commits: `Arc`s to the
+/// group-commit coordinator and the store's log membership — everything
+/// [`FileStore::ack_commit`] touches, none of it behind the sketch lock.  The sharded
+/// batch path captures one per shard at construction so its acknowledgement pass never
+/// re-takes a shard lock.
+#[derive(Clone)]
+pub(crate) struct WalAckHandle {
+    group: Arc<GroupCommitter>,
+    wal: Arc<WalMember>,
+}
+
+impl std::fmt::Debug for WalAckHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalAckHandle").finish_non_exhaustive()
+    }
+}
+
+impl WalAckHandle {
+    /// [`FileStore::ack_commit`] through the handle.
+    pub(crate) fn ack(&self, ack: WalAck) -> Result<(), StoreFault> {
+        ack_commit(&self.group, &self.wal, ack)
+    }
+}
+
+/// A paged file-backed [`RoomStore`](crate::storage::RoomStore): lock-striped page cache
+/// with per-page latches, write-ahead room log behind its own append mutex and
+/// incremental checkpoints.  Reads (`&self`) run concurrently; see the module docs.
+pub struct FileStore {
+    path: PathBuf,
+    /// Where every room lives in the file.
+    layout: Layout,
+    cache_pages: usize,
+    /// Positioned I/O over the sketch file.
+    file: PageFile,
+    /// The lock-striped page table (see [`crate::pager::page_cache`]).
+    cache: PageCache,
+    /// Bucket-occupancy bitmaps (never written to the file; rebuilt from the room
+    /// region on [`FileStore::open`]), steering scans past empty buckets.
+    index: OccupancyIndex,
+    occupied_rooms: usize,
+    /// Dirty pages written back (eviction and checkpoint).
+    pages_written: AtomicU64,
+    /// The write-ahead room log, clean flag and drain arenas (see [`crate::wal`] and
+    /// [`crate::group_commit`]).  Its append mutex is never held while taking a
+    /// page-table stripe mutex.
+    wal: Arc<WalMember>,
+    /// Group-commit coordinator scheduling this store's log drains and syncs; the
+    /// shards of a [`ShardedGss`](crate::ShardedGss) share one.
+    group: Arc<GroupCommitter>,
+    /// Pinned-page write cursor: consecutive room writes landing on the same page skip
+    /// the stripe-map probe (batch ingest sorts its writes by page to maximise runs).
+    /// Taken only on the single-writer mutation path, never by readers.
+    write_cursor: Mutex<PageCursor>,
+    sync_state: Mutex<SyncState>,
+    /// Sticky fail-stop state, shared with the write-ahead-log membership: the first
+    /// failed fsync or unrecoverable write-back poisons it, after which every write
+    /// path returns the original cause while reads keep serving from cache (see
+    /// [`crate::error::StoreHealth`]).
+    health: Arc<StoreHealth>,
+    /// Advisory single-opener lock; released (sidecar removed) when the store drops.
+    _lock: LockFile,
+}
+
+impl std::fmt::Debug for FileStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FileStore")
+            .field("path", &self.path)
+            .field("width", &self.layout.width)
+            .field("rooms_per_bucket", &self.layout.rooms)
+            .field("cache_pages", &self.cache_pages)
+            .finish_non_exhaustive()
+    }
+}
+
+impl FileStore {
+    /// Default page-cache capacity: 1024 pages = 4 MiB of resident room records.
+    pub const DEFAULT_CACHE_PAGES: usize = 1024;
+
+    /// Location of the backing file.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Page-cache capacity in pages.
+    pub fn cache_pages(&self) -> usize {
+        self.cache_pages
+    }
+
+    /// Installs (or clears) the durability-point observer used by kill-point tests.
+    pub fn set_flush_hook(&self, hook: Option<FlushHook>) {
+        let _hook_held = witness::acquire(LockClass::Hook);
+        *self.wal.hook.lock() = hook;
+    }
+
+    /// Invokes the installed flush hook, if any.  The hook mutex is a leaf lock: safe to
+    /// fire while holding the WAL mutex or a stripe mutex.
+    fn fire(&self, point: FlushPoint) {
+        self.wal.fire(point);
+    }
+
+    /// Poisons the store with a write-path failure and returns the sticky cause.
+    fn poison_fault(&self, context: &str, error: &io::Error) -> StoreFault {
+        self.health.poison(StoreFault::from_io(context, error))
+    }
+
+    /// The store's sticky fail-stop state.
+    pub(crate) fn health(&self) -> &Arc<StoreHealth> {
+        &self.health
+    }
+
+    /// Cumulative page-cache counters since this store was created or opened.  Reads only
+    /// atomics — never takes a pager lock, so per-tenant cache pressure is observable
+    /// without perturbing page traffic.
+    pub fn page_stats(&self) -> PageCacheStats {
+        self.cache.stats()
+    }
+
+    /// Cumulative durability counters since this store was created or opened.
+    pub fn durability_stats(&self) -> DurabilityStats {
+        let (wal_bytes, wal_flushes) = {
+            let _wal_held = witness::acquire(LockClass::WalAppend);
+            let wal = self.wal.wal.lock();
+            (wal.writer.bytes(), wal.writer.flushes())
+        };
+        let (wal_group_commits, wal_group_waits, wal_fsyncs) = self.wal.counters();
+        let _sync_held = witness::acquire(LockClass::CheckpointState);
+        let sync = self.sync_state.lock();
+        DurabilityStats {
+            wal_bytes,
+            wal_flushes,
+            pages_written: self.pages_written.load(Ordering::Relaxed),
+            tail_bytes_written: sync.tail_bytes_written,
+            checkpoints: sync.checkpoints,
+            wal_group_commits,
+            wal_group_waits,
+            wal_fsyncs,
+            io_retries: self.file.io_retries() + self.wal.log_io_retries(),
+            injected_faults: self.file.injected_faults() + self.wal.log_injected_faults(),
+            store_poisoned: u64::from(self.health.is_poisoned()),
+        }
+    }
+
+    /// Clears the header's clean flag on the first mutation after a checkpoint.  Every
+    /// logged mutation — room writes, buffer spills, node registrations, commits — must
+    /// pass through here *before* its frames may drain: a file whose log holds
+    /// acknowledged frames while its header still reads clean would discard them on
+    /// reopen.
+    fn mark_unclean_locked(&self, wal: &mut WalState) -> io::Result<()> {
+        if wal.clean {
+            wal.clean = false;
+            self.file.write_all_at(&[0], CLEAN_FLAG_OFFSET)?;
+        }
+        Ok(())
+    }
+
+    /// Appends one pre-encoded frame to the log — the single home of "append, then
+    /// clear the clean flag".  The frame is encoded and checksummed by the caller
+    /// *before* the append mutex is taken, which therefore covers only the arena
+    /// `memcpy` and the (first-mutation-only) flag write; the flag is cleared before
+    /// the mutex is released, so before any drain can see the frame.  Returns the total
+    /// log bytes and the cumulative appended bytes (a commit's acknowledgement target).
+    fn append_frame(&self, frame: &[u8]) -> io::Result<(u64, u64)> {
+        let _wal_held = witness::acquire(LockClass::WalAppend);
+        let mut wal = self.wal.wal.lock();
+        wal.writer.append_encoded(frame);
+        self.mark_unclean_locked(&mut wal)?;
+        Ok((wal.writer.bytes(), wal.writer.appended_bytes()))
+    }
+
+    /// [`append_frame`](Self::append_frame) for the sketch-level frames: fail-stop
+    /// gated, and a failed unclean-flag write poisons the store instead of panicking.
+    fn log_frame(&self, frame: &[u8]) -> Result<(u64, u64), StoreFault> {
+        self.health.check()?;
+        self.append_frame(frame).map_err(|error| self.poison_fault("unclean-flag write", &error))
+    }
+
+    /// Logs a left-over buffer insertion to the write-ahead log (the buffer itself lives
+    /// in the sketch, not in room storage — only its durability passes through here).
+    pub(crate) fn log_buffer_insert(
+        &self,
+        source: u64,
+        destination: u64,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        self.log_frame(&wal::buffer_frame(source, destination, weight)).map(drop)
+    }
+
+    /// Logs a `⟨H(v), v⟩` registration to the write-ahead log.
+    pub(crate) fn log_node(&self, hash: u64, vertex: u64) -> Result<(), StoreFault> {
+        self.log_frame(&wal::node_frame(hash, vertex)).map(drop)
+    }
+
+    /// Logs the completion of an insert/batch: appends the commit frame and marks the
+    /// header unclean (a drained log behind a still-clean header would be discarded on
+    /// reopen, losing the items this commit acknowledges), with the append lock
+    /// released before any I/O so encoding, the log write and the sync all run outside
+    /// it.  Returns the total log bytes — so the sketch can trigger an automatic
+    /// checkpoint when the log grows past its bound — plus the [`WalAck`] token
+    /// [`ack_commit`](Self::ack_commit) consumes to drain the log.  A multi-shard batch
+    /// appends every shard's frame before acknowledging any of them, so drain rounds
+    /// led by concurrent writers cover the earlier shards' bytes and most
+    /// acknowledgements return on the coordinator's already-drained fast path instead
+    /// of leading a small round each.
+    ///
+    /// Fail-stop gated, and the commit is registered with the durability accounting so
+    /// [`durability_report`](Self::durability_report) can tell acknowledged items from
+    /// durable ones.
+    pub(crate) fn log_commit_deferred(&self, items: u64) -> Result<(u64, WalAck), StoreFault> {
+        let (bytes, target) = self.log_frame(&wal::commit_frame(items))?;
+        self.wal.record_commit(target, items);
+        Ok((bytes, WalAck { target, items }))
+    }
+
+    /// The acknowledgement half of a commit appended by
+    /// [`log_commit_deferred`](Self::log_commit_deferred) (see the free [`ack_commit`]).
+    pub(crate) fn ack_commit(&self, ack: WalAck) -> Result<(), StoreFault> {
+        ack_commit(&self.group, &self.wal, ack)
+    }
+
+    /// A [`WalAckHandle`] for this store — acknowledges deferred commits without the
+    /// sketch lock held.
+    pub(crate) fn ack_handle(&self) -> WalAckHandle {
+        WalAckHandle { group: Arc::clone(&self.group), wal: Arc::clone(&self.wal) }
+    }
+
+    /// An honest account of acknowledged-versus-durable stream items (see
+    /// [`DurabilityReport`]).  On a healthy store nothing is breached — pending log
+    /// bytes drain on the policy's schedule; once poisoned, every acknowledged item not
+    /// covered by a completed log-file write is reported as possibly lost.
+    pub fn durability_report(&self) -> DurabilityReport {
+        let (acked_items, durable_items) = self.wal.item_counts();
+        let poisoned = self.health.is_poisoned();
+        DurabilityReport {
+            poisoned,
+            cause: self.health.cause(),
+            acked_items,
+            durable_items,
+            breached_items: if poisoned { acked_items.saturating_sub(durable_items) } else { 0 },
+        }
+    }
+}
+
+/// Leaves the shared group-commit coordinator (sharded stores outlive each other): the
+/// sync cadence must stop sweeping this store's log file.  Dropping a bare store never
+/// checkpoints — that is the sketch's job — so the file is left as a crash would.
+impl Drop for FileStore {
+    fn drop(&mut self) {
+        self.group.deregister(&self.wal);
+    }
+}
+
+#[cfg(test)]
+mod tests;

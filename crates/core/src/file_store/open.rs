@@ -1,0 +1,363 @@
+//! Creating, opening and recovering a sketch file.
+//!
+//! ## Durability and crash recovery
+//!
+//! Every room mutation is appended to a write-ahead log (`<sketch>.wal`, see
+//! [`crate::wal`]) before the page holding it may be written back, and every checkpoint
+//! first logs the tail image it is about to write.  Re-opening a file whose clean flag
+//! is clear therefore **replays the log** — room records back into the room region,
+//! buffer/node deltas on top of the last checkpointed tail — instead of rejecting the
+//! file; only an unclean file with no log (e.g. a v1 file) still fails with
+//! [`PersistenceError::Corrupt`].
+//!
+//! **Single-opener contract**: a sketch file (plus its log) must be open in at most one
+//! process at a time.  Recovery *mutates* — it replays the log into the room region and
+//! truncates it — so opening the live file of a running ingester would race its writes
+//! and corrupt both views.  This is **enforced** by an advisory sidecar lock
+//! (`<sketch>.lock`, see [`crate::pager::lock_file`]): create and open claim it
+//! create-exclusively before touching the sketch file (so a concurrent `create` cannot
+//! even truncate a live file), a second opener fails with a "locked by pid N" I/O error,
+//! and locks left by a killed process are reclaimed.  Ship a snapshot
+//! ([`crate::GssSketch::write_snapshot_to`]) to read a live sketch's state from another
+//! process.
+
+use super::format::{Header, Layout, Section, MAGIC_RANGE, SECTIONS_RANGE};
+use super::write_back::SyncState;
+use super::{FileHeader, FileStore, TailSections};
+use crate::config::{GroupCommit, GssConfig};
+use crate::error::StoreHealth;
+use crate::group_commit::{GroupCommitter, WalMember};
+use crate::pager::lock_file::LockFile;
+use crate::pager::page_cache::{PageCache, PageCursor};
+use crate::pager::page_file::PageFile;
+use crate::pager::PAGE_BYTES;
+use crate::persistence::PersistenceError;
+use crate::storage::{OccupancyIndex, ROOM_OCCUPIED_BYTE};
+use crate::wal::{crc32, read_replay, wal_path, WalWriter};
+use parking_lot::Mutex;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::Path;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+
+impl FileStore {
+    /// Creates a fresh sketch file at `path` (truncating any existing file): header with
+    /// `config`, a zeroed page-aligned room region sized by `set_len`, no tail, an empty
+    /// write-ahead log at `<path>.wal`.  The store gets a private group-commit
+    /// coordinator with the default [`GroupCommit`] cadence.
+    pub fn create(path: &Path, config: &GssConfig, cache_pages: usize) -> io::Result<Self> {
+        Self::create_grouped(path, config, cache_pages, GroupCommitter::new(GroupCommit::default()))
+    }
+
+    /// [`create`](Self::create) registering the new store's log with a shared
+    /// group-commit coordinator (sharded stores pool their fsync scheduling).
+    pub fn create_grouped(
+        path: &Path,
+        config: &GssConfig,
+        cache_pages: usize,
+        group: Arc<GroupCommitter>,
+    ) -> io::Result<Self> {
+        // Claim the single-opener lock before truncating anything: a create aimed at a
+        // live sketch file must fail without destroying it.
+        let lock = LockFile::acquire(path)?;
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        let header = Header::fresh(config);
+        file.write_all(&header.encode())?;
+        // A sparse zero region where the filesystem supports it; room records decode
+        // all-zeroes as unoccupied rooms, so no explicit formatting pass is needed.
+        file.set_len(Layout::new(config).tail_offset() + header.tail_len)?;
+        let wal = WalWriter::create(&wal_path(path))?;
+        Ok(Self::assemble(path, cache_pages, file, header, wal, group, lock))
+    }
+
+    /// Opens an existing sketch file in place, validating the header and reading the
+    /// tail.  The room region is **streamed once** (sequential reads, occupancy flags
+    /// only, no per-room decode or insert pass) to rebuild the in-memory occupancy index
+    /// — open cost is one sequential pass over the file plus the (usually tiny) tail.
+    /// The store gets a private group-commit coordinator with the default
+    /// [`GroupCommit`] cadence.
+    ///
+    /// An **unclean** v2 file (crash before the last checkpoint completed) is recovered
+    /// by replaying its write-ahead log; see the module docs.  Unclean v1 files are still
+    /// rejected as [`PersistenceError::Corrupt`] — they predate the log.
+    pub fn open(path: &Path, cache_pages: usize) -> Result<(Self, FileHeader), PersistenceError> {
+        Self::open_grouped(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
+    }
+
+    /// [`open`](Self::open) registering the reopened store's log with a shared
+    /// group-commit coordinator (sharded stores pool their fsync scheduling).
+    pub fn open_grouped(
+        path: &Path,
+        cache_pages: usize,
+        group: Arc<GroupCommitter>,
+    ) -> Result<(Self, FileHeader), PersistenceError> {
+        let lock = LockFile::acquire(path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut page = [0u8; PAGE_BYTES];
+        file.read_exact(&mut page)?;
+        let mut header = Header::decode(&page)?;
+        if !header.clean {
+            if header.version == 1 {
+                return Err(PersistenceError::Corrupt(
+                    "sketch file was not cleanly synced (crash or missing sync before reopen) \
+                     and predates the write-ahead log"
+                        .to_string(),
+                ));
+            }
+            return Self::recover(file, path, header, cache_pages, group, lock);
+        }
+        let layout = Layout::new(&header.config);
+        let (occupied, room_count) = (header.occupied, layout.room_count());
+        if occupied > room_count as u64 {
+            return Err(PersistenceError::Corrupt(format!(
+                "header claims {occupied} occupied rooms in a {room_count}-room matrix"
+            )));
+        }
+        let tail_offset = layout.tail_offset();
+        let file_len = file.metadata()?.len();
+        let tail = if header.version == 2 {
+            if header.buffer.len.checked_add(header.node.len) != Some(header.tail_len) {
+                return Err(PersistenceError::Corrupt(format!(
+                    "tail sections ({} + {} bytes) disagree with the tail length {}",
+                    header.buffer.len, header.node.len, header.tail_len
+                )));
+            }
+            let node_offset = section_end(tail_offset, header.buffer.len, file_len)?;
+            let mut tail = read_section(&mut file, tail_offset, header.buffer, file_len, "buffer")?;
+            tail.extend(read_section(&mut file, node_offset, header.node, file_len, "node")?);
+            tail
+        } else {
+            read_bytes(&mut file, tail_offset, header.tail_len, file_len)?
+        };
+        let (index, rebuilt_occupied) = rebuild_index(&mut file, layout)?;
+        if rebuilt_occupied != occupied as usize {
+            return Err(PersistenceError::Corrupt(format!(
+                "header claims {occupied} occupied rooms but the room region holds \
+                 {rebuilt_occupied}"
+            )));
+        }
+        if header.version == 1 {
+            // Upgrade the header to v2 *now*, not at the first checkpoint: mutations
+            // after this open are write-ahead logged immediately, and recovery needs the
+            // v2 magic plus valid section CRCs (whole tail as the buffer section, empty
+            // node section) to accept the file.  The tail bytes themselves are untouched.
+            header.buffer.crc = crc32(&tail);
+            header.node = Section::of(&[]);
+            let upgraded = header.encode();
+            for range in [MAGIC_RANGE, SECTIONS_RANGE] {
+                file.seek(SeekFrom::Start(range.start as u64))?;
+                file.write_all(upgraded.get(range).unwrap_or_default())?;
+            }
+            file.sync_data()?;
+        }
+        // A stale log (crash after the clean flag landed but before truncation) is fully
+        // covered by the completed checkpoint: discard it.
+        let wal = WalWriter::create(&wal_path(path)).map_err(PersistenceError::from)?;
+        let (config, items_inserted) = (header.config, header.items);
+        let mut store = Self::assemble(path, cache_pages, file, header, wal, group, lock);
+        store.index = index;
+        Ok((store, FileHeader { config, items_inserted, tail, recovered: false }))
+    }
+
+    /// Crash recovery: rebuilds a consistent sketch file from an unclean v2 file plus its
+    /// write-ahead log, then checkpoints the recovered state so the file is clean again.
+    /// See the module docs for the replay semantics.
+    fn recover(
+        mut file: File,
+        path: &Path,
+        mut header: Header,
+        cache_pages: usize,
+        group: Arc<GroupCommitter>,
+        lock: LockFile,
+    ) -> Result<(Self, FileHeader), PersistenceError> {
+        let log = wal_path(path);
+        let layout = Layout::new(&header.config);
+        let replay = read_replay(&log, layout.room_count() as u64)?.ok_or_else(|| {
+            PersistenceError::Corrupt(
+                "sketch file was not cleanly synced (crash or missing sync before reopen) and \
+                 has no write-ahead log to replay"
+                    .to_string(),
+            )
+        })?;
+        let tail_offset = layout.tail_offset();
+        let file_len = file.metadata()?.len();
+        // Base tail sections: the image a mid-checkpoint crash logged wins; otherwise the
+        // file's sections, which the header CRCs must validate (they were written by the
+        // last completed checkpoint and not touched since).
+        let mut base_tail = match replay.tail_buffer {
+            Some(bytes) => bytes,
+            None => read_section(&mut file, tail_offset, header.buffer, file_len, "buffer")?,
+        };
+        let node_bytes = match replay.tail_node {
+            Some(bytes) => bytes,
+            None => {
+                let node_offset = section_end(tail_offset, header.buffer.len, file_len)?;
+                read_section(&mut file, node_offset, header.node, file_len, "node")?
+            }
+        };
+        // Decode the base tail and lay the logged deltas on top — all in memory, so a
+        // decode failure rejects the file without modifying it.
+        let mut buffer = crate::buffer::LeftoverBuffer::new();
+        let mut node_map = crate::node_map::NodeIdMap::new();
+        base_tail.extend_from_slice(&node_bytes);
+        crate::persistence::decode_tail(&mut buffer, &mut node_map, &base_tail)?;
+        for &(source, destination, weight) in &replay.buffer_ops {
+            buffer.insert(source, destination, weight);
+        }
+        for &(hash, vertex) in &replay.node_ops {
+            node_map.register(hash, vertex);
+        }
+        let items = replay.items.unwrap_or(header.items);
+        // Replay room records into the room region (full post-write values: idempotent
+        // over whatever subset of dirty pages reached the file before the crash).
+        // `read_replay` bounds every index below `room_count`.
+        for &(index, ref record) in &replay.rooms {
+            debug_assert!(index < layout.room_count() as u64, "replay indices are bounds-checked");
+            file.seek(SeekFrom::Start(layout.record_offset(index as usize)))?;
+            file.write_all(record)?;
+        }
+        let (index, occupied) = rebuild_index(&mut file, layout)?;
+        header.occupied = occupied as u64;
+        // Cut any torn suffix off the log before appending: the recovery checkpoint's
+        // TAIL frame must be reachable by a replay of the log as it stands.
+        let wal =
+            WalWriter::open_append(&log, replay.valid_bytes).map_err(PersistenceError::from)?;
+        let config = header.config;
+        let mut store = Self::assemble(path, cache_pages, file, header, wal, group, lock);
+        store.index = index;
+        // Checkpoint the recovered state: tail rewritten whole, header counts re-derived,
+        // clean flag set, log truncated.  A crash during *this* checkpoint replays to the
+        // same state (its tail image lands behind the frames it supersedes).
+        let buffer_section = crate::persistence::encode_buffer_section(&buffer);
+        let node_section = crate::persistence::encode_node_section(&node_map);
+        store
+            .checkpoint(
+                items,
+                TailSections {
+                    buffer: Some(&buffer_section),
+                    node: Some(&node_section),
+                    buffer_gen: 0,
+                    node_gen: 0,
+                },
+            )
+            .map_err(|error| PersistenceError::Io(error.to_string()))?;
+        let mut tail = buffer_section;
+        tail.extend_from_slice(&node_section);
+        Ok((store, FileHeader { config, items_inserted: items, tail, recovered: true }))
+    }
+
+    /// Shared tail of `create`/`open`/`recover`: builds the store around an open file
+    /// whose header page reads `header` (occupancy count and clean flag included), with
+    /// an all-empty occupancy index — open and recovery install the one they rebuilt.
+    fn assemble(
+        path: &Path,
+        cache_pages: usize,
+        file: File,
+        header: Header,
+        wal: WalWriter,
+        group: Arc<GroupCommitter>,
+        lock: LockFile,
+    ) -> Self {
+        let health = Arc::new(StoreHealth::new());
+        let wal = WalMember::new(wal, header.clean, Arc::clone(&health));
+        group.register(&wal);
+        let layout = Layout::new(&header.config);
+        // v1 tails are monolithic (no valid section split), so their generation stamps
+        // are poisoned: the first sketch sync then rewrites the whole tail, upgrading
+        // the file to properly sectioned v2 in place.
+        let stamp = if header.version == 1 { u64::MAX } else { 0 };
+        Self {
+            path: path.to_path_buf(),
+            layout,
+            cache_pages: cache_pages.max(1),
+            file: PageFile::with_faults(file, crate::pager::faults::plan_for(path)),
+            cache: PageCache::new(cache_pages),
+            index: OccupancyIndex::new(layout.width),
+            occupied_rooms: header.occupied as usize,
+            pages_written: AtomicU64::new(0),
+            wal,
+            group,
+            write_cursor: Mutex::new(PageCursor::default()),
+            sync_state: Mutex::new(SyncState {
+                header,
+                buffer_gen: stamp,
+                node_gen: stamp,
+                tail_bytes_written: 0,
+                checkpoints: 0,
+            }),
+            health,
+            _lock: lock,
+        }
+    }
+}
+
+/// Bounds a header-supplied section `[offset, offset + len)` by the file length with
+/// checked arithmetic, returning its end — called **before** anything is allocated
+/// for the section, so a header lying about its lengths is a typed error, never an
+/// overflow or a capacity panic.
+fn section_end(offset: u64, len: u64, file_len: u64) -> Result<u64, PersistenceError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= file_len => Ok(end),
+        _ => Err(PersistenceError::UnexpectedEof),
+    }
+}
+
+/// Reads `[offset, offset + len)` of `file`, bounded by [`section_end`] first.
+fn read_bytes(
+    file: &mut File,
+    offset: u64,
+    len: u64,
+    file_len: u64,
+) -> Result<Vec<u8>, PersistenceError> {
+    section_end(offset, len, file_len)?;
+    let mut bytes = vec![0u8; len as usize];
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Reads the tail section `section` found at `offset` and checks it against its header
+/// CRC — the one section read clean open and recovery share.
+fn read_section(
+    file: &mut File,
+    offset: u64,
+    section: Section,
+    file_len: u64,
+    what: &str,
+) -> Result<Vec<u8>, PersistenceError> {
+    let bytes = read_bytes(file, offset, section.len, file_len)?;
+    if crc32(&bytes) != section.crc {
+        return Err(PersistenceError::Corrupt(format!("{what} tail section checksum mismatch")));
+    }
+    Ok(bytes)
+}
+
+/// Streams the room region sequentially and rebuilds the occupancy index from the
+/// per-record occupancy flags, bypassing the page cache (the pass is one-shot and
+/// would otherwise evict the whole cache).  Returns the index and the number of
+/// occupied rooms found.
+fn rebuild_index(
+    file: &mut File,
+    layout: Layout,
+) -> Result<(OccupancyIndex, usize), PersistenceError> {
+    let mut index = OccupancyIndex::new(layout.width);
+    let mut occupied = 0usize;
+    let mut page = [0u8; PAGE_BYTES];
+    let mut flat = 0usize;
+    file.seek(SeekFrom::Start(Layout::page_offset(0)))?;
+    while flat < layout.room_count() {
+        file.read_exact(&mut page)?;
+        // Started on a page boundary, each run is one page's worth of records.
+        for record in layout.run_at(flat, layout.room_count() - flat).records(&page) {
+            if record[ROOM_OCCUPIED_BYTE] != 0 {
+                occupied += 1;
+                let (row, column) = layout.bucket_of(flat);
+                index.mark(row, column);
+            }
+            flat += 1;
+        }
+    }
+    Ok((index, occupied))
+}

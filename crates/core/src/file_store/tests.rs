@@ -1,0 +1,542 @@
+//! Unit tests of the file store, kept in one module so each keeps the name it has
+//! always had (`file_store::tests::…`); the on-disk format's own tests sit in
+//! `format.rs`.
+
+use super::format::{Header, Layout, MAGIC_RANGE, SECTIONS_RANGE};
+use super::{FileStore, FlushPoint, TailSections, FILE_MAGIC, FILE_MAGIC_V1, PAGE_BYTES};
+use crate::config::GssConfig;
+use crate::error::StoreFault;
+use crate::matrix::Room;
+use crate::pager::lock_file::lock_path;
+use crate::pager::witness::{self, LockClass};
+use crate::persistence::PersistenceError;
+use crate::storage::{RoomStore, ROOM_OCCUPIED_BYTE};
+use crate::wal::wal_path;
+use parking_lot::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+impl FileStore {
+    /// Checkpoints with an opaque, whole tail (compatibility wrapper over
+    /// [`checkpoint`](Self::checkpoint): the bytes land as the "buffer" section and
+    /// an empty node section, which decodes identically — section boundaries only
+    /// matter for incremental rewrites and CRCs).
+    fn write_tail(&self, items_inserted: u64, tail: &[u8]) -> std::io::Result<()> {
+        let force_gen = {
+            let _sync_held = witness::acquire(LockClass::CheckpointState);
+            let sync = self.sync_state.lock();
+            // Wrapping: v1 opens poison the stamps to u64::MAX.  Any value works here —
+            // both sections are provided, so no skip comparison ever reads it.
+            sync.buffer_gen.max(sync.node_gen).wrapping_add(1)
+        };
+        self.checkpoint(
+            items_inserted,
+            TailSections {
+                buffer: Some(tail),
+                node: Some(&[]),
+                buffer_gen: force_gen,
+                node_gen: force_gen,
+            },
+        )
+    }
+}
+
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("gss-file-store-{}-{name}.gss", std::process::id()))
+}
+
+fn remove(path: &Path) {
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(wal_path(path)).ok();
+}
+
+fn sample_room(weight: i64) -> Room {
+    Room {
+        source_fingerprint: 17,
+        destination_fingerprint: 23,
+        source_index: 1,
+        destination_index: 2,
+        weight,
+        occupied: true,
+    }
+}
+
+/// Rewrites the header page at the front of `bytes` (a whole sketch file image) as a
+/// PR-3/4 writer would have left it: v1 magic, no section fields.
+fn downgrade_to_v1(bytes: &mut [u8]) {
+    bytes[MAGIC_RANGE].copy_from_slice(&FILE_MAGIC_V1);
+    bytes[SECTIONS_RANGE].fill(0);
+}
+
+#[test]
+fn create_store_and_reopen_round_trips_rooms() {
+    let path = temp_path("roundtrip");
+    let config = GssConfig::paper_default(8);
+    {
+        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        assert_eq!(store.room_count(), 8 * 8 * 2);
+        assert_eq!(store.occupied_rooms(), 0);
+        assert_eq!(store.find_empty(3, 5), Some(0));
+        store.store_room(3, 5, 0, sample_room(42)).unwrap();
+        store.store_room(7, 0, 1, sample_room(-7)).unwrap();
+        store.add_weight(3, 5, 0, 8).unwrap();
+        assert_eq!(store.room(3, 5, 0).weight, 50);
+        assert_eq!(store.find_match(3, 5, 17, 23, 1, 2), Some(0));
+        assert_eq!(store.find_empty(3, 5), Some(1));
+        assert_eq!(store.occupied_rooms(), 2);
+        store.write_tail(123, b"tailbytes").unwrap();
+    }
+    let (store, header) = FileStore::open(&path, 4).unwrap();
+    assert_eq!(header.config, config);
+    assert_eq!(header.items_inserted, 123);
+    assert_eq!(header.tail, b"tailbytes");
+    assert!(!header.recovered);
+    assert_eq!(store.occupied_rooms(), 2);
+    assert_eq!(store.room(3, 5, 0).weight, 50);
+    assert_eq!(store.room(7, 0, 1).weight, -7);
+    let mut seen = Vec::new();
+    store.scan_occupied(&mut |r, c, room| seen.push((r, c, room.weight)));
+    assert_eq!(seen, vec![(3, 5, 50), (7, 0, 1 - 8)]);
+    remove(&path);
+}
+
+#[test]
+fn unclean_files_recover_from_the_wal_and_bad_magic_is_rejected() {
+    let path = temp_path("unclean");
+    {
+        let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
+        store.store_room(0, 0, 0, sample_room(1)).unwrap();
+        let (_, ack) = store.log_commit_deferred(1).unwrap();
+        store.ack_commit(ack).unwrap();
+        // No write_tail: the clean flag stays cleared, the room lives only in the
+        // cache — and in the drained WAL.
+    }
+    let (recovered, header) = FileStore::open(&path, 2).unwrap();
+    assert!(header.recovered);
+    assert_eq!(header.items_inserted, 1);
+    assert_eq!(recovered.occupied_rooms(), 1);
+    assert_eq!(recovered.room(0, 0, 0).weight, 1);
+    drop(recovered);
+    // Same crash state but the log is gone: unrecoverable, rejected.
+    {
+        let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
+        store.store_room(0, 0, 0, sample_room(1)).unwrap();
+    }
+    std::fs::remove_file(wal_path(&path)).unwrap();
+    assert!(matches!(
+        FileStore::open(&path, 2),
+        Err(PersistenceError::Corrupt(message)) if message.contains("cleanly")
+    ));
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[0] = b'X';
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::BadMagic)));
+    std::fs::write(&path, b"GS").unwrap();
+    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::UnexpectedEof)));
+    remove(&path);
+}
+
+#[test]
+fn version_1_files_still_open_and_upgrade_on_checkpoint() {
+    let path = temp_path("v1-compat");
+    let config = GssConfig::paper_default(8);
+    {
+        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        store.store_room(2, 3, 0, sample_room(9)).unwrap();
+        store.write_tail(5, b"oldtail").unwrap();
+    }
+    let mut bytes = std::fs::read(&path).unwrap();
+    downgrade_to_v1(&mut bytes);
+    std::fs::write(&path, &bytes).unwrap();
+    std::fs::remove_file(wal_path(&path)).unwrap();
+    let (store, header) = FileStore::open(&path, 4).unwrap();
+    assert_eq!(header.items_inserted, 5);
+    assert_eq!(header.tail, b"oldtail");
+    assert_eq!(store.room(2, 3, 0).weight, 9);
+    let upgraded = std::fs::read(&path).unwrap();
+    assert_eq!(&upgraded[0..8], &FILE_MAGIC, "open upgrades the magic in place");
+    store.write_tail(6, b"newtail").unwrap();
+    drop(store);
+    let (_, reheader) = FileStore::open(&path, 4).unwrap();
+    assert_eq!(reheader.tail, b"newtail");
+    remove(&path);
+}
+
+#[test]
+fn upgraded_v1_files_recover_from_a_crash_before_their_first_checkpoint() {
+    let path = temp_path("v1-crash");
+    let config = GssConfig::paper_default(8);
+    // A decodable v1 tail: the canonical empty buffer + node sections (16 zero
+    // bytes) — recovery must decode the base tail, unlike a plain clean open.
+    let v1_tail = [0u8; 16];
+    {
+        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        store.store_room(2, 3, 0, sample_room(9)).unwrap();
+        store.write_tail(5, &v1_tail).unwrap();
+    }
+    let mut bytes = std::fs::read(&path).unwrap();
+    downgrade_to_v1(&mut bytes);
+    std::fs::write(&path, &bytes).unwrap();
+    std::fs::remove_file(wal_path(&path)).unwrap();
+    {
+        // Open the v1 file (upgrading it), mutate, then crash before any checkpoint.
+        let (mut store, header) = FileStore::open(&path, 4).unwrap();
+        assert_eq!(header.tail, v1_tail);
+        store.store_room(1, 1, 0, sample_room(4)).unwrap();
+        let (_, ack) = store.log_commit_deferred(6).unwrap();
+        store.ack_commit(ack).unwrap();
+    }
+    let (recovered, header) = FileStore::open(&path, 4).unwrap();
+    assert!(header.recovered, "the acknowledged mutation survives the crash");
+    assert_eq!(header.items_inserted, 6);
+    assert_eq!(recovered.room(1, 1, 0).weight, 4);
+    assert_eq!(recovered.room(2, 3, 0).weight, 9);
+    assert_eq!(header.tail, v1_tail, "the monolithic v1 tail rides along unchanged");
+    remove(&path);
+}
+
+#[test]
+fn truncated_room_region_is_rejected() {
+    let path = temp_path("truncated");
+    {
+        let mut store = FileStore::create(&path, &GssConfig::paper_default(32), 2).unwrap();
+        store.store_room(0, 0, 0, sample_room(1)).unwrap();
+        store.write_tail(1, b"abc").unwrap();
+    }
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
+    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::UnexpectedEof)));
+    remove(&path);
+}
+
+#[test]
+fn missing_file_reports_io_error() {
+    let path = temp_path("missing-never-created");
+    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::Io(_))));
+    assert!(!lock_path(&path).exists(), "a failed open releases the advisory lock");
+}
+
+#[test]
+fn second_opener_is_refused_while_the_store_lives() {
+    let path = temp_path("single-opener");
+    let store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
+    match FileStore::open(&path, 2) {
+        Err(PersistenceError::Io(message)) => {
+            assert!(message.contains("locked"), "error names the conflict: {message}")
+        }
+        other => panic!("a second opener must be refused, got {other:?}"),
+    }
+    drop(store);
+    // Drop released the lock: the file (clean — no mutations) reopens normally.
+    let (reopened, _) = FileStore::open(&path, 2).unwrap();
+    drop(reopened);
+    remove(&path);
+}
+
+#[test]
+fn occupancy_flag_corruption_is_caught_on_open() {
+    let path = temp_path("occupancy-mismatch");
+    {
+        let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+        store.store_room(1, 1, 0, sample_room(1)).unwrap();
+        store.write_tail(1, &[]).unwrap();
+    }
+    let mut bytes = std::fs::read(&path).unwrap();
+    // Flip the occupancy flag of a room deep in the region: the header still claims
+    // one occupied room, so the index rebuild detects the mismatch.
+    let layout = Layout::new(&GssConfig::paper_default(8));
+    let room_offset =
+        layout.record_offset(layout.flat_index(5, 5, 0)) as usize + ROOM_OCCUPIED_BYTE;
+    assert_eq!(bytes[room_offset], 0);
+    bytes[room_offset] = 1;
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        FileStore::open(&path, 4),
+        Err(PersistenceError::Corrupt(message)) if message.contains("occupied")
+    ));
+    remove(&path);
+}
+
+/// Overwrites the header's tail/buffer/node length fields of the sketch file at `path`.
+fn forge_tail_lengths(path: &Path, tail_len: u64, buffer_len: u64, node_len: u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let (page, _) = bytes.split_at_mut(PAGE_BYTES);
+    let page: &mut [u8; PAGE_BYTES] = page.try_into().unwrap();
+    let mut header = Header::decode(page).unwrap();
+    header.tail_len = tail_len;
+    header.buffer.len = buffer_len;
+    header.node.len = node_len;
+    *page = header.encode();
+    std::fs::write(path, &bytes).unwrap();
+}
+
+#[test]
+fn lying_header_lengths_are_typed_errors_not_panics() {
+    // `buffer_len + node_len == tail_len` holds without overflow, so only bounding
+    // each length by the file length catches the lie before `tail_offset + tail_len`
+    // overflows or a `u64::MAX`-byte buffer is requested.
+    let path = temp_path("lying-lengths");
+    let config = GssConfig::paper_default(8);
+    // Clean file: the plain open path.
+    {
+        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        store.store_room(1, 1, 0, sample_room(3)).unwrap();
+        store.write_tail(1, b"tail").unwrap();
+    }
+    forge_tail_lengths(&path, u64::MAX, u64::MAX, 0);
+    assert!(matches!(FileStore::open(&path, 4), Err(PersistenceError::UnexpectedEof)));
+    // Unclean file with a replayable log: the recovery path reads each section.
+    for (buffer_len, node_len) in [(u64::MAX, 0), (8, u64::MAX), (u64::MAX, u64::MAX)] {
+        {
+            let mut store = FileStore::create(&path, &config, 4).unwrap();
+            store.store_room(1, 1, 0, sample_room(3)).unwrap();
+            let (_, ack) = store.log_commit_deferred(1).unwrap();
+            store.ack_commit(ack).unwrap();
+        }
+        forge_tail_lengths(&path, buffer_len.wrapping_add(node_len), buffer_len, node_len);
+        assert!(
+            matches!(FileStore::open(&path, 4), Err(PersistenceError::UnexpectedEof)),
+            "buffer_len {buffer_len} node_len {node_len}"
+        );
+    }
+    remove(&path);
+}
+
+#[test]
+fn tiny_cache_evicts_and_writes_back() {
+    let path = temp_path("evict");
+    // width 40, l 2 → 3200 rooms = 50 KiB ≫ one 4-KiB page: a 1-page cache thrashes.
+    let config = GssConfig::paper_default(40);
+    let mut store = FileStore::create(&path, &config, 1).unwrap();
+    for row in 0..40 {
+        store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1)).unwrap();
+    }
+    for row in 0..40 {
+        assert_eq!(store.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
+    }
+    assert_eq!(store.occupied_rooms(), 40);
+    assert!(store.durability_stats().pages_written > 0, "evictions write back");
+    store.write_tail(0, &[]).unwrap();
+    drop(store); // release the single-opener lock before reopening
+    let (reopened, _) = FileStore::open(&path, 1).unwrap();
+    for row in 0..40 {
+        assert_eq!(reopened.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
+    }
+    remove(&path);
+}
+
+#[test]
+fn incremental_checkpoints_skip_unchanged_sections() {
+    let path = temp_path("incremental");
+    let store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+    let buffer = b"buffer-section".to_vec();
+    let node = b"node-section-bytes".to_vec();
+    store
+        .checkpoint(
+            1,
+            TailSections { buffer: Some(&buffer), node: Some(&node), buffer_gen: 1, node_gen: 1 },
+        )
+        .unwrap();
+    let after_first = store.durability_stats().tail_bytes_written;
+    assert_eq!(after_first, (buffer.len() + node.len()) as u64);
+    // Same generations: the checkpoint is a no-op (fast path).
+    store
+        .checkpoint(1, TailSections { buffer: None, node: None, buffer_gen: 1, node_gen: 1 })
+        .unwrap();
+    assert_eq!(store.durability_stats().tail_bytes_written, after_first);
+    assert_eq!(store.durability_stats().checkpoints, 1);
+    // Node-only change: only the node section is rewritten.
+    let node2 = b"node-section-other".to_vec();
+    store
+        .checkpoint(
+            2,
+            TailSections { buffer: None, node: Some(&node2), buffer_gen: 1, node_gen: 2 },
+        )
+        .unwrap();
+    assert_eq!(store.durability_stats().tail_bytes_written, after_first + node2.len() as u64);
+    drop(store);
+    let (_, header) = FileStore::open(&path, 4).unwrap();
+    assert_eq!(header.items_inserted, 2);
+    let mut expected = buffer.clone();
+    expected.extend_from_slice(&node2);
+    assert_eq!(header.tail, expected);
+    remove(&path);
+}
+
+#[test]
+fn flush_hook_observes_the_checkpoint_sequence() {
+    let path = temp_path("hook");
+    let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    store.set_flush_hook(Some(Box::new(move |point| sink.lock().push(point))));
+    store.store_room(0, 0, 0, sample_room(3)).unwrap();
+    store.write_tail(1, b"t").unwrap();
+    let seen = seen.lock().clone();
+    assert_eq!(
+        seen,
+        vec![
+            FlushPoint::WalFlush,
+            FlushPoint::PageWriteBack,
+            FlushPoint::TailWrite,
+            FlushPoint::CheckpointDone,
+        ]
+    );
+    remove(&path);
+}
+
+#[test]
+fn row_and_column_scans_match_memory_semantics() {
+    let path = temp_path("scan");
+    let mut store = FileStore::create(&path, &GssConfig::paper_default(3), 8).unwrap();
+    store.store_room(1, 0, 0, sample_room(10)).unwrap();
+    store.store_room(1, 2, 1, sample_room(20)).unwrap();
+    store.store_room(0, 2, 0, sample_room(30)).unwrap();
+    let mut row1 = Vec::new();
+    store.scan_row(1, &mut |c, room| row1.push((c, room.weight)));
+    assert_eq!(row1, vec![(0, 10), (2, 20)]);
+    let mut col2 = Vec::new();
+    store.scan_column(2, &mut |r, room| col2.push((r, room.weight)));
+    assert_eq!(col2, vec![(0, 30), (1, 20)]);
+    remove(&path);
+}
+
+#[test]
+fn reopen_rebuilds_the_occupancy_index_and_scans_skip_empty_buckets() {
+    let path = temp_path("index-rebuild");
+    {
+        let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 4).unwrap();
+        store.store_room(7, 11, 0, sample_room(5)).unwrap();
+        store.store_room(7, 40, 1, sample_room(6)).unwrap();
+        store.store_room(33, 11, 0, sample_room(7)).unwrap();
+        store.write_tail(3, &[]).unwrap();
+    }
+    let (reopened, _) = FileStore::open(&path, 4).unwrap();
+    let mut row7 = Vec::new();
+    reopened.scan_row(7, &mut |column, room| row7.push((column, room.weight)));
+    assert_eq!(row7, vec![(11, 5), (40, 6)]);
+    let mut column11 = Vec::new();
+    reopened.scan_column(11, &mut |row, room| column11.push((row, room.weight)));
+    assert_eq!(column11, vec![(7, 5), (33, 7)]);
+    // The indexed column scan touches only the two pages holding occupied buckets of
+    // this column; the naive baseline probes all 48 and touches ~one page per bucket.
+    let before = reopened.page_stats();
+    let mut count = 0;
+    reopened.scan_column(11, &mut |_, _| count += 1);
+    let indexed_lookups = reopened.page_stats().lookups - before.lookups;
+    let before = reopened.page_stats();
+    crate::storage::naive_scan_column(&reopened, 11, &mut |_, _| count += 1);
+    let naive_lookups = reopened.page_stats().lookups - before.lookups;
+    assert_eq!(count, 4);
+    assert!(
+        indexed_lookups * 8 <= naive_lookups,
+        "indexed scan touched {indexed_lookups} pages, naive {naive_lookups}"
+    );
+    remove(&path);
+}
+
+#[test]
+fn concurrent_readers_scan_without_latch_contention() {
+    let path = temp_path("concurrent-readers");
+    let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 64).unwrap();
+    for row in 0..48 {
+        store.store_room(row, (row * 5) % 48, 0, sample_room(row as i64 + 1)).unwrap();
+    }
+    // Warm the cache: 48·48·2 rooms = 72 KiB = 18 pages, well under the 64-page
+    // budget, so the reader threads below run pure hits under shared read latches.
+    store.scan_occupied(&mut |_, _, _| {});
+    let store = Arc::new(store);
+    let waits_before = store.page_stats().latch_waits;
+    let readers: Vec<_> = (0..4usize)
+        .map(|t| {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                for round in 0..50 {
+                    let row = (round * 7 + t) % 48;
+                    let mut seen = Vec::new();
+                    store.scan_row(row, &mut |column, room| seen.push((column, room.weight)));
+                    assert_eq!(seen, vec![((row * 5) % 48, row as i64 + 1)]);
+                    let column = (row * 5) % 48;
+                    assert_eq!(store.room(row, column, 0).weight, row as i64 + 1);
+                    assert_eq!(store.find_match(row, column, 17, 23, 1, 2), Some(0));
+                }
+            })
+        })
+        .collect();
+    for reader in readers {
+        reader.join().unwrap();
+    }
+    assert_eq!(
+        store.page_stats().latch_waits,
+        waits_before,
+        "cache-hit readers never block on a page latch"
+    );
+    remove(&path);
+}
+
+#[test]
+fn dense_rows_fall_back_to_the_linear_scan_with_identical_results() {
+    let path = temp_path("dense-escape");
+    let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 8).unwrap();
+    // Row 2: 6 of 8 buckets occupied — well past the 50% dense threshold.
+    for column in 0..6 {
+        store.store_room(2, column, 0, sample_room(column as i64 + 100)).unwrap();
+    }
+    // Row 5 stays sparse (1 of 8): exercises the bitmap path in the same store.
+    store.store_room(5, 3, 0, sample_room(7)).unwrap();
+    for row in [2usize, 5] {
+        let mut indexed = Vec::new();
+        store.scan_row(row, &mut |column, room| indexed.push((column, room.weight)));
+        let mut naive = Vec::new();
+        crate::storage::naive_scan_row(&store, row, &mut |column, room| {
+            naive.push((column, room.weight))
+        });
+        assert_eq!(indexed, naive, "row {row}: dense and sparse paths agree");
+    }
+    let mut column3 = Vec::new();
+    store.scan_column(3, &mut |row, room| column3.push((row, room.weight)));
+    assert_eq!(column3, vec![(2, 103), (5, 7)]);
+    remove(&path);
+}
+
+#[test]
+fn injected_wal_fault_fail_stops_writes_reads_keep_serving_and_the_report_is_honest() {
+    let path = temp_path("failstop");
+    // Target only the log file: its magic write at create is occurrence 1, the
+    // first and second drains' arena writes are occurrences 2 and 3.
+    let token = format!("gss-file-store-{}-failstop.gss.wal", std::process::id());
+    let _guard = crate::pager::faults::install(
+        crate::pager::faults::FaultPlan::parse("write:eio@3")
+            .expect("parse plan")
+            .with_path_token(&token),
+    );
+    let config = GssConfig::paper_default(8);
+    let mut store = FileStore::create(&path, &config, 4).unwrap();
+    store.store_room(0, 0, 0, sample_room(7)).unwrap();
+    let (_, ack) = store.log_commit_deferred(1).unwrap();
+    store.ack_commit(ack).unwrap();
+    let healthy = store.durability_report();
+    assert!(!healthy.poisoned);
+    assert_eq!((healthy.acked_items, healthy.durable_items, healthy.breached_items), (1, 1, 0));
+    // The second commit's drain hits the injected EIO: it is never acknowledged.
+    store.store_room(0, 1, 0, sample_room(9)).unwrap();
+    let (_, ack) = store.log_commit_deferred(2).unwrap();
+    let error = store.ack_commit(ack).expect_err("injected drain failure must surface");
+    assert!(store.health().is_poisoned());
+    // Writes fail-stop with the sticky cause...
+    let fault = store.store_room(0, 2, 0, sample_room(1)).unwrap_err();
+    assert_eq!(fault.kind(), error.kind());
+    assert!(store.log_commit_deferred(3).is_err());
+    // ...reads keep serving from cache...
+    assert_eq!(store.room(0, 0, 0).weight, 7);
+    assert_eq!(store.room(0, 1, 0).weight, 9);
+    // ...and the report counts only what was acknowledged, all of it durable.
+    let report = store.durability_report();
+    assert!(report.poisoned);
+    assert_eq!(report.cause.as_ref().map(StoreFault::kind), Some(error.kind()));
+    assert_eq!((report.acked_items, report.durable_items, report.breached_items), (1, 1, 0));
+    assert_eq!(store.durability_stats().store_poisoned, 1);
+    assert!(store.durability_stats().injected_faults >= 1);
+    drop(store);
+    remove(&path);
+}

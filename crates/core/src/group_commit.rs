@@ -596,7 +596,7 @@ impl std::fmt::Debug for GroupCommitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{read_replay, wal_path, COMMIT_FRAME_BYTES};
+    use crate::wal::{commit_frame, read_replay, wal_path, COMMIT_FRAME_BYTES};
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
 
@@ -625,7 +625,7 @@ mod tests {
 
         let target = {
             let mut wal = member.wal.lock();
-            wal.writer.log_commit(3);
+            wal.writer.append_encoded(&commit_frame(3));
             wal.writer.appended_bytes()
         };
         committer.commit(&member, target).expect("commit");
@@ -644,7 +644,7 @@ mod tests {
         committer.register(&member);
         {
             let mut wal = member.wal.lock();
-            wal.writer.log_commit(1);
+            wal.writer.append_encoded(&commit_frame(1));
         }
         committer.barrier(&member).expect("barrier");
         assert_eq!(member.wal.lock().writer.pending_bytes(), 0);
@@ -660,7 +660,7 @@ mod tests {
         for round in 1..=3u64 {
             let target = {
                 let mut wal = member.wal.lock();
-                wal.writer.log_commit(round);
+                wal.writer.append_encoded(&commit_frame(round));
                 wal.writer.appended_bytes()
             };
             committer.commit(&member, target).expect("commit");
@@ -682,7 +682,7 @@ mod tests {
         // b drains via barrier (written, unsynced), then a commit on a trips a forced
         // cadence round: one sweep must sync both logs.
         let mut wal_b = b.wal.lock();
-        wal_b.writer.log_commit(7);
+        wal_b.writer.append_encoded(&commit_frame(7));
         drop(wal_b);
         committer.barrier(&b).expect("barrier b");
 
@@ -691,7 +691,7 @@ mod tests {
         zero.register(&b);
         let target = {
             let mut wal = a.wal.lock();
-            wal.writer.log_commit(1);
+            wal.writer.append_encoded(&commit_frame(1));
             wal.writer.appended_bytes()
         };
         zero.commit(&a, target).expect("commit a");
@@ -717,7 +717,7 @@ mod tests {
                     for _ in 0..50 {
                         let target = {
                             let mut wal = member.wal.lock();
-                            wal.writer.log_commit(1);
+                            wal.writer.append_encoded(&commit_frame(1));
                             wal.writer.appended_bytes()
                         };
                         committer.commit(&member, target).expect("commit");
@@ -750,7 +750,7 @@ mod tests {
 
         let target = {
             let mut wal = member.wal.lock();
-            wal.writer.log_commit(5);
+            wal.writer.append_encoded(&commit_frame(5));
             wal.writer.appended_bytes()
         };
         member.record_commit(target, 5);
@@ -781,7 +781,7 @@ mod tests {
         committer.register(&member);
         let target = {
             let mut wal = member.wal.lock();
-            wal.writer.log_commit(1);
+            wal.writer.append_encoded(&commit_frame(1));
             wal.writer.appended_bytes()
         };
         committer.commit(&member, target).expect_err("fdatasync must fail");
@@ -801,7 +801,7 @@ mod tests {
         committer.register(&member);
         let target = {
             let mut wal = member.wal.lock();
-            wal.writer.log_commit(4);
+            wal.writer.append_encoded(&commit_frame(4));
             wal.writer.appended_bytes()
         };
         member.record_commit(target, 4);
@@ -818,7 +818,7 @@ mod tests {
         committer.register(&member);
         {
             let mut wal = member.wal.lock();
-            wal.writer.log_commit(1);
+            wal.writer.append_encoded(&commit_frame(1));
         }
         let guard = committer.exclusive(&member);
         assert!(*unpoison(member.group_token.lock()));

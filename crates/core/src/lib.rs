@@ -89,6 +89,6 @@ pub use persistence::PersistenceError;
 pub use sketch::GssSketch;
 pub use stats::GssStats;
 pub use storage::{
-    naive_scan_column, naive_scan_row, AtomicOccupancyIndex, BucketProbe, OccupancyIndex,
-    RoomStorage, RoomStore, StorageBackend, ROOM_RECORD_BYTES,
+    naive_scan_column, naive_scan_row, BucketProbe, OccupancyIndex, RoomStorage, RoomStore,
+    StorageBackend, ROOM_RECORD_BYTES,
 };

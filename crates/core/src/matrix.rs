@@ -78,35 +78,6 @@ impl MemoryStore {
         }
     }
 
-    /// Side length `m`.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Rooms per bucket `l`.
-    pub fn rooms_per_bucket(&self) -> usize {
-        self.rooms_per_bucket
-    }
-
-    /// Total number of rooms.
-    pub fn room_count(&self) -> usize {
-        self.rooms.len()
-    }
-
-    /// Number of currently occupied rooms.
-    pub fn occupied_rooms(&self) -> usize {
-        self.occupied_rooms
-    }
-
-    /// Fraction of rooms occupied.
-    pub fn load_factor(&self) -> f64 {
-        if self.rooms.is_empty() {
-            0.0
-        } else {
-            self.occupied_rooms as f64 / self.rooms.len() as f64
-        }
-    }
-
     /// Index of the first room of bucket `(row, column)`.
     fn bucket_start(&self, row: usize, column: usize) -> usize {
         debug_assert!(row < self.width && column < self.width);
@@ -119,107 +90,11 @@ impl MemoryStore {
         &self.rooms[start..start + self.rooms_per_bucket]
     }
 
-    /// Searches bucket `(row, column)` for a room matching the fingerprints/indices; returns
-    /// the position of the matching room within the bucket.
-    pub fn find_match(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Option<usize> {
-        self.bucket(row, column).iter().position(|room| {
-            room.matches(
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            )
-        })
-    }
-
-    /// Returns the position of the first empty room in bucket `(row, column)`, if any.
-    pub fn find_empty(&self, row: usize, column: usize) -> Option<usize> {
-        self.bucket(row, column).iter().position(|room| !room.occupied)
-    }
-
-    /// Adds `weight` to the room at `slot` in bucket `(row, column)`.
-    pub fn add_weight(&mut self, row: usize, column: usize, slot: usize, weight: i64) {
-        let start = self.bucket_start(row, column);
-        let room = &mut self.rooms[start + slot];
-        debug_assert!(room.occupied, "adding weight to an empty room");
-        room.weight += weight;
-    }
-
-    /// Writes a fresh edge into the room at `slot` in bucket `(row, column)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn store(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-        weight: i64,
-    ) {
-        let start = self.bucket_start(row, column);
-        let room = &mut self.rooms[start + slot];
-        debug_assert!(!room.occupied, "overwriting an occupied room");
-        *room = Room {
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
-            weight,
-            occupied: true,
-        };
-        self.occupied_rooms += 1;
-        self.index.mark(row, column);
-    }
-
-    /// The bucket-occupancy bitmaps (exposed for white-box tests and memory accounting).
-    pub fn occupancy_index(&self) -> &OccupancyIndex {
-        &self.index
-    }
-
-    /// Iterates over the occupied rooms of matrix row `row` as `(column, &Room)` pairs by
-    /// walking the full row — the index-free reference behaviour; the hot path is the
-    /// indexed [`RoomStore::scan_row`].
-    pub fn row_rooms(&self, row: usize) -> impl Iterator<Item = (usize, &Room)> {
-        let start = row * self.width * self.rooms_per_bucket;
-        let end = start + self.width * self.rooms_per_bucket;
-        let rooms_per_bucket = self.rooms_per_bucket;
-        self.rooms[start..end]
-            .iter()
-            .enumerate()
-            .filter(|(_, room)| room.occupied)
-            .map(move |(offset, room)| (offset / rooms_per_bucket, room))
-    }
-
-    /// Iterates over the occupied rooms of matrix column `column` as `(row, &Room)` pairs
-    /// by walking the full column — the index-free reference behaviour; the hot path is
-    /// the indexed [`RoomStore::scan_column`].
-    pub fn column_rooms(&self, column: usize) -> impl Iterator<Item = (usize, &Room)> + '_ {
-        (0..self.width).flat_map(move |row| {
-            self.bucket(row, column)
-                .iter()
-                .filter(|room| room.occupied)
-                .map(move |room| (row, room))
-        })
-    }
-
-    /// Iterates over every occupied room as `(row, column, &Room)`.
-    pub fn occupied(&self) -> impl Iterator<Item = (usize, usize, &Room)> {
-        let width = self.width;
-        let rooms_per_bucket = self.rooms_per_bucket;
-        self.rooms.iter().enumerate().filter(|(_, room)| room.occupied).map(move |(index, room)| {
-            let bucket = index / rooms_per_bucket;
-            (bucket / width, bucket % width, room)
-        })
+    /// Visits the occupied rooms of bucket `(row, column)` in slot order.
+    fn scan_bucket(&self, row: usize, column: usize, mut visit: impl FnMut(Room)) {
+        for room in self.bucket(row, column).iter().filter(|room| room.occupied) {
+            visit(*room);
+        }
     }
 }
 
@@ -253,19 +128,18 @@ impl RoomStore for MemoryStore {
         source_index: u8,
         destination_index: u8,
     ) -> Option<usize> {
-        MemoryStore::find_match(
-            self,
-            row,
-            column,
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
-        )
+        self.bucket(row, column).iter().position(|room| {
+            room.matches(
+                source_fingerprint,
+                destination_fingerprint,
+                source_index,
+                destination_index,
+            )
+        })
     }
 
     fn find_empty(&self, row: usize, column: usize) -> Option<usize> {
-        MemoryStore::find_empty(self, row, column)
+        self.bucket(row, column).iter().position(|room| !room.occupied)
     }
 
     fn probe_bucket(
@@ -301,7 +175,10 @@ impl RoomStore for MemoryStore {
         slot: usize,
         weight: i64,
     ) -> Result<(), StoreFault> {
-        MemoryStore::add_weight(self, row, column, slot, weight);
+        let start = self.bucket_start(row, column);
+        let room = &mut self.rooms[start + slot];
+        debug_assert!(room.occupied, "adding weight to an empty room");
+        room.weight += weight;
         Ok(())
     }
 
@@ -313,16 +190,12 @@ impl RoomStore for MemoryStore {
         room: Room,
     ) -> Result<(), StoreFault> {
         debug_assert!(room.occupied, "storing an unoccupied room");
-        self.store(
-            row,
-            column,
-            slot,
-            room.source_fingerprint,
-            room.destination_fingerprint,
-            room.source_index,
-            room.destination_index,
-            room.weight,
-        );
+        let start = self.bucket_start(row, column);
+        let target = &mut self.rooms[start + slot];
+        debug_assert!(!target.occupied, "overwriting an occupied room");
+        *target = room;
+        self.occupied_rooms += 1;
+        self.index.mark(row, column);
         Ok(())
     }
 
@@ -331,59 +204,64 @@ impl RoomStore for MemoryStore {
         // bitmap's skip-ahead win has vanished and the contiguous pass is cheaper than
         // per-word bit arithmetic.  Both paths visit in ascending (column, slot) order.
         if dense_scan(self.index.occupied_in_row(row), self.width) {
-            for (column, room) in self.row_rooms(row) {
-                visit(column, *room);
+            let start = self.bucket_start(row, 0);
+            let row_rooms = &self.rooms[start..start + self.width * self.rooms_per_bucket];
+            for (offset, room) in row_rooms.iter().enumerate().filter(|(_, room)| room.occupied) {
+                visit(offset / self.rooms_per_bucket, *room);
             }
             return;
         }
         // Index-steered: only buckets that ever received an edge are probed.
-        self.index.for_each_in_row(row, |column| {
-            for room in self.bucket(row, column) {
-                if room.occupied {
-                    visit(column, *room);
-                }
-            }
-        });
+        for column in self.index.in_row(row) {
+            self.scan_bucket(row, column, |room| visit(column, room));
+        }
     }
 
     fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
         if dense_scan(self.index.occupied_in_column(column), self.width) {
-            for (row, room) in self.column_rooms(column) {
-                visit(row, *room);
+            for row in 0..self.width {
+                self.scan_bucket(row, column, |room| visit(row, room));
             }
             return;
         }
-        self.index.for_each_in_column(column, |row| {
-            for room in self.bucket(row, column) {
-                if room.occupied {
-                    visit(row, *room);
-                }
-            }
-        });
+        for row in self.index.in_column(column) {
+            self.scan_bucket(row, column, |room| visit(row, room));
+        }
     }
 
     fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
         // Same ascending (row, column, slot) order as the flat iteration, but sparse
         // matrices skip their empty buckets (this is the snapshot-write path).
         for row in 0..self.width {
-            self.index.for_each_in_row(row, |column| {
-                for room in self.bucket(row, column) {
-                    if room.occupied {
-                        visit(row, column, *room);
-                    }
-                }
-            });
+            for column in self.index.in_row(row) {
+                self.scan_bucket(row, column, |room| visit(row, column, room));
+            }
         }
-    }
-
-    fn load_factor(&self) -> f64 {
-        MemoryStore::load_factor(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::naive_scan_row;
+
+    /// An occupied room (the trait's `store_room` takes the room whole).
+    fn room(
+        source_fingerprint: u16,
+        destination_fingerprint: u16,
+        source_index: u8,
+        destination_index: u8,
+        weight: i64,
+    ) -> Room {
+        Room {
+            source_fingerprint,
+            destination_fingerprint,
+            source_index,
+            destination_index,
+            weight,
+            occupied: true,
+        }
+    }
 
     #[test]
     fn new_matrix_is_empty() {
@@ -393,14 +271,14 @@ mod tests {
         assert_eq!(matrix.room_count(), 32);
         assert_eq!(matrix.occupied_rooms(), 0);
         assert_eq!(matrix.load_factor(), 0.0);
-        assert!(matrix.occupied().next().is_none());
+        matrix.scan_occupied(&mut |_, _, _| panic!("an empty matrix has no occupied room"));
     }
 
     #[test]
     fn store_and_find_round_trip() {
         let mut matrix = MemoryStore::new(4, 2);
         assert_eq!(matrix.find_empty(1, 2), Some(0));
-        matrix.store(1, 2, 0, 10, 20, 3, 4, 7);
+        matrix.store_room(1, 2, 0, room(10, 20, 3, 4, 7)).unwrap();
         assert_eq!(matrix.find_match(1, 2, 10, 20, 3, 4), Some(0));
         assert_eq!(matrix.find_match(1, 2, 10, 20, 3, 5), None);
         assert_eq!(matrix.find_match(1, 2, 11, 20, 3, 4), None);
@@ -413,16 +291,16 @@ mod tests {
     #[test]
     fn add_weight_accumulates() {
         let mut matrix = MemoryStore::new(2, 1);
-        matrix.store(0, 1, 0, 1, 2, 0, 0, 5);
-        matrix.add_weight(0, 1, 0, 3);
+        matrix.store_room(0, 1, 0, room(1, 2, 0, 0, 5)).unwrap();
+        matrix.add_weight(0, 1, 0, 3).unwrap();
         assert_eq!(matrix.bucket(0, 1)[0].weight, 8);
     }
 
     #[test]
     fn full_bucket_has_no_empty_room() {
         let mut matrix = MemoryStore::new(2, 2);
-        matrix.store(0, 0, 0, 1, 1, 0, 0, 1);
-        matrix.store(0, 0, 1, 2, 2, 0, 0, 1);
+        matrix.store_room(0, 0, 0, room(1, 1, 0, 0, 1)).unwrap();
+        matrix.store_room(0, 0, 1, room(2, 2, 0, 0, 1)).unwrap();
         assert_eq!(matrix.find_empty(0, 0), None);
         assert_eq!(matrix.load_factor(), 2.0 / 8.0);
     }
@@ -430,19 +308,20 @@ mod tests {
     #[test]
     fn row_and_column_iteration_report_positions() {
         let mut matrix = MemoryStore::new(3, 2);
-        matrix.store(1, 0, 0, 5, 6, 1, 2, 10);
-        matrix.store(1, 2, 1, 7, 8, 3, 4, 20);
-        matrix.store(0, 2, 0, 9, 10, 5, 6, 30);
+        matrix.store_room(1, 0, 0, room(5, 6, 1, 2, 10)).unwrap();
+        matrix.store_room(1, 2, 1, room(7, 8, 3, 4, 20)).unwrap();
+        matrix.store_room(0, 2, 0, room(9, 10, 5, 6, 30)).unwrap();
 
-        let row1: Vec<(usize, i64)> = matrix.row_rooms(1).map(|(c, r)| (c, r.weight)).collect();
+        let mut row1 = Vec::new();
+        matrix.scan_row(1, &mut |c, r| row1.push((c, r.weight)));
         assert_eq!(row1, vec![(0, 10), (2, 20)]);
 
-        let col2: Vec<(usize, i64)> =
-            matrix.column_rooms(2).map(|(r, room)| (r, room.weight)).collect();
+        let mut col2 = Vec::new();
+        matrix.scan_column(2, &mut |r, room| col2.push((r, room.weight)));
         assert_eq!(col2, vec![(0, 30), (1, 20)]);
 
-        let all: Vec<(usize, usize, i64)> =
-            matrix.occupied().map(|(r, c, room)| (r, c, room.weight)).collect();
+        let mut all = Vec::new();
+        matrix.scan_occupied(&mut |r, c, room| all.push((r, c, room.weight)));
         assert_eq!(all.len(), 3);
         assert!(all.contains(&(1, 0, 10)));
         assert!(all.contains(&(1, 2, 20)));
@@ -454,14 +333,14 @@ mod tests {
         let mut matrix = MemoryStore::new(8, 2);
         // Row 4: 6 of 8 buckets occupied — past the 50% dense threshold; row 6 sparse.
         for column in 0..6 {
-            matrix.store(4, column, 0, 5, 6, 1, 2, column as i64 + 100);
+            matrix.store_room(4, column, 0, room(5, 6, 1, 2, column as i64 + 100)).unwrap();
         }
-        matrix.store(6, 3, 1, 7, 8, 3, 4, 11);
+        matrix.store_room(6, 3, 1, room(7, 8, 3, 4, 11)).unwrap();
         for row in [4usize, 6] {
             let mut indexed = Vec::new();
             matrix.scan_row(row, &mut |column, room| indexed.push((column, room.weight)));
-            let reference: Vec<(usize, i64)> =
-                matrix.row_rooms(row).map(|(c, r)| (c, r.weight)).collect();
+            let mut reference = Vec::new();
+            naive_scan_row(&matrix, row, &mut |c, r| reference.push((c, r.weight)));
             assert_eq!(indexed, reference, "row {row}: dense and sparse paths agree");
         }
         let mut column3 = Vec::new();

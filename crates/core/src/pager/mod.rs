@@ -54,15 +54,6 @@ pub mod witness;
 /// [`ROOM_RECORD_BYTES`](crate::storage::ROOM_RECORD_BYTES) divides this).
 pub const PAGE_BYTES: usize = 4096;
 
-/// Size of the sketch-file header region (one page, so the room region that the pager
-/// serves starts page-aligned); the pager adds this to every page offset.
-pub(crate) const HEADER_BYTES: u64 = PAGE_BYTES as u64;
-
-/// File byte offset of room-region page `index`.
-pub(crate) fn page_offset(index: u64) -> u64 {
-    HEADER_BYTES + index * PAGE_BYTES as u64
-}
-
 /// Cumulative page-cache counters of a [`FileStore`](crate::FileStore), maintained as
 /// atomics so they are observable without taking any pager lock (reported by the
 /// `query_scaling` bench and aggregated across shards into

@@ -139,16 +139,17 @@ impl PageCache {
                 .iter()
                 .filter(|(_, slot)| Arc::strong_count(slot) == 1)
                 // relaxed: see the clock above — stamps order eviction approximately.
-                .min_by_key(|(_, slot)| slot.stamp.load(Ordering::Relaxed))
-                .map(|(&victim, _)| victim);
-            let Some(victim) = victim else { break };
-            let slot = slots.remove(&victim).expect("victim was just listed");
+                .min_by_key(|(_, slot)| slot.stamp.load(Ordering::Relaxed));
+            let Some((&victim, slot)) = victim else { break };
             if slot.is_dirty() {
                 // Uncontended: the strong count of 1 proved no one else holds the slot.
                 let _latch_held = witness::acquire(LockClass::PageLatch);
-                let data = slot.data.read();
-                io.write_back(victim, &data)?;
+                // The victim leaves the table only once its bytes are in the file: a
+                // failed write-back returns with it still resident and dirty, because
+                // it holds the only copy of mutations that were already acknowledged.
+                io.write_back(victim, &slot.data.read())?;
             }
+            slots.remove(&victim);
         }
         let slot = Arc::new(PageSlot {
             index,
@@ -334,6 +335,47 @@ mod tests {
             let slot = cache.lookup(index, &io).unwrap();
             assert_eq!(cache.read(&slot)[0], index as u8 + 1);
         }
+    }
+
+    /// [`MemIo`] whose first `write_back` fails with `EIO`.
+    struct FailOnceIo {
+        inner: MemIo,
+        failed: AtomicBool,
+    }
+
+    impl PageIo for FailOnceIo {
+        fn load_page(&self, index: u64, into: &mut [u8; PAGE_BYTES]) -> io::Result<()> {
+            self.inner.load_page(index, into)
+        }
+
+        fn write_back(&self, index: u64, data: &[u8; PAGE_BYTES]) -> io::Result<()> {
+            if !self.failed.swap(true, Ordering::Relaxed) {
+                return Err(io::Error::other("injected write-back failure"));
+            }
+            self.inner.write_back(index, data)
+        }
+    }
+
+    #[test]
+    fn a_failed_write_back_keeps_the_victim_cached_and_dirty() {
+        let cache = PageCache::new(1);
+        let io = FailOnceIo { inner: MemIo::new(), failed: AtomicBool::new(false) };
+        let slot = cache.lookup(0, &io).unwrap();
+        cache.write(&slot)[0] = 42;
+        slot.mark_dirty();
+        drop(slot);
+        // Faulting page 1 must evict dirty page 0; its write-back fails, so the only
+        // copy of the mutation has to stay resident — and still owed to the file.
+        assert!(cache.lookup(1, &io).is_err());
+        let faults = cache.stats().faults;
+        let kept = cache.lookup(0, &io).unwrap();
+        assert_eq!(cache.stats().faults, faults, "page 0 is still cached: a hit");
+        assert_eq!(cache.read(&kept)[0], 42);
+        assert_eq!(cache.dirty_slots().len(), 1, "and still dirty");
+        drop(kept);
+        // The next eviction succeeds and finally writes the page.
+        cache.lookup(1, &io).unwrap();
+        assert_eq!(io.inner.pages.lock().get(&0).map(|page| page[0]), Some(42));
     }
 
     #[test]

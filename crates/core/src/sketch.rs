@@ -26,10 +26,9 @@ use crate::group_commit::GroupCommitter;
 use crate::hashing::{HashedNode, NodeHasher, RecoverQCache};
 use crate::matrix::MemoryStore;
 use crate::node_map::NodeIdMap;
-use crate::pager::PAGE_BYTES;
 use crate::persistence::PersistenceError;
 use crate::stats::GssStats;
-use crate::storage::{BucketProbe, RoomStorage, RoomStore, StorageBackend, ROOM_RECORD_BYTES};
+use crate::storage::{BucketProbe, RoomStorage, RoomStore, StorageBackend};
 use gss_graph::{StreamEdge, SummaryRead, SummaryStats, SummaryWrite, VertexId, Weight};
 use std::collections::HashMap;
 use std::path::Path;
@@ -166,7 +165,7 @@ impl GssSketch {
     ///
     /// The file (and its log) must not be open in any other process: recovery mutates,
     /// so opening a *live* ingester's file would corrupt it — see the single-opener
-    /// contract in [`crate::file_store`].  Use snapshots to share live state.
+    /// contract in [`crate::file_store::open`].  Use snapshots to share live state.
     ///
     /// # Errors
     /// Returns a [`PersistenceError`] if the file is missing, truncated, from a different
@@ -883,9 +882,7 @@ impl GssSketch {
         // or in the exact buffer, and every query answers from either location
         // identically.  The in-memory backend keeps first-occurrence order outright.
         let mut order: Vec<u32> = (0..folded.len() as u32).collect();
-        if self.matrix.as_file().is_some() {
-            let rooms = self.config.rooms;
-            let width = self.config.width;
+        if let Some(store) = self.matrix.as_file() {
             let keys: Vec<u64> = folded
                 .iter()
                 .map(|&(source, destination, _)| {
@@ -901,9 +898,7 @@ impl GssSketch {
                     if count == 0 {
                         return u64::MAX;
                     }
-                    let first = candidates[0];
-                    let byte = (first.row * width + first.column) * rooms * ROOM_RECORD_BYTES;
-                    (byte / PAGE_BYTES) as u64
+                    store.page_of_bucket(candidates[0].row, candidates[0].column)
                 })
                 .collect();
             order.sort_by_key(|&index| keys[index as usize]);

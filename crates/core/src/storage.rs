@@ -79,35 +79,26 @@ impl OccupancyIndex {
         self.rows[row * self.words_per_line + column / 64] & (1u64 << (column % 64)) != 0
     }
 
-    /// Number of 64-bit words per bitmap line.
+    /// The occupied columns of `row`, ascending.
+    pub fn in_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
+        Self::set_positions(self.line(&self.rows, row))
+    }
+
+    /// The occupied rows of `column`, ascending.
+    pub fn in_column(&self, column: usize) -> impl Iterator<Item = usize> + '_ {
+        Self::set_positions(self.line(&self.columns, column))
+    }
+
+    /// Number of occupied buckets in `row` (popcount over the row's bitmap words).
     #[inline]
-    pub fn words_per_line(&self) -> usize {
-        self.words_per_line
+    pub fn occupied_in_row(&self, row: usize) -> usize {
+        self.line(&self.rows, row).iter().map(|word| word.count_ones() as usize).sum()
     }
 
-    /// The `word`-th bitmap word of row `row` (occupied columns of that row).
+    /// Number of occupied buckets in `column`.
     #[inline]
-    pub fn row_word(&self, row: usize, word: usize) -> u64 {
-        self.rows[row * self.words_per_line + word]
-    }
-
-    /// The `word`-th bitmap word of column `column` (occupied rows of that column).
-    #[inline]
-    pub fn column_word(&self, column: usize, word: usize) -> u64 {
-        self.columns[column * self.words_per_line + word]
-    }
-
-    /// Visits the occupied columns of `row` in ascending order.
-    pub fn for_each_in_row(&self, row: usize, visit: impl FnMut(usize)) {
-        Self::for_each_set(&self.rows[row * self.words_per_line..][..self.words_per_line], visit);
-    }
-
-    /// Visits the occupied rows of `column` in ascending order.
-    pub fn for_each_in_column(&self, column: usize, visit: impl FnMut(usize)) {
-        Self::for_each_set(
-            &self.columns[column * self.words_per_line..][..self.words_per_line],
-            visit,
-        );
+    pub fn occupied_in_column(&self, column: usize) -> usize {
+        self.line(&self.columns, column).iter().map(|word| word.count_ones() as usize).sum()
     }
 
     /// Heap bytes of the two bitmaps.
@@ -115,47 +106,23 @@ impl OccupancyIndex {
         (self.rows.len() + self.columns.len()) * std::mem::size_of::<u64>()
     }
 
-    /// The set bit positions of one bitmap word, offset by `word_index · 64` — the single
-    /// home of the `trailing_zeros`/`bits &= bits − 1` walk.  Callers that cannot hold a
-    /// borrow of the index across the visit (the file backend's index shares a lock with
-    /// its page cache) copy a word out with [`row_word`](Self::row_word) /
-    /// [`column_word`](Self::column_word) and iterate it here.
-    pub fn set_positions(word_index: usize, mut word: u64) -> impl Iterator<Item = usize> {
-        std::iter::from_fn(move || {
-            if word == 0 {
-                None
-            } else {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                Some(word_index * 64 + bit)
-            }
+    fn line<'a>(&self, lines: &'a [u64], line: usize) -> &'a [u64] {
+        &lines[line * self.words_per_line..][..self.words_per_line]
+    }
+
+    /// The set bit positions of one bitmap line, ascending — the single home of the
+    /// `trailing_zeros`/`bits &= bits − 1` walk.
+    fn set_positions(line: &[u64]) -> impl Iterator<Item = usize> + '_ {
+        line.iter().enumerate().flat_map(|(word_index, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    word_index * 64 + bit
+                })
+            })
         })
-    }
-
-    fn for_each_set(line: &[u64], mut visit: impl FnMut(usize)) {
-        for (word_index, &word) in line.iter().enumerate() {
-            for position in Self::set_positions(word_index, word) {
-                visit(position);
-            }
-        }
-    }
-
-    /// Number of occupied buckets in `row` (popcount over the row's bitmap words).
-    #[inline]
-    pub fn occupied_in_row(&self, row: usize) -> usize {
-        self.rows[row * self.words_per_line..][..self.words_per_line]
-            .iter()
-            .map(|word| word.count_ones() as usize)
-            .sum()
-    }
-
-    /// Number of occupied buckets in `column`.
-    #[inline]
-    pub fn occupied_in_column(&self, column: usize) -> usize {
-        self.columns[column * self.words_per_line..][..self.words_per_line]
-            .iter()
-            .map(|word| word.count_ones() as usize)
-            .sum()
     }
 }
 
@@ -166,100 +133,6 @@ impl OccupancyIndex {
 #[inline]
 pub(crate) fn dense_scan(occupied_buckets: usize, width: usize) -> bool {
     occupied_buckets * 2 >= width
-}
-
-/// [`OccupancyIndex`] with atomic bitmap words: the variant the file backend keeps, so
-/// concurrent readers can consult row/column words while a writer marks buckets — no
-/// global storage lock.  Bits are only ever set (rooms are never freed), so relaxed
-/// `fetch_or`/`load` suffice: a reader that misses an in-flight mark simply skips a
-/// bucket it would not have been guaranteed to see under any serialization anyway.
-///
-/// Like its plain counterpart this is a pure acceleration structure — never serialized,
-/// rebuilt from room occupancy on open.
-#[derive(Debug)]
-pub struct AtomicOccupancyIndex {
-    width: usize,
-    words_per_line: usize,
-    rows: Vec<std::sync::atomic::AtomicU64>,
-    columns: Vec<std::sync::atomic::AtomicU64>,
-}
-
-impl AtomicOccupancyIndex {
-    /// An all-empty index for a `width × width` bucket grid.
-    pub fn new(width: usize) -> Self {
-        use std::sync::atomic::AtomicU64;
-        let words_per_line = width.div_ceil(64);
-        Self {
-            width,
-            words_per_line,
-            rows: (0..width * words_per_line).map(|_| AtomicU64::new(0)).collect(),
-            columns: (0..width * words_per_line).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Marks bucket `(row, column)` as holding at least one occupied room.  `&self`: safe
-    /// to call while other threads read the index.
-    #[inline]
-    pub fn mark(&self, row: usize, column: usize) {
-        use std::sync::atomic::Ordering;
-        debug_assert!(row < self.width && column < self.width);
-        // relaxed: the bit is a monotonic hint for scan pruning; readers that miss a
-        // freshly set bit just scan one extra bucket, they never skip occupied data.
-        self.rows[row * self.words_per_line + column / 64]
-            .fetch_or(1u64 << (column % 64), Ordering::Relaxed);
-        // relaxed: same monotonic-hint contract as the row bit above.
-        self.columns[column * self.words_per_line + row / 64]
-            .fetch_or(1u64 << (row % 64), Ordering::Relaxed);
-    }
-
-    /// Whether bucket `(row, column)` has been marked occupied.
-    #[inline]
-    pub fn contains(&self, row: usize, column: usize) -> bool {
-        use std::sync::atomic::Ordering;
-        // relaxed: a stale read only widens the scan by one bucket (see `mark`).
-        self.rows[row * self.words_per_line + column / 64].load(Ordering::Relaxed)
-            & (1u64 << (column % 64))
-            != 0
-    }
-
-    /// Number of 64-bit words per bitmap line.
-    #[inline]
-    pub fn words_per_line(&self) -> usize {
-        self.words_per_line
-    }
-
-    /// The `word`-th bitmap word of row `row` (occupied columns of that row).
-    #[inline]
-    pub fn row_word(&self, row: usize, word: usize) -> u64 {
-        // relaxed: scan-pruning hint, same contract as `contains`.
-        self.rows[row * self.words_per_line + word].load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The `word`-th bitmap word of column `column` (occupied rows of that column).
-    #[inline]
-    pub fn column_word(&self, column: usize, word: usize) -> u64 {
-        // relaxed: scan-pruning hint, same contract as `contains`.
-        self.columns[column * self.words_per_line + word].load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of occupied buckets in `row`.
-    #[inline]
-    pub fn occupied_in_row(&self, row: usize) -> usize {
-        (0..self.words_per_line).map(|word| self.row_word(row, word).count_ones() as usize).sum()
-    }
-
-    /// Number of occupied buckets in `column`.
-    #[inline]
-    pub fn occupied_in_column(&self, column: usize) -> usize {
-        (0..self.words_per_line)
-            .map(|word| self.column_word(column, word).count_ones() as usize)
-            .sum()
-    }
-
-    /// Heap bytes of the two bitmaps.
-    pub fn bytes(&self) -> usize {
-        (self.rows.len() + self.columns.len()) * std::mem::size_of::<u64>()
-    }
 }
 
 /// The outcome of a fused single-pass bucket probe ([`RoomStore::probe_bucket`]).
@@ -453,24 +326,7 @@ pub trait RoomStore {
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-    ) -> Result<BucketProbe, StoreFault> {
-        let mut first_empty = None;
-        for slot in 0..self.rooms_per_bucket() {
-            let room = self.room(row, column, slot);
-            if room.matches(
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            ) {
-                return Ok(BucketProbe::Match(slot));
-            }
-            if !room.occupied && first_empty.is_none() {
-                first_empty = Some(slot);
-            }
-        }
-        Ok(first_empty.map_or(BucketProbe::Full, BucketProbe::Empty))
-    }
+    ) -> Result<BucketProbe, StoreFault>;
     /// Adds `weight` to the (occupied) room at `slot` of bucket `(row, column)`.
     fn add_weight(
         &mut self,
@@ -566,18 +422,6 @@ impl RoomStorage {
             Self::File(store) => Some(store),
         }
     }
-
-    /// Full-grid row scan ignoring the occupancy index ([`naive_scan_row`]) — the
-    /// pre-index behaviour, kept as the baseline the `query_scaling` bench and the
-    /// equivalence tests measure against.
-    pub fn scan_row_naive(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
-        naive_scan_row(self, row, visit);
-    }
-
-    /// Full-grid column scan ignoring the occupancy index ([`naive_scan_column`]).
-    pub fn scan_column_naive(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        naive_scan_column(self, column, visit);
-    }
 }
 
 /// Cloning a file-backed store **detaches it into memory**: the clone is a
@@ -591,20 +435,15 @@ impl Clone for RoomStorage {
             Self::File(store) => {
                 let mut memory = MemoryStore::new(store.width(), store.rooms_per_bucket());
                 store.scan_occupied(&mut |row, column, room| {
-                    memory
-                        .store_room(row, column, memory_slot_for(&memory, row, column), room)
-                        .expect("the in-memory store never fails");
+                    // The scan visits rooms bucket-major, so the first free slot is just
+                    // the bucket's running fill level.
+                    let slot = memory.find_empty(row, column).expect("a bucket cannot overfill");
+                    memory.store_room(row, column, slot, room).expect("memory never fails");
                 });
                 Self::Memory(memory)
             }
         }
     }
-}
-
-/// First free slot of a bucket during a detach-copy (the scan visits rooms bucket-major,
-/// so this is just the running fill level).
-fn memory_slot_for(memory: &MemoryStore, row: usize, column: usize) -> usize {
-    memory.find_empty(row, column).expect("detach copy cannot overfill a bucket")
 }
 
 macro_rules! dispatch {
@@ -686,12 +525,7 @@ impl RoomStore for RoomStorage {
         slot: usize,
         weight: i64,
     ) -> Result<(), StoreFault> {
-        // Not `dispatch!`: `MemoryStore`'s inherent (infallible) `add_weight` would shadow
-        // the trait method.
-        match self {
-            RoomStorage::Memory(store) => RoomStore::add_weight(store, row, column, slot, weight),
-            RoomStorage::File(store) => store.add_weight(row, column, slot, weight),
-        }
+        dispatch!(self, store => store.add_weight(row, column, slot, weight))
     }
 
     fn store_room(
@@ -794,8 +628,7 @@ mod tests {
     fn occupancy_index_marks_and_iterates_across_word_boundaries() {
         // Width 70 straddles the 64-bit word boundary in every line.
         let mut index = OccupancyIndex::new(70);
-        assert_eq!(index.words_per_line(), 2);
-        assert!(index.bytes() > 0);
+        assert_eq!(index.bytes(), 2 * 70 * 2 * 8, "two words per line, both directions");
         let marks = [(0, 0), (0, 63), (0, 64), (0, 69), (5, 2), (63, 5), (64, 5), (69, 68)];
         for &(row, column) in &marks {
             assert!(!index.contains(row, column));
@@ -803,51 +636,11 @@ mod tests {
             assert!(index.contains(row, column));
         }
         index.mark(0, 64); // re-marking is idempotent
-        let mut row0 = Vec::new();
-        index.for_each_in_row(0, |column| row0.push(column));
+        let row0: Vec<usize> = index.in_row(0).collect();
         assert_eq!(row0, vec![0, 63, 64, 69], "ascending column order");
-        let mut column5 = Vec::new();
-        index.for_each_in_column(5, |row| column5.push(row));
+        let column5: Vec<usize> = index.in_column(5).collect();
         assert_eq!(column5, vec![63, 64], "ascending row order");
-        let mut empty = Vec::new();
-        index.for_each_in_row(33, |column| empty.push(column));
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn atomic_occupancy_index_matches_the_plain_one_under_concurrent_marks() {
-        let index = std::sync::Arc::new(AtomicOccupancyIndex::new(70));
-        assert_eq!(index.words_per_line(), 2);
-        let markers: Vec<_> = (0..4usize)
-            .map(|t| {
-                let index = std::sync::Arc::clone(&index);
-                std::thread::spawn(move || {
-                    for i in 0..70 {
-                        index.mark((i * 13 + t * 17) % 70, i);
-                    }
-                })
-            })
-            .collect();
-        for marker in markers {
-            marker.join().unwrap();
-        }
-        // Replay the same marks into the plain index: every word must agree.
-        let mut plain = OccupancyIndex::new(70);
-        for t in 0..4usize {
-            for i in 0..70 {
-                plain.mark((i * 13 + t * 17) % 70, i);
-            }
-        }
-        for line in 0..70 {
-            for word in 0..2 {
-                assert_eq!(index.row_word(line, word), plain.row_word(line, word));
-                assert_eq!(index.column_word(line, word), plain.column_word(line, word));
-            }
-            assert_eq!(index.occupied_in_row(line), plain.occupied_in_row(line));
-            assert_eq!(index.occupied_in_column(line), plain.occupied_in_column(line));
-        }
-        assert_eq!(index.bytes(), plain.bytes());
-        assert!(index.contains(0, 0) == plain.contains(0, 0));
+        assert_eq!(index.in_row(33).count(), 0);
     }
 
     #[test]

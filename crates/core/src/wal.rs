@@ -306,26 +306,6 @@ impl WalWriter {
         self.appended += frame.len() as u64;
     }
 
-    /// Logs the full post-write value of the room at `flat_index`.
-    pub fn log_room(&mut self, flat_index: u64, record: &[u8; ROOM_RECORD_BYTES]) {
-        self.append_encoded(&room_frame(flat_index, record));
-    }
-
-    /// Logs a left-over buffer insertion (a weight delta).
-    pub fn log_buffer(&mut self, source: u64, destination: u64, weight: i64) {
-        self.append_encoded(&buffer_frame(source, destination, weight));
-    }
-
-    /// Logs a `⟨H(v), v⟩` registration.
-    pub fn log_node(&mut self, hash: u64, vertex: u64) {
-        self.append_encoded(&node_frame(hash, vertex));
-    }
-
-    /// Logs the completion of an insert or batch at `items` total stream items.
-    pub fn log_commit(&mut self, items: u64) {
-        self.append_encoded(&commit_frame(items));
-    }
-
     /// Logs the tail image a checkpoint is about to write (only the sections being
     /// rewritten; an absent section is unchanged on disk and has no pending deltas).
     pub fn log_tail(&mut self, items: u64, buffer: Option<&[u8]>, node: Option<&[u8]>) {
@@ -624,10 +604,10 @@ mod tests {
         let path = temp_wal("roundtrip");
         let mut writer = WalWriter::create(&path).unwrap();
         assert!(writer.is_empty());
-        writer.log_room(42, &sample_record(7));
-        writer.log_buffer(100, 200, -3);
-        writer.log_node(100, 9);
-        writer.log_commit(55);
+        writer.append_encoded(&room_frame(42, &sample_record(7)));
+        writer.append_encoded(&buffer_frame(100, 200, -3));
+        writer.append_encoded(&node_frame(100, 9));
+        writer.append_encoded(&commit_frame(55));
         assert!(writer.pending_bytes() > 0);
         writer.flush().unwrap();
         assert_eq!(writer.pending_bytes(), 0);
@@ -647,9 +627,9 @@ mod tests {
     fn tail_frame_supersedes_earlier_deltas() {
         let path = temp_wal("tail");
         let mut writer = WalWriter::create(&path).unwrap();
-        writer.log_buffer(1, 2, 3);
-        writer.log_node(1, 1);
-        writer.log_room(0, &sample_record(1));
+        writer.append_encoded(&buffer_frame(1, 2, 3));
+        writer.append_encoded(&node_frame(1, 1));
+        writer.append_encoded(&room_frame(0, &sample_record(1)));
         writer.log_tail(9, Some(b"BUF"), None);
         writer.flush().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
@@ -665,9 +645,9 @@ mod tests {
     fn truncation_and_corruption_yield_the_valid_prefix() {
         let path = temp_wal("prefix");
         let mut writer = WalWriter::create(&path).unwrap();
-        writer.log_commit(1);
-        writer.log_commit(2);
-        writer.log_commit(3);
+        writer.append_encoded(&commit_frame(1));
+        writer.append_encoded(&commit_frame(2));
+        writer.append_encoded(&commit_frame(3));
         writer.flush().unwrap();
         let full = std::fs::read(&path).unwrap();
         let frame_bytes = (full.len() - WAL_MAGIC.len()) / 3;
@@ -700,16 +680,16 @@ mod tests {
     fn truncate_discards_frames_and_append_reopens() {
         let path = temp_wal("truncate");
         let mut writer = WalWriter::create(&path).unwrap();
-        writer.log_commit(7);
+        writer.append_encoded(&commit_frame(7));
         writer.flush().unwrap();
         writer.truncate().unwrap();
         assert!(writer.is_empty());
         assert!(read_replay(&path, 1 << 20).unwrap().unwrap().items.is_none());
-        writer.log_commit(8);
+        writer.append_encoded(&commit_frame(8));
         writer.flush().unwrap();
         drop(writer);
         let mut appended = WalWriter::open_append(&path, u64::MAX).unwrap();
-        appended.log_commit(9);
+        appended.append_encoded(&commit_frame(9));
         appended.flush().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
         assert_eq!(replay.items, Some(9));
@@ -720,7 +700,7 @@ mod tests {
     fn open_append_truncates_a_torn_suffix_so_appended_frames_stay_reachable() {
         let path = temp_wal("torn-suffix");
         let mut writer = WalWriter::create(&path).unwrap();
-        writer.log_commit(1);
+        writer.append_encoded(&commit_frame(1));
         writer.flush().unwrap();
         drop(writer);
         // A torn frame at the end (partial write at crash time).
@@ -744,7 +724,7 @@ mod tests {
     fn tail_frames_with_absurd_section_lengths_end_the_prefix_without_panicking() {
         let path = temp_wal("tail-overflow");
         let mut writer = WalWriter::create(&path).unwrap();
-        writer.log_commit(3);
+        writer.append_encoded(&commit_frame(3));
         writer.flush().unwrap();
         // A crafted TAIL frame claiming a section of nearly u64::MAX bytes: the length
         // arithmetic must not overflow, and the frame must read as end-of-prefix.
@@ -767,11 +747,11 @@ mod tests {
     fn out_of_range_room_frames_end_the_valid_prefix_for_every_frame_kind() {
         let path = temp_wal("room-bound");
         let mut writer = WalWriter::create(&path).unwrap();
-        writer.log_room(3, &sample_record(1));
-        writer.log_commit(1);
-        writer.log_room(100, &sample_record(2)); // beyond a 10-room geometry
-        writer.log_buffer(7, 8, 9); // foreign content after the bad frame: untrusted
-        writer.log_commit(2);
+        writer.append_encoded(&room_frame(3, &sample_record(1)));
+        writer.append_encoded(&commit_frame(1));
+        writer.append_encoded(&room_frame(100, &sample_record(2))); // beyond a 10-room geometry
+        writer.append_encoded(&buffer_frame(7, 8, 9)); // foreign content after the bad frame: untrusted
+        writer.append_encoded(&commit_frame(2));
         writer.flush().unwrap();
         let replay = read_replay(&path, 10).unwrap().unwrap();
         assert_eq!(replay.rooms, vec![(3, sample_record(1))]);
@@ -784,7 +764,7 @@ mod tests {
     fn take_pending_swaps_the_arena_and_reserves_the_file_range() {
         let path = temp_wal("arena-swap");
         let mut writer = WalWriter::create(&path).unwrap();
-        writer.log_commit(1);
+        writer.append_encoded(&commit_frame(1));
         assert_eq!(writer.appended_bytes(), COMMIT_FRAME_BYTES as u64);
         let mut arena = Vec::new();
         let offset = writer.take_pending(&mut arena);
@@ -794,7 +774,7 @@ mod tests {
         assert_eq!(writer.flushes(), 1, "an arena swap counts as one drain");
         // Appends continue while the taken arena is in flight; its file range stays
         // reserved, so the later flush lands *behind* it.
-        writer.log_commit(2);
+        writer.append_encoded(&commit_frame(2));
         writer.shared_file().write_all_at(&arena, offset).unwrap();
         writer.flush().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();

@@ -10,9 +10,9 @@
 //! | L001 | lock-order         | the WAL append mutex is acquired while a stripe, page-latch or group-commit guard is live; a stripe mutex while a latch or WAL guard is live; the group-commit mutex while a stripe or latch guard is live |
 //! | L002 | io-under-stripe    | `read_exact_at` / `write_all_at` / `sync_data` / `sync_all` / `set_len` runs while a stripe mutex guard is live |
 //! | L003 | panic-in-recovery  | `unwrap` / `expect` / `panic!` / `unreachable!` / `todo!` / range-indexing inside WAL replay or `FileStore` open/recovery functions |
-//! | L004 | raw-io-containment | `std::fs` / `OpenOptions` / `.seek(` outside `pager/`, `wal.rs`, `file_store.rs` and the snapshot module — and, in the server crate, outside `net.rs`, its one sanctioned socket/file-I/O module |
+//! | L004 | raw-io-containment | `std::fs` / `OpenOptions` / `.seek(` outside `pager/`, `file_store/`, `wal.rs` and the snapshot module — and, in the server crate, outside `net.rs`, its one sanctioned socket/file-I/O module |
 //! | L005 | unjustified-relaxed| `Ordering::Relaxed` without an adjacent `// relaxed:` justification (stats counters allowlisted) |
-//! | L006 | sync-result-hygiene| in pager/, `wal.rs`, `file_store.rs` or `group_commit.rs`: a `sync_data` / `sync_all` / `write_all_at` / `set_len` call whose `Result` is dropped in statement position, or an fsync (`sync_data` / `sync_all`) lexically inside a `loop` / `while` / `for` body — a dropped sync result lies about durability, and a retried fsync re-acknowledges bytes the kernel may already have thrown away (the "fsyncgate" hazard) |
+//! | L006 | sync-result-hygiene| in `pager/`, `file_store/`, `wal.rs` or `group_commit.rs`: a `sync_data` / `sync_all` / `write_all_at` / `set_len` call whose `Result` is dropped in statement position, or an fsync (`sync_data` / `sync_all`) lexically inside a `loop` / `while` / `for` body — a dropped sync result lies about durability, and a retried fsync re-acknowledges bytes the kernel may already have thrown away (the "fsyncgate" hazard) |
 //!
 //! A finding is silenced by `// gss-lint: allow(RULE, reason)` on the same or the
 //! preceding line; the reason is mandatory and surfaced by the binary's waiver
@@ -116,14 +116,29 @@ impl FileReport {
     }
 }
 
-/// Functions whose bodies rule L003 covers, per file basename: the WAL replay path and
-/// the `FileStore` open/recovery path.  Read-path panics (`io_fail`) are a deliberate
-/// design decision and stay out of scope.  Every name must match a `fn` in its file
-/// ([`FileReport::unmatched_scope`]).
-fn l003_scope(basename: &str) -> &'static [&'static str] {
+/// Whether `path` lies inside the directory module `dir` (`pager`, `file_store`).
+fn in_module_dir(path: &str, dir: &str) -> bool {
+    path.split('/').rev().skip(1).any(|component| component == dir)
+}
+
+/// Functions whose bodies rule L003 covers, per file: the WAL replay path and the
+/// `FileStore` open/recovery path (`file_store/open.rs`, plus the header decode it
+/// starts with in `file_store/format.rs`).  Read-path panics (`io_fail`) are a
+/// deliberate design decision and stay out of scope.  Every name must match a `fn` in
+/// its file ([`FileReport::unmatched_scope`]).
+fn l003_scope(path: &str, basename: &str) -> &'static [&'static str] {
     match basename {
         "wal.rs" => &["read_replay", "parse_frame", "take", "u64"],
-        "file_store.rs" => &["open_grouped", "recover", "assemble", "section_end", "rebuild_index"],
+        "open.rs" if in_module_dir(path, "file_store") => &[
+            "open_grouped",
+            "recover",
+            "assemble",
+            "section_end",
+            "read_bytes",
+            "read_section",
+            "rebuild_index",
+        ],
+        "format.rs" if in_module_dir(path, "file_store") => &["decode", "field"],
         _ => &[],
     }
 }
@@ -138,9 +153,9 @@ fn l003_scope(basename: &str) -> &'static [&'static str] {
 /// must stay free of raw I/O so the wire format and the tenancy logic remain testable
 /// without a socket and auditable without chasing `std::fs` calls.
 fn l004_exempt(path: &str, basename: &str) -> bool {
-    path.contains("/pager/")
-        || path.starts_with("pager/")
-        || matches!(basename, "wal.rs" | "file_store.rs" | "persistence.rs")
+    in_module_dir(path, "pager")
+        || in_module_dir(path, "file_store")
+        || matches!(basename, "wal.rs" | "persistence.rs")
         || (path.contains("server/src/") && basename == "net.rs")
 }
 
@@ -149,8 +164,9 @@ fn l004_exempt(path: &str, basename: &str) -> bool {
 /// kernel may already have dropped.
 fn l006_applies(path: &str, basename: &str) -> bool {
     path.contains("core/src/")
-        && (path.contains("/pager/")
-            || matches!(basename, "wal.rs" | "file_store.rs" | "group_commit.rs"))
+        && (in_module_dir(path, "pager")
+            || in_module_dir(path, "file_store")
+            || matches!(basename, "wal.rs" | "group_commit.rs"))
 }
 
 /// Atomic counters whose loads and bumps are self-evidently fine under `Relaxed` (pure
@@ -165,7 +181,7 @@ pub fn analyze_file(path: &str, source: &str) -> FileReport {
     let lexed = lexer::lex(source);
     let mut report = FileReport { waivers: parse_waivers(&lexed), ..FileReport::default() };
     let defined = Engine::new(&path, &basename, &lexed).run(&mut report.findings);
-    report.unmatched_scope = l003_scope(&basename)
+    report.unmatched_scope = l003_scope(&path, &basename)
         .iter()
         .copied()
         .filter(|name| !defined.iter().any(|defined| defined == name))
@@ -247,13 +263,13 @@ struct Engine<'a> {
     comments: &'a [lexer::Comment],
     /// Token indices inside `#[cfg(test)] mod` bodies, which every rule skips.
     skipped: Vec<bool>,
-    basename: &'a str,
+    l003_scope: &'static [&'static str],
     l004_applies: bool,
     l006_applies: bool,
 }
 
 impl<'a> Engine<'a> {
-    fn new(path: &str, basename: &'a str, lexed: &'a Lexed) -> Self {
+    fn new(path: &str, basename: &str, lexed: &'a Lexed) -> Self {
         // L004 polices the two crates with a designated I/O layer: core (storage
         // modules) and server (net.rs).
         let l004_in_scope = path.contains("core/src/") || path.contains("server/src/");
@@ -261,7 +277,7 @@ impl<'a> Engine<'a> {
             toks: &lexed.tokens,
             comments: &lexed.comments,
             skipped: mark_cfg_test(&lexed.tokens),
-            basename,
+            l003_scope: l003_scope(path, basename),
             l004_applies: l004_in_scope && !l004_exempt(path, basename),
             l006_applies: l006_applies(path, basename),
         }
@@ -288,9 +304,8 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let tok = &toks[i];
-            let in_scope_fn = fns
-                .last()
-                .is_some_and(|(name, _)| l003_scope(self.basename).contains(&name.as_str()));
+            let in_scope_fn =
+                fns.last().is_some_and(|(name, _)| self.l003_scope.contains(&name.as_str()));
             match tok.kind {
                 TokKind::Punct('{') => {
                     depth += 1;
@@ -384,7 +399,7 @@ impl<'a> Engine<'a> {
                             rule: Rule::L004,
                             line: tok.line,
                             message: "`std::fs` outside the storage layer — route file \
-                                      access through pager/, wal.rs, file_store.rs or \
+                                      access through pager/, file_store/, wal.rs or \
                                       persistence.rs"
                                 .to_string(),
                             waived: false,
@@ -757,18 +772,27 @@ mod tests {
     #[test]
     fn a_scoped_name_matching_no_fn_is_reported() {
         let source = "fn open_grouped() {}\nfn recover() {}\nfn assemble() {}\n\
-                      fn section_end() {}\nfn rebuild_index() {}\n";
-        let report = analyze_file("crates/core/src/file_store.rs", source);
+                      fn section_end() {}\nfn read_bytes() {}\nfn read_section() {}\n\
+                      fn rebuild_index() {}\n";
+        let open_rs = "crates/core/src/file_store/open.rs";
+        let report = analyze_file(open_rs, source);
         assert!(report.unmatched_scope.is_empty(), "{:?}", report.unmatched_scope);
         // One rename (or a misspelt list entry) and the rule would stop covering the
         // function without this check noticing.
         let renamed = source.replace("fn open_grouped", "fn open_with_group");
-        let report = analyze_file("crates/core/src/file_store.rs", &renamed);
+        let report = analyze_file(open_rs, &renamed);
         assert_eq!(report.unmatched_scope, ["open_grouped"]);
         // Functions that exist only inside `#[cfg(test)]` do not count.
         let test_only = renamed + "#[cfg(test)]\nmod tests {\n    fn open_grouped() {}\n}\n";
-        let report = analyze_file("crates/core/src/file_store.rs", &test_only);
+        let report = analyze_file(open_rs, &test_only);
         assert_eq!(report.unmatched_scope, ["open_grouped"]);
+        // The scope follows the directory module, not the bare file name.
+        assert!(analyze_file("crates/core/src/open.rs", "fn f() {}\n").unmatched_scope.is_empty());
+        assert_eq!(
+            analyze_file("crates/core/src/file_store/format.rs", "fn decode() {}\n")
+                .unmatched_scope,
+            ["field"]
+        );
         // Files without a scope list have nothing to match.
         assert!(analyze_file("crates/core/src/x.rs", "fn f() {}\n").unmatched_scope.is_empty());
     }

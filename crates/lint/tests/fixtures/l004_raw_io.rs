@@ -1,5 +1,5 @@
 // Fixture: raw file I/O outside the storage layer — analyzed under a synthetic
-// `crates/core/src/` path that is none of pager/, wal.rs, file_store.rs,
+// `crates/core/src/` path that is none of pager/, file_store/, wal.rs,
 // persistence.rs.
 fn sneaky_io(path: &Path) {
     let bytes = std::fs::read(path); // fires L004

@@ -1,5 +1,5 @@
 //! L006 fixture: dropped sync/write results and fsync-retry loops in the fail-stop
-//! storage layer.  Analyzed under the synthetic path `core/src/file_store.rs`, so the
+//! storage layer.  Analyzed under the synthetic path `core/src/file_store/write_back.rs`, so the
 //! rule is in scope for the whole file.
 
 fn dropped_sync(file: &std::fs::File) {

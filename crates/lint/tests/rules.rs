@@ -53,7 +53,7 @@ fn l004_fires_outside_the_storage_layer_and_not_inside_it() {
     for exempt in [
         "crates/core/src/pager/lock_file.rs",
         "crates/core/src/wal.rs",
-        "crates/core/src/file_store.rs",
+        "crates/core/src/file_store/open.rs",
         "crates/core/src/persistence.rs",
         "crates/experiments/src/scale.rs", // outside core entirely
     ] {
@@ -70,7 +70,7 @@ fn l005_fires_bare_but_not_justified_or_allowlisted() {
 
 #[test]
 fn l006_fires_on_dropped_sync_results_and_fsync_retry_loops() {
-    let report = analyze_fixture("l006_sync_result.rs", "crates/core/src/file_store.rs");
+    let report = analyze_fixture("l006_sync_result.rs", "crates/core/src/file_store/write_back.rs");
     let lines = fired(&report, Rule::L006);
     assert_eq!(
         lines.len(),
@@ -88,6 +88,7 @@ fn l006_is_scoped_to_the_fail_stop_storage_files() {
     for (path, in_scope) in [
         ("crates/core/src/pager/page_file.rs", true),
         ("crates/core/src/wal.rs", true),
+        ("crates/core/src/file_store/log.rs", true),
         ("crates/core/src/group_commit.rs", true),
         ("crates/core/src/persistence.rs", false), // snapshot I/O surfaces errors itself
         ("crates/experiments/src/bin/crash_harness.rs", false),
