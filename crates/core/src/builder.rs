@@ -201,23 +201,28 @@ impl GssBuilder {
     /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
     /// shard file cannot be created.
     pub fn build_sharded(self, shards: usize) -> Result<ShardedGss, ConfigError> {
-        ShardedGss::with_storage_grouped(self.config, shards, &self.storage, self.group_commit)
-    }
-
-    /// Like [`build_sharded`](Self::build_sharded), but holds **total** matrix memory at
-    /// the budget of a single sketch by shrinking each shard's width to `width / √shards`
-    /// ([`GssConfig::equal_memory_width`]) — the equal-memory comparison mode.
-    ///
-    /// # Errors
-    /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
-    /// shard file cannot be created.
-    pub fn build_sharded_equal_memory(self, shards: usize) -> Result<ShardedGss, ConfigError> {
-        ShardedGss::with_storage_equal_memory_grouped(
+        let sharded = ShardedGss::with_storage_grouped(
             self.config,
             shards,
             &self.storage,
             self.group_commit,
-        )
+        )?;
+        sharded.set_wal_checkpoint_bytes(self.wal_checkpoint_bytes);
+        Ok(sharded)
+    }
+
+    /// Like [`build_sharded`](Self::build_sharded), but holds **total** matrix memory at
+    /// the budget of a single sketch by shrinking each shard's width to `width / √shards`
+    /// ([`GssConfig::equal_memory_width`]) — the equal-memory comparison mode, and the one
+    /// place the width rule meets shard construction.  The narrower per-shard matrix
+    /// raises per-shard load factor, trading a little accuracy headroom for a fair budget.
+    ///
+    /// # Errors
+    /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
+    /// shard file cannot be created.
+    pub fn build_sharded_equal_memory(mut self, shards: usize) -> Result<ShardedGss, ConfigError> {
+        self.config.width = self.config.equal_memory_width(shards);
+        self.build_sharded(shards)
     }
 }
 
@@ -342,6 +347,32 @@ mod tests {
         drop(sketch);
         std::fs::remove_file(crate::wal::wal_path(&path)).ok();
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn wal_checkpoint_bound_reaches_every_shard() {
+        let path =
+            std::env::temp_dir().join(format!("gss-builder-{}-ckpt.gss", std::process::id()));
+        let sharded = GssSketch::builder()
+            .width(32)
+            .storage_file(&path)
+            .wal_checkpoint_bytes(16 << 10)
+            .build_sharded(2)
+            .unwrap();
+        // ~26 log bytes per item: 4 000 items take each shard's log past 16 KiB.
+        let items: Vec<gss_graph::StreamEdge> =
+            (0..4000u64).map(|i| gss_graph::StreamEdge::new(i % 97, i % 89, i, 1)).collect();
+        for chunk in items.chunks(100) {
+            sharded.insert_batch(chunk);
+        }
+        let stats = sharded.detailed_stats();
+        assert!(stats.checkpoints > 0, "a 16 KiB bound must have checkpointed: {stats:?}");
+        drop(sharded);
+        for index in 0..2 {
+            let shard = std::path::PathBuf::from(format!("{}.shard{index}", path.display()));
+            std::fs::remove_file(crate::wal::wal_path(&shard)).ok();
+            std::fs::remove_file(&shard).ok();
+        }
     }
 
     #[test]

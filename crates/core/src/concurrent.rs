@@ -20,14 +20,18 @@
 //!   load-proportional scan rather than `shards ×` a full-geometry scan — and per-shard
 //!   load factors are `1/shards` of a single sketch's to begin with;
 //! * **stats** aggregate field-wise across shards ([`SummaryStats::merged_with`]);
-//!   [`ShardedGss::detailed_stats`] likewise sums the per-shard [`GssStats`] — note that a
-//!   vertex appearing in several shards is counted once per shard there.
+//!   [`ShardedGss::detailed_stats`] likewise folds the per-shard [`GssStats`] through
+//!   [`GssStats::merged_with`] — note that a vertex appearing in several shards is counted
+//!   once per shard there.
 //!
 //! All shards share one [`GssConfig`] (including the hash seed), so they stay mergeable:
 //! [`ShardedGss::merge`] combines them through the existing [`GssSketch::merge_all`]
 //! machinery into the single sketch a sequential run over the concatenated stream would
 //! have produced (up to order-independent room placement).  Memory is `shards ×` a single
-//! sketch of the same width; shrink `width` accordingly for equal-memory comparisons.
+//! sketch of the same width; [`GssBuilder::build_sharded_equal_memory`] shrinks `width`
+//! accordingly for equal-memory comparisons.
+//!
+//! [`GssBuilder::build_sharded_equal_memory`]: crate::GssBuilder::build_sharded_equal_memory
 //!
 //! Accuracy is unchanged in kind: every shard keeps GSS's one-sided error, so the sharded
 //! front-end never under-estimates a weight and never drops a true neighbour.  Spreading
@@ -38,12 +42,12 @@
 use crate::config::{Durability, GroupCommit, GssConfig};
 use crate::error::{ConfigError, GssError, StoreFault};
 use crate::group_commit::GroupCommitter;
-use crate::pager::witness::{self, LockClass};
+use crate::pager::witness::{self, LockClass, Tracked};
 use crate::sketch::GssSketch;
 use crate::stats::GssStats;
 use crate::storage::StorageBackend;
 use gss_graph::{StreamEdge, SummaryRead, SummaryStats, SummaryWrite, VertexId, Weight};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
 
 /// A cloneable, thread-safe handle to a set of GSS sketch shards partitioned by source
@@ -110,9 +114,15 @@ impl ShardedGss {
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let ack_handles = shards.iter().map(GssSketch::wal_ack_handle).collect();
-        let shards = shards.into_iter().map(RwLock::new).collect();
-        Ok(Self { config, shards: Arc::new(shards), ack_handles: Arc::new(ack_handles) })
+        Ok(Self::from_shards(config, shards))
+    }
+
+    /// Puts built or reopened sketches behind their shard locks and captures their
+    /// acknowledgers — where both construction paths end.
+    fn from_shards(config: GssConfig, sketches: Vec<GssSketch>) -> Self {
+        let ack_handles = sketches.iter().map(GssSketch::wal_ack_handle).collect();
+        let shards = sketches.into_iter().map(RwLock::new).collect();
+        Self { config, shards: Arc::new(shards), ack_handles: Arc::new(ack_handles) }
     }
 
     /// Reopens an existing sharded, file-backed sketch **in place**: the per-shard
@@ -157,19 +167,14 @@ impl ShardedGss {
                 odd.config().width
             )));
         }
-        let ack_handles = opened.iter().map(GssSketch::wal_ack_handle).collect();
-        let shards = opened.into_iter().map(RwLock::new).collect();
-        Ok(Self { config, shards: Arc::new(shards), ack_handles: Arc::new(ack_handles) })
+        Ok(Self::from_shards(config, opened))
     }
 
     /// Whether **any** shard's backing store has fail-stopped (always `false` for
     /// in-memory shards) — the cheap health probe a serving layer checks before
     /// translating [`try_insert_batch`](Self::try_insert_batch) failures to the wire.
     pub fn is_poisoned(&self) -> bool {
-        self.shards.iter().any(|shard| {
-            let _shard_held = witness::acquire(LockClass::Shard);
-            shard.read().is_poisoned()
-        })
+        self.read_shards().any(|shard| shard.is_poisoned())
     }
 
     /// Checkpoints every file-backed shard ([`GssSketch::sync`]), taking each shard's
@@ -180,73 +185,15 @@ impl ShardedGss {
     /// leaving later shards unsynced (each shard file is independently consistent
     /// regardless).
     pub fn sync(&self) -> Result<(), crate::persistence::PersistenceError> {
-        for shard in self.shards.iter() {
-            let _shard_held = witness::acquire(LockClass::Shard);
-            shard.write().sync()?;
+        (0..self.shards.len()).try_for_each(|index| self.write_shard(index).sync())
+    }
+
+    /// Applies [`GssSketch::set_wal_checkpoint_bytes`] to every shard (the builder's
+    /// `wal_checkpoint_bytes` knob on a sharded build).
+    pub(crate) fn set_wal_checkpoint_bytes(&self, bytes: u64) {
+        for index in 0..self.shards.len() {
+            self.write_shard(index).set_wal_checkpoint_bytes(bytes);
         }
-        Ok(())
-    }
-
-    /// Builds a sharded sketch whose **total** matrix memory equals one sketch of
-    /// `config`: each shard's width is shrunk to `width / √shards`
-    /// ([`GssConfig::equal_memory_width`]), so sharded-vs-single comparisons hold memory
-    /// constant instead of multiplying it by the shard count.
-    ///
-    /// The narrower per-shard matrix raises per-shard load factor, trading a little of
-    /// the accuracy headroom of [`ShardedGss::new`] for a fair memory budget — this is
-    /// the constructor to use when reproducing the paper's equal-memory comparisons on a
-    /// sharded front-end.
-    ///
-    /// # Errors
-    /// Returns a [`ConfigError`] if the configuration is invalid or `shards == 0`.
-    pub fn new_equal_memory(config: GssConfig, shards: usize) -> Result<Self, ConfigError> {
-        Self::with_storage_equal_memory(config, shards, &StorageBackend::Memory)
-    }
-
-    /// [`new_equal_memory`](Self::new_equal_memory) on an explicit storage backend.
-    ///
-    /// # Errors
-    /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
-    /// shard file cannot be created.
-    pub fn with_storage_equal_memory(
-        config: GssConfig,
-        shards: usize,
-        storage: &StorageBackend,
-    ) -> Result<Self, ConfigError> {
-        Self::with_storage_equal_memory_grouped(config, shards, storage, GroupCommit::default())
-    }
-
-    /// [`with_storage_equal_memory`](Self::with_storage_equal_memory) with an explicit
-    /// group-commit knob (see [`with_storage_grouped`](Self::with_storage_grouped)): the
-    /// single place where the equal-memory width rule meets shard construction.
-    ///
-    /// # Errors
-    /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_equal_memory_grouped(
-        config: GssConfig,
-        shards: usize,
-        storage: &StorageBackend,
-        group_commit: GroupCommit,
-    ) -> Result<Self, ConfigError> {
-        let per_shard = GssConfig { width: config.equal_memory_width(shards), ..config };
-        Self::with_storage_grouped(per_shard, shards, storage, group_commit)
-    }
-
-    /// Builds a sharded sketch with one shard per available CPU (capped at 16).
-    ///
-    /// # Errors
-    /// Returns a [`ConfigError`] if the configuration is invalid.
-    pub fn with_default_shards(config: GssConfig) -> Result<Self, ConfigError> {
-        let shards =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4);
-        Self::new(config, shards.clamp(1, 16))
-    }
-
-    /// Wraps an existing sketch as a single-shard (single-lock) handle.
-    pub fn from_sketch(sketch: GssSketch) -> Self {
-        let config = *sketch.config();
-        let ack_handles = Arc::new(vec![sketch.wal_ack_handle()]);
-        Self { config, shards: Arc::new(vec![RwLock::new(sketch)]), ack_handles }
     }
 
     /// The configuration every shard was built with.
@@ -268,10 +215,26 @@ impl ShardedGss {
         (z % self.shards.len() as u64) as usize
     }
 
+    /// Read-locks shard `index`, registering with the lock-order witness first.  Every
+    /// blocking shard lock in this file goes through this helper or
+    /// [`write_shard`](Self::write_shard), so none can bypass the witness.
+    fn read_shard(&self, index: usize) -> Tracked<RwLockReadGuard<'_, GssSketch>> {
+        Tracked::new(witness::acquire(LockClass::Shard), self.shards[index].read())
+    }
+
+    /// Write-locks shard `index` (see [`read_shard`](Self::read_shard)).
+    fn write_shard(&self, index: usize) -> Tracked<RwLockWriteGuard<'_, GssSketch>> {
+        Tracked::new(witness::acquire(LockClass::Shard), self.shards[index].write())
+    }
+
+    /// Every shard read-locked in turn, one lock held at a time.
+    fn read_shards(&self) -> impl Iterator<Item = Tracked<RwLockReadGuard<'_, GssSketch>>> {
+        (0..self.shards.len()).map(|index| self.read_shard(index))
+    }
+
     /// Inserts a stream item through a shared reference, locking only the owning shard.
     pub fn insert(&self, source: VertexId, destination: VertexId, weight: Weight) {
-        let _shard_held = witness::acquire(LockClass::Shard);
-        self.shards[self.shard_index(source)].write().insert(source, destination, weight);
+        self.write_shard(self.shard_index(source)).insert(source, destination, weight);
     }
 
     /// Inserts a batch through a shared reference.  This **is**
@@ -294,8 +257,7 @@ impl ShardedGss {
     /// quantifies any breach.
     pub fn try_insert_batch(&self, items: &[StreamEdge]) -> Result<(), GssError> {
         if self.shards.len() == 1 {
-            let _shard_held = witness::acquire(LockClass::Shard);
-            return self.shards[0].write().try_insert_batch(items);
+            return self.write_shard(0).try_insert_batch(items);
         }
         // Not `vec![Vec::with_capacity(..); n]`: `Vec::clone` drops capacity, which would
         // silently discard the pre-sizing for every buffer but one.
@@ -350,8 +312,7 @@ impl ShardedGss {
             }
         });
         for index in pending {
-            let _shard_held = witness::acquire(LockClass::Shard);
-            stage(&mut self.shards[index].write(), index);
+            stage(&mut self.write_shard(index), index);
         }
         for (index, ack) in acks {
             if let Some(handle) = &self.ack_handles[index] {
@@ -367,8 +328,8 @@ impl ShardedGss {
     /// shard fail-stopped, `cause` the first poisoned shard's fault, counts summed.
     pub fn durability_report(&self) -> crate::error::DurabilityReport {
         let mut total = crate::error::DurabilityReport::default();
-        for shard in self.shards.iter() {
-            let report = shard.read().durability_report();
+        for shard in self.read_shards() {
+            let report = shard.durability_report();
             total.poisoned |= report.poisoned;
             if total.cause.is_none() {
                 total.cause = report.cause;
@@ -382,22 +343,19 @@ impl ShardedGss {
 
     /// Edge query primitive (answered by the source's shard).
     pub fn edge_weight(&self, source: VertexId, destination: VertexId) -> Option<Weight> {
-        let _shard_held = witness::acquire(LockClass::Shard);
-        self.shards[self.shard_index(source)].read().edge_weight(source, destination)
+        self.read_shard(self.shard_index(source)).edge_weight(source, destination)
     }
 
     /// 1-hop successor query primitive (answered by the vertex's shard).
     pub fn successors(&self, vertex: VertexId) -> Vec<VertexId> {
-        let _shard_held = witness::acquire(LockClass::Shard);
-        self.shards[self.shard_index(vertex)].read().successors(vertex)
+        self.read_shard(self.shard_index(vertex)).successors(vertex)
     }
 
     /// 1-hop precursor query primitive: fans out to every shard and unions the answers.
     pub fn precursors(&self, vertex: VertexId) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = Vec::new();
-        for shard in self.shards.iter() {
-            let _shard_held = witness::acquire(LockClass::Shard);
-            out.extend(shard.read().precursors(vertex));
+        for shard in self.read_shards() {
+            out.extend(shard.precursors(vertex));
         }
         out.sort_unstable();
         out.dedup();
@@ -406,48 +364,17 @@ impl ShardedGss {
 
     /// Structural statistics aggregated field-wise across shards.
     pub fn stats(&self) -> SummaryStats {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().stats())
-            .fold(SummaryStats::default(), |acc, stats| acc.merged_with(&stats))
+        self.read_shards()
+            .fold(SummaryStats::default(), |acc, shard| acc.merged_with(&shard.stats()))
     }
 
-    /// Detailed statistics summed field-wise across shards (geometry fields are per-shard;
-    /// vertices hashed in several shards are counted once per shard).
+    /// Detailed statistics folded across shards by [`GssStats::merged_with`] (geometry
+    /// fields are per-shard; vertices hashed in several shards are counted once per shard).
     pub fn detailed_stats(&self) -> GssStats {
-        let per_shard: Vec<GssStats> =
-            self.shards.iter().map(|shard| shard.read().detailed_stats()).collect();
-        let mut total = per_shard[0];
-        for stats in &per_shard[1..] {
-            total.items_inserted += stats.items_inserted;
-            total.matrix_edges += stats.matrix_edges;
-            total.buffered_edges += stats.buffered_edges;
-            total.matrix_bytes += stats.matrix_bytes;
-            total.occupancy_index_bytes += stats.occupancy_index_bytes;
-            total.buffer_bytes += stats.buffer_bytes;
-            total.node_map_bytes += stats.node_map_bytes;
-            total.distinct_hashed_nodes += stats.distinct_hashed_nodes;
-            total.colliding_hashes += stats.colliding_hashes;
-            total.wal_bytes += stats.wal_bytes;
-            total.wal_flushes += stats.wal_flushes;
-            total.wal_group_commits += stats.wal_group_commits;
-            total.wal_group_waits += stats.wal_group_waits;
-            total.fsyncs += stats.fsyncs;
-            total.pages_flushed += stats.pages_flushed;
-            total.checkpoints += stats.checkpoints;
-            total.page_lookups += stats.page_lookups;
-            total.page_faults += stats.page_faults;
-            total.page_latch_waits += stats.page_latch_waits;
-            total.io_retries += stats.io_retries;
-            total.injected_faults += stats.injected_faults;
-            total.store_poisoned += stats.store_poisoned;
-        }
-        let stored = total.matrix_edges + total.buffered_edges;
-        total.buffer_percentage =
-            if stored == 0 { 0.0 } else { total.buffered_edges as f64 / stored as f64 };
-        total.matrix_load_factor =
-            per_shard.iter().map(|s| s.matrix_load_factor).sum::<f64>() / per_shard.len() as f64;
-        total
+        self.read_shards()
+            .map(|shard| shard.detailed_stats())
+            .reduce(|total, stats| total.merged_with(&stats))
+            .expect("a sharded sketch has at least one shard")
     }
 
     /// Runs a closure with read access to one shard (for white-box inspection).
@@ -455,8 +382,7 @@ impl ShardedGss {
     /// # Panics
     /// Panics if `index >= self.shard_count()`.
     pub fn with_shard_read<R>(&self, index: usize, f: impl FnOnce(&GssSketch) -> R) -> R {
-        let _shard_held = witness::acquire(LockClass::Shard);
-        f(&self.shards[index].read())
+        f(&self.read_shard(index))
     }
 
     /// Merges `sketches` into one, carrying the summed stream-item counter across (the
@@ -474,9 +400,18 @@ impl ShardedGss {
     /// (shards share a configuration by construction, so merging cannot fail).  The
     /// merged sketch keeps the total `items_inserted` of all shards.
     pub fn merge(&self) -> GssSketch {
-        let sketches: Vec<GssSketch> =
-            self.shards.iter().map(|shard| shard.read().clone()).collect();
+        let sketches: Vec<GssSketch> = self.read_shards().map(|shard| shard.clone()).collect();
         Self::merge_sketches(self.config, &sketches)
+    }
+
+    /// Consumes the handle and returns its shards if this was the last clone, else the
+    /// handle unchanged.
+    fn into_shards(self) -> Result<Vec<GssSketch>, Self> {
+        let Self { config, shards, ack_handles } = self;
+        match Arc::try_unwrap(shards) {
+            Ok(shards) => Ok(shards.into_iter().map(RwLock::into_inner).collect()),
+            Err(shards) => Err(Self { config, shards, ack_handles }),
+        }
     }
 
     /// Consumes the handle and returns the merged sketch if this was the last clone.
@@ -485,18 +420,11 @@ impl ShardedGss {
     /// Returns `self` unchanged when other handles still exist.
     pub fn try_into_inner(self) -> Result<GssSketch, Self> {
         let config = self.config;
-        let ack_handles = self.ack_handles;
-        match Arc::try_unwrap(self.shards) {
-            Ok(shards) => {
-                let mut sketches = shards.into_iter().map(RwLock::into_inner);
-                if sketches.len() == 1 {
-                    return Ok(sketches.next().expect("length checked"));
-                }
-                let sketches: Vec<GssSketch> = sketches.collect();
-                Ok(Self::merge_sketches(config, &sketches))
-            }
-            Err(shards) => Err(Self { config, shards, ack_handles }),
+        let mut sketches = self.into_shards()?;
+        if sketches.len() == 1 {
+            return Ok(sketches.pop().expect("length checked"));
         }
+        Ok(Self::merge_sketches(config, &sketches))
     }
 
     /// Drops every shard with no checkpoint ([`GssSketch::abandon`] per shard), leaving
@@ -506,17 +434,8 @@ impl ShardedGss {
     /// # Errors
     /// Returns `self` unchanged when other handles still exist (they could still write).
     pub fn abandon(self) -> Result<(), Self> {
-        let config = self.config;
-        let ack_handles = self.ack_handles;
-        match Arc::try_unwrap(self.shards) {
-            Ok(shards) => {
-                for shard in shards {
-                    shard.into_inner().abandon();
-                }
-                Ok(())
-            }
-            Err(shards) => Err(Self { config, shards, ack_handles }),
-        }
+        self.into_shards()?.into_iter().for_each(GssSketch::abandon);
+        Ok(())
     }
 }
 
@@ -541,7 +460,7 @@ impl SummaryRead for ShardedGss {
         format!(
             "ShardedGss(shards={},{})",
             self.shard_count(),
-            self.shards[0].read().name().trim_start_matches("GSS(").trim_end_matches(')')
+            self.read_shard(0).name().trim_start_matches("GSS(").trim_end_matches(')')
         )
     }
 }
@@ -703,7 +622,7 @@ mod tests {
 
     #[test]
     fn try_into_inner_returns_sketch_when_unique() {
-        let sketch = ShardedGss::from_sketch(GssSketch::with_width(16));
+        let sketch = ShardedGss::new(GssConfig::paper_default(16), 1).unwrap();
         assert_eq!(sketch.shard_count(), 1);
         let inner = sketch.try_into_inner().expect("single handle");
         assert_eq!(inner.items_inserted(), 0);
@@ -727,8 +646,11 @@ mod tests {
     #[test]
     fn zero_shards_is_rejected_and_defaults_are_sane() {
         assert!(ShardedGss::new(GssConfig::paper_default(8), 0).is_err());
-        let default = ShardedGss::with_default_shards(GssConfig::paper_default(8)).unwrap();
-        assert!((1..=16).contains(&default.shard_count()));
+        // The defaults of `new`: in-memory shards, one per requested shard, down to the
+        // single-lock case.
+        let single = ShardedGss::new(GssConfig::paper_default(8), 1).unwrap();
+        assert_eq!(single.shard_count(), 1);
+        assert_eq!(single.with_shard_read(0, |inner| inner.storage_backend()), "memory");
     }
 
     #[test]
@@ -749,7 +671,7 @@ mod tests {
     fn equal_memory_mode_keeps_the_total_matrix_budget() {
         let config = GssConfig::paper_default(64);
         let single = GssSketch::new(config).unwrap();
-        let sharded = ShardedGss::new_equal_memory(config, 4).unwrap();
+        let sharded = crate::GssBuilder::from_config(config).build_sharded_equal_memory(4).unwrap();
         assert_eq!(sharded.config().width, 32);
         let total: usize =
             (0..4).map(|i| sharded.with_shard_read(i, |inner| inner.config().matrix_bytes())).sum();
@@ -765,7 +687,7 @@ mod tests {
             let reported = sharded.edge_weight(key.source, key.destination).unwrap_or(0);
             assert!(reported >= weight, "edge {key:?} under-estimated");
         }
-        assert!(ShardedGss::new_equal_memory(config, 0).is_err());
+        assert!(crate::GssBuilder::from_config(config).build_sharded_equal_memory(0).is_err());
     }
 
     #[test]

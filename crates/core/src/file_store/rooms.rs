@@ -8,14 +8,14 @@
 //! sticky [`StoreHealth`](crate::error::StoreHealth) and comes back as the typed cause,
 //! every later write is rejected with that same cause, and reads keep serving — cache
 //! hits directly, misses degraded to uncached reads of the file image.  Only the
-//! read-side [`RoomStore`] methods (`room`, `find_*`, `scan_*`), whose signatures carry
+//! read-side [`RoomStore`] methods (`room`, `weight_of`, `scan_*`), whose signatures carry
 //! no error, still panic on an unreadable page (poisoning first); construction, open
 //! and sync report errors properly.
 
 use super::format::Layout;
 use super::FileStore;
 use crate::error::StoreFault;
-use crate::matrix::Room;
+use crate::matrix::{Room, RoomKey};
 use crate::pager::PAGE_BYTES;
 use crate::storage::{decode_room, dense_scan, encode_room, BucketProbe, RoomStore};
 use crate::wal;
@@ -114,23 +114,6 @@ impl FileStore {
         })
     }
 
-    /// The fused probe of bucket `(row, column)`: the slot matching `key` (fingerprint
-    /// pair, then index pair), else the first empty slot.
-    fn probe(&self, row: usize, column: usize, key: (u16, u16, u8, u8)) -> io::Result<BucketProbe> {
-        let mut probe = BucketProbe::Full;
-        self.walk_bucket(row, column, |slot, room| {
-            if room.matches(key.0, key.1, key.2, key.3) {
-                probe = BucketProbe::Match(slot);
-                return false;
-            }
-            if !room.occupied && probe == BucketProbe::Full {
-                probe = BucketProbe::Empty(slot);
-            }
-            true
-        })?;
-        Ok(probe)
-    }
-
     /// Reads the room at flat index `index` through the cache.
     fn read_room(&self, index: usize) -> io::Result<Room> {
         let mut found = Room::default();
@@ -159,7 +142,6 @@ impl FileStore {
         slot.mark_dirty();
         Ok(())
     }
-
     /// Indexed row scan: word-by-word over the row's occupancy bitmap, so only buckets
     /// that ever received an edge are read — unless the row is dense (≥ 50% of its
     /// buckets occupied), where the bitmap's skip-ahead win vanishes and a straight
@@ -204,10 +186,6 @@ impl RoomStore for FileStore {
         self.layout.rooms
     }
 
-    fn room_count(&self) -> usize {
-        self.layout.room_count()
-    }
-
     fn occupied_rooms(&self) -> usize {
         self.occupied_rooms
     }
@@ -216,31 +194,15 @@ impl RoomStore for FileStore {
         self.io_fail(self.read_room(self.layout.flat_index(row, column, slot)))
     }
 
-    fn find_match(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Option<usize> {
-        let key = (source_fingerprint, destination_fingerprint, source_index, destination_index);
-        match self.io_fail(self.probe(row, column, key)) {
-            BucketProbe::Match(slot) => Some(slot),
-            _ => None,
-        }
-    }
-
-    fn find_empty(&self, row: usize, column: usize) -> Option<usize> {
-        let mut found = None;
-        self.io_fail(self.walk_bucket(row, column, |slot, room| {
-            if !room.occupied {
-                found = Some(slot);
+    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
+        let mut weight = None;
+        self.io_fail(self.walk_bucket(row, column, |_, room| {
+            if room.matches(key) {
+                weight = Some(room.weight);
             }
-            found.is_none()
+            weight.is_none()
         }));
-        found
+        weight
     }
 
     /// The probe that opens every edge placement.  A cache miss here may have to evict
@@ -250,15 +212,22 @@ impl RoomStore for FileStore {
         &self,
         row: usize,
         column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
+        key: RoomKey,
     ) -> Result<BucketProbe, StoreFault> {
         self.health.check()?;
-        let key = (source_fingerprint, destination_fingerprint, source_index, destination_index);
-        self.probe(row, column, key)
-            .map_err(|error| self.poison_fault("bucket probe page load", &error))
+        let mut probe = BucketProbe::Full;
+        self.walk_bucket(row, column, |slot, room| {
+            if room.matches(key) {
+                probe = BucketProbe::Match(slot);
+                return false;
+            }
+            if !room.occupied && probe == BucketProbe::Full {
+                probe = BucketProbe::Empty(slot);
+            }
+            true
+        })
+        .map_err(|error| self.poison_fault("bucket probe page load", &error))?;
+        Ok(probe)
     }
 
     fn add_weight(
@@ -306,13 +275,5 @@ impl RoomStore for FileStore {
 
     fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
         self.io_fail(self.scan_column_inner(column, visit));
-    }
-
-    fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
-        // Row-major over the occupancy bitmaps: the same ascending (row, column, slot)
-        // order as a flat pass, but sparse matrices skip their empty buckets.
-        for row in 0..self.layout.width {
-            self.io_fail(self.scan_row_inner(row, &mut |column, room| visit(row, column, room)));
-        }
     }
 }

@@ -6,11 +6,11 @@ use super::format::{Header, Layout, MAGIC_RANGE, SECTIONS_RANGE};
 use super::{FileStore, FlushPoint, TailSections, FILE_MAGIC, FILE_MAGIC_V1, PAGE_BYTES};
 use crate::config::GssConfig;
 use crate::error::StoreFault;
-use crate::matrix::Room;
+use crate::matrix::{Room, RoomKey};
 use crate::pager::lock_file::lock_path;
 use crate::pager::witness::{self, LockClass};
 use crate::persistence::PersistenceError;
-use crate::storage::{RoomStore, ROOM_OCCUPIED_BYTE};
+use crate::storage::{BucketProbe, RoomStore, ROOM_OCCUPIED_BYTE};
 use crate::wal::wal_path;
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -50,15 +50,15 @@ fn remove(path: &Path) {
     std::fs::remove_file(wal_path(path)).ok();
 }
 
+const SAMPLE_KEY: RoomKey = RoomKey {
+    source_fingerprint: 17,
+    destination_fingerprint: 23,
+    source_index: 1,
+    destination_index: 2,
+};
+
 fn sample_room(weight: i64) -> Room {
-    Room {
-        source_fingerprint: 17,
-        destination_fingerprint: 23,
-        source_index: 1,
-        destination_index: 2,
-        weight,
-        occupied: true,
-    }
+    SAMPLE_KEY.room(weight)
 }
 
 /// Rewrites the header page at the front of `bytes` (a whole sketch file image) as a
@@ -76,13 +76,16 @@ fn create_store_and_reopen_round_trips_rooms() {
         let mut store = FileStore::create(&path, &config, 4).unwrap();
         assert_eq!(store.room_count(), 8 * 8 * 2);
         assert_eq!(store.occupied_rooms(), 0);
-        assert_eq!(store.find_empty(3, 5), Some(0));
+        assert_eq!(store.probe_bucket(3, 5, SAMPLE_KEY).unwrap(), BucketProbe::Empty(0));
         store.store_room(3, 5, 0, sample_room(42)).unwrap();
         store.store_room(7, 0, 1, sample_room(-7)).unwrap();
         store.add_weight(3, 5, 0, 8).unwrap();
         assert_eq!(store.room(3, 5, 0).weight, 50);
-        assert_eq!(store.find_match(3, 5, 17, 23, 1, 2), Some(0));
-        assert_eq!(store.find_empty(3, 5), Some(1));
+        assert_eq!(store.probe_bucket(3, 5, SAMPLE_KEY).unwrap(), BucketProbe::Match(0));
+        assert_eq!(store.weight_of(3, 5, SAMPLE_KEY), Some(50));
+        let other = RoomKey { source_index: 0, ..SAMPLE_KEY };
+        assert_eq!(store.probe_bucket(3, 5, other).unwrap(), BucketProbe::Empty(1));
+        assert_eq!(store.weight_of(3, 5, other), None);
         assert_eq!(store.occupied_rooms(), 2);
         store.write_tail(123, b"tailbytes").unwrap();
     }
@@ -458,7 +461,7 @@ fn concurrent_readers_scan_without_latch_contention() {
                     assert_eq!(seen, vec![((row * 5) % 48, row as i64 + 1)]);
                     let column = (row * 5) % 48;
                     assert_eq!(store.room(row, column, 0).weight, row as i64 + 1);
-                    assert_eq!(store.find_match(row, column, 17, 23, 1, 2), Some(0));
+                    assert_eq!(store.weight_of(row, column, SAMPLE_KEY), Some(row as i64 + 1));
                 }
             })
         })

@@ -24,10 +24,17 @@
 //! folds duplicate keys before probing, and [`ShardedGss`] runs ingest over several
 //! sketch shards with per-shard locks for concurrent writers.
 //!
-//! Room storage is pluggable ([`storage::RoomStore`]): the dense in-memory matrix is the
-//! default, and [`StorageBackend::File`] keeps the matrix in a paged sketch file (LRU page
-//! cache, dirty-page write-back) so a matrix larger than RAM still runs — and the file
-//! doubles as its own checkpoint, reopenable in place via [`GssSketch::open_file`].
+//! The sketch itself is the [`sketch`] module, split along the paper's procedures: the
+//! struct and its lifecycle, the write path (`sketch/ingest.rs`) and the read path
+//! (`sketch/query.rs`: the edge lookup and the one neighbour scan both 1-hop queries
+//! share).  A room is identified inside its bucket by a [`RoomKey`] — the fingerprint pair
+//! and index pair ingest, queries and restore all hand to the store.
+//!
+//! Room storage is pluggable ([`storage::RoomStore`], ten required methods): the dense
+//! in-memory matrix is the default, and [`StorageBackend::File`] keeps the matrix in a
+//! paged sketch file (LRU page cache, dirty-page write-back) so a matrix larger than RAM
+//! still runs — and the file doubles as its own checkpoint, reopenable in place via
+//! [`GssSketch::open_file`].
 //! Snapshots stream ([`GssSketch::write_snapshot_to`] / [`GssSketch::read_snapshot_from`])
 //! and share the same fixed-size room-record layout as the sketch file.
 //!
@@ -80,7 +87,7 @@ pub use error::{ConfigError, DurabilityReport, GssError, StoreFault, StoreHealth
 pub use file_store::{DurabilityStats, FileStore, FlushHook, FlushPoint, PageCacheStats};
 pub use group_commit::GroupCommitter;
 pub use hashing::{HashedNode, NodeHasher, Reciprocal, RecoverQCache};
-pub use matrix::MemoryStore;
+pub use matrix::{MemoryStore, RoomKey};
 pub use merge::HashedEdge;
 pub use pager::faults::{
     install as install_fault_plan, FaultGuard, FaultKind, FaultOp, FaultPlan, FaultSite,
@@ -89,6 +96,6 @@ pub use persistence::PersistenceError;
 pub use sketch::GssSketch;
 pub use stats::GssStats;
 pub use storage::{
-    naive_scan_column, naive_scan_row, BucketProbe, OccupancyIndex, RoomStorage, RoomStore,
-    StorageBackend, ROOM_RECORD_BYTES,
+    naive_probe_bucket, naive_scan_column, naive_scan_row, BucketProbe, OccupancyIndex,
+    RoomStorage, RoomStore, StorageBackend, ROOM_RECORD_BYTES,
 };

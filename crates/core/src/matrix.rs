@@ -36,21 +36,68 @@ pub struct Room {
     pub occupied: bool,
 }
 
+/// What identifies a sketch edge inside its bucket: the fingerprint pair and the index
+/// pair — exactly bytes `0..6` of the shared 16-byte room record
+/// ([`crate::storage::encode_room`]).  Ingest, the edge query and restore all build one
+/// of these per candidate bucket and hand it to the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RoomKey {
+    /// Fingerprint of the source node, `f(s)`.
+    pub source_fingerprint: u16,
+    /// Fingerprint of the destination node, `f(d)`.
+    pub destination_fingerprint: u16,
+    /// 0-based position in the source's address sequence that produced the bucket's row.
+    pub source_index: u8,
+    /// 0-based position in the destination's address sequence that produced the column.
+    pub destination_index: u8,
+}
+
+impl RoomKey {
+    /// An occupied room holding this edge at `weight` — the one place an occupied
+    /// [`Room`] is made.
+    pub fn room(self, weight: i64) -> Room {
+        Room {
+            source_fingerprint: self.source_fingerprint,
+            destination_fingerprint: self.destination_fingerprint,
+            source_index: self.source_index,
+            destination_index: self.destination_index,
+            weight,
+            occupied: true,
+        }
+    }
+}
+
 impl Room {
-    /// Returns `true` if this room holds the edge identified by the given fingerprints and
-    /// sequence indices (the match test of the edge-update and edge-query procedures).
-    pub fn matches(
-        &self,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> bool {
-        self.occupied
-            && self.source_fingerprint == source_fingerprint
-            && self.destination_fingerprint == destination_fingerprint
-            && self.source_index == source_index
-            && self.destination_index == destination_index
+    /// The key of the edge this room holds (meaningful only while `occupied`).
+    #[inline]
+    pub fn key(&self) -> RoomKey {
+        RoomKey {
+            source_fingerprint: self.source_fingerprint,
+            destination_fingerprint: self.destination_fingerprint,
+            source_index: self.source_index,
+            destination_index: self.destination_index,
+        }
+    }
+
+    /// Returns `true` if this room holds the edge identified by `key` (the match test of
+    /// the edge-update and edge-query procedures).
+    #[inline]
+    pub fn matches(&self, key: RoomKey) -> bool {
+        self.occupied && self.key() == key
+    }
+
+    /// The source half of the key, `(f(s), i_s)`: what a successor scan filters on and a
+    /// precursor scan recovers the neighbour from.
+    #[inline]
+    pub fn source_half(&self) -> (u16, u8) {
+        (self.source_fingerprint, self.source_index)
+    }
+
+    /// The destination half of the key, `(f(d), i_d)` — the mirror of
+    /// [`source_half`](Self::source_half).
+    #[inline]
+    pub fn destination_half(&self) -> (u16, u8) {
+        (self.destination_fingerprint, self.destination_index)
     }
 }
 
@@ -107,10 +154,6 @@ impl RoomStore for MemoryStore {
         self.rooms_per_bucket
     }
 
-    fn room_count(&self) -> usize {
-        self.rooms.len()
-    }
-
     fn occupied_rooms(&self) -> usize {
         self.occupied_rooms
     }
@@ -119,46 +162,19 @@ impl RoomStore for MemoryStore {
         self.bucket(row, column)[slot]
     }
 
-    fn find_match(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Option<usize> {
-        self.bucket(row, column).iter().position(|room| {
-            room.matches(
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            )
-        })
-    }
-
-    fn find_empty(&self, row: usize, column: usize) -> Option<usize> {
-        self.bucket(row, column).iter().position(|room| !room.occupied)
+    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
+        self.bucket(row, column).iter().find(|room| room.matches(key)).map(|room| room.weight)
     }
 
     fn probe_bucket(
         &self,
         row: usize,
         column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
+        key: RoomKey,
     ) -> Result<BucketProbe, StoreFault> {
         let mut first_empty = None;
         for (slot, room) in self.bucket(row, column).iter().enumerate() {
-            if room.matches(
-                source_fingerprint,
-                destination_fingerprint,
-                source_index,
-                destination_index,
-            ) {
+            if room.matches(key) {
                 return Ok(BucketProbe::Match(slot));
             }
             if !room.occupied && first_empty.is_none() {
@@ -228,16 +244,6 @@ impl RoomStore for MemoryStore {
             self.scan_bucket(row, column, |room| visit(row, room));
         }
     }
-
-    fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
-        // Same ascending (row, column, slot) order as the flat iteration, but sparse
-        // matrices skip their empty buckets (this is the snapshot-write path).
-        for row in 0..self.width {
-            for column in self.index.in_row(row) {
-                self.scan_bucket(row, column, |room| visit(row, column, room));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,22 +251,18 @@ mod tests {
     use super::*;
     use crate::storage::naive_scan_row;
 
-    /// An occupied room (the trait's `store_room` takes the room whole).
-    fn room(
+    fn key(
         source_fingerprint: u16,
         destination_fingerprint: u16,
         source_index: u8,
         destination_index: u8,
-        weight: i64,
-    ) -> Room {
-        Room {
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
-            weight,
-            occupied: true,
-        }
+    ) -> RoomKey {
+        RoomKey { source_fingerprint, destination_fingerprint, source_index, destination_index }
+    }
+
+    /// An occupied room (the trait's `store_room` takes the room whole).
+    fn room(sf: u16, df: u16, si: u8, di: u8, weight: i64) -> Room {
+        key(sf, df, si, di).room(weight)
     }
 
     #[test]
@@ -277,12 +279,12 @@ mod tests {
     #[test]
     fn store_and_find_round_trip() {
         let mut matrix = MemoryStore::new(4, 2);
-        assert_eq!(matrix.find_empty(1, 2), Some(0));
+        assert_eq!(matrix.probe_bucket(1, 2, key(10, 20, 3, 4)).unwrap(), BucketProbe::Empty(0));
         matrix.store_room(1, 2, 0, room(10, 20, 3, 4, 7)).unwrap();
-        assert_eq!(matrix.find_match(1, 2, 10, 20, 3, 4), Some(0));
-        assert_eq!(matrix.find_match(1, 2, 10, 20, 3, 5), None);
-        assert_eq!(matrix.find_match(1, 2, 11, 20, 3, 4), None);
-        assert_eq!(matrix.find_empty(1, 2), Some(1));
+        assert_eq!(matrix.probe_bucket(1, 2, key(10, 20, 3, 4)).unwrap(), BucketProbe::Match(0));
+        assert_eq!(matrix.weight_of(1, 2, key(10, 20, 3, 4)), Some(7));
+        assert_eq!(matrix.weight_of(1, 2, key(10, 20, 3, 5)), None);
+        assert_eq!(matrix.probe_bucket(1, 2, key(11, 20, 3, 4)).unwrap(), BucketProbe::Empty(1));
         assert_eq!(matrix.occupied_rooms(), 1);
         let room = matrix.bucket(1, 2)[0];
         assert_eq!(room.weight, 7);
@@ -301,7 +303,7 @@ mod tests {
         let mut matrix = MemoryStore::new(2, 2);
         matrix.store_room(0, 0, 0, room(1, 1, 0, 0, 1)).unwrap();
         matrix.store_room(0, 0, 1, room(2, 2, 0, 0, 1)).unwrap();
-        assert_eq!(matrix.find_empty(0, 0), None);
+        assert_eq!(matrix.probe_bucket(0, 0, key(3, 3, 0, 0)).unwrap(), BucketProbe::Full);
         assert_eq!(matrix.load_factor(), 2.0 / 8.0);
     }
 
@@ -350,20 +352,14 @@ mod tests {
 
     #[test]
     fn room_match_requires_all_fields() {
-        let room = Room {
-            source_fingerprint: 1,
-            destination_fingerprint: 2,
-            source_index: 3,
-            destination_index: 4,
-            weight: 5,
-            occupied: true,
-        };
-        assert!(room.matches(1, 2, 3, 4));
-        assert!(!room.matches(1, 2, 3, 5));
-        assert!(!room.matches(1, 2, 2, 4));
-        assert!(!room.matches(1, 3, 3, 4));
-        assert!(!room.matches(0, 2, 3, 4));
+        let room = room(1, 2, 3, 4, 5);
+        assert_eq!(room.key(), key(1, 2, 3, 4));
+        assert!(room.matches(key(1, 2, 3, 4)));
+        assert!(!room.matches(key(1, 2, 3, 5)));
+        assert!(!room.matches(key(1, 2, 2, 4)));
+        assert!(!room.matches(key(1, 3, 3, 4)));
+        assert!(!room.matches(key(0, 2, 3, 4)));
         let empty = Room { occupied: false, ..room };
-        assert!(!empty.matches(1, 2, 3, 4));
+        assert!(!empty.matches(key(1, 2, 3, 4)));
     }
 }

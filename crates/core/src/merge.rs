@@ -15,6 +15,7 @@
 use crate::config::GssConfig;
 use crate::error::ConfigError;
 use crate::sketch::GssSketch;
+use crate::storage::RoomStore;
 use gss_graph::Weight;
 
 /// An edge extracted from a sketch in the *hashed* space, used as the unit of merging.
@@ -33,27 +34,14 @@ impl GssSketch {
     /// space, together with its accumulated weight.
     pub fn hashed_edges(&self) -> Vec<HashedEdge> {
         let mut edges = Vec::with_capacity(self.stored_edges());
-        let hasher = *self.hasher();
-        let square_hashing = self.config().square_hashing;
-        self.for_each_matrix_room(&mut |row, column, room| {
-            let (source_hash, destination_hash) = if square_hashing {
-                (
-                    hasher.recover_hash(row, room.source_fingerprint, room.source_index as usize),
-                    hasher.recover_hash(
-                        column,
-                        room.destination_fingerprint,
-                        room.destination_index as usize,
-                    ),
-                )
-            } else {
-                (
-                    hasher.compose(row, room.source_fingerprint),
-                    hasher.compose(column, room.destination_fingerprint),
-                )
-            };
-            edges.push(HashedEdge { source_hash, destination_hash, weight: room.weight });
+        self.room_storage().scan_occupied(&mut |row, column, room| {
+            edges.push(HashedEdge {
+                source_hash: self.recover_hash(row, room.source_half()),
+                destination_hash: self.recover_hash(column, room.destination_half()),
+                weight: room.weight,
+            });
         });
-        for (source_hash, destination_hash, weight) in self.buffered_edge_triples() {
+        for (source_hash, destination_hash, weight) in self.buffer().edges() {
             edges.push(HashedEdge { source_hash, destination_hash, weight });
         }
         edges

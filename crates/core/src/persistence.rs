@@ -29,7 +29,8 @@
 use crate::matrix::Room;
 use crate::sketch::GssSketch;
 use crate::storage::{
-    decode_config, decode_room, encode_config, encode_room, CONFIG_BYTES, ROOM_RECORD_BYTES,
+    decode_config, decode_room, encode_config, encode_room, BucketProbe, RoomStore, CONFIG_BYTES,
+    ROOM_RECORD_BYTES,
 };
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -222,9 +223,9 @@ impl GssSketch {
         write_bytes(writer, &FORMAT_MAGIC)?;
         write_bytes(writer, &encode_config(self.config()))?;
         write_bytes(writer, &self.items_inserted().to_le_bytes())?;
-        write_bytes(writer, &(self.matrix_edge_count() as u64).to_le_bytes())?;
+        write_bytes(writer, &(self.room_storage().occupied_rooms() as u64).to_le_bytes())?;
         let mut room_error: Option<PersistenceError> = None;
-        self.for_each_matrix_room(&mut |row, column, room| {
+        self.room_storage().scan_occupied(&mut |row, column, room| {
             if room_error.is_some() {
                 return;
             }
@@ -249,8 +250,8 @@ impl GssSketch {
     ///
     /// # Errors
     /// Any structural problem — truncation, wrong magic, invalid configuration, rooms
-    /// outside the matrix, overfull buckets — is reported as a [`PersistenceError`];
-    /// malformed input never panics.
+    /// outside the matrix, overfull buckets, two rooms for one edge in a bucket — is
+    /// reported as a [`PersistenceError`]; malformed input never panics.
     pub fn read_snapshot_from(reader: impl Read) -> Result<Self, PersistenceError> {
         Self::read_snapshot_into(reader, crate::storage::StorageBackend::Memory)
     }
@@ -277,8 +278,6 @@ impl GssSketch {
             .map_err(|error| PersistenceError::InvalidConfig(error.to_string()))?;
 
         let room_count = read_u64(reader)?;
-        let mut slots_used: std::collections::HashMap<(u32, u32), usize> =
-            std::collections::HashMap::new();
         for _ in 0..room_count {
             let row = read_u32(reader)?;
             let column = read_u32(reader)?;
@@ -294,17 +293,18 @@ impl GssSketch {
                     config.width, config.width
                 )));
             }
-            let slot = slots_used.entry((row, column)).or_insert(0);
-            if *slot >= config.rooms {
-                return Err(PersistenceError::Corrupt(format!(
-                    "bucket ({row}, {column}) holds more than {} rooms",
-                    config.rooms
-                )));
-            }
-            sketch
-                .restore_room(row as usize, column as usize, *slot, room)
-                .map_err(|fault| PersistenceError::from(fault.to_io()))?;
-            *slot += 1;
+            // Placed the way ingest places an edge, so any room order in the input works.
+            let excess = match sketch
+                .restore_room(row as usize, column as usize, room)
+                .map_err(|fault| PersistenceError::from(fault.to_io()))?
+            {
+                BucketProbe::Empty(_) => continue,
+                BucketProbe::Full => format!("more than {} rooms", config.rooms),
+                BucketProbe::Match(_) => "two rooms for one edge".to_string(),
+            };
+            return Err(PersistenceError::Corrupt(format!(
+                "bucket ({row}, {column}) holds {excess}"
+            )));
         }
 
         {

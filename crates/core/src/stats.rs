@@ -82,6 +82,57 @@ impl GssStats {
         self.matrix_bytes + self.occupancy_index_bytes + self.buffer_bytes + self.node_map_bytes
     }
 
+    /// The shard sum: counters and byte sizes add up, the geometry fields stay `self`'s
+    /// (they are per shard), `buffer_percentage` is recomputed from the summed edge counts
+    /// and `matrix_load_factor` is the room-weighted mean (`matrix_bytes` is proportional
+    /// to the room count).  A vertex hashed in several shards is counted once per shard.
+    pub fn merged_with(&self, other: &GssStats) -> GssStats {
+        let (matrix_edges, buffered_edges) =
+            (self.matrix_edges + other.matrix_edges, self.buffered_edges + other.buffered_edges);
+        let stored = matrix_edges + buffered_edges;
+        let (own_rooms, other_rooms) = (self.matrix_bytes as f64, other.matrix_bytes as f64);
+        // A full literal on purpose (no `..`): a field added to the struct does not
+        // compile here until the shard sum says what becomes of it.
+        GssStats {
+            width: self.width,
+            rooms_per_bucket: self.rooms_per_bucket,
+            fingerprint_bits: self.fingerprint_bits,
+            matrix_edges,
+            buffered_edges,
+            buffer_percentage: if stored == 0 {
+                0.0
+            } else {
+                buffered_edges as f64 / stored as f64
+            },
+            matrix_load_factor: if own_rooms + other_rooms == 0.0 {
+                0.0
+            } else {
+                (self.matrix_load_factor * own_rooms + other.matrix_load_factor * other_rooms)
+                    / (own_rooms + other_rooms)
+            },
+            items_inserted: self.items_inserted + other.items_inserted,
+            matrix_bytes: self.matrix_bytes + other.matrix_bytes,
+            occupancy_index_bytes: self.occupancy_index_bytes + other.occupancy_index_bytes,
+            buffer_bytes: self.buffer_bytes + other.buffer_bytes,
+            node_map_bytes: self.node_map_bytes + other.node_map_bytes,
+            distinct_hashed_nodes: self.distinct_hashed_nodes + other.distinct_hashed_nodes,
+            colliding_hashes: self.colliding_hashes + other.colliding_hashes,
+            wal_bytes: self.wal_bytes + other.wal_bytes,
+            wal_flushes: self.wal_flushes + other.wal_flushes,
+            wal_group_commits: self.wal_group_commits + other.wal_group_commits,
+            wal_group_waits: self.wal_group_waits + other.wal_group_waits,
+            fsyncs: self.fsyncs + other.fsyncs,
+            pages_flushed: self.pages_flushed + other.pages_flushed,
+            checkpoints: self.checkpoints + other.checkpoints,
+            page_lookups: self.page_lookups + other.page_lookups,
+            page_faults: self.page_faults + other.page_faults,
+            page_latch_waits: self.page_latch_waits + other.page_latch_waits,
+            io_retries: self.io_retries + other.io_retries,
+            injected_faults: self.injected_faults + other.injected_faults,
+            store_poisoned: self.store_poisoned + other.store_poisoned,
+        }
+    }
+
     /// Fraction of original vertices involved in at least one hash collision, a cheap proxy
     /// for the `M ≫ |V|` requirement discussed in Section IV.
     pub fn node_collision_rate(&self) -> f64 {
@@ -132,6 +183,27 @@ mod tests {
     #[test]
     fn total_bytes_sums_components() {
         assert_eq!(sample().total_bytes(), 260_000 + 3_200 + 2_400 + 16_000);
+    }
+
+    #[test]
+    fn merged_with_sums_counters_and_rederives_the_ratios() {
+        let other = GssStats {
+            matrix_edges: 100,
+            buffered_edges: 300,
+            matrix_load_factor: 0.005,
+            checkpoints: 5,
+            ..sample()
+        };
+        let total = sample().merged_with(&other);
+        assert_eq!(total.width, 100, "geometry is per shard");
+        assert_eq!(total.items_inserted, 2000);
+        assert_eq!(total.matrix_edges, 1000);
+        assert_eq!(total.buffered_edges, 400);
+        assert_eq!(total.matrix_bytes, 520_000);
+        assert_eq!(total.checkpoints, 7);
+        assert_eq!(total.store_poisoned, 0);
+        assert!((total.buffer_percentage - 400.0 / 1400.0).abs() < 1e-12);
+        assert!((total.matrix_load_factor - 0.025).abs() < 1e-12, "equal shards: the mean");
     }
 
     #[test]

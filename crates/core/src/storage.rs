@@ -15,7 +15,16 @@
 //!
 //! [`RoomStorage`] is the enum the sketch actually holds — enum dispatch keeps
 //! [`GssSketch`](crate::GssSketch) a non-generic type so every existing caller, trait
-//! object and collection keeps compiling.
+//! object and collection keeps compiling, and keeps the probe, the edge lookup and the
+//! room writes statically dispatched (they are the inner loop of ingest and edge queries).
+//!
+//! The trait is ten required methods: geometry (`width`, `rooms_per_bucket`,
+//! `occupied_rooms`), single-room access (`room`), the read-side edge lookup
+//! (`weight_of`), the three write-path steps (`probe_bucket`, `add_weight`,
+//! `store_room`) and the two line scans (`scan_row`, `scan_column`).  `room_count`,
+//! `scan_occupied` and `load_factor` are provided on top of those.  The slot-by-slot
+//! oracles the equivalence tests compare against — [`naive_probe_bucket`],
+//! [`naive_scan_row`], [`naive_scan_column`] — need nothing but `room`.
 //!
 //! Both backends, the streaming snapshots of [`persistence`](crate::persistence) and the
 //! `FileStore` file body share one fixed-size room record ([`ROOM_RECORD_BYTES`]), encoded
@@ -25,7 +34,7 @@
 use crate::config::GssConfig;
 use crate::error::StoreFault;
 use crate::file_store::FileStore;
-use crate::matrix::{MemoryStore, Room};
+use crate::matrix::{MemoryStore, Room, RoomKey};
 use crate::persistence::PersistenceError;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -289,43 +298,26 @@ pub trait RoomStore {
     fn width(&self) -> usize;
     /// Rooms per bucket `l`.
     fn rooms_per_bucket(&self) -> usize;
-    /// Total number of rooms (`m² × l`).
-    fn room_count(&self) -> usize;
     /// Number of currently occupied rooms.
     fn occupied_rooms(&self) -> usize;
     /// Reads the room at `slot` of bucket `(row, column)`.
     fn room(&self, row: usize, column: usize, slot: usize) -> Room;
-    /// Position within bucket `(row, column)` of the room matching the fingerprint/index
-    /// quadruple, if any.
-    fn find_match(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Option<usize>;
-    /// Position of the first empty room in bucket `(row, column)`, if any.
-    fn find_empty(&self, row: usize, column: usize) -> Option<usize>;
-    /// Fused single-pass probe of bucket `(row, column)`: the slot matching the
-    /// fingerprint/index quadruple, else the first empty slot, else
-    /// [`BucketProbe::Full`] — observationally identical to [`find_match`] followed by
-    /// [`find_empty`], in one pass over the bucket (half the bucket reads, and half the
-    /// page-cache lookups on the file backend).  On the file backend a probe's cache
-    /// miss may have to evict a dirty page, so even this read-side step can trip over a
-    /// write-back fault.
-    ///
-    /// [`find_match`]: RoomStore::find_match
-    /// [`find_empty`]: RoomStore::find_empty
+    /// The edge lookup: the weight of the room of bucket `(row, column)` holding `key`, if
+    /// any, in one pass over the bucket (one page lookup and one latch on the file
+    /// backend).  Read-side: it is not health-gated, so a poisoned file store keeps
+    /// answering edge queries.
+    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64>;
+    /// Fused single-pass probe of bucket `(row, column)` that opens every edge placement:
+    /// the slot holding `key`, else the first empty slot, else [`BucketProbe::Full`]
+    /// ([`naive_probe_bucket`] is the slot-by-slot reference).  On the file backend a
+    /// probe's cache miss may have to evict a dirty page, so even this read-side step can
+    /// trip over a write-back fault — it is health-gated and poisons on failure, which is
+    /// why it stays separate from [`weight_of`](RoomStore::weight_of).
     fn probe_bucket(
         &self,
         row: usize,
         column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
+        key: RoomKey,
     ) -> Result<BucketProbe, StoreFault>;
     /// Adds `weight` to the (occupied) room at `slot` of bucket `(row, column)`.
     fn add_weight(
@@ -347,8 +339,19 @@ pub trait RoomStore {
     fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room));
     /// Visits every occupied room of matrix column `column` as `(row, room)`.
     fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room));
-    /// Visits every occupied room as `(row, column, room)`.
-    fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room));
+
+    /// Total number of rooms (`m² × l`).
+    fn room_count(&self) -> usize {
+        self.width() * self.width() * self.rooms_per_bucket()
+    }
+
+    /// Visits every occupied room as `(row, column, room)` in ascending
+    /// `(row, column, slot)` order: [`scan_row`](RoomStore::scan_row) for every row.
+    fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
+        for row in 0..self.width() {
+            self.scan_row(row, &mut |column, room| visit(row, column, room));
+        }
+    }
 
     /// Fraction of rooms occupied.
     fn load_factor(&self) -> f64 {
@@ -395,6 +398,44 @@ pub fn naive_scan_column<S: RoomStore + ?Sized>(
     }
 }
 
+/// Reference bucket probe, slot by slot through [`RoomStore::room`]: the first slot holding
+/// `key`, else the first empty slot, else [`BucketProbe::Full`] — what the two-pass
+/// `find_match`-then-`find_empty` of the original trait answered.  The oracle that
+/// [`RoomStore::probe_bucket`] and [`RoomStore::weight_of`] are checked against.
+pub fn naive_probe_bucket<S: RoomStore + ?Sized>(
+    store: &S,
+    row: usize,
+    column: usize,
+    key: RoomKey,
+) -> BucketProbe {
+    let rooms = || (0..store.rooms_per_bucket()).map(|slot| store.room(row, column, slot));
+    match rooms().position(|room| room.matches(key)) {
+        Some(slot) => BucketProbe::Match(slot),
+        None => {
+            rooms().position(|room| !room.occupied).map_or(BucketProbe::Full, BucketProbe::Empty)
+        }
+    }
+}
+
+/// Puts an existing `room` into bucket `(row, column)` the way ingest places a new edge —
+/// probe with the room's own key, claim the first empty slot — and returns the probe's
+/// outcome.  Anything but [`BucketProbe::Empty`] means nothing was stored: `Full` is a
+/// bucket fed more than `l` rooms, `Match` a second room under a key the bucket already
+/// holds (ingest never produces one and an edge query could never reach it).  The single
+/// placement rule of snapshot restore and of detaching a file store into memory.
+pub(crate) fn place_room<S: RoomStore + ?Sized>(
+    store: &mut S,
+    row: usize,
+    column: usize,
+    room: Room,
+) -> Result<BucketProbe, StoreFault> {
+    let probe = store.probe_bucket(row, column, room.key())?;
+    if let BucketProbe::Empty(slot) = probe {
+        store.store_room(row, column, slot, room)?;
+    }
+    Ok(probe)
+}
+
 /// The store a [`GssSketch`](crate::GssSketch) holds: enum dispatch over the two backends.
 /// The file backend is boxed — its WAL, page-cache and checkpoint state would otherwise
 /// inflate every in-memory sketch by the size of the larger variant.
@@ -435,10 +476,11 @@ impl Clone for RoomStorage {
             Self::File(store) => {
                 let mut memory = MemoryStore::new(store.width(), store.rooms_per_bucket());
                 store.scan_occupied(&mut |row, column, room| {
-                    // The scan visits rooms bucket-major, so the first free slot is just
-                    // the bucket's running fill level.
-                    let slot = memory.find_empty(row, column).expect("a bucket cannot overfill");
-                    memory.store_room(row, column, slot, room).expect("memory never fails");
+                    let placed = place_room(&mut memory, row, column, room);
+                    assert!(
+                        matches!(placed, Ok(BucketProbe::Empty(_))),
+                        "a live bucket holds at most l rooms, each under its own key"
+                    );
                 });
                 Self::Memory(memory)
             }
@@ -464,10 +506,6 @@ impl RoomStore for RoomStorage {
         dispatch!(self, store => store.rooms_per_bucket())
     }
 
-    fn room_count(&self) -> usize {
-        dispatch!(self, store => store.room_count())
-    }
-
     fn occupied_rooms(&self) -> usize {
         dispatch!(self, store => store.occupied_rooms())
     }
@@ -476,46 +514,17 @@ impl RoomStore for RoomStorage {
         dispatch!(self, store => store.room(row, column, slot))
     }
 
-    fn find_match(
-        &self,
-        row: usize,
-        column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
-    ) -> Option<usize> {
-        dispatch!(self, store => store.find_match(
-            row,
-            column,
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
-        ))
-    }
-
-    fn find_empty(&self, row: usize, column: usize) -> Option<usize> {
-        dispatch!(self, store => store.find_empty(row, column))
+    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
+        dispatch!(self, store => store.weight_of(row, column, key))
     }
 
     fn probe_bucket(
         &self,
         row: usize,
         column: usize,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        source_index: u8,
-        destination_index: u8,
+        key: RoomKey,
     ) -> Result<BucketProbe, StoreFault> {
-        dispatch!(self, store => store.probe_bucket(
-            row,
-            column,
-            source_fingerprint,
-            destination_fingerprint,
-            source_index,
-            destination_index,
-        ))
+        dispatch!(self, store => store.probe_bucket(row, column, key))
     }
 
     fn add_weight(
@@ -545,25 +554,28 @@ impl RoomStore for RoomStorage {
     fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
         dispatch!(self, store => store.scan_column(column, visit))
     }
-
-    fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
-        dispatch!(self, store => store.scan_occupied(visit))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const SAMPLE_KEY: RoomKey = RoomKey {
+        source_fingerprint: 0xA1B2,
+        destination_fingerprint: 0x0304,
+        source_index: 7,
+        destination_index: 11,
+    };
+    /// A key no stored room carries.
+    const MISS: RoomKey = RoomKey {
+        source_fingerprint: 1,
+        destination_fingerprint: 2,
+        source_index: 3,
+        destination_index: 4,
+    };
+
     fn sample_room() -> Room {
-        Room {
-            source_fingerprint: 0xA1B2,
-            destination_fingerprint: 0x0304,
-            source_index: 7,
-            destination_index: 11,
-            weight: -123_456_789,
-            occupied: true,
-        }
+        SAMPLE_KEY.room(-123_456_789)
     }
 
     #[test]
@@ -655,19 +667,30 @@ mod tests {
     #[test]
     fn probe_bucket_fuses_find_match_and_find_empty() {
         let mut storage = RoomStorage::Memory(MemoryStore::new(4, 2));
+        // Every step is checked against the slot-by-slot oracle as well.
+        let probe = |storage: &RoomStorage, key| {
+            let fused = storage.probe_bucket(1, 2, key).unwrap();
+            assert_eq!(fused, naive_probe_bucket(storage, 1, 2, key));
+            fused
+        };
         // Empty bucket: first empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Empty(0));
+        assert_eq!(probe(&storage, MISS), BucketProbe::Empty(0));
         storage.store_room(1, 2, 0, sample_room()).unwrap();
         // Match wins over the remaining empty slot.
-        assert_eq!(
-            storage.probe_bucket(1, 2, 0xA1B2, 0x0304, 7, 11).unwrap(),
-            BucketProbe::Match(0)
-        );
+        assert_eq!(probe(&storage, SAMPLE_KEY), BucketProbe::Match(0));
         // Miss falls through to the empty slot.
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Empty(1));
-        storage.store_room(1, 2, 1, Room { source_fingerprint: 9, ..sample_room() }).unwrap();
-        assert_eq!(storage.probe_bucket(1, 2, 9, 0x0304, 7, 11).unwrap(), BucketProbe::Match(1));
-        assert_eq!(storage.probe_bucket(1, 2, 1, 2, 3, 4).unwrap(), BucketProbe::Full);
+        assert_eq!(probe(&storage, MISS), BucketProbe::Empty(1));
+        let second = RoomKey { source_fingerprint: 9, ..SAMPLE_KEY };
+        storage.store_room(1, 2, 1, second.room(5)).unwrap();
+        assert_eq!(probe(&storage, second), BucketProbe::Match(1));
+        assert_eq!(probe(&storage, MISS), BucketProbe::Full);
+        assert_eq!(storage.weight_of(1, 2, second), Some(5));
+        assert_eq!(storage.weight_of(1, 2, MISS), None);
+        // Placing an existing room follows the same rule and stores only into `Empty`.
+        assert_eq!(place_room(&mut storage, 1, 2, sample_room()).unwrap(), BucketProbe::Match(0));
+        assert_eq!(place_room(&mut storage, 1, 2, MISS.room(1)).unwrap(), BucketProbe::Full);
+        assert_eq!(place_room(&mut storage, 3, 3, MISS.room(1)).unwrap(), BucketProbe::Empty(0));
+        assert_eq!(storage.occupied_rooms(), 3);
     }
 
     #[test]
@@ -700,8 +723,8 @@ mod tests {
         assert_eq!(storage.occupied_rooms(), 1);
         let got = storage.room(1, 2, 0);
         assert_eq!(got, sample_room());
-        assert_eq!(storage.find_match(1, 2, 0xA1B2, 0x0304, 7, 11), Some(0));
-        assert_eq!(storage.find_empty(1, 2), Some(1));
+        assert_eq!(storage.weight_of(1, 2, SAMPLE_KEY), Some(-123_456_789));
+        assert_eq!(storage.probe_bucket(1, 2, MISS).unwrap(), BucketProbe::Empty(1));
         storage.add_weight(1, 2, 0, 10).unwrap();
         assert_eq!(storage.room(1, 2, 0).weight, -123_456_779);
         let mut seen = Vec::new();

@@ -5,8 +5,8 @@
 //!
 //! 1. the occupancy-indexed [`RoomStore::scan_row`]/[`scan_column`]/[`scan_occupied`]
 //!    visit exactly the rooms (same positions, same order) a naive full-grid scan visits;
-//! 2. the fused [`RoomStore::probe_bucket`] agrees with `find_match` followed by
-//!    `find_empty` on every bucket;
+//! 2. the fused [`RoomStore::probe_bucket`] and the edge lookup [`RoomStore::weight_of`]
+//!    agree with the slot-by-slot oracle [`naive_probe_bucket`] on every bucket;
 //! 3. both properties survive `sync` → drop → [`GssSketch::open_file`] (the file backend
 //!    rebuilds its index from the room region) and snapshot round-trips onto either
 //!    backend (restore replays rooms through the store, rebuilding the index);
@@ -17,10 +17,15 @@
 //! [`scan_column`]: gss_core::RoomStore::scan_column
 //! [`scan_occupied`]: gss_core::RoomStore::scan_occupied
 //! [`RoomStore::probe_bucket`]: gss_core::RoomStore::probe_bucket
+//! [`RoomStore::weight_of`]: gss_core::RoomStore::weight_of
+//! [`naive_probe_bucket`]: gss_core::naive_probe_bucket
 //! [`GssSketch::open_file`]: gss_core::GssSketch::open_file
 
 use gss::prelude::*;
-use gss_core::{naive_scan_column, naive_scan_row, BucketProbe, RoomStore, StorageBackend};
+use gss_core::{
+    naive_probe_bucket, naive_scan_column, naive_scan_row, BucketProbe, RoomKey, RoomStore,
+    StorageBackend,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,42 +101,39 @@ fn assert_scans_match_naive(sketch: &GssSketch, label: &str) {
     assert_eq!(indexed_all.len(), store.occupied_rooms(), "{label}: occupied count");
 }
 
-/// Asserts the fused probe agrees with `find_match` + `find_empty` on every bucket, for
-/// probe keys that hit (taken from stored rooms) and keys that miss.
+/// Asserts the fused probe and the edge lookup agree with the slot-by-slot oracle on every
+/// bucket, for probe keys that hit (taken from stored rooms) and keys that miss.
 fn assert_probe_matches_two_pass(sketch: &GssSketch, label: &str) {
     let store = sketch.room_storage();
+    let key = |source_fingerprint, destination_fingerprint, source_index, destination_index| {
+        RoomKey { source_fingerprint, destination_fingerprint, source_index, destination_index }
+    };
     for row in 0..store.width() {
         for column in 0..store.width() {
-            let mut keys: Vec<(u16, u16, u8, u8)> = vec![(0, 0, 0, 0), (911, 77, 3, 5)];
+            let mut keys = vec![key(0, 0, 0, 0), key(911, 77, 3, 5)];
             for slot in 0..store.rooms_per_bucket() {
                 let room = store.room(row, column, slot);
                 if room.occupied {
-                    keys.push((
-                        room.source_fingerprint,
-                        room.destination_fingerprint,
-                        room.source_index,
-                        room.destination_index,
-                    ));
+                    keys.push(room.key());
                     // A near-miss: same fingerprints, different index pair.
-                    keys.push((
-                        room.source_fingerprint,
-                        room.destination_fingerprint,
-                        room.source_index.wrapping_add(1),
-                        room.destination_index,
-                    ));
+                    keys.push(RoomKey {
+                        source_index: room.source_index.wrapping_add(1),
+                        ..room.key()
+                    });
                 }
             }
-            for (sf, df, si, di) in keys {
-                let fused = store.probe_bucket(row, column, sf, df, si, di).expect("healthy store");
-                let expected = match store.find_match(row, column, sf, df, si, di) {
-                    Some(slot) => BucketProbe::Match(slot),
-                    None => {
-                        store.find_empty(row, column).map_or(BucketProbe::Full, BucketProbe::Empty)
-                    }
+            for key in keys {
+                let fused = store.probe_bucket(row, column, key).expect("healthy store");
+                let expected = naive_probe_bucket(store, row, column, key);
+                assert_eq!(fused, expected, "{label}: bucket ({row}, {column}) key {key:?}");
+                let weight = match expected {
+                    BucketProbe::Match(slot) => Some(store.room(row, column, slot).weight),
+                    _ => None,
                 };
                 assert_eq!(
-                    fused, expected,
-                    "{label}: bucket ({row}, {column}) key ({sf}, {df}, {si}, {di})"
+                    store.weight_of(row, column, key),
+                    weight,
+                    "{label}: bucket ({row}, {column}) lookup of {key:?}"
                 );
             }
         }

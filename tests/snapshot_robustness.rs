@@ -98,3 +98,90 @@ fn huge_section_counts_do_not_preallocate() {
     bytes[room_count_offset..room_count_offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(GssSketch::from_snapshot(&bytes).err(), Some(PersistenceError::UnexpectedEof));
 }
+
+/// Byte offsets of the room region of a snapshot: `magic(4) | config(45) | items(8) |
+/// room count(8)`, then one `row u32 | column u32 | 16-byte record` entry per room.
+const ROOM_COUNT_OFFSET: usize = 4 + 45 + 8;
+const ROOMS_OFFSET: usize = ROOM_COUNT_OFFSET + 8;
+const ROOM_ENTRY_BYTES: usize = 4 + 4 + 16;
+
+/// A two-rooms-per-bucket sketch loaded enough that many buckets hold two rooms, and its
+/// snapshot.
+fn two_room_sketch() -> (GssSketch, Vec<u8>) {
+    let config = GssConfig { width: 6, rooms: 2, ..GssConfig::paper_small(6) };
+    let mut sketch = GssSketch::new(config).unwrap();
+    let mut state = 11u64;
+    for _ in 0..400 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        sketch.insert((state >> 33) % 60, (state >> 17) % 60, (state % 7) as i64 + 1);
+    }
+    let bytes = sketch.to_snapshot();
+    (sketch, bytes)
+}
+
+fn room_entry(bytes: &[u8], index: usize) -> std::ops::Range<usize> {
+    let start = ROOMS_OFFSET + index * ROOM_ENTRY_BYTES;
+    assert!(start + ROOM_ENTRY_BYTES <= bytes.len());
+    start..start + ROOM_ENTRY_BYTES
+}
+
+#[test]
+fn two_rooms_for_one_edge_in_a_bucket_are_rejected() {
+    let (_, mut bytes) = two_room_sketch();
+    // Room 1 becomes a second copy of room 0's coordinates and key (record bytes 0..6);
+    // its weight stays its own.
+    let first = bytes[room_entry(&bytes, 0)].to_vec();
+    let second = room_entry(&bytes, 1);
+    bytes[second.start..second.start + 8 + 6].copy_from_slice(&first[..8 + 6]);
+    match GssSketch::from_snapshot(&bytes) {
+        Err(PersistenceError::Corrupt(message)) => {
+            assert!(message.contains("two rooms for one edge"), "{message}")
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_bucket_with_more_than_l_rooms_is_rejected() {
+    let (_, mut bytes) = two_room_sketch();
+    // Rooms 1 and 2 move into room 0's bucket under keys of their own (distinct source
+    // indices), so the third one finds the two-room bucket full.
+    let first = bytes[room_entry(&bytes, 0)].to_vec();
+    for (index, source_index) in [(1usize, first[8 + 4] ^ 1), (2, first[8 + 4] ^ 2)] {
+        let entry = room_entry(&bytes, index);
+        bytes[entry.start..entry.start + 8].copy_from_slice(&first[..8]);
+        bytes[entry.start + 8 + 4] = source_index;
+    }
+    match GssSketch::from_snapshot(&bytes) {
+        Err(PersistenceError::Corrupt(message)) => {
+            assert!(message.contains("more than 2 rooms"), "{message}")
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn shuffled_room_order_restores_to_identical_answers() {
+    let (original, mut bytes) = two_room_sketch();
+    let rooms = u64::from_le_bytes(bytes[ROOM_COUNT_OFFSET..ROOMS_OFFSET].try_into().unwrap());
+    let rooms = rooms as usize;
+    assert!(rooms > 40, "the sketch must hold enough rooms to shuffle");
+    // A fixed permutation: reverse the entries, then swap neighbours pairwise.
+    let region = ROOMS_OFFSET..ROOMS_OFFSET + rooms * ROOM_ENTRY_BYTES;
+    let mut entries: Vec<Vec<u8>> =
+        bytes[region.clone()].chunks(ROOM_ENTRY_BYTES).map(<[u8]>::to_vec).collect();
+    entries.reverse();
+    for pair in entries.chunks_mut(2) {
+        pair.reverse();
+    }
+    bytes[region].copy_from_slice(&entries.concat());
+    let restored = GssSketch::from_snapshot(&bytes).expect("room order is free");
+    assert_eq!(restored.stored_edges(), original.stored_edges());
+    for vertex in 0..60u64 {
+        assert_eq!(restored.successors(vertex), original.successors(vertex));
+        assert_eq!(restored.precursors(vertex), original.precursors(vertex));
+        for other in 0..60u64 {
+            assert_eq!(restored.edge_weight(vertex, other), original.edge_weight(vertex, other));
+        }
+    }
+}
