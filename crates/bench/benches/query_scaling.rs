@@ -10,6 +10,7 @@
 //! workspace root via [`gss_experiments::BenchReport`], seeding the repo's first
 //! query-performance trajectory next to `BENCH_ingest.json` and `BENCH_snapshot.json`.
 
+use gss_core::metrics;
 use gss_core::{naive_scan_column, naive_scan_row, GssConfig, GssSketch, StorageBackend};
 use gss_datasets::{Xoshiro256, ZipfSampler};
 use gss_experiments::{fmt_float, BenchReport, ExperimentScale, Table};
@@ -153,7 +154,13 @@ fn measure(
     queries: &[u64],
     mut query: impl FnMut(&GssSketch, u64) -> usize,
 ) -> (f64, f64, f64) {
-    let before = sketch.room_storage().as_file().map(|f| f.page_stats());
+    let pages = || {
+        sketch.room_storage().as_file().map(|file| {
+            let counters = file.counters();
+            (metrics::get(&counters.page_lookups), metrics::get(&counters.page_faults))
+        })
+    };
+    let before = pages();
     let start = Instant::now();
     let mut touched = 0usize;
     for &vertex in queries {
@@ -161,11 +168,10 @@ fn measure(
     }
     let seconds = start.elapsed().as_secs_f64();
     std::hint::black_box(touched);
-    let (lookups, faults) = match (before, sketch.room_storage().as_file().map(|f| f.page_stats()))
-    {
+    let (lookups, faults) = match (before, pages()) {
         (Some(before), Some(after)) => (
-            (after.lookups - before.lookups) as f64 / queries.len() as f64,
-            (after.faults - before.faults) as f64 / queries.len() as f64,
+            (after.0 - before.0) as f64 / queries.len() as f64,
+            (after.1 - before.1) as f64 / queries.len() as f64,
         ),
         _ => (0.0, 0.0),
     };

@@ -135,8 +135,9 @@ impl ShardedGss {
     ///
     /// # Errors
     /// Returns a [`PersistenceError`](crate::PersistenceError) if `shards == 0`, any shard file is missing or
-    /// unrecoverable, or the shards disagree on their configuration (files from
-    /// different builds mixed in one directory).
+    /// unrecoverable, the shards disagree on their configuration (files from
+    /// different builds mixed in one directory), or `<base>.shard{shards}` exists (the
+    /// store was written with more shards).
     pub fn open_sharded(
         base: impl AsRef<std::path::Path>,
         shards: usize,
@@ -149,13 +150,24 @@ impl ShardedGss {
             return Err(PersistenceError::InvalidConfig("need at least one shard".to_string()));
         }
         let backend = StorageBackend::File { path: base.as_ref().to_path_buf(), cache_pages };
+        let shard_path = |index| match backend.for_shard(index) {
+            StorageBackend::File { path, .. } => path,
+            StorageBackend::Memory => unreachable!("file backend shards stay file-backed"),
+        };
+        // Checked before any shard is opened (opening may recover, which writes): with
+        // fewer shards, edges routed to the missing ones would silently read as absent.
+        if shard_path(shards).exists() {
+            let written =
+                shards + (shards..).take_while(|&index| shard_path(index).exists()).count();
+            return Err(PersistenceError::InvalidConfig(format!(
+                "the store at {} was written with {written} shards, not {shards}",
+                base.as_ref().display()
+            )));
+        }
         let group = GroupCommitter::new(group_commit);
         let opened = (0..shards)
             .map(|index| {
-                let StorageBackend::File { path, cache_pages } = backend.for_shard(index) else {
-                    unreachable!("file backend shards stay file-backed");
-                };
-                GssSketch::open_file_grouped(path, cache_pages, Arc::clone(&group))
+                GssSketch::open_file_grouped(shard_path(index), cache_pages, Arc::clone(&group))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let config = *opened[0].config();
@@ -478,6 +490,7 @@ impl SummaryWrite for ShardedGss {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persistence::PersistenceError;
     use gss_graph::AdjacencyListGraph;
     use std::thread;
 
@@ -720,6 +733,47 @@ mod tests {
             std::fs::remove_file(&path).ok();
         }
         assert_eq!(total_items, 1200);
+    }
+
+    #[test]
+    fn open_sharded_refuses_fewer_shards_than_were_written() {
+        let base =
+            std::env::temp_dir().join(format!("gss-sharded-{}-shrink.gss", std::process::id()));
+        let items = stream(5, 300);
+        {
+            let sharded = ShardedGss::with_storage(
+                GssConfig::paper_small(24),
+                3,
+                &StorageBackend::File { path: base.clone(), cache_pages: 16 },
+            )
+            .unwrap();
+            sharded.insert_batch(&items);
+            sharded.sync().unwrap();
+        }
+        let open = |shards| {
+            ShardedGss::open_sharded(&base, shards, 16, Durability::Strict, GroupCommit::default())
+        };
+        // Routed by `hash % 2`, most of the 300 acknowledged edges would read as absent.
+        match open(2) {
+            Err(PersistenceError::InvalidConfig(message)) => {
+                assert!(message.contains("with 3 shards, not 2"), "{message}")
+            }
+            other => panic!("reopening 3 shards as 2 must be refused, got {:?}", other.err()),
+        }
+        // The refusal touched nothing: the right count still answers every edge.
+        let reopened = open(3).unwrap();
+        for item in &items {
+            assert!(reopened.edge_weight(item.source, item.destination).is_some());
+        }
+        drop(reopened);
+        for index in 0..3 {
+            let path = base.with_file_name(format!(
+                "{}.shard{index}",
+                base.file_name().unwrap().to_string_lossy()
+            ));
+            std::fs::remove_file(crate::wal::wal_path(&path)).ok();
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

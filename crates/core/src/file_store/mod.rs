@@ -16,6 +16,9 @@
 //! contract are [`open`]; everything that moves bytes into the sketch file (write-ahead
 //! barrier, write-back, checkpoints) is [`write_back`]; the
 //! [`RoomStore`](crate::storage::RoomStore) impl and the failure model are [`rooms`].
+//! What the store spends is counted in one [`StoreCounters`] set, created with the store
+//! and shared with its page cache, both file handles, the log and the checkpoint path
+//! ([`FileStore::counters`]).
 //!
 //! There is one durability policy: every room mutation, buffer spill, node registration
 //! and commit is appended to the log (`<sketch>.wal`, see [`crate::wal`]) before the
@@ -50,6 +53,7 @@ pub mod write_back;
 use crate::config::GssConfig;
 use crate::error::{DurabilityReport, StoreFault, StoreHealth};
 use crate::group_commit::{GroupCommitter, WalMember, WalState};
+use crate::metrics::StoreCounters;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
@@ -60,11 +64,10 @@ use format::{Layout, CLEAN_FLAG_OFFSET};
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use write_back::SyncState;
 
-pub use crate::pager::{PageCacheStats, PAGE_BYTES};
+pub use crate::pager::PAGE_BYTES;
 pub use format::{FILE_MAGIC, FILE_MAGIC_V1};
 pub use write_back::TailSections;
 
@@ -106,40 +109,6 @@ pub enum FlushPoint {
 
 /// An injectable observer of durability points (see [`FlushPoint`]).
 pub type FlushHook = Box<dyn FnMut(FlushPoint) + Send>;
-
-/// Cumulative durability counters of a [`FileStore`] (surfaced through
-/// [`GssStats`](crate::GssStats) and the `durability_cost` bench).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// Current write-ahead-log bytes (on disk plus pending in memory).
-    pub wal_bytes: u64,
-    /// Drains of the pending log buffer into the log file.
-    pub wal_flushes: u64,
-    /// Dirty pages written back (on eviction and by checkpoints).
-    pub pages_written: u64,
-    /// Tail-section bytes rewritten by checkpoints (incremental checkpoints keep this
-    /// far below `checkpoints × tail size`).
-    pub tail_bytes_written: u64,
-    /// Completed checkpoints.
-    pub checkpoints: u64,
-    /// Group-commit drain rounds this store's committers led.
-    pub wal_group_commits: u64,
-    /// Commits that parked behind another in-flight drain round instead of leading
-    /// their own (each shared the leader's drain and sync).
-    pub wal_group_waits: u64,
-    /// Sync (`fdatasync`) calls issued against the write-ahead log file.
-    pub wal_fsyncs: u64,
-    /// Bounded transient-failure retries (`EINTR`, short reads) across the sketch file
-    /// and the write-ahead log (see
-    /// [`MAX_TRANSIENT_RETRIES`](crate::pager::page_file::MAX_TRANSIENT_RETRIES)).
-    pub io_retries: u64,
-    /// Faults injected by an armed [`FaultPlan`](crate::pager::faults::FaultPlan)
-    /// through this store's file handles; zero in production.
-    pub injected_faults: u64,
-    /// Whether the store has fail-stopped (1 when poisoned, 0 when healthy; numeric so
-    /// the flat stats encoding stays uniform).
-    pub store_poisoned: u64,
-}
 
 /// The deferred half of a two-phase commit: [`FileStore::log_commit_deferred`] appends
 /// the commit frame and returns this token; [`FileStore::ack_commit`] (or the shard's
@@ -209,8 +178,9 @@ pub struct FileStore {
     /// region on [`FileStore::open`]), steering scans past empty buckets.
     index: OccupancyIndex,
     occupied_rooms: usize,
-    /// Dirty pages written back (eviction and checkpoint).
-    pages_written: AtomicU64,
+    /// This store's one counter set, shared with the cache, both file handles and the
+    /// log membership.
+    counters: Arc<StoreCounters>,
     /// The write-ahead room log, clean flag and drain arenas (see [`crate::wal`] and
     /// [`crate::group_commit`]).  Its append mutex is never held while taking a
     /// page-table stripe mutex.
@@ -279,36 +249,16 @@ impl FileStore {
         &self.health
     }
 
-    /// Cumulative page-cache counters since this store was created or opened.  Reads only
-    /// atomics — never takes a pager lock, so per-tenant cache pressure is observable
-    /// without perturbing page traffic.
-    pub fn page_stats(&self) -> PageCacheStats {
-        self.cache.stats()
+    /// This store's runtime counters since it was created or opened.  Every read is an
+    /// atomic load — observing a store never takes one of its locks.
+    pub fn counters(&self) -> &StoreCounters {
+        &self.counters
     }
 
-    /// Cumulative durability counters since this store was created or opened.
-    pub fn durability_stats(&self) -> DurabilityStats {
-        let (wal_bytes, wal_flushes) = {
-            let _wal_held = witness::acquire(LockClass::WalAppend);
-            let wal = self.wal.wal.lock();
-            (wal.writer.bytes(), wal.writer.flushes())
-        };
-        let (wal_group_commits, wal_group_waits, wal_fsyncs) = self.wal.counters();
-        let _sync_held = witness::acquire(LockClass::CheckpointState);
-        let sync = self.sync_state.lock();
-        DurabilityStats {
-            wal_bytes,
-            wal_flushes,
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-            tail_bytes_written: sync.tail_bytes_written,
-            checkpoints: sync.checkpoints,
-            wal_group_commits,
-            wal_group_waits,
-            wal_fsyncs,
-            io_retries: self.file.io_retries() + self.wal.log_io_retries(),
-            injected_faults: self.file.injected_faults() + self.wal.log_injected_faults(),
-            store_poisoned: u64::from(self.health.is_poisoned()),
-        }
+    /// Current write-ahead-log bytes (on disk plus pending in memory).
+    pub(crate) fn wal_bytes(&self) -> u64 {
+        let _wal_held = witness::acquire(LockClass::WalAppend);
+        self.wal.wal.lock().writer.bytes()
     }
 
     /// Clears the header's clean flag on the first mutation after a checkpoint.  Every

@@ -27,6 +27,7 @@ use super::{FileHeader, FileStore, TailSections};
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::StoreHealth;
 use crate::group_commit::{GroupCommitter, WalMember};
+use crate::metrics::StoreCounters;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
@@ -38,7 +39,6 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 impl FileStore {
@@ -68,8 +68,7 @@ impl FileStore {
         // A sparse zero region where the filesystem supports it; room records decode
         // all-zeroes as unoccupied rooms, so no explicit formatting pass is needed.
         file.set_len(Layout::new(config).tail_offset() + header.tail_len)?;
-        let wal = WalWriter::create(&wal_path(path))?;
-        Ok(Self::assemble(path, cache_pages, file, header, wal, group, lock))
+        Self::assemble(path, cache_pages, file, header, None, group, lock)
     }
 
     /// Opens an existing sketch file in place, validating the header and reading the
@@ -153,10 +152,9 @@ impl FileStore {
             file.sync_data()?;
         }
         // A stale log (crash after the clean flag landed but before truncation) is fully
-        // covered by the completed checkpoint: discard it.
-        let wal = WalWriter::create(&wal_path(path)).map_err(PersistenceError::from)?;
+        // covered by the completed checkpoint: `assemble` discards it.
         let (config, items_inserted) = (header.config, header.items);
-        let mut store = Self::assemble(path, cache_pages, file, header, wal, group, lock);
+        let mut store = Self::assemble(path, cache_pages, file, header, None, group, lock)?;
         store.index = index;
         Ok((store, FileHeader { config, items_inserted, tail, recovered: false }))
     }
@@ -222,10 +220,9 @@ impl FileStore {
         header.occupied = occupied as u64;
         // Cut any torn suffix off the log before appending: the recovery checkpoint's
         // TAIL frame must be reachable by a replay of the log as it stands.
-        let wal =
-            WalWriter::open_append(&log, replay.valid_bytes).map_err(PersistenceError::from)?;
         let config = header.config;
-        let mut store = Self::assemble(path, cache_pages, file, header, wal, group, lock);
+        let log_prefix = Some(replay.valid_bytes);
+        let mut store = Self::assemble(path, cache_pages, file, header, log_prefix, group, lock)?;
         store.index = index;
         // Checkpoint the recovered state: tail rewritten whole, header counts re-derived,
         // clean flag set, log truncated.  A crash during *this* checkpoint replays to the
@@ -251,15 +248,22 @@ impl FileStore {
     /// Shared tail of `create`/`open`/`recover`: builds the store around an open file
     /// whose header page reads `header` (occupancy count and clean flag included), with
     /// an all-empty occupancy index — open and recovery install the one they rebuilt.
+    /// The log at `<path>.wal` starts empty (`log_prefix` `None`) or keeps its first
+    /// `log_prefix` bytes (recovery).  The store's one counter set is born here.
     fn assemble(
         path: &Path,
         cache_pages: usize,
         file: File,
         header: Header,
-        wal: WalWriter,
+        log_prefix: Option<u64>,
         group: Arc<GroupCommitter>,
         lock: LockFile,
-    ) -> Self {
+    ) -> io::Result<Self> {
+        let counters = Arc::new(StoreCounters::default());
+        let wal = match log_prefix {
+            None => WalWriter::create(&wal_path(path), Arc::clone(&counters))?,
+            Some(len) => WalWriter::open_append(&wal_path(path), len, Arc::clone(&counters))?,
+        };
         let health = Arc::new(StoreHealth::new());
         let wal = WalMember::new(wal, header.clean, Arc::clone(&health));
         group.register(&wal);
@@ -268,28 +272,22 @@ impl FileStore {
         // are poisoned: the first sketch sync then rewrites the whole tail, upgrading
         // the file to properly sectioned v2 in place.
         let stamp = if header.version == 1 { u64::MAX } else { 0 };
-        Self {
+        Ok(Self {
             path: path.to_path_buf(),
             layout,
             cache_pages: cache_pages.max(1),
-            file: PageFile::with_faults(file, crate::pager::faults::plan_for(path)),
-            cache: PageCache::new(cache_pages),
+            file: PageFile::wrap(file, path, Arc::clone(&counters)),
+            cache: PageCache::new(cache_pages, Arc::clone(&counters)),
             index: OccupancyIndex::new(layout.width),
             occupied_rooms: header.occupied as usize,
-            pages_written: AtomicU64::new(0),
+            counters,
             wal,
             group,
             write_cursor: Mutex::new(PageCursor::default()),
-            sync_state: Mutex::new(SyncState {
-                header,
-                buffer_gen: stamp,
-                node_gen: stamp,
-                tail_bytes_written: 0,
-                checkpoints: 0,
-            }),
+            sync_state: Mutex::new(SyncState { header, buffer_gen: stamp, node_gen: stamp }),
             health,
             _lock: lock,
-        }
+        })
     }
 }
 

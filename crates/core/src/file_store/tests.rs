@@ -4,14 +4,18 @@
 
 use super::format::{Header, Layout, MAGIC_RANGE, SECTIONS_RANGE};
 use super::{FileStore, FlushPoint, TailSections, FILE_MAGIC, FILE_MAGIC_V1, PAGE_BYTES};
-use crate::config::GssConfig;
+use crate::config::{GroupCommit, GssConfig};
 use crate::error::StoreFault;
 use crate::matrix::{Room, RoomKey};
+use crate::metrics;
+use crate::pager::faults::{install, FaultPlan};
 use crate::pager::lock_file::lock_path;
 use crate::pager::witness::{self, LockClass};
 use crate::persistence::PersistenceError;
-use crate::storage::{BucketProbe, RoomStore, ROOM_OCCUPIED_BYTE};
+use crate::storage::{BucketProbe, RoomStore, StorageBackend, ROOM_OCCUPIED_BYTE};
 use crate::wal::wal_path;
+use crate::{GssSketch, GssStats};
+use gss_graph::{StreamEdge, SummaryWrite};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -318,7 +322,7 @@ fn tiny_cache_evicts_and_writes_back() {
         assert_eq!(store.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
     }
     assert_eq!(store.occupied_rooms(), 40);
-    assert!(store.durability_stats().pages_written > 0, "evictions write back");
+    assert!(metrics::get(&store.counters.pages_flushed) > 0, "evictions write back");
     store.write_tail(0, &[]).unwrap();
     drop(store); // release the single-opener lock before reopening
     let (reopened, _) = FileStore::open(&path, 1).unwrap();
@@ -340,14 +344,15 @@ fn incremental_checkpoints_skip_unchanged_sections() {
             TailSections { buffer: Some(&buffer), node: Some(&node), buffer_gen: 1, node_gen: 1 },
         )
         .unwrap();
-    let after_first = store.durability_stats().tail_bytes_written;
+    let tail_bytes = || metrics::get(&store.counters.tail_bytes_written);
+    let after_first = tail_bytes();
     assert_eq!(after_first, (buffer.len() + node.len()) as u64);
     // Same generations: the checkpoint is a no-op (fast path).
     store
         .checkpoint(1, TailSections { buffer: None, node: None, buffer_gen: 1, node_gen: 1 })
         .unwrap();
-    assert_eq!(store.durability_stats().tail_bytes_written, after_first);
-    assert_eq!(store.durability_stats().checkpoints, 1);
+    assert_eq!(tail_bytes(), after_first);
+    assert_eq!(metrics::get(&store.counters.checkpoints), 1);
     // Node-only change: only the node section is rewritten.
     let node2 = b"node-section-other".to_vec();
     store
@@ -356,7 +361,7 @@ fn incremental_checkpoints_skip_unchanged_sections() {
             TailSections { buffer: None, node: Some(&node2), buffer_gen: 1, node_gen: 2 },
         )
         .unwrap();
-    assert_eq!(store.durability_stats().tail_bytes_written, after_first + node2.len() as u64);
+    assert_eq!(tail_bytes(), after_first + node2.len() as u64);
     drop(store);
     let (_, header) = FileStore::open(&path, 4).unwrap();
     assert_eq!(header.items_inserted, 2);
@@ -423,13 +428,14 @@ fn reopen_rebuilds_the_occupancy_index_and_scans_skip_empty_buckets() {
     assert_eq!(column11, vec![(7, 5), (33, 7)]);
     // The indexed column scan touches only the two pages holding occupied buckets of
     // this column; the naive baseline probes all 48 and touches ~one page per bucket.
-    let before = reopened.page_stats();
+    let lookups = || metrics::get(&reopened.counters.page_lookups);
+    let before = lookups();
     let mut count = 0;
     reopened.scan_column(11, &mut |_, _| count += 1);
-    let indexed_lookups = reopened.page_stats().lookups - before.lookups;
-    let before = reopened.page_stats();
+    let indexed_lookups = lookups() - before;
+    let before = lookups();
     crate::storage::naive_scan_column(&reopened, 11, &mut |_, _| count += 1);
-    let naive_lookups = reopened.page_stats().lookups - before.lookups;
+    let naive_lookups = lookups() - before;
     assert_eq!(count, 4);
     assert!(
         indexed_lookups * 8 <= naive_lookups,
@@ -449,7 +455,7 @@ fn concurrent_readers_scan_without_latch_contention() {
     // budget, so the reader threads below run pure hits under shared read latches.
     store.scan_occupied(&mut |_, _, _| {});
     let store = Arc::new(store);
-    let waits_before = store.page_stats().latch_waits;
+    let waits_before = metrics::get(&store.counters.page_latch_waits);
     let readers: Vec<_> = (0..4usize)
         .map(|t| {
             let store = Arc::clone(&store);
@@ -470,7 +476,7 @@ fn concurrent_readers_scan_without_latch_contention() {
         reader.join().unwrap();
     }
     assert_eq!(
-        store.page_stats().latch_waits,
+        metrics::get(&store.counters.page_latch_waits),
         waits_before,
         "cache-hit readers never block on a page latch"
     );
@@ -538,8 +544,116 @@ fn injected_wal_fault_fail_stops_writes_reads_keep_serving_and_the_report_is_hon
     assert!(report.poisoned);
     assert_eq!(report.cause.as_ref().map(StoreFault::kind), Some(error.kind()));
     assert_eq!((report.acked_items, report.durable_items, report.breached_items), (1, 1, 0));
-    assert_eq!(store.durability_stats().store_poisoned, 1);
-    assert!(store.durability_stats().injected_faults >= 1);
+    assert!(metrics::get(&store.counters.injected_faults) >= 1);
     drop(store);
     remove(&path);
+}
+
+/// The runtime fields of [`GssStats`], named for failure messages.
+fn runtime_fields(stats: &GssStats) -> [(&'static str, u64); 13] {
+    [
+        ("wal_bytes", stats.wal_bytes),
+        ("wal_flushes", stats.wal_flushes),
+        ("wal_group_commits", stats.wal_group_commits),
+        ("wal_group_waits", stats.wal_group_waits),
+        ("fsyncs", stats.fsyncs),
+        ("pages_flushed", stats.pages_flushed),
+        ("checkpoints", stats.checkpoints),
+        ("page_lookups", stats.page_lookups),
+        ("page_faults", stats.page_faults),
+        ("page_latch_waits", stats.page_latch_waits),
+        ("io_retries", stats.io_retries),
+        ("injected_faults", stats.injected_faults),
+        ("store_poisoned", stats.store_poisoned),
+    ]
+}
+
+fn wired_stream(items: u64) -> Vec<StreamEdge> {
+    (0..items).map(|t| StreamEdge::new(t * 7 % 500, t * 13 % 500, t, 1)).collect()
+}
+
+/// Every runtime [`GssStats`] field is fed by the one counter set a store hands out — a
+/// hand-over the consolidation forgot (the log file's retries, say) would read 0 here.
+#[test]
+fn every_runtime_counter_reaches_detailed_stats() {
+    let path = temp_path("wired");
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+    // The sketch file fails its second full sync (the second checkpoint, which poisons
+    // the store); the log retries one transient drain write.  The later install wins
+    // for the log, whose name contains the sketch file's too.
+    let _sketch_plan = install(FaultPlan::parse("sync_all:eio@2").unwrap().with_path_token(&name));
+    let _log_plan =
+        install(FaultPlan::parse("write:eintr@3").unwrap().with_path_token(format!("{name}.wal")));
+    let storage = StorageBackend::File { path: path.clone(), cache_pages: 2 };
+    let mut sketch = GssSketch::builder().width(64).storage(storage).build().unwrap();
+    let items = wired_stream(3000);
+    for chunk in items.chunks(500) {
+        sketch.insert_batch(chunk);
+    }
+    sketch.sync().unwrap();
+    let store = sketch.room_storage().as_file().unwrap();
+    std::thread::scope(|scope| {
+        // A reader blocks on a page whose write latch this thread holds...
+        let slot = store.cache.lookup(0, store).unwrap();
+        let latch = store.cache.write(&slot);
+        let reader = scope.spawn(|| store.room(0, 0, 0));
+        while metrics::get(&store.counters.page_latch_waits) == 0 {
+            std::thread::yield_now();
+        }
+        drop(latch);
+        reader.join().unwrap();
+    });
+    let (_, ack) = store.log_commit_deferred(sketch.items_inserted()).unwrap();
+    std::thread::scope(|scope| {
+        // ...and a commit parks behind a drain token this thread holds.
+        let token = store.group.exclusive(&store.wal);
+        let committer = scope.spawn(|| store.ack_commit(ack));
+        while metrics::get(&store.counters.wal_group_waits) == 0 {
+            std::thread::yield_now();
+        }
+        drop(token);
+        committer.join().unwrap().unwrap();
+    });
+    sketch.insert_batch(&wired_stream(100));
+    sketch.sync().unwrap_err();
+    for (field, value) in runtime_fields(&sketch.detailed_stats()) {
+        assert!(value > 0, "{field} is not wired: {:?}", sketch.detailed_stats());
+    }
+    drop(sketch);
+    remove(&path);
+
+    // A sharded build's totals are its shards' totals, one counter set per shard.
+    let base = temp_path("wired-sharded");
+    let storage = StorageBackend::File { path: base.clone(), cache_pages: 2 };
+    let sharded = GssSketch::builder()
+        .width(32)
+        .storage(storage)
+        .group_commit(GroupCommit { max_delay_us: 0, max_bytes: 0 })
+        .build_sharded(3)
+        .unwrap();
+    sharded.insert_batch(&items);
+    sharded.sync().unwrap();
+    let mut summed = [0u64; 13];
+    for index in 0..3 {
+        let shard = sharded.with_shard_read(index, |shard| runtime_fields(&shard.detailed_stats()));
+        for (total, (_, value)) in summed.iter_mut().zip(shard) {
+            *total += value;
+        }
+    }
+    assert_eq!(runtime_fields(&sharded.detailed_stats()).map(|(_, value)| value), summed);
+    assert!(summed[7] > 0, "the shards did page traffic");
+    drop(sharded);
+    for index in 0..3 {
+        remove(&base.with_file_name(format!(
+            "{}.shard{index}",
+            base.file_name().unwrap().to_string_lossy()
+        )));
+    }
+
+    // An in-memory sketch has no store: every runtime field reads 0.
+    let mut memory = GssSketch::builder().width(32).build().unwrap();
+    memory.insert_batch(&items);
+    for (field, value) in runtime_fields(&memory.detailed_stats()) {
+        assert_eq!(value, 0, "{field} of an in-memory sketch");
+    }
 }

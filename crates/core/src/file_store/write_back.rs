@@ -13,11 +13,11 @@
 
 use super::format::{Header, Layout, Section, CHECKPOINT_RANGE, MAGIC_RANGE};
 use super::{FileStore, FlushPoint};
+use crate::metrics;
 use crate::pager::page_cache::PageIo;
 use crate::pager::witness::{self, LockClass};
 use crate::pager::PAGE_BYTES;
 use std::io;
-use std::sync::atomic::Ordering;
 
 /// The tail sections a checkpoint may rewrite.  `None` means "unchanged since the last
 /// checkpoint" (the generation stamp must then equal the synced one); the node section
@@ -44,10 +44,6 @@ pub(super) struct SyncState {
     /// Generation stamps of the tail sections `header` describes.
     pub(super) buffer_gen: u64,
     pub(super) node_gen: u64,
-    /// Cumulative tail-section bytes rewritten by checkpoints.
-    pub(super) tail_bytes_written: u64,
-    /// Completed checkpoints.
-    pub(super) checkpoints: u64,
 }
 
 /// How the page cache reaches the file: faults read the page image, evictions pass the
@@ -62,7 +58,7 @@ impl PageIo for FileStore {
         // page itself is.
         self.drain_wal()?;
         self.file.write_all_at(&data[..], Layout::page_offset(index))?;
-        self.pages_written.fetch_add(1, Ordering::Relaxed);
+        metrics::add(&self.counters.pages_flushed, 1);
         self.fire(FlushPoint::PageWriteBack);
         Ok(())
     }
@@ -89,7 +85,7 @@ impl FileStore {
         for slot in &dirty {
             let data = self.cache.read(slot);
             self.file.write_all_at(&data[..], Layout::page_offset(slot.index()))?;
-            self.pages_written.fetch_add(1, Ordering::Relaxed);
+            metrics::add(&self.counters.pages_flushed, 1);
             self.cache.mark_clean(slot);
         }
         if wrote {
@@ -186,11 +182,11 @@ impl FileStore {
         let tail_offset = self.layout.tail_offset();
         if let Some(bytes) = sections.buffer {
             self.file.write_all_at(bytes, tail_offset)?;
-            sync.tail_bytes_written += buffer.len;
+            metrics::add(&self.counters.tail_bytes_written, buffer.len);
         }
         if let Some(bytes) = sections.node {
             self.file.write_all_at(bytes, tail_offset + buffer.len)?;
-            sync.tail_bytes_written += node.len;
+            metrics::add(&self.counters.tail_bytes_written, node.len);
         }
         self.file.set_len(tail_offset + buffer.len + node.len)?;
         self.fire(FlushPoint::TailWrite);
@@ -216,7 +212,7 @@ impl FileStore {
             let _wal_held = witness::acquire(LockClass::WalAppend);
             let mut wal = self.wal.wal.lock();
             wal.clean = true;
-            sync.checkpoints += 1;
+            metrics::add(&self.counters.checkpoints, 1);
             self.fire(FlushPoint::CheckpointDone);
             // 6. Every logged frame is now covered by the checkpoint.  No drain can be
             //    in flight here: the pending arena has been empty since step 1-2

@@ -45,6 +45,7 @@
 use crate::config::GroupCommit;
 use crate::error::{StoreFault, StoreHealth};
 use crate::file_store::{FlushHook, FlushPoint};
+use crate::metrics::{self, StoreCounters};
 use crate::pager::page_file::PageFile;
 use crate::pager::witness::{self, LockClass};
 use crate::wal::WalWriter;
@@ -70,7 +71,7 @@ pub(crate) struct WalState {
 
 /// One write-ahead log registered with a [`GroupCommitter`]: the append mutex, the
 /// shared log file handle for positioned out-of-lock drains, the durability-point
-/// observer hook, and the drain/sync progress counters.
+/// observer hook, and the drain/sync progress marks.
 pub(crate) struct WalMember {
     /// The append mutex (lock class `WalAppend`); never held across file I/O except on
     /// the checkpoint tail path, which holds the drain token.
@@ -88,12 +89,9 @@ pub(crate) struct WalMember {
     /// Cumulative appended bytes covered by the last sync of the log file.  Always a
     /// conservative lower bound on durable bytes (stored only after the sync returns).
     synced: AtomicU64,
-    /// Drain rounds this member's committers led.
-    group_commits: AtomicU64,
-    /// Commits on this member that parked behind another leader's in-flight round.
-    group_waits: AtomicU64,
-    /// Sync calls issued against this member's log file.
-    fsyncs: AtomicU64,
+    /// The owning store's counters: rounds led (`wal_group_commits`), commits parked
+    /// behind another leader's round (`wal_group_waits`) and log syncs (`fsyncs`).
+    counters: Arc<StoreCounters>,
     /// This member's drain token (lock class `GroupCommit`): true while a drain round
     /// or a checkpoint's exclusive tail section is in flight for this log.  Per-member
     /// so the shards of a `ShardedGss` drain independently; held only to flip the
@@ -118,17 +116,17 @@ pub(crate) struct WalMember {
 }
 
 impl WalMember {
+    /// A member counting into the same [`StoreCounters`] as its `writer`.
     pub(crate) fn new(writer: WalWriter, clean: bool, health: Arc<StoreHealth>) -> Arc<Self> {
         let log_file = writer.shared_file();
+        let counters = Arc::clone(&writer.counters);
         Arc::new(Self {
             wal: Mutex::new(WalState { writer, clean, spare: Vec::new() }),
             log_file,
             hook: Mutex::new(None),
             written: AtomicU64::new(0),
             synced: AtomicU64::new(0),
-            group_commits: AtomicU64::new(0),
-            group_waits: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
+            counters,
             group_token: StdMutex::new(false),
             done: Condvar::new(),
             health,
@@ -141,16 +139,6 @@ impl WalMember {
     /// The owning store's fail-stop state.
     pub(crate) fn health(&self) -> &Arc<StoreHealth> {
         &self.health
-    }
-
-    /// Transient retries performed against this member's log file.
-    pub(crate) fn log_io_retries(&self) -> u64 {
-        self.log_file.io_retries()
-    }
-
-    /// Faults injected through this member's log-file handle.
-    pub(crate) fn log_injected_faults(&self) -> u64 {
-        self.log_file.injected_faults()
     }
 
     /// Registers a deferred commit for durability accounting: once `target` appended
@@ -200,15 +188,14 @@ impl WalMember {
 
     /// Attempts to claim this member's drain token.  Returns `false` (after parking
     /// until the in-flight round ends) when another leader held it.  Pass
-    /// `counted_wait = true` to suppress the `group_waits` bump (non-commit callers).
+    /// `counted_wait = true` to suppress the `wal_group_waits` bump (non-commit callers).
     fn try_claim(&self, counted_wait: &mut bool) -> bool {
         let _group_held = witness::acquire(LockClass::GroupCommit);
         let mut draining = unpoison(self.group_token.lock());
         if *draining {
             if !*counted_wait {
                 *counted_wait = true;
-                // relaxed: monitoring counter, read only by stats snapshots.
-                self.group_waits.fetch_add(1, Ordering::Relaxed);
+                metrics::add(&self.counters.wal_group_waits, 1);
             }
             drop(unpoison(self.done.wait(draining)));
             return false;
@@ -242,19 +229,8 @@ impl WalMember {
     pub(crate) fn note_synced_locked(&self, bytes: u64) {
         let written = self.written.fetch_add(bytes, Ordering::AcqRel) + bytes;
         self.synced.fetch_max(written, Ordering::AcqRel);
-        // relaxed: monitoring counter, read only by stats snapshots.
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        metrics::add(&self.counters.fsyncs, 1);
         self.credit_durable(written);
-    }
-
-    /// Snapshot of the drain/sync counters: `(group_commits, group_waits, fsyncs)`.
-    pub(crate) fn counters(&self) -> (u64, u64, u64) {
-        (
-            // relaxed: monitoring counters, read only by stats snapshots.
-            self.group_commits.load(Ordering::Relaxed),
-            self.group_waits.load(Ordering::Relaxed),
-            self.fsyncs.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -429,8 +405,7 @@ impl GroupCommitter {
                 member.health.check().map_err(|fault| fault.to_io())?;
                 return Ok(());
             }
-            // relaxed: monitoring counter, read only by stats snapshots.
-            member.group_commits.fetch_add(1, Ordering::Relaxed);
+            metrics::add(&member.counters.wal_group_commits, 1);
             let result = self.drain_and_sync(member);
             member.release_token();
             result?;
@@ -453,7 +428,7 @@ impl GroupCommitter {
                 return Ok(());
             }
         }
-        // Suppressed wait counting: `group_waits` meters parked *commits* only.
+        // Suppressed wait counting: `wal_group_waits` meters parked *commits* only.
         let mut counted_wait = true;
         while !member.try_claim(&mut counted_wait) {}
         let result = self.drain_member(member);
@@ -569,8 +544,7 @@ impl SyncShared {
                 // fetch_max, not store: a concurrent checkpoint sync on another
                 // member may have advanced `synced` past our pre-sync snapshot.
                 m.synced.fetch_max(written, Ordering::AcqRel);
-                // relaxed: monitoring counter, read only by stats snapshots.
-                m.fsyncs.fetch_add(1, Ordering::Relaxed);
+                metrics::add(&m.counters.fsyncs, 1);
             }
         }
         Ok(())
@@ -613,7 +587,7 @@ mod tests {
         let path = wal_path(
             &std::env::temp_dir().join(format!("gss-group-{}-{name}.gss", std::process::id())),
         );
-        let writer = WalWriter::create(&path).expect("create wal");
+        let writer = WalWriter::create(&path, Arc::default()).expect("create wal");
         (WalMember::new(writer, true, Arc::new(StoreHealth::new())), TempLog(path))
     }
 
@@ -632,8 +606,7 @@ mod tests {
         assert!(member.written.load(Ordering::Acquire) >= target);
         let replay = read_replay(&log.0, 64).expect("replay").expect("decodes");
         assert_eq!(replay.items, Some(3));
-        let (commits, _, _) = member.counters();
-        assert_eq!(commits, 1);
+        assert_eq!(metrics::get(&member.counters.wal_group_commits), 1);
     }
 
     #[test]
@@ -648,8 +621,7 @@ mod tests {
         }
         committer.barrier(&member).expect("barrier");
         assert_eq!(member.wal.lock().writer.pending_bytes(), 0);
-        let (_, _, fsyncs) = member.counters();
-        assert_eq!(fsyncs, 0, "barrier must not sync");
+        assert_eq!(metrics::get(&member.counters.fsyncs), 0, "barrier must not sync");
     }
 
     #[test]
@@ -664,8 +636,7 @@ mod tests {
                 wal.writer.appended_bytes()
             };
             committer.commit(&member, target).expect("commit");
-            let (_, _, fsyncs) = member.counters();
-            assert_eq!(fsyncs, round);
+            assert_eq!(metrics::get(&member.counters.fsyncs), round);
         }
         assert_eq!(member.synced.load(Ordering::Acquire), 3 * COMMIT_FRAME_BYTES as u64);
     }
@@ -695,10 +666,12 @@ mod tests {
             wal.writer.appended_bytes()
         };
         zero.commit(&a, target).expect("commit a");
-        let (_, _, fsyncs_a) = a.counters();
-        let (_, _, fsyncs_b) = b.counters();
-        assert_eq!(fsyncs_a, 1);
-        assert_eq!(fsyncs_b, 1, "unsynced member b is swept by a's cadence round");
+        assert_eq!(metrics::get(&a.counters.fsyncs), 1);
+        assert_eq!(
+            metrics::get(&b.counters.fsyncs),
+            1,
+            "unsynced member b is swept by a's cadence round"
+        );
     }
 
     #[test]
@@ -787,11 +760,14 @@ mod tests {
         committer.commit(&member, target).expect_err("fdatasync must fail");
         assert!(member.health().is_poisoned());
         assert_eq!(member.synced.load(Ordering::Acquire), 0, "failed sync credits nothing");
-        let (_, _, fsyncs_before) = member.counters();
+        let fsyncs_before = metrics::get(&member.counters.fsyncs);
         // A later sweep must skip the poisoned member entirely (no fsync retry).
         committer.shared.sweep().expect("sweep skips poisoned members");
-        let (_, _, fsyncs_after) = member.counters();
-        assert_eq!(fsyncs_after, fsyncs_before, "no sync_data retry against a poisoned log");
+        assert_eq!(
+            metrics::get(&member.counters.fsyncs),
+            fsyncs_before,
+            "no sync_data retry against a poisoned log"
+        );
     }
 
     #[test]

@@ -69,6 +69,7 @@ pub mod group_commit;
 pub mod hashing;
 pub mod matrix;
 pub mod merge;
+pub mod metrics;
 pub mod node_map;
 pub mod pager;
 pub mod persistence;
@@ -84,7 +85,7 @@ pub use config::{
     MAX_SEQUENCE_LENGTH, MAX_TOTAL_ROOMS, MAX_WIDTH,
 };
 pub use error::{ConfigError, DurabilityReport, GssError, StoreFault, StoreHealth};
-pub use file_store::{DurabilityStats, FileStore, FlushHook, FlushPoint, PageCacheStats};
+pub use file_store::{FileStore, FlushHook, FlushPoint};
 pub use group_commit::GroupCommitter;
 pub use hashing::{HashedNode, NodeHasher, Reciprocal, RecoverQCache};
 pub use matrix::{MemoryStore, RoomKey};

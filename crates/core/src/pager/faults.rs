@@ -220,16 +220,14 @@ impl FaultPlan {
             .find(|site| site.op == op && site.at == occurrence)
             .map(|site| site.kind);
         if hit.is_some() {
-            // relaxed: a statistics counter.
-            self.injected.fetch_add(1, Ordering::Relaxed);
+            crate::metrics::add(&self.injected, 1);
         }
         hit
     }
 
     /// Faults injected so far (hard and transient).
     pub fn injected(&self) -> u64 {
-        // relaxed: a statistics read.
-        self.injected.load(Ordering::Relaxed)
+        crate::metrics::get(&self.injected)
     }
 
     #[allow(clippy::unnecessary_map_or)] // `is_none_or` lands after the declared MSRV (1.75)

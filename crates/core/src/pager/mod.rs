@@ -16,6 +16,9 @@
 //!   [`page_file::PageFile`] (scheduled `EIO`/`ENOSPC`/short-read/torn-write/failed-
 //!   fsync occurrences), zero-cost when disarmed.
 //!
+//! None of them keeps counters of its own: the cache and every file handle count into
+//! the owning store's one [`StoreCounters`](crate::metrics::StoreCounters).
+//!
 //! ## Lock map
 //!
 //! ```text
@@ -53,18 +56,3 @@ pub mod witness;
 /// Bytes per cache page (and per on-disk page; room records never straddle pages because
 /// [`ROOM_RECORD_BYTES`](crate::storage::ROOM_RECORD_BYTES) divides this).
 pub const PAGE_BYTES: usize = 4096;
-
-/// Cumulative page-cache counters of a [`FileStore`](crate::FileStore), maintained as
-/// atomics so they are observable without taking any pager lock (reported by the
-/// `query_scaling` bench and aggregated across shards into
-/// [`GssStats`](crate::GssStats)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageCacheStats {
-    /// Cache lookups served (every room read/write touches one page).
-    pub lookups: u64,
-    /// Lookups that missed and faulted the page in from disk.
-    pub faults: u64,
-    /// Page-latch acquisitions that had to block behind another thread (contention on
-    /// one page; a zero here under concurrent load means readers stayed lock-free).
-    pub latch_waits: u64,
-}

@@ -15,7 +15,8 @@
 //! slots are skipped and the stripe transiently overshoots its share instead.
 
 use super::witness::{self, LockClass, Tracked};
-use super::{PageCacheStats, PAGE_BYTES};
+use super::PAGE_BYTES;
+use crate::metrics::{self, StoreCounters};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::io;
@@ -91,25 +92,23 @@ pub struct PageCache {
     per_stripe_capacity: usize,
     /// Monotonic recency clock shared by all stripes.
     clock: AtomicU64,
-    lookups: AtomicU64,
-    faults: AtomicU64,
-    latch_waits: AtomicU64,
+    /// The owning store's counters (lookups, faults, latch waits).
+    counters: Arc<StoreCounters>,
 }
 
 impl PageCache {
     /// A cache holding at most `capacity_pages` pages (clamped to at least 1).  Small
     /// caches get a single stripe so the page budget stays exact; larger ones get up to
-    /// 16 so concurrent faults spread across locks.
-    pub fn new(capacity_pages: usize) -> Self {
+    /// 16 so concurrent faults spread across locks.  Lookups, faults and latch waits
+    /// are counted into `counters`.
+    pub fn new(capacity_pages: usize, counters: Arc<StoreCounters>) -> Self {
         let capacity = capacity_pages.max(1);
         let stripes = (capacity / 4).next_power_of_two().clamp(1, 16);
         Self {
             stripes: (0..stripes).map(|_| Stripe { slots: Mutex::new(HashMap::new()) }).collect(),
             per_stripe_capacity: capacity.div_ceil(stripes),
             clock: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            latch_waits: AtomicU64::new(0),
+            counters,
         }
     }
 
@@ -125,7 +124,7 @@ impl PageCache {
         // relaxed: the clock only orders evictions approximately; a stale tick merely
         // makes LRU slightly less exact, never incorrect.
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        metrics::add(&self.counters.page_lookups, 1);
         let stripe_held = witness::acquire(LockClass::StripeMap);
         let mut slots = self.stripe(index).slots.lock();
         if let Some(slot) = slots.get(&index) {
@@ -133,7 +132,7 @@ impl PageCache {
             slot.stamp.store(tick, Ordering::Relaxed);
             return Ok(Arc::clone(slot));
         }
-        self.faults.fetch_add(1, Ordering::Relaxed);
+        metrics::add(&self.counters.page_faults, 1);
         while slots.len() >= self.per_stripe_capacity {
             let victim = slots
                 .iter()
@@ -192,7 +191,7 @@ impl PageCache {
     ) -> io::Result<Arc<PageSlot>> {
         if let Some(slot) = &cursor.slot {
             if slot.index == index {
-                self.lookups.fetch_add(1, Ordering::Relaxed);
+                metrics::add(&self.counters.page_lookups, 1);
                 return Ok(Arc::clone(slot));
             }
         }
@@ -210,7 +209,7 @@ impl PageCache {
         let guard = match slot.data.try_read() {
             Some(guard) => guard,
             None => {
-                self.latch_waits.fetch_add(1, Ordering::Relaxed);
+                metrics::add(&self.counters.page_latch_waits, 1);
                 slot.data.read()
             }
         };
@@ -226,7 +225,7 @@ impl PageCache {
         let guard = match slot.data.try_write() {
             Some(guard) => guard,
             None => {
-                self.latch_waits.fetch_add(1, Ordering::Relaxed);
+                metrics::add(&self.counters.page_latch_waits, 1);
                 slot.data.write()
             }
         };
@@ -251,15 +250,6 @@ impl PageCache {
     /// concurrent mutators by the sketch's `&mut self` contract).
     pub fn mark_clean(&self, slot: &PageSlot) {
         slot.clear_dirty();
-    }
-
-    /// Counter snapshot; reads only atomics, so it never blocks page traffic.
-    pub fn stats(&self) -> PageCacheStats {
-        PageCacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
-            latch_waits: self.latch_waits.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -306,7 +296,7 @@ mod tests {
 
     #[test]
     fn hits_and_faults_are_counted_and_content_round_trips() {
-        let cache = PageCache::new(8);
+        let cache = PageCache::new(8, Arc::default());
         let io = MemIo::new();
         let slot = cache.lookup(3, &io).unwrap();
         {
@@ -316,14 +306,13 @@ mod tests {
         }
         let again = cache.lookup(3, &io).unwrap();
         assert_eq!(cache.read(&again)[17], 0xAB);
-        let stats = cache.stats();
-        assert_eq!(stats.lookups, 2);
-        assert_eq!(stats.faults, 1);
+        assert_eq!(metrics::get(&cache.counters.page_lookups), 2);
+        assert_eq!(metrics::get(&cache.counters.page_faults), 1);
     }
 
     #[test]
     fn eviction_writes_dirty_pages_back_and_refaults_them() {
-        let cache = PageCache::new(1);
+        let cache = PageCache::new(1, Arc::default());
         let io = MemIo::new();
         for index in 0..6u64 {
             let slot = cache.lookup(index, &io).unwrap();
@@ -358,7 +347,7 @@ mod tests {
 
     #[test]
     fn a_failed_write_back_keeps_the_victim_cached_and_dirty() {
-        let cache = PageCache::new(1);
+        let cache = PageCache::new(1, Arc::default());
         let io = FailOnceIo { inner: MemIo::new(), failed: AtomicBool::new(false) };
         let slot = cache.lookup(0, &io).unwrap();
         cache.write(&slot)[0] = 42;
@@ -367,9 +356,13 @@ mod tests {
         // Faulting page 1 must evict dirty page 0; its write-back fails, so the only
         // copy of the mutation has to stay resident — and still owed to the file.
         assert!(cache.lookup(1, &io).is_err());
-        let faults = cache.stats().faults;
+        let faults = metrics::get(&cache.counters.page_faults);
         let kept = cache.lookup(0, &io).unwrap();
-        assert_eq!(cache.stats().faults, faults, "page 0 is still cached: a hit");
+        assert_eq!(
+            metrics::get(&cache.counters.page_faults),
+            faults,
+            "page 0 is still cached: a hit"
+        );
         assert_eq!(cache.read(&kept)[0], 42);
         assert_eq!(cache.dirty_slots().len(), 1, "and still dirty");
         drop(kept);
@@ -380,7 +373,7 @@ mod tests {
 
     #[test]
     fn pinned_slots_survive_eviction_pressure() {
-        let cache = PageCache::new(1);
+        let cache = PageCache::new(1, Arc::default());
         let io = MemIo::new();
         let pinned = cache.lookup(0, &io).unwrap();
         cache.write(&pinned)[0] = 77;
@@ -397,7 +390,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_pages_without_latch_contention() {
-        let cache = Arc::new(PageCache::new(64));
+        let cache = Arc::new(PageCache::new(64, Arc::default()));
         let io = Arc::new(MemIo::new());
         for index in 0..32u64 {
             let slot = cache.lookup(index, io.as_ref()).unwrap();
@@ -421,19 +414,19 @@ mod tests {
             reader.join().unwrap();
         }
         // Read latches are shared: concurrent readers never block each other.
-        assert_eq!(cache.stats().latch_waits, 0);
+        assert_eq!(metrics::get(&cache.counters.page_latch_waits), 0);
     }
 
     #[test]
     fn cursor_reuses_the_pinned_slot_and_survives_eviction_pressure() {
-        let cache = PageCache::new(1);
+        let cache = PageCache::new(1, Arc::default());
         let io = MemIo::new();
         let mut cursor = PageCursor::default();
         let slot = cache.lookup_with(&mut cursor, 5, &io).unwrap();
         cache.write(&slot)[0] = 9;
         slot.mark_dirty();
         drop(slot);
-        let faults_after_first = cache.stats().faults;
+        let faults_after_first = metrics::get(&cache.counters.page_faults);
         // Same page through the cursor: no fault, and the identical slot comes back —
         // even after eviction pressure from other pages (the cursor's pin keeps it in).
         for index in 20..30u64 {
@@ -441,7 +434,11 @@ mod tests {
         }
         let again = cache.lookup_with(&mut cursor, 5, &io).unwrap();
         assert_eq!(cache.read(&again)[0], 9);
-        assert_eq!(cache.stats().faults, faults_after_first + 10, "no re-fault of page 5");
+        assert_eq!(
+            metrics::get(&cache.counters.page_faults),
+            faults_after_first + 10,
+            "no re-fault of page 5"
+        );
         // A different page re-aims the cursor; page 5 becomes evictable again.
         let moved = cache.lookup_with(&mut cursor, 6, &io).unwrap();
         assert_eq!(moved.index(), 6);
@@ -451,7 +448,7 @@ mod tests {
 
     #[test]
     fn dirty_slots_come_out_in_ascending_page_order() {
-        let cache = PageCache::new(64);
+        let cache = PageCache::new(64, Arc::default());
         let io = MemIo::new();
         for &index in &[9u64, 2, 30, 17] {
             let slot = cache.lookup(index, &io).unwrap();

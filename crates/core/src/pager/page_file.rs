@@ -7,13 +7,14 @@
 //!
 //! This is also the single choke point where two robustness concerns live:
 //!
-//! * **Deterministic fault injection** ([`crate::pager::faults`]): a handle opened
-//!   with [`PageFile::with_faults`] consults its [`FaultPlan`] before every real I/O
-//!   call and fails the scheduled occurrences.  An unfaulted handle pays one `Option`
-//!   branch per call.
+//! * **Deterministic fault injection** ([`crate::pager::faults`]): every handle
+//!   resolves the [`FaultPlan`] covering its path when it is wrapped
+//!   ([`PageFile::wrap`]), consults it before every real I/O call and fails the
+//!   scheduled occurrences.  An unfaulted handle pays one `Option` branch per call.
 //! * **Bounded transient retry**: genuinely transient failures — `EINTR`
 //!   ([`io::ErrorKind::Interrupted`]) and injected short reads — are retried up to
-//!   [`MAX_TRANSIENT_RETRIES`] times, counted in [`PageFile::io_retries`].  Hard
+//!   [`MAX_TRANSIENT_RETRIES`] times, counted in the owning store's
+//!   [`StoreCounters::io_retries`] (injected faults in its `injected_faults`).  Hard
 //!   errors and every `sync_data`/`sync_all` failure are **never** retried here:
 //!   after a failed fsync the kernel may have dropped the dirty pages, so a retry
 //!   that succeeds proves nothing (the "fsyncgate" hazard) — those propagate to the
@@ -24,10 +25,11 @@ compile_error!(
     "gss-core's paged file store needs positioned I/O (`pread`/`pwrite`) and builds on Unix only"
 );
 
-use crate::pager::faults::{FaultKind, FaultOp, FaultPlan};
+use crate::metrics::{self, StoreCounters};
+use crate::pager::faults::{plan_for, FaultKind, FaultOp, FaultPlan};
 use std::fs::File;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Upper bound on retries of one transient (`EINTR`/short-read) failure before it is
@@ -50,49 +52,31 @@ fn fault_error(kind: FaultKind, op: &str) -> io::Error {
     }
 }
 
-/// The fault/retry bookkeeping of one handle.
-#[derive(Debug, Default)]
-struct Instrumentation {
-    faults: Option<Arc<FaultPlan>>,
-    retries: AtomicU64,
-    /// Faults injected through *this handle* — distinct from the plan's global count,
-    /// so stats summed over handles sharing one plan never double-count.
-    injected: AtomicU64,
-}
-
-impl Instrumentation {
-    fn next_fault(&self, op: FaultOp) -> Option<FaultKind> {
-        let kind = self.faults.as_ref()?.next(op);
-        if kind.is_some() {
-            // relaxed: a statistics counter.
-            self.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        kind
-    }
-
-    fn count_retry(&self) {
-        // relaxed: a statistics counter.
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// One shared file handle serving positioned reads and writes (see the module docs).
 #[derive(Debug)]
 pub struct PageFile {
     file: File,
-    instr: Instrumentation,
+    /// The fault plan covering this file, resolved once when it was wrapped.
+    faults: Option<Arc<FaultPlan>>,
+    /// The owning store's counters (transient retries, faults injected through *this
+    /// handle* — not the plan's global count, so handles sharing a plan never
+    /// double-count).
+    counters: Arc<StoreCounters>,
 }
 
 impl PageFile {
-    /// Wraps an open handle (read + write) with no fault plan.
-    pub fn new(file: File) -> Self {
-        Self { file, instr: Instrumentation::default() }
+    /// Wraps an open handle (read + write) on the file at `path`, under the fault plan
+    /// covering that path ([`plan_for`]), counting into `counters`.
+    pub fn wrap(file: File, path: &Path, counters: Arc<StoreCounters>) -> Self {
+        Self { file, faults: plan_for(path), counters }
     }
 
-    /// Wraps an open handle with an optional fault plan (see
-    /// [`crate::pager::faults::plan_for`]).
-    pub fn with_faults(file: File, faults: Option<Arc<FaultPlan>>) -> Self {
-        Self { file, instr: Instrumentation { faults, ..Instrumentation::default() } }
+    fn next_fault(&self, op: FaultOp) -> Option<FaultKind> {
+        let kind = self.faults.as_ref()?.next(op);
+        if kind.is_some() {
+            metrics::add(&self.counters.injected_faults, 1);
+        }
+        kind
     }
 
     /// Reads exactly `buf.len()` bytes at `offset`, leaving no shared cursor state.
@@ -100,7 +84,7 @@ impl PageFile {
     pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         let mut attempts = 0u32;
         loop {
-            let result = match self.instr.next_fault(FaultOp::Read) {
+            let result = match self.next_fault(FaultOp::Read) {
                 Some(kind) => Err(fault_error(kind, "read_exact_at")),
                 None => std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, offset),
             };
@@ -110,7 +94,7 @@ impl PageFile {
                     if attempts > MAX_TRANSIENT_RETRIES {
                         return Err(error);
                     }
-                    self.instr.count_retry();
+                    metrics::add(&self.counters.io_retries, 1);
                 }
                 other => return other,
             }
@@ -122,7 +106,7 @@ impl PageFile {
     pub fn write_all_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
         let mut attempts = 0u32;
         loop {
-            let result = match self.instr.next_fault(FaultOp::Write) {
+            let result = match self.next_fault(FaultOp::Write) {
                 Some(FaultKind::TornWrite) => {
                     // The partial image reaches the file before the error — the torn
                     // state WAL replay's longest-valid-prefix rule must absorb.  The
@@ -142,7 +126,7 @@ impl PageFile {
                     if attempts > MAX_TRANSIENT_RETRIES {
                         return Err(error);
                     }
-                    self.instr.count_retry();
+                    metrics::add(&self.counters.io_retries, 1);
                 }
                 other => return other,
             }
@@ -151,7 +135,7 @@ impl PageFile {
 
     /// Truncates or extends the file.  Failures are hard (never retried).
     pub fn set_len(&self, len: u64) -> io::Result<()> {
-        match self.instr.next_fault(FaultOp::SetLen) {
+        match self.next_fault(FaultOp::SetLen) {
             Some(kind) => Err(fault_error(kind, "set_len")),
             None => self.file.set_len(len),
         }
@@ -161,7 +145,7 @@ impl PageFile {
     /// be retried by any caller: the kernel may already have dropped the dirty pages,
     /// so a succeeding retry proves nothing about the lost write-back.
     pub fn sync_data(&self) -> io::Result<()> {
-        match self.instr.next_fault(FaultOp::SyncData) {
+        match self.next_fault(FaultOp::SyncData) {
             Some(kind) => Err(fault_error(kind, "sync_data")),
             None => self.file.sync_data(),
         }
@@ -170,36 +154,27 @@ impl PageFile {
     /// Flushes file data and metadata to disk.  Same no-retry contract as
     /// [`sync_data`](Self::sync_data).
     pub fn sync_all(&self) -> io::Result<()> {
-        match self.instr.next_fault(FaultOp::SyncAll) {
+        match self.next_fault(FaultOp::SyncAll) {
             Some(kind) => Err(fault_error(kind, "sync_all")),
             None => self.file.sync_all(),
         }
-    }
-
-    /// Transient retries performed by this handle.
-    pub fn io_retries(&self) -> u64 {
-        // relaxed: a statistics read.
-        self.instr.retries.load(Ordering::Relaxed)
-    }
-
-    /// Faults injected through this handle (per-handle, so sums over handles sharing
-    /// one plan never double-count); zero for unfaulted handles.
-    pub fn injected_faults(&self) -> u64 {
-        // relaxed: a statistics read.
-        self.instr.injected.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::faults::{FaultPlan, FaultSite};
+    use crate::pager::faults::{install, FaultGuard, FaultPlan, FaultSite};
     use std::fs::OpenOptions;
     use std::path::PathBuf;
 
-    fn temp_file(name: &str) -> (PathBuf, File) {
+    /// A fresh temp file wrapped as a `PageFile` with its own counters, under `plan`
+    /// (scoped to this file's name) when one is given — keep the guard alive.
+    fn temp_file(name: &str, plan: Option<FaultPlan>) -> (PathBuf, PageFile, Option<FaultGuard>) {
         let path =
             std::env::temp_dir().join(format!("gss-page-file-{}-{name}.bin", std::process::id()));
+        let token = path.file_name().unwrap().to_string_lossy().into_owned();
+        let guard = plan.map(|plan| install(plan.with_path_token(token)));
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -207,13 +182,14 @@ mod tests {
             .truncate(true)
             .open(&path)
             .unwrap();
-        (path, file)
+        let file = PageFile::wrap(file, &path, Arc::default());
+        (path, file, guard)
     }
 
     #[test]
     fn positioned_reads_and_writes_do_not_disturb_each_other() {
-        let (path, file) = temp_file("positional");
-        let file = Arc::new(PageFile::new(file));
+        let (path, file, _) = temp_file("positional", None);
+        let file = Arc::new(file);
         file.set_len(8192).unwrap();
         file.write_all_at(b"tail", 8000).unwrap();
         file.write_all_at(b"head", 0).unwrap();
@@ -241,33 +217,30 @@ mod tests {
             file.read_exact_at(&mut pair, 100 + i * 2).unwrap();
             assert_eq!(pair, [i as u8, 49]);
         }
-        assert_eq!(file.io_retries(), 0);
-        assert_eq!(file.injected_faults(), 0);
+        assert_eq!(metrics::get(&file.counters.io_retries), 0);
+        assert_eq!(metrics::get(&file.counters.injected_faults), 0);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn transient_faults_retry_and_are_counted() {
-        let (path, file) = temp_file("transient");
-        let plan = Arc::new(FaultPlan::parse("read:eintr@1;write:short@2").unwrap());
-        let file = PageFile::with_faults(file, Some(Arc::clone(&plan)));
+        let plan = FaultPlan::parse("read:eintr@1;write:short@2").unwrap();
+        let (path, file, _guard) = temp_file("transient", Some(plan));
         file.set_len(64).unwrap();
         file.write_all_at(b"abcd", 0).unwrap(); // write occurrence 1: clean
         file.write_all_at(b"efgh", 4).unwrap(); // occurrence 2: transient, retried
         let mut buf = [0u8; 8];
         file.read_exact_at(&mut buf, 0).unwrap(); // read occurrence 1: transient
         assert_eq!(&buf, b"abcdefgh");
-        assert_eq!(file.io_retries(), 2);
-        assert_eq!(file.injected_faults(), 2);
+        assert_eq!(metrics::get(&file.counters.io_retries), 2);
+        assert_eq!(metrics::get(&file.counters.injected_faults), 2);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn hard_faults_fail_without_retry_and_torn_writes_leave_a_partial_image() {
-        let (path, file) = temp_file("hard");
-        let plan =
-            Arc::new(FaultPlan::parse("write:torn@1;sync_data:eio@1;set_len:enospc@2").unwrap());
-        let file = PageFile::with_faults(file, Some(plan));
+        let plan = FaultPlan::parse("write:torn@1;sync_data:eio@1;set_len:enospc@2").unwrap();
+        let (path, file, _guard) = temp_file("hard", Some(plan));
         file.set_len(64).unwrap();
         let error = file.write_all_at(b"ABCDEFGH", 0).unwrap_err();
         assert_ne!(error.kind(), io::ErrorKind::Interrupted);
@@ -281,13 +254,12 @@ mod tests {
             io::ErrorKind::StorageFull,
             "ENOSPC surfaces as StorageFull"
         );
-        assert_eq!(file.io_retries(), 0, "hard faults are never retried");
+        assert_eq!(metrics::get(&file.counters.io_retries), 0, "hard faults are never retried");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unbroken_transient_storms_give_up_after_the_bound() {
-        let (path, file) = temp_file("storm");
         // Schedule more consecutive EINTRs than the retry budget on one read.
         let sites: Vec<FaultSite> = (1..=(MAX_TRANSIENT_RETRIES as u64 + 2))
             .map(|at| FaultSite {
@@ -296,12 +268,12 @@ mod tests {
                 at,
             })
             .collect();
-        let file = PageFile::with_faults(file, Some(Arc::new(FaultPlan::new(sites))));
+        let (path, file, _guard) = temp_file("storm", Some(FaultPlan::new(sites)));
         file.set_len(16).unwrap();
         let mut buf = [0u8; 4];
         let error = file.read_exact_at(&mut buf, 0).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(file.io_retries(), MAX_TRANSIENT_RETRIES as u64);
+        assert_eq!(metrics::get(&file.counters.io_retries), MAX_TRANSIENT_RETRIES as u64);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -34,6 +34,7 @@ use crate::file_store::{FileStore, TailSections};
 use crate::group_commit::GroupCommitter;
 use crate::hashing::{NodeHasher, RecoverQCache};
 use crate::matrix::{MemoryStore, Room};
+use crate::metrics::{self, StoreCounters};
 use crate::node_map::NodeIdMap;
 use crate::persistence::PersistenceError;
 use crate::stats::GssStats;
@@ -293,24 +294,26 @@ impl GssSketch {
         }
     }
 
-    /// Detailed structural statistics.
+    /// Detailed structural statistics.  The runtime fields of a file-backed sketch are
+    /// read straight from its store's [`StoreCounters`]; an in-memory sketch has no
+    /// store, so it reads an idle set and reports them all as 0.
     pub fn detailed_stats(&self) -> GssStats {
-        let durability = self.matrix.as_file().map(FileStore::durability_stats).unwrap_or_default();
-        let pages = self.matrix.as_file().map(FileStore::page_stats).unwrap_or_default();
+        let (file, idle) = (self.matrix.as_file(), StoreCounters::default());
+        let counters = file.map_or(&idle, FileStore::counters);
         GssStats {
-            wal_bytes: durability.wal_bytes,
-            wal_flushes: durability.wal_flushes,
-            wal_group_commits: durability.wal_group_commits,
-            wal_group_waits: durability.wal_group_waits,
-            fsyncs: durability.wal_fsyncs,
-            pages_flushed: durability.pages_written,
-            checkpoints: durability.checkpoints,
-            page_lookups: pages.lookups,
-            page_faults: pages.faults,
-            page_latch_waits: pages.latch_waits,
-            io_retries: durability.io_retries,
-            injected_faults: durability.injected_faults,
-            store_poisoned: durability.store_poisoned,
+            wal_bytes: file.map_or(0, FileStore::wal_bytes),
+            wal_flushes: metrics::get(&counters.wal_flushes),
+            wal_group_commits: metrics::get(&counters.wal_group_commits),
+            wal_group_waits: metrics::get(&counters.wal_group_waits),
+            fsyncs: metrics::get(&counters.fsyncs),
+            pages_flushed: metrics::get(&counters.pages_flushed),
+            checkpoints: metrics::get(&counters.checkpoints),
+            page_lookups: metrics::get(&counters.page_lookups),
+            page_faults: metrics::get(&counters.page_faults),
+            page_latch_waits: metrics::get(&counters.page_latch_waits),
+            io_retries: metrics::get(&counters.io_retries),
+            injected_faults: metrics::get(&counters.injected_faults),
+            store_poisoned: u64::from(self.is_poisoned()),
             width: self.config.width,
             rooms_per_bucket: self.config.rooms,
             fingerprint_bits: self.config.fingerprint_bits,

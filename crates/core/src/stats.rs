@@ -1,7 +1,9 @@
 //! Detailed structural statistics of a GSS sketch.
 //!
 //! The buffer-percentage experiment (Fig. 13) and the memory accounting of the equal-memory
-//! comparisons both read these numbers.
+//! comparisons both read these numbers.  The runtime fields (`wal_bytes` onwards) of a
+//! file-backed sketch are read from its store's one
+//! [`StoreCounters`](crate::metrics::StoreCounters) set, plus the log size and health flag.
 
 use serde::{Deserialize, Serialize};
 

@@ -61,6 +61,7 @@
 //! this module's replay path (`read_replay`/`parse_frame`) free of panic sites — damaged
 //! log bytes end the valid prefix, they never abort recovery.
 
+use crate::metrics::{self, StoreCounters};
 use crate::pager::page_file::PageFile;
 use crate::storage::ROOM_RECORD_BYTES;
 use std::fs::OpenOptions;
@@ -235,8 +236,9 @@ pub struct WalWriter {
     len: u64,
     /// Encoded frames not yet written to the file.
     pending: Vec<u8>,
-    /// Number of drains of `pending` into the file.
-    flushes: u64,
+    /// The owning store's counters; every drain of `pending` into the file counts one
+    /// `wal_flushes`.
+    pub(crate) counters: Arc<StoreCounters>,
     /// Cumulative bytes of frames ever appended (never reset, not even by
     /// [`truncate`](Self::truncate)): group commit compares acknowledgement targets
     /// against cumulative drained bytes, decoupled from file offsets.
@@ -244,13 +246,14 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Creates (or truncates) the log at `path` and writes the magic.
-    pub fn create(path: &Path) -> io::Result<Self> {
+    /// Creates (or truncates) the log at `path` and writes the magic; the log's I/O and
+    /// drains count into `counters`.
+    pub fn create(path: &Path, counters: Arc<StoreCounters>) -> io::Result<Self> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        let file = Arc::new(PageFile::with_faults(file, crate::pager::faults::plan_for(path)));
+        let file = Arc::new(PageFile::wrap(file, path, Arc::clone(&counters)));
         file.write_all_at(&WAL_MAGIC, 0)?;
-        Ok(Self { file, len: WAL_MAGIC.len() as u64, pending: Vec::new(), flushes: 0, appended: 0 })
+        Ok(Self { file, len: WAL_MAGIC.len() as u64, pending: Vec::new(), counters, appended: 0 })
     }
 
     /// Opens an existing log for appending after the first `valid_len` bytes (used after
@@ -258,30 +261,24 @@ impl WalWriter {
     /// `TAIL` frame lands *immediately behind* the frames it supersedes — any torn
     /// suffix is cut off first, otherwise a second replay would stop at the tear and
     /// never reach the `TAIL` frame).  Creates the log if missing.
-    pub fn open_append(path: &Path, valid_len: u64) -> io::Result<Self> {
+    pub fn open_append(
+        path: &Path,
+        valid_len: u64,
+        counters: Arc<StoreCounters>,
+    ) -> io::Result<Self> {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let len = file.metadata()?.len().min(valid_len);
+        let mut len = file.metadata()?.len().min(valid_len);
         if len < WAL_MAGIC.len() as u64 {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(&WAL_MAGIC)?;
-            return Ok(Self {
-                file: Arc::new(PageFile::with_faults(file, crate::pager::faults::plan_for(path))),
-                len: WAL_MAGIC.len() as u64,
-                pending: Vec::new(),
-                flushes: 0,
-                appended: 0,
-            });
+            len = WAL_MAGIC.len() as u64;
+        } else {
+            file.set_len(len)?;
         }
-        file.set_len(len)?;
-        Ok(Self {
-            file: Arc::new(PageFile::with_faults(file, crate::pager::faults::plan_for(path))),
-            len,
-            pending: Vec::new(),
-            flushes: 0,
-            appended: 0,
-        })
+        let file = Arc::new(PageFile::wrap(file, path, Arc::clone(&counters)));
+        Ok(Self { file, len, pending: Vec::new(), counters, appended: 0 })
     }
 
     /// The shared log-file handle, for positioned drain writes and `fdatasync` issued by
@@ -336,11 +333,6 @@ impl WalWriter {
         self.len + self.pending.len() as u64
     }
 
-    /// Number of drains performed so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
     /// Cumulative bytes of frames ever appended (see the field docs); monotone across
     /// truncations, so it serves as a commit acknowledgement target.
     pub(crate) fn appended_bytes(&self) -> u64 {
@@ -356,7 +348,7 @@ impl WalWriter {
         std::mem::swap(&mut self.pending, into);
         let offset = self.len;
         self.len += into.len() as u64;
-        self.flushes += 1;
+        metrics::add(&self.counters.wal_flushes, 1);
         offset
     }
 
@@ -371,7 +363,7 @@ impl WalWriter {
         self.file.write_all_at(&self.pending, self.len)?;
         self.len += self.pending.len() as u64;
         self.pending.clear();
-        self.flushes += 1;
+        metrics::add(&self.counters.wal_flushes, 1);
         Ok(())
     }
 
@@ -602,7 +594,7 @@ mod tests {
     #[test]
     fn frames_round_trip_through_the_file() {
         let path = temp_wal("roundtrip");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         assert!(writer.is_empty());
         writer.append_encoded(&room_frame(42, &sample_record(7)));
         writer.append_encoded(&buffer_frame(100, 200, -3));
@@ -611,7 +603,7 @@ mod tests {
         assert!(writer.pending_bytes() > 0);
         writer.flush().unwrap();
         assert_eq!(writer.pending_bytes(), 0);
-        assert_eq!(writer.flushes(), 1);
+        assert_eq!(metrics::get(&writer.counters.wal_flushes), 1);
 
         let replay = read_replay(&path, 1 << 20).unwrap().expect("valid log");
         assert_eq!(replay.rooms, vec![(42, sample_record(7))]);
@@ -626,7 +618,7 @@ mod tests {
     #[test]
     fn tail_frame_supersedes_earlier_deltas() {
         let path = temp_wal("tail");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         writer.append_encoded(&buffer_frame(1, 2, 3));
         writer.append_encoded(&node_frame(1, 1));
         writer.append_encoded(&room_frame(0, &sample_record(1)));
@@ -644,7 +636,7 @@ mod tests {
     #[test]
     fn truncation_and_corruption_yield_the_valid_prefix() {
         let path = temp_wal("prefix");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         writer.append_encoded(&commit_frame(1));
         writer.append_encoded(&commit_frame(2));
         writer.append_encoded(&commit_frame(3));
@@ -679,7 +671,7 @@ mod tests {
     #[test]
     fn truncate_discards_frames_and_append_reopens() {
         let path = temp_wal("truncate");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         writer.append_encoded(&commit_frame(7));
         writer.flush().unwrap();
         writer.truncate().unwrap();
@@ -688,7 +680,7 @@ mod tests {
         writer.append_encoded(&commit_frame(8));
         writer.flush().unwrap();
         drop(writer);
-        let mut appended = WalWriter::open_append(&path, u64::MAX).unwrap();
+        let mut appended = WalWriter::open_append(&path, u64::MAX, Arc::default()).unwrap();
         appended.append_encoded(&commit_frame(9));
         appended.flush().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
@@ -699,7 +691,7 @@ mod tests {
     #[test]
     fn open_append_truncates_a_torn_suffix_so_appended_frames_stay_reachable() {
         let path = temp_wal("torn-suffix");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         writer.append_encoded(&commit_frame(1));
         writer.flush().unwrap();
         drop(writer);
@@ -711,7 +703,8 @@ mod tests {
         assert_eq!(replay.items, Some(1));
         // Recovery appends its TAIL frame behind the *valid* prefix; a replay of the
         // resulting log must reach it (it would stop at the tear otherwise).
-        let mut appended = WalWriter::open_append(&path, replay.valid_bytes).unwrap();
+        let mut appended =
+            WalWriter::open_append(&path, replay.valid_bytes, Arc::default()).unwrap();
         appended.log_tail(9, Some(b"B"), Some(b"N"));
         appended.flush().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
@@ -723,7 +716,7 @@ mod tests {
     #[test]
     fn tail_frames_with_absurd_section_lengths_end_the_prefix_without_panicking() {
         let path = temp_wal("tail-overflow");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         writer.append_encoded(&commit_frame(3));
         writer.flush().unwrap();
         // A crafted TAIL frame claiming a section of nearly u64::MAX bytes: the length
@@ -746,7 +739,7 @@ mod tests {
     #[test]
     fn out_of_range_room_frames_end_the_valid_prefix_for_every_frame_kind() {
         let path = temp_wal("room-bound");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         writer.append_encoded(&room_frame(3, &sample_record(1)));
         writer.append_encoded(&commit_frame(1));
         writer.append_encoded(&room_frame(100, &sample_record(2))); // beyond a 10-room geometry
@@ -763,7 +756,7 @@ mod tests {
     #[test]
     fn take_pending_swaps_the_arena_and_reserves_the_file_range() {
         let path = temp_wal("arena-swap");
-        let mut writer = WalWriter::create(&path).unwrap();
+        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
         writer.append_encoded(&commit_frame(1));
         assert_eq!(writer.appended_bytes(), COMMIT_FRAME_BYTES as u64);
         let mut arena = Vec::new();
@@ -771,7 +764,11 @@ mod tests {
         assert_eq!(offset, WAL_MAGIC.len() as u64);
         assert_eq!(arena.len(), COMMIT_FRAME_BYTES);
         assert_eq!(writer.pending_bytes(), 0);
-        assert_eq!(writer.flushes(), 1, "an arena swap counts as one drain");
+        assert_eq!(
+            metrics::get(&writer.counters.wal_flushes),
+            1,
+            "an arena swap counts as one drain"
+        );
         // Appends continue while the taken arena is in flight; its file range stays
         // reserved, so the later flush lands *behind* it.
         writer.append_encoded(&commit_frame(2));

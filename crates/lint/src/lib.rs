@@ -11,7 +11,7 @@
 //! | L002 | io-under-stripe    | `read_exact_at` / `write_all_at` / `sync_data` / `sync_all` / `set_len` runs while a stripe mutex guard is live |
 //! | L003 | panic-in-recovery  | `unwrap` / `expect` / `panic!` / `unreachable!` / `todo!` / range-indexing inside WAL replay or `FileStore` open/recovery functions |
 //! | L004 | raw-io-containment | `std::fs` / `OpenOptions` / `.seek(` outside `pager/`, `file_store/`, `wal.rs` and the snapshot module — and, in the server crate, outside `net.rs`, its one sanctioned socket/file-I/O module |
-//! | L005 | unjustified-relaxed| `Ordering::Relaxed` without an adjacent `// relaxed:` justification (stats counters allowlisted) |
+//! | L005 | unjustified-relaxed| `Ordering::Relaxed` without an adjacent `// relaxed:` justification |
 //! | L006 | sync-result-hygiene| in `pager/`, `file_store/`, `wal.rs` or `group_commit.rs`: a `sync_data` / `sync_all` / `write_all_at` / `set_len` call whose `Result` is dropped in statement position, or an fsync (`sync_data` / `sync_all`) lexically inside a `loop` / `while` / `for` body — a dropped sync result lies about durability, and a retried fsync re-acknowledges bytes the kernel may already have thrown away (the "fsyncgate" hazard) |
 //!
 //! A finding is silenced by `// gss-lint: allow(RULE, reason)` on the same or the
@@ -168,10 +168,6 @@ fn l006_applies(path: &str, basename: &str) -> bool {
             || in_module_dir(path, "file_store")
             || matches!(basename, "wal.rs" | "group_commit.rs"))
 }
-
-/// Atomic counters whose loads and bumps are self-evidently fine under `Relaxed` (pure
-/// statistics: no ordering with any other memory is implied).
-const L005_ALLOWLIST: [&str; 4] = ["lookups", "faults", "latch_waits", "pages_written"];
 
 /// Analyzes one file.  `path` is the workspace-relative path (used for scoping rules);
 /// `source` is the file content.
@@ -657,22 +653,13 @@ impl<'a> Engine<'a> {
     }
 
     /// A `Relaxed` use is justified by a `relaxed:` comment on its own or the three
-    /// preceding lines (multi-line statements), or by an allowlisted stats counter as
-    /// the receiver on the same line.
+    /// preceding lines (multi-line statements).  Statistics counters carry theirs once,
+    /// in `gss_core::metrics`' two helpers.
     fn relaxed_is_justified(&self, i: usize) -> bool {
         let line = self.toks[i].line;
-        let commented = self
-            .comments
+        self.comments
             .iter()
-            .any(|c| c.line + 3 >= line && c.line <= line && c.text.contains("relaxed:"));
-        if commented {
-            return true;
-        }
-        self.toks[..i]
-            .iter()
-            .rev()
-            .take_while(|t| t.line == line)
-            .any(|t| t.kind == TokKind::Ident && L005_ALLOWLIST.contains(&t.text.as_str()))
+            .any(|c| c.line + 3 >= line && c.line <= line && c.text.contains("relaxed:"))
     }
 }
 
@@ -806,12 +793,6 @@ mod tests {
     #[test]
     fn guard_scope_ends_at_block_close() {
         let source = "fn f(&self) {\n    {\n        let slots = self.table.slots.lock();\n    }\n    let wal = self.wal.lock();\n}\n";
-        assert!(rules_fired("crates/core/src/x.rs", source).is_empty());
-    }
-
-    #[test]
-    fn allowlisted_stats_counters_need_no_relaxed_comment() {
-        let source = "fn f(&self) { self.lookups.fetch_add(1, Ordering::Relaxed); }\n";
         assert!(rules_fired("crates/core/src/x.rs", source).is_empty());
     }
 

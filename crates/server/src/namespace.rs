@@ -99,7 +99,8 @@ pub fn valid_tenant_name(name: &str) -> bool {
 /// ```
 ///
 /// Unspecified keys take [`TenantSpec::default`]; `rate` is sustained tokens per
-/// second (0 = unlimited) and `burst` the bucket capacity (defaults to `rate`).
+/// second (0 = unlimited) and `burst` the bucket capacity (defaults to `rate`; 0 only
+/// with `rate=0`).
 /// `durability` accepts only `strict`, the one mode there is.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
@@ -179,6 +180,16 @@ impl ServerConfig {
                 return Err(format!("line {}: tenant `{name}` has no token", number + 1));
             }
             spec.rate_capacity = burst.unwrap_or(spec.rate_per_sec);
+            // A zero-capacity bucket admits every request as "oversized": rate limiting
+            // would silently be off.
+            if spec.rate_per_sec > 0 && spec.rate_capacity == 0 {
+                return Err(format!(
+                    "line {}: burst=0 cannot limit rate={} — give burst ≥ 1, or rate=0 for \
+                     no limit",
+                    number + 1,
+                    spec.rate_per_sec
+                ));
+            }
             if tenants.insert(name.clone(), spec).is_some() {
                 return Err(format!("line {}: tenant `{name}` declared twice", number + 1));
             }
@@ -407,6 +418,8 @@ mod tests {
             ("tenant a token=x durability=buffered", "was removed"),
             ("tenant a token=x durability=buffered", "strict is both faster and lossless"),
             ("tenant a token=x shards=0", "bad shards"),
+            ("tenant a token=x rate=5 burst=0", "burst=0 cannot limit rate=5"),
+            ("tenant a token=x burst=0 rate=5", "line 1: burst=0"),
             ("tenant a", "has no token"),
             ("tenant a token=x\ntenant a token=y", "declared twice"),
             ("server a", "unknown directive"),
