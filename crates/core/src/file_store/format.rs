@@ -1,9 +1,10 @@
-//! The sketch file's on-disk format: where a room lives (`Layout`) and what the header
-//! page says (`Header`).
+//! The sketch file's on-disk format: where the room region sits in the file (the file
+//! offsets of the `Layout` whose geometry both backends share, see [`crate::storage`])
+//! and what the header page says (`Header`).
 //!
-//! This is the single home of both decisions: every "where" question is answered by
-//! `Layout`, every header byte is placed by `Header::encode` and read back by
-//! `Header::decode`.  The rest of the store (and the sketch's batch sort key) asks.
+//! This is the single home of both decisions: every file offset is answered here, every
+//! header byte is placed by `Header::encode` and read back by `Header::decode`.  The rest
+//! of the store asks.
 //!
 //! ## File layout (format v2, magic `GSSFILE\x02`)
 //!
@@ -16,11 +17,11 @@
 //!                                  (the streaming snapshot encodings)
 //! ```
 //!
-//! Room records are fixed-size little-endian ([`ROOM_RECORD_BYTES`] each, the same
-//! layout snapshots use) and never straddle a page, because the record size divides
-//! [`PAGE_BYTES`]; a *bucket* straddles one only when `l` is not a power of two.
+//! Room records are fixed-size little-endian
+//! ([`ROOM_RECORD_BYTES`](crate::storage::ROOM_RECORD_BYTES) each, the same
+//! layout snapshots and the memory backend use) and never straddle a page.
 //! Write-ahead-log `ROOM` frames carry the flat index, so only this module turns one
-//! into a location.
+//! into a file offset.
 //!
 //! Version-1 files (`GSSFILE\x01`, written before the durability subsystem) still open
 //! when clean; their header simply lacks the per-section lengths/CRCs, and open upgrades
@@ -36,7 +37,7 @@
 use crate::config::GssConfig;
 use crate::pager::PAGE_BYTES;
 use crate::persistence::PersistenceError;
-use crate::storage::{decode_config, encode_config, CONFIG_BYTES, ROOM_RECORD_BYTES};
+use crate::storage::{decode_config, encode_config, Layout, CONFIG_BYTES};
 use crate::wal::crc32;
 use std::ops::Range;
 
@@ -77,88 +78,8 @@ pub(crate) const CLEAN_FLAG_OFFSET: u64 = OFF_CLEAN as u64;
 /// page-aligned.
 const HEADER_BYTES: u64 = PAGE_BYTES as u64;
 
-const RECORDS_PER_PAGE: usize = PAGE_BYTES / ROOM_RECORD_BYTES;
-
-/// The geometry of the room region: an `m × m` bucket grid of `l` rooms each, stored
-/// row-major in whole pages behind the header page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Layout {
-    /// Side length `m`.
-    pub(crate) width: usize,
-    /// Rooms per bucket `l`.
-    pub(crate) rooms: usize,
-}
-
-/// A run of room records lying back to back inside one room-region page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PageRun {
-    /// Room-region page index (what the page cache is keyed by).
-    pub(crate) page: u64,
-    /// Byte offset of the run's first record inside the page.
-    pub(crate) offset: usize,
-    /// Records in the run.
-    pub(crate) len: usize,
-}
-
-impl PageRun {
-    /// The run's byte range inside its page.
-    pub(crate) fn bytes(&self) -> Range<usize> {
-        self.offset..self.offset + self.len * ROOM_RECORD_BYTES
-    }
-
-    /// The run's records inside `data` — the image of page [`page`](Self::page) — in
-    /// flat-index order.
-    pub(crate) fn records<'a>(
-        &self,
-        data: &'a [u8],
-    ) -> impl Iterator<Item = &'a [u8; ROOM_RECORD_BYTES]> {
-        data[self.bytes()]
-            .chunks_exact(ROOM_RECORD_BYTES)
-            .map(|record| record.try_into().expect("chunks are record-sized"))
-    }
-}
-
+/// Where the shared room region sits in a sketch file: right behind the header page.
 impl Layout {
-    pub(crate) fn new(config: &GssConfig) -> Self {
-        Self { width: config.width, rooms: config.rooms }
-    }
-
-    /// Total number of rooms (`m² × l`).
-    pub(crate) fn room_count(&self) -> usize {
-        self.width * self.width * self.rooms
-    }
-
-    /// Flat index of `(row, column, slot)` in the room region — the position
-    /// write-ahead-log `ROOM` frames carry.
-    pub(crate) fn flat_index(&self, row: usize, column: usize, slot: usize) -> usize {
-        debug_assert!(row < self.width && column < self.width && slot < self.rooms);
-        (row * self.width + column) * self.rooms + slot
-    }
-
-    /// `(row, column)` of the bucket holding flat index `flat`.
-    pub(crate) fn bucket_of(&self, flat: usize) -> (usize, usize) {
-        let bucket = flat / self.rooms;
-        (bucket / self.width, bucket % self.width)
-    }
-
-    /// The longest run of at most `count` records starting at flat index `flat` that
-    /// share a page.  Walking a flat range run by run is one cache lookup and one latch
-    /// per touched page; asking with `count = 1` locates a single room.
-    pub(crate) fn run_at(&self, flat: usize, count: usize) -> PageRun {
-        let in_page = flat % RECORDS_PER_PAGE;
-        PageRun {
-            page: (flat / RECORDS_PER_PAGE) as u64,
-            offset: in_page * ROOM_RECORD_BYTES,
-            len: count.min(RECORDS_PER_PAGE - in_page),
-        }
-    }
-
-    /// The page holding the first room of bucket `(row, column)`: the key batch ingest
-    /// sorts its writes by.
-    pub(crate) fn page_of_bucket(&self, row: usize, column: usize) -> u64 {
-        self.run_at(self.flat_index(row, column, 0), 1).page
-    }
-
     /// File byte offset of room-region page `page`.
     pub(crate) fn page_offset(page: u64) -> u64 {
         HEADER_BYTES + page * PAGE_BYTES as u64
@@ -173,7 +94,7 @@ impl Layout {
 
     /// Byte offset where the tail begins (room region rounded up to whole pages).
     pub(crate) fn tail_offset(&self) -> u64 {
-        Self::page_offset(self.room_count().div_ceil(RECORDS_PER_PAGE) as u64)
+        Self::page_offset(self.pages() as u64)
     }
 }
 
@@ -301,6 +222,7 @@ fn field<const N: usize>(page: &[u8; PAGE_BYTES], offset: usize) -> [u8; N] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::ROOM_RECORD_BYTES;
 
     #[test]
     fn layout_is_a_bijection_onto_the_room_region() {

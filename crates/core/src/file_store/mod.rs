@@ -14,8 +14,9 @@
 //! frame-append path, commits and the handles that acknowledge them.  The on-disk
 //! layout and header are [`mod@format`]; create, open, crash recovery and the single-opener
 //! contract are [`open`]; everything that moves bytes into the sketch file (write-ahead
-//! barrier, write-back, checkpoints) is [`write_back`]; the
-//! [`RoomStore`](crate::storage::RoomStore) impl and the failure model are [`rooms`].
+//! barrier, write-back, checkpoints) is [`write_back`]; the store's page source — cached
+//! pages and logged record writes for the room kernels it shares with the memory backend
+//! ([`crate::storage`]) — and the failure model are [`rooms`].
 //! What the store spends is counted in one [`StoreCounters`] set, created with the store
 //! and shared with its page cache, both file handles, the log and the checkpoint path
 //! ([`FileStore::counters`]).
@@ -39,11 +40,11 @@
 //! mutex so logging never serializes page access — frames are encoded outside that
 //! mutex and drained by the group-commit coordinator ([`crate::group_commit`]), which
 //! double-buffers the pending arena so the positioned log write runs outside every
-//! lock.  The occupancy index is a plain [`OccupancyIndex`]: its only writer is
-//! `store_room(&mut self)`, so the borrow checker already rules out a reader scanning
-//! it mid-mark.  See [`crate::pager`] for the full lock map; the one global rule is
-//! that the WAL append mutex is never held while taking a page-table stripe mutex (the
-//! full order is `stripe ≺ latch ≺ group ≺ wal`).
+//! lock.  The occupancy index is a plain [`OccupancyIndex`](crate::storage::OccupancyIndex):
+//! its only writer is `store_room(&mut self)`, so the borrow checker already rules out a
+//! reader scanning it mid-mark.  See [`crate::pager`] for the full lock map; the one
+//! global rule is that the WAL append mutex is never held while taking a page-table
+//! stripe mutex (the full order is `stripe ≺ latch ≺ group ≺ wal`).
 
 pub mod format;
 pub mod open;
@@ -58,9 +59,9 @@ use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
 use crate::pager::witness::{self, LockClass};
-use crate::storage::OccupancyIndex;
+use crate::storage::RoomGrid;
 use crate::wal;
-use format::{Layout, CLEAN_FLAG_OFFSET};
+use format::CLEAN_FLAG_OFFSET;
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -167,17 +168,14 @@ impl WalAckHandle {
 /// incremental checkpoints.  Reads (`&self`) run concurrently; see the module docs.
 pub struct FileStore {
     path: PathBuf,
-    /// Where every room lives in the file.
-    layout: Layout,
+    /// The room region's layout, occupancy index and occupied count (the index is never
+    /// written to the file; it is rebuilt from the room region on [`FileStore::open`]).
+    grid: RoomGrid,
     cache_pages: usize,
     /// Positioned I/O over the sketch file.
     file: PageFile,
     /// The lock-striped page table (see [`crate::pager::page_cache`]).
     cache: PageCache,
-    /// Bucket-occupancy bitmaps (never written to the file; rebuilt from the room
-    /// region on [`FileStore::open`]), steering scans past empty buckets.
-    index: OccupancyIndex,
-    occupied_rooms: usize,
     /// This store's one counter set, shared with the cache, both file handles and the
     /// log membership.
     counters: Arc<StoreCounters>,
@@ -206,8 +204,8 @@ impl std::fmt::Debug for FileStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FileStore")
             .field("path", &self.path)
-            .field("width", &self.layout.width)
-            .field("rooms_per_bucket", &self.layout.rooms)
+            .field("width", &self.grid.layout.width)
+            .field("rooms_per_bucket", &self.grid.layout.rooms)
             .field("cache_pages", &self.cache_pages)
             .finish_non_exhaustive()
     }

@@ -21,7 +21,7 @@
 //! ([`crate::GssSketch::write_snapshot_to`]) to read a live sketch's state from another
 //! process.
 
-use super::format::{Header, Layout, Section, MAGIC_RANGE, SECTIONS_RANGE};
+use super::format::{Header, Section, MAGIC_RANGE, SECTIONS_RANGE};
 use super::write_back::SyncState;
 use super::{FileHeader, FileStore, TailSections};
 use crate::config::{GroupCommit, GssConfig};
@@ -33,7 +33,7 @@ use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
 use crate::pager::PAGE_BYTES;
 use crate::persistence::PersistenceError;
-use crate::storage::{OccupancyIndex, ROOM_OCCUPIED_BYTE};
+use crate::storage::{Layout, RoomGrid, ROOM_OCCUPIED_BYTE};
 use crate::wal::{crc32, read_replay, wal_path, WalWriter};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -130,11 +130,11 @@ impl FileStore {
         } else {
             read_bytes(&mut file, tail_offset, header.tail_len, file_len)?
         };
-        let (index, rebuilt_occupied) = rebuild_index(&mut file, layout)?;
-        if rebuilt_occupied != occupied as usize {
+        let grid = rebuild_index(&mut file, layout)?;
+        if grid.occupied != occupied as usize {
             return Err(PersistenceError::Corrupt(format!(
-                "header claims {occupied} occupied rooms but the room region holds \
-                 {rebuilt_occupied}"
+                "header claims {occupied} occupied rooms but the room region holds {}",
+                grid.occupied
             )));
         }
         if header.version == 1 {
@@ -155,7 +155,7 @@ impl FileStore {
         // covered by the completed checkpoint: `assemble` discards it.
         let (config, items_inserted) = (header.config, header.items);
         let mut store = Self::assemble(path, cache_pages, file, header, None, group, lock)?;
-        store.index = index;
+        store.grid = grid;
         Ok((store, FileHeader { config, items_inserted, tail, recovered: false }))
     }
 
@@ -216,14 +216,14 @@ impl FileStore {
             file.seek(SeekFrom::Start(layout.record_offset(index as usize)))?;
             file.write_all(record)?;
         }
-        let (index, occupied) = rebuild_index(&mut file, layout)?;
-        header.occupied = occupied as u64;
+        let grid = rebuild_index(&mut file, layout)?;
+        header.occupied = grid.occupied as u64;
         // Cut any torn suffix off the log before appending: the recovery checkpoint's
         // TAIL frame must be reachable by a replay of the log as it stands.
         let config = header.config;
         let log_prefix = Some(replay.valid_bytes);
         let mut store = Self::assemble(path, cache_pages, file, header, log_prefix, group, lock)?;
-        store.index = index;
+        store.grid = grid;
         // Checkpoint the recovered state: tail rewritten whole, header counts re-derived,
         // clean flag set, log truncated.  A crash during *this* checkpoint replays to the
         // same state (its tail image lands behind the frames it supersedes).
@@ -246,8 +246,8 @@ impl FileStore {
     }
 
     /// Shared tail of `create`/`open`/`recover`: builds the store around an open file
-    /// whose header page reads `header` (occupancy count and clean flag included), with
-    /// an all-empty occupancy index — open and recovery install the one they rebuilt.
+    /// whose header page reads `header` (clean flag included), with the bookkeeping of an
+    /// all-empty room region — open and recovery install the grid they rebuilt.
     /// The log at `<path>.wal` starts empty (`log_prefix` `None`) or keeps its first
     /// `log_prefix` bytes (recovery).  The store's one counter set is born here.
     fn assemble(
@@ -267,19 +267,16 @@ impl FileStore {
         let health = Arc::new(StoreHealth::new());
         let wal = WalMember::new(wal, header.clean, Arc::clone(&health));
         group.register(&wal);
-        let layout = Layout::new(&header.config);
         // v1 tails are monolithic (no valid section split), so their generation stamps
         // are poisoned: the first sketch sync then rewrites the whole tail, upgrading
         // the file to properly sectioned v2 in place.
         let stamp = if header.version == 1 { u64::MAX } else { 0 };
         Ok(Self {
             path: path.to_path_buf(),
-            layout,
+            grid: RoomGrid::new(Layout::new(&header.config)),
             cache_pages: cache_pages.max(1),
             file: PageFile::wrap(file, path, Arc::clone(&counters)),
             cache: PageCache::new(cache_pages, Arc::clone(&counters)),
-            index: OccupancyIndex::new(layout.width),
-            occupied_rooms: header.occupied as usize,
             counters,
             wal,
             group,
@@ -332,16 +329,11 @@ fn read_section(
     Ok(bytes)
 }
 
-/// Streams the room region sequentially and rebuilds the occupancy index from the
-/// per-record occupancy flags, bypassing the page cache (the pass is one-shot and
-/// would otherwise evict the whole cache).  Returns the index and the number of
-/// occupied rooms found.
-fn rebuild_index(
-    file: &mut File,
-    layout: Layout,
-) -> Result<(OccupancyIndex, usize), PersistenceError> {
-    let mut index = OccupancyIndex::new(layout.width);
-    let mut occupied = 0usize;
+/// Streams the room region sequentially and rebuilds the occupancy index and count from
+/// the per-record occupancy flags, bypassing the page cache (the pass is one-shot and
+/// would otherwise evict the whole cache).
+fn rebuild_index(file: &mut File, layout: Layout) -> Result<RoomGrid, PersistenceError> {
+    let mut grid = RoomGrid::new(layout);
     let mut page = [0u8; PAGE_BYTES];
     let mut flat = 0usize;
     file.seek(SeekFrom::Start(Layout::page_offset(0)))?;
@@ -350,12 +342,11 @@ fn rebuild_index(
         // Started on a page boundary, each run is one page's worth of records.
         for record in layout.run_at(flat, layout.room_count() - flat).records(&page) {
             if record[ROOM_OCCUPIED_BYTE] != 0 {
-                occupied += 1;
                 let (row, column) = layout.bucket_of(flat);
-                index.mark(row, column);
+                grid.mark(row, column);
             }
             flat += 1;
         }
     }
-    Ok((index, occupied))
+    Ok(grid)
 }

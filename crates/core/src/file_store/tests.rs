@@ -2,7 +2,7 @@
 //! always had (`file_store::tests::…`); the on-disk format's own tests sit in
 //! `format.rs`.
 
-use super::format::{Header, Layout, MAGIC_RANGE, SECTIONS_RANGE};
+use super::format::{Header, MAGIC_RANGE, SECTIONS_RANGE};
 use super::{FileStore, FlushPoint, TailSections, FILE_MAGIC, FILE_MAGIC_V1, PAGE_BYTES};
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::StoreFault;
@@ -12,7 +12,7 @@ use crate::pager::faults::{install, FaultPlan};
 use crate::pager::lock_file::lock_path;
 use crate::pager::witness::{self, LockClass};
 use crate::persistence::PersistenceError;
-use crate::storage::{BucketProbe, RoomStore, StorageBackend, ROOM_OCCUPIED_BYTE};
+use crate::storage::{BucketProbe, Layout, RoomStore, StorageBackend, ROOM_OCCUPIED_BYTE};
 use crate::wal::wal_path;
 use crate::{GssSketch, GssStats};
 use gss_graph::{StreamEdge, SummaryWrite};
@@ -656,4 +656,49 @@ fn every_runtime_counter_reaches_detailed_stats() {
     for (field, value) in runtime_fields(&memory.detailed_stats()) {
         assert_eq!(value, 0, "{field} of an in-memory sketch");
     }
+}
+
+/// FNV-1a over a whole file.  Not CRC32: every log frame ends in its own CRC32, which
+/// makes a CRC32 of the whole log depend on nothing but its length.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The bytes a fixed single-threaded stream leaves in the sketch file and its log, pinned
+/// where earlier refactors compared them by hand: batched and single inserts through a
+/// 2-page cache (evictions write pages back mid-stream), buckets straddling pages
+/// (`l = 3`), buffer spills, a mid-stream checkpoint, then a crash.  The constants were
+/// generated at the commit before the room kernels were shared between the backends; a
+/// deliberate format change (a v3 layout) regenerates them.
+#[test]
+fn a_fixed_stream_leaves_pinned_file_and_log_bytes() {
+    let path = temp_path("golden-bytes");
+    let storage = StorageBackend::File { path: path.clone(), cache_pages: 2 };
+    let mut sketch = GssSketch::builder()
+        .width(30)
+        .rooms(3)
+        .storage(storage)
+        .group_commit(GroupCommit { max_delay_us: 0, max_bytes: 0 })
+        .build()
+        .unwrap();
+    let items: Vec<StreamEdge> = (0..4000u64)
+        .map(|t| StreamEdge::new(t % 2500 * 7 % 997, t % 2500 * 13 % 1009, t, (t % 5) as i64 + 1))
+        .collect();
+    sketch.insert_batch(&items[..1500]);
+    for item in &items[1500..2000] {
+        sketch.insert(item.source, item.destination, item.weight);
+    }
+    sketch.sync().unwrap();
+    for chunk in items[2000..].chunks(256) {
+        sketch.insert_batch(chunk);
+    }
+    assert!(sketch.buffered_edges() > 0, "the stream spills into the buffer");
+    sketch.abandon();
+    let file = std::fs::read(&path).unwrap();
+    let log = std::fs::read(wal_path(&path)).unwrap();
+    assert_eq!((crate::wal::crc32(&file), file.len()), (0xbbe0_4030, 69_336), "sketch file");
+    assert_eq!((fnv1a(&log), log.len()), (0x1744_d391_bc86_b634, 58_112), "log");
+    remove(&path);
 }

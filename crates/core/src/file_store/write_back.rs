@@ -11,12 +11,13 @@
 //! stamps, and a checkpoint rewrites only the sections whose generation moved (plus the
 //! node section whenever the buffer section changes length, since it shifts).
 
-use super::format::{Header, Layout, Section, CHECKPOINT_RANGE, MAGIC_RANGE};
+use super::format::{Header, Section, CHECKPOINT_RANGE, MAGIC_RANGE};
 use super::{FileStore, FlushPoint};
 use crate::metrics;
 use crate::pager::page_cache::PageIo;
 use crate::pager::witness::{self, LockClass};
 use crate::pager::PAGE_BYTES;
+use crate::storage::Layout;
 use std::io;
 
 /// The tail sections a checkpoint may rewrite.  `None` means "unchanged since the last
@@ -179,7 +180,7 @@ impl FileStore {
         //    stay independently locked.
         self.flush_pages()?;
         // 4. Only the tail sections whose generation moved are rewritten.
-        let tail_offset = self.layout.tail_offset();
+        let tail_offset = self.grid.layout.tail_offset();
         if let Some(bytes) = sections.buffer {
             self.file.write_all_at(bytes, tail_offset)?;
             metrics::add(&self.counters.tail_bytes_written, buffer.len);
@@ -196,7 +197,7 @@ impl FileStore {
         let header = Header {
             version: 2,
             items,
-            occupied: self.occupied_rooms as u64,
+            occupied: self.grid.occupied as u64,
             tail_len: buffer.len + node.len,
             clean: true,
             buffer,

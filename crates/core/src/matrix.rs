@@ -6,18 +6,20 @@
 //! accumulated weight.  Multiple rooms per bucket are the "multiple rooms" improvement of
 //! Section V-B2.
 //!
-//! Rooms are stored in a flat `Vec` in row-major bucket order; scanning a row (for successor
-//! queries) walks a contiguous region, scanning a column (for precursor queries) strides by
-//! `m × l`, mirroring the cache behaviour the paper discusses.  An
-//! [`OccupancyIndex`] (per-row and per-column bucket bitmaps) makes both scans
-//! load-factor-proportional: only buckets that ever received an edge are probed.
-//!
-//! [`MemoryStore`] is the dense default backend of the [`RoomStore`] abstraction; the
-//! paged file backend lives in [`crate::file_store`].
+//! [`MemoryStore`] is the default backend of the [`RoomStore`](crate::storage::RoomStore)
+//! abstraction: the room region — 16-byte records in row-major bucket order, exactly as
+//! the sketch file lays them out — held in one zeroed buffer of whole pages.  Scanning a
+//! row (for successor queries) walks a contiguous region, scanning a column (for
+//! precursor queries) strides by `m × l`, mirroring the cache behaviour the paper
+//! discusses.  The probe, lookup and scan kernels, and the occupancy index that makes the
+//! scans load-factor-proportional, are shared with the paged file backend
+//! ([`crate::file_store`]) in [`crate::storage`].
 
 use crate::error::StoreFault;
-use crate::storage::{dense_scan, BucketProbe, OccupancyIndex, RoomStore};
+use crate::pager::PAGE_BYTES;
+use crate::storage::{Layout, PageSource, RoomGrid, ROOM_RECORD_BYTES};
 use serde::{Deserialize, Serialize};
+use std::io;
 
 /// One room: storage for a single sketch edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -101,155 +103,91 @@ impl Room {
     }
 }
 
-/// The dense in-memory `m × m × l` room store (the default [`RoomStore`] backend).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The in-memory `m × m × l` room store (the default
+/// [`RoomStore`](crate::storage::RoomStore) backend): the room region as one zeroed
+/// buffer of whole pages, byte for byte what a sketch file holds.
+#[derive(Clone)]
 pub struct MemoryStore {
-    width: usize,
-    rooms_per_bucket: usize,
-    rooms: Vec<Room>,
-    occupied_rooms: usize,
-    /// Bucket-occupancy bitmaps steering [`RoomStore::scan_row`] /
-    /// [`RoomStore::scan_column`] past empty buckets.
-    index: OccupancyIndex,
+    grid: RoomGrid,
+    region: Box<[[u8; PAGE_BYTES]]>,
+}
+
+impl std::fmt::Debug for MemoryStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemoryStore")
+            .field("width", &self.grid.layout.width)
+            .field("rooms_per_bucket", &self.grid.layout.rooms)
+            .field("occupied_rooms", &self.grid.occupied)
+            .finish_non_exhaustive()
+    }
 }
 
 impl MemoryStore {
     /// Allocates an empty matrix of `width × width` buckets with `rooms_per_bucket` rooms.
     pub fn new(width: usize, rooms_per_bucket: usize) -> Self {
-        Self {
-            width,
-            rooms_per_bucket,
-            rooms: vec![Room::default(); width * width * rooms_per_bucket],
-            occupied_rooms: 0,
-            index: OccupancyIndex::new(width),
-        }
+        let grid = RoomGrid::new(Layout { width, rooms: rooms_per_bucket });
+        // All-zero records decode as empty rooms, so the zeroed allocation is the format.
+        let region = vec![[0u8; PAGE_BYTES]; grid.layout.pages()].into_boxed_slice();
+        Self { grid, region }
     }
 
-    /// Index of the first room of bucket `(row, column)`.
-    fn bucket_start(&self, row: usize, column: usize) -> usize {
-        debug_assert!(row < self.width && column < self.width);
-        (row * self.width + column) * self.rooms_per_bucket
-    }
-
-    /// Read-only view of the rooms of bucket `(row, column)`.
-    pub fn bucket(&self, row: usize, column: usize) -> &[Room] {
-        let start = self.bucket_start(row, column);
-        &self.rooms[start..start + self.rooms_per_bucket]
-    }
-
-    /// Visits the occupied rooms of bucket `(row, column)` in slot order.
-    fn scan_bucket(&self, row: usize, column: usize, mut visit: impl FnMut(Room)) {
-        for room in self.bucket(row, column).iter().filter(|room| room.occupied) {
-            visit(*room);
-        }
+    /// A copy of `source`'s region, page by page through its page source (so a file
+    /// store's dirty cached pages are copied, not the stale file image), with its
+    /// bookkeeping — how a file store detaches into memory.
+    pub(crate) fn copy_of(source: &impl PageSource) -> Self {
+        let mut copy = Self::new(source.grid().layout.width, source.grid().layout.rooms);
+        let copied = copy
+            .region
+            .iter_mut()
+            .zip(0u64..)
+            .try_for_each(|(into, page)| source.with_page(page, |bytes| *into = *bytes));
+        source.io_fail(copied);
+        copy.grid = source.grid().clone();
+        copy
     }
 }
 
-impl RoomStore for MemoryStore {
-    fn width(&self) -> usize {
-        self.width
+/// The memory backend hands out the pages of its region; nothing can fail.
+impl PageSource for MemoryStore {
+    fn grid(&self) -> &RoomGrid {
+        &self.grid
     }
 
-    fn rooms_per_bucket(&self) -> usize {
-        self.rooms_per_bucket
+    fn grid_mut(&mut self) -> &mut RoomGrid {
+        &mut self.grid
     }
 
-    fn occupied_rooms(&self) -> usize {
-        self.occupied_rooms
+    // Inlined into the kernels like the rest of the page access (see `PageRun::records`).
+    #[inline]
+    fn with_page<T>(&self, page: u64, read: impl FnOnce(&[u8; PAGE_BYTES]) -> T) -> io::Result<T> {
+        Ok(read(&self.region[page as usize]))
     }
 
-    fn room(&self, row: usize, column: usize, slot: usize) -> Room {
-        self.bucket(row, column)[slot]
-    }
-
-    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
-        self.bucket(row, column).iter().find(|room| room.matches(key)).map(|room| room.weight)
-    }
-
-    fn probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        key: RoomKey,
-    ) -> Result<BucketProbe, StoreFault> {
-        let mut first_empty = None;
-        for (slot, room) in self.bucket(row, column).iter().enumerate() {
-            if room.matches(key) {
-                return Ok(BucketProbe::Match(slot));
-            }
-            if !room.occupied && first_empty.is_none() {
-                first_empty = Some(slot);
-            }
-        }
-        Ok(first_empty.map_or(BucketProbe::Full, BucketProbe::Empty))
-    }
-
-    fn add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), StoreFault> {
-        let start = self.bucket_start(row, column);
-        let room = &mut self.rooms[start + slot];
-        debug_assert!(room.occupied, "adding weight to an empty room");
-        room.weight += weight;
+    #[inline]
+    fn write_record(&mut self, flat: usize, record: &[u8; ROOM_RECORD_BYTES]) -> io::Result<()> {
+        let run = self.grid.layout.run_at(flat, 1);
+        self.region[run.page as usize][run.bytes()].copy_from_slice(record);
         Ok(())
     }
 
-    fn store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), StoreFault> {
-        debug_assert!(room.occupied, "storing an unoccupied room");
-        let start = self.bucket_start(row, column);
-        let target = &mut self.rooms[start + slot];
-        debug_assert!(!target.occupied, "overwriting an occupied room");
-        *target = room;
-        self.occupied_rooms += 1;
-        self.index.mark(row, column);
+    fn io_fail<T>(&self, result: io::Result<T>) -> T {
+        result.unwrap_or_else(|error| unreachable!("memory pages cannot fail: {error}"))
+    }
+
+    #[inline]
+    fn write_gate(&self) -> Result<(), StoreFault> {
         Ok(())
     }
 
-    fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
-        // Dense rows (≥ 50% of buckets occupied) take a straight linear walk: the
-        // bitmap's skip-ahead win has vanished and the contiguous pass is cheaper than
-        // per-word bit arithmetic.  Both paths visit in ascending (column, slot) order.
-        if dense_scan(self.index.occupied_in_row(row), self.width) {
-            let start = self.bucket_start(row, 0);
-            let row_rooms = &self.rooms[start..start + self.width * self.rooms_per_bucket];
-            for (offset, room) in row_rooms.iter().enumerate().filter(|(_, room)| room.occupied) {
-                visit(offset / self.rooms_per_bucket, *room);
-            }
-            return;
-        }
-        // Index-steered: only buckets that ever received an edge are probed.
-        for column in self.index.in_row(row) {
-            self.scan_bucket(row, column, |room| visit(column, room));
-        }
-    }
-
-    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        if dense_scan(self.index.occupied_in_column(column), self.width) {
-            for row in 0..self.width {
-                self.scan_bucket(row, column, |room| visit(row, room));
-            }
-            return;
-        }
-        for row in self.index.in_column(column) {
-            self.scan_bucket(row, column, |room| visit(row, room));
-        }
+    fn write_fault(&self, _context: &str, error: &io::Error) -> StoreFault {
+        unreachable!("memory pages cannot fail: {error}")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::naive_scan_row;
+    use crate::storage::{naive_scan_row, BucketProbe, RoomStore};
 
     fn key(
         source_fingerprint: u16,
@@ -286,8 +224,7 @@ mod tests {
         assert_eq!(matrix.weight_of(1, 2, key(10, 20, 3, 5)), None);
         assert_eq!(matrix.probe_bucket(1, 2, key(11, 20, 3, 4)).unwrap(), BucketProbe::Empty(1));
         assert_eq!(matrix.occupied_rooms(), 1);
-        let room = matrix.bucket(1, 2)[0];
-        assert_eq!(room.weight, 7);
+        assert_eq!(matrix.room(1, 2, 0).weight, 7);
     }
 
     #[test]
@@ -295,7 +232,7 @@ mod tests {
         let mut matrix = MemoryStore::new(2, 1);
         matrix.store_room(0, 1, 0, room(1, 2, 0, 0, 5)).unwrap();
         matrix.add_weight(0, 1, 0, 3).unwrap();
-        assert_eq!(matrix.bucket(0, 1)[0].weight, 8);
+        assert_eq!(matrix.room(0, 1, 0).weight, 8);
     }
 
     #[test]

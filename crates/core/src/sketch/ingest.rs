@@ -7,7 +7,7 @@ use crate::error::{GssError, StoreFault};
 use crate::file_store::{WalAck, WalAckHandle};
 use crate::hashing::HashedNode;
 use crate::matrix::RoomKey;
-use crate::storage::{BucketProbe, RoomStorage, RoomStore};
+use crate::storage::{BucketProbe, PageSource, RoomStorage, RoomStore};
 use gss_graph::{StreamEdge, SummaryWrite, VertexId, Weight};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -390,7 +390,7 @@ impl GssSketch {
                     if count == 0 {
                         return u64::MAX;
                     }
-                    store.page_of_bucket(candidates[0].row, candidates[0].column)
+                    store.grid().layout.page_of_bucket(candidates[0].row, candidates[0].column)
                 })
                 .collect();
             order.sort_by_key(|&index| keys[index as usize]);

@@ -1,17 +1,24 @@
-//! Pluggable room storage: the [`RoomStore`] trait and its two backends.
+//! Pluggable room storage: the [`RoomStore`] trait, the one room region both backends hold,
+//! and the kernels that read and write it.
 //!
 //! The `m × m × l` room grid is the only part of a GSS sketch whose size is proportional to
 //! the configured matrix rather than to the observed stream, so it is the part that decides
-//! whether a `GSS_SCALE=paper` CAIDA-style run fits on a machine.  This module abstracts it
-//! behind [`RoomStore`]:
+//! whether a `GSS_SCALE=paper` CAIDA-style run fits on a machine.  Both backends hold it as
+//! the **same bytes**: fixed-size little-endian room records ([`ROOM_RECORD_BYTES`] each,
+//! encoded by [`encode_room`]) at flat index `((row · m) + column) · l + slot`, in a region
+//! of whole 4-KiB pages (`Layout`).  They differ only in where a page comes from:
 //!
-//! * [`MemoryStore`] — the original dense `Vec<Room>` (row-major buckets), fastest and the
-//!   default;
-//! * [`FileStore`] — a std-only paged file backend
-//!   (fixed-size little-endian room records, page-granular I/O, an LRU cache with
-//!   dirty-page write-back) for sketches larger than RAM.  A `FileStore` sketch file
+//! * [`MemoryStore`] — the region as one zeroed buffer in memory; fastest and the default;
+//! * [`FileStore`] — the region as pages of a sketch file behind an LRU page cache with
+//!   dirty-page write-back, for sketches larger than RAM.  A `FileStore` sketch file
 //!   doubles as its own checkpoint: see
 //!   [`GssSketch::open_file`](crate::GssSketch::open_file).
+//!
+//! That difference is the crate-private `PageSource` trait: read one page, write one
+//! record, map a failure.  The record walk, the bucket probe, the edge lookup and the line
+//! scans are written once over it — the [`RoomStore`] impl every page source gets — and
+//! monomorphised per backend, so the memory backend's never-failing `io::Result`s
+//! compile away.
 //!
 //! [`RoomStorage`] is the enum the sketch actually holds — enum dispatch keeps
 //! [`GssSketch`](crate::GssSketch) a non-generic type so every existing caller, trait
@@ -26,17 +33,18 @@
 //! oracles the equivalence tests compare against — [`naive_probe_bucket`],
 //! [`naive_scan_row`], [`naive_scan_column`] — need nothing but `room`.
 //!
-//! Both backends, the streaming snapshots of [`persistence`](crate::persistence) and the
-//! `FileStore` file body share one fixed-size room record ([`ROOM_RECORD_BYTES`]), encoded
-//! little-endian by [`encode_room`] / [`decode_room`], so bytes move between the in-memory
-//! matrix, sketch files and snapshots without translation.
+//! The streaming snapshots of [`persistence`](crate::persistence) share the room record
+//! too ([`decode_room`] reads it back), so bytes move between the in-memory matrix,
+//! sketch files and snapshots without translation.
 
 use crate::config::GssConfig;
 use crate::error::StoreFault;
 use crate::file_store::FileStore;
 use crate::matrix::{MemoryStore, Room, RoomKey};
+use crate::pager::PAGE_BYTES;
 use crate::persistence::PersistenceError;
-use serde::{Deserialize, Serialize};
+use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
 
 /// Compact per-row and per-column bucket-occupancy bitmaps.
@@ -51,7 +59,7 @@ use std::path::PathBuf;
 /// The index is a pure acceleration structure: it never reaches disk or snapshots (file
 /// format and snapshot bytes stay identical) and is rebuilt from room occupancy on
 /// [`open_file`](crate::GssSketch::open_file) and snapshot restore.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OccupancyIndex {
     width: usize,
     words_per_line: usize,
@@ -82,12 +90,6 @@ impl OccupancyIndex {
         self.columns[column * self.words_per_line + row / 64] |= 1u64 << (row % 64);
     }
 
-    /// Whether bucket `(row, column)` has been marked occupied.
-    #[inline]
-    pub fn contains(&self, row: usize, column: usize) -> bool {
-        self.rows[row * self.words_per_line + column / 64] & (1u64 << (column % 64)) != 0
-    }
-
     /// The occupied columns of `row`, ascending.
     pub fn in_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         Self::set_positions(self.line(&self.rows, row))
@@ -102,17 +104,6 @@ impl OccupancyIndex {
     #[inline]
     pub fn occupied_in_row(&self, row: usize) -> usize {
         self.line(&self.rows, row).iter().map(|word| word.count_ones() as usize).sum()
-    }
-
-    /// Number of occupied buckets in `column`.
-    #[inline]
-    pub fn occupied_in_column(&self, column: usize) -> usize {
-        self.line(&self.columns, column).iter().map(|word| word.count_ones() as usize).sum()
-    }
-
-    /// Heap bytes of the two bitmaps.
-    pub fn bytes(&self) -> usize {
-        (self.rows.len() + self.columns.len()) * std::mem::size_of::<u64>()
     }
 
     fn line<'a>(&self, lines: &'a [u64], line: usize) -> &'a [u64] {
@@ -233,10 +224,366 @@ pub(crate) fn decode_config(bytes: &[u8; CONFIG_BYTES]) -> Result<GssConfig, Per
     Ok(config)
 }
 
+/// Room records per region page.  A record never straddles a page, because the record
+/// size divides [`PAGE_BYTES`]; a *bucket* straddles one only when `l` is not a power of
+/// two.
+const RECORDS_PER_PAGE: usize = PAGE_BYTES / ROOM_RECORD_BYTES;
+
+/// The geometry of a room region: an `m × m` bucket grid of `l` rooms each, stored
+/// row-major in whole pages — the same on both backends.  Every "where does this room
+/// live" question is answered here; where the region sits inside a sketch file is
+/// `file_store::format`'s business.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Layout {
+    /// Side length `m`.
+    pub(crate) width: usize,
+    /// Rooms per bucket `l`.
+    pub(crate) rooms: usize,
+}
+
+/// A run of room records lying back to back inside one region page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PageRun {
+    /// Region page index (what the page cache is keyed by).
+    pub(crate) page: u64,
+    /// Byte offset of the run's first record inside the page.
+    pub(crate) offset: usize,
+    /// Records in the run.
+    pub(crate) len: usize,
+}
+
+impl PageRun {
+    /// The run's byte range inside its page.
+    pub(crate) fn bytes(&self) -> Range<usize> {
+        self.offset..self.offset + self.len * ROOM_RECORD_BYTES
+    }
+
+    /// The run's records inside `data` — the image of page [`page`](Self::page) — in
+    /// flat-index order.  Inlined: the kernels call it from another codegen unit, and
+    /// out of line it cost memory-backend successor and precursor queries 13–19 %.
+    #[inline]
+    pub(crate) fn records<'a>(
+        &self,
+        data: &'a [u8],
+    ) -> impl Iterator<Item = &'a [u8; ROOM_RECORD_BYTES]> {
+        data[self.bytes()]
+            .chunks_exact(ROOM_RECORD_BYTES)
+            .map(|record| record.try_into().expect("chunks are record-sized"))
+    }
+}
+
+impl Layout {
+    pub(crate) fn new(config: &GssConfig) -> Self {
+        Self { width: config.width, rooms: config.rooms }
+    }
+
+    /// Total number of rooms (`m² × l`).
+    pub(crate) fn room_count(&self) -> usize {
+        self.width * self.width * self.rooms
+    }
+
+    /// Number of pages the region spans (the last one zero-padded).
+    pub(crate) fn pages(&self) -> usize {
+        self.room_count().div_ceil(RECORDS_PER_PAGE)
+    }
+
+    /// Flat index of `(row, column, slot)` in the room region — the position
+    /// write-ahead-log `ROOM` frames carry.
+    pub(crate) fn flat_index(&self, row: usize, column: usize, slot: usize) -> usize {
+        debug_assert!(row < self.width && column < self.width && slot < self.rooms);
+        (row * self.width + column) * self.rooms + slot
+    }
+
+    /// `(row, column)` of the bucket holding flat index `flat`.
+    pub(crate) fn bucket_of(&self, flat: usize) -> (usize, usize) {
+        let bucket = flat / self.rooms;
+        (bucket / self.width, bucket % self.width)
+    }
+
+    /// The longest run of at most `count` records starting at flat index `flat` that
+    /// share a page.  Walking a flat range run by run is one page access (on the file
+    /// backend one cache lookup and one latch) per touched page; asking with `count = 1`
+    /// locates a single room.
+    pub(crate) fn run_at(&self, flat: usize, count: usize) -> PageRun {
+        let in_page = flat % RECORDS_PER_PAGE;
+        PageRun {
+            page: (flat / RECORDS_PER_PAGE) as u64,
+            offset: in_page * ROOM_RECORD_BYTES,
+            len: count.min(RECORDS_PER_PAGE - in_page),
+        }
+    }
+
+    /// The page holding the first room of bucket `(row, column)`: the key batch ingest
+    /// sorts its writes by on the file backend.
+    pub(crate) fn page_of_bucket(&self, row: usize, column: usize) -> u64 {
+        self.run_at(self.flat_index(row, column, 0), 1).page
+    }
+}
+
+/// The bookkeeping of a room region, kept once beside the kernels for both backends: its
+/// layout, its bucket-occupancy index and its occupied-room count.  Neither of the last
+/// two is ever stored — both are rebuilt from the region on open and restore.
+#[derive(Debug, Clone)]
+pub(crate) struct RoomGrid {
+    pub(crate) layout: Layout,
+    pub(crate) index: OccupancyIndex,
+    pub(crate) occupied: usize,
+}
+
+impl RoomGrid {
+    /// The bookkeeping of an all-empty region.
+    pub(crate) fn new(layout: Layout) -> Self {
+        Self { layout, index: OccupancyIndex::new(layout.width), occupied: 0 }
+    }
+
+    /// Counts one more occupied room, in bucket `(row, column)`.
+    pub(crate) fn mark(&mut self, row: usize, column: usize) {
+        self.occupied += 1;
+        self.index.mark(row, column);
+    }
+}
+
+/// Where a room region's pages come from: the one thing the two backends do differently.
+/// Besides the [`RoomGrid`] beside the pages, a source owes three things — read one page,
+/// write one record, map a failure — and every [`RoomStore`] method is written once over
+/// them (the impl below).  [`MemoryStore`] hands out the pages of its region and never
+/// fails; [`FileStore`] hands out cached pages, logs each record before writing it and
+/// fail-stops.
+pub(crate) trait PageSource {
+    /// The region's layout, occupancy index and occupied count.
+    fn grid(&self) -> &RoomGrid;
+    /// The same, for the one kernel that changes it ([`RoomStore::store_room`]).
+    fn grid_mut(&mut self) -> &mut RoomGrid;
+    /// Runs `read` over region page `page`.
+    fn with_page<T>(&self, page: u64, read: impl FnOnce(&[u8; PAGE_BYTES]) -> T) -> io::Result<T>;
+    /// Writes one encoded record at flat index `flat`.
+    fn write_record(&mut self, flat: usize, record: &[u8; ROOM_RECORD_BYTES]) -> io::Result<()>;
+    /// Read-side failure: unwraps a read (the read-side [`RoomStore`] signatures carry no
+    /// error).  Called once per lookup or scan, never per bucket or page run — folding it
+    /// into the per-bucket loop measured 27 % off file-backed precursor queries.
+    fn io_fail<T>(&self, result: io::Result<T>) -> T;
+    /// Write-side failure, before: the gate every write-path step passes first.
+    fn write_gate(&self) -> Result<(), StoreFault>;
+    /// Write-side failure, after: turns a failed write-path step into the store's sticky
+    /// fault.
+    fn write_fault(&self, context: &str, error: &io::Error) -> StoreFault;
+}
+
+/// Visits the `count` consecutive records starting at flat index `start` in order, one
+/// page run at a time — one [`PageSource::with_page`] per touched page.  The callback
+/// receives the record's offset from `start` and the record still encoded, and returns
+/// `false` to stop early: scans test the occupancy byte before decoding (decoding every
+/// record first cost 20 % of memory-backend successor queries).
+fn walk<S: PageSource>(
+    store: &S,
+    start: usize,
+    count: usize,
+    mut visit: impl FnMut(usize, &[u8; ROOM_RECORD_BYTES]) -> bool,
+) -> io::Result<()> {
+    let layout = store.grid().layout;
+    let mut done = 0usize;
+    while done < count {
+        let run = layout.run_at(start + done, count - done);
+        let stopped = store.with_page(run.page, |data| {
+            run.records(data).enumerate().any(|(offset, record)| !visit(done + offset, record))
+        })?;
+        if stopped {
+            break;
+        }
+        done += run.len;
+    }
+    Ok(())
+}
+
+/// [`walk`] over the rooms of bucket `(row, column)` in slot order.
+fn walk_bucket<S: PageSource>(
+    store: &S,
+    row: usize,
+    column: usize,
+    visit: impl FnMut(usize, &[u8; ROOM_RECORD_BYTES]) -> bool,
+) -> io::Result<()> {
+    let layout = store.grid().layout;
+    walk(store, layout.flat_index(row, column, 0), layout.rooms, visit)
+}
+
+/// Visits the occupied rooms of bucket `(row, column)`.
+fn scan_bucket<S: PageSource>(
+    store: &S,
+    row: usize,
+    column: usize,
+    mut visit: impl FnMut(Room),
+) -> io::Result<()> {
+    walk_bucket(store, row, column, |_, record| {
+        if record[ROOM_OCCUPIED_BYTE] != 0 {
+            visit(decode_room(record));
+        }
+        true
+    })
+}
+
+/// Reads the room at flat index `flat`.
+fn read_room<S: PageSource>(store: &S, flat: usize) -> io::Result<Room> {
+    let mut found = Room::default();
+    walk(store, flat, 1, |_, record| {
+        found = decode_room(record);
+        false
+    })?;
+    Ok(found)
+}
+
+/// Indexed row scan: word-by-word over the row's occupancy bitmap, so only buckets that
+/// ever received an edge are read — unless the row is dense (≥ 50% of its buckets
+/// occupied), where the bitmap's skip-ahead win vanishes and a straight walk of the
+/// row's contiguous records is both simpler and sequential.
+fn scan_row_inner<S: PageSource>(
+    store: &S,
+    row: usize,
+    visit: &mut dyn FnMut(usize, Room),
+) -> io::Result<()> {
+    let RoomGrid { layout, ref index, .. } = *store.grid();
+    if dense_scan(index.occupied_in_row(row), layout.width) {
+        let rooms = layout.rooms;
+        return walk(
+            store,
+            layout.flat_index(row, 0, 0),
+            layout.width * rooms,
+            |offset, record| {
+                if record[ROOM_OCCUPIED_BYTE] != 0 {
+                    visit(offset / rooms, decode_room(record));
+                }
+                true
+            },
+        );
+    }
+    for column in index.in_row(row) {
+        scan_bucket(store, row, column, |room| visit(column, room))?;
+    }
+    Ok(())
+}
+
+/// Indexed column scan.  There is no dense escape hatch here: a column's buckets are
+/// never contiguous in the row-major region, so a "linear" walk would be the bitmap walk
+/// plus a page access for every *empty* bucket.
+fn scan_column_inner<S: PageSource>(
+    store: &S,
+    column: usize,
+    visit: &mut dyn FnMut(usize, Room),
+) -> io::Result<()> {
+    for row in store.grid().index.in_column(column) {
+        scan_bucket(store, row, column, |room| visit(row, room))?;
+    }
+    Ok(())
+}
+
+/// The room kernels, once for both backends.
+impl<S: PageSource> RoomStore for S {
+    fn width(&self) -> usize {
+        self.grid().layout.width
+    }
+
+    fn rooms_per_bucket(&self) -> usize {
+        self.grid().layout.rooms
+    }
+
+    fn occupied_rooms(&self) -> usize {
+        self.grid().occupied
+    }
+
+    fn room(&self, row: usize, column: usize, slot: usize) -> Room {
+        self.io_fail(read_room(self, self.grid().layout.flat_index(row, column, slot)))
+    }
+
+    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
+        let mut weight = None;
+        self.io_fail(walk_bucket(self, row, column, |_, record| {
+            let room = decode_room(record);
+            if room.matches(key) {
+                weight = Some(room.weight);
+            }
+            weight.is_none()
+        }));
+        weight
+    }
+
+    /// On the file backend a cache miss here may have to evict a dirty page, so a
+    /// write-back fault (or a hard read fault) poisons the store and surfaces as the
+    /// sticky [`StoreFault`].
+    fn probe_bucket(
+        &self,
+        row: usize,
+        column: usize,
+        key: RoomKey,
+    ) -> Result<BucketProbe, StoreFault> {
+        self.write_gate()?;
+        let mut probe = BucketProbe::Full;
+        walk_bucket(self, row, column, |slot, record| {
+            let room = decode_room(record);
+            if room.matches(key) {
+                probe = BucketProbe::Match(slot);
+                return false;
+            }
+            if !room.occupied && probe == BucketProbe::Full {
+                probe = BucketProbe::Empty(slot);
+            }
+            true
+        })
+        .map_err(|error| self.write_fault("bucket probe page load", &error))?;
+        Ok(probe)
+    }
+
+    /// Read, add, then write the full record — the write-ahead log carries whole records.
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        self.write_gate()?;
+        let flat = self.grid().layout.flat_index(row, column, slot);
+        read_room(self, flat)
+            .and_then(|mut room| {
+                debug_assert!(room.occupied, "adding weight to an empty room");
+                room.weight += weight;
+                self.write_record(flat, &encode_room(&room))
+            })
+            .map_err(|error| self.write_fault("room write", &error))
+    }
+
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
+        self.write_gate()?;
+        debug_assert!(room.occupied, "storing an unoccupied room");
+        let flat = self.grid().layout.flat_index(row, column, slot);
+        debug_assert!(
+            // An unreadable room is the write's problem, not the assert's.
+            read_room(self, flat).map(|existing| !existing.occupied).unwrap_or(true),
+            "overwriting an occupied room"
+        );
+        self.write_record(flat, &encode_room(&room))
+            .map_err(|error| self.write_fault("room write", &error))?;
+        self.grid_mut().mark(row, column);
+        Ok(())
+    }
+
+    fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
+        self.io_fail(scan_row_inner(self, row, visit));
+    }
+
+    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
+        self.io_fail(scan_column_inner(self, column, visit));
+    }
+}
+
 /// Where a sketch keeps its room matrix.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StorageBackend {
-    /// Dense in-memory `Vec<Room>` (the default; fastest).
+    /// The room region in memory (the default; fastest).
     #[default]
     Memory,
     /// Paged sketch file at `path` with an LRU cache of `cache_pages` 4-KiB pages.
@@ -421,8 +768,8 @@ pub fn naive_probe_bucket<S: RoomStore + ?Sized>(
 /// probe with the room's own key, claim the first empty slot — and returns the probe's
 /// outcome.  Anything but [`BucketProbe::Empty`] means nothing was stored: `Full` is a
 /// bucket fed more than `l` rooms, `Match` a second room under a key the bucket already
-/// holds (ingest never produces one and an edge query could never reach it).  The single
-/// placement rule of snapshot restore and of detaching a file store into memory.
+/// holds (ingest never produces one and an edge query could never reach it).  The
+/// placement rule of snapshot restore, whose input is untrusted.
 pub(crate) fn place_room<S: RoomStore + ?Sized>(
     store: &mut S,
     row: usize,
@@ -466,24 +813,15 @@ impl RoomStorage {
 }
 
 /// Cloning a file-backed store **detaches it into memory**: the clone is a
-/// [`MemoryStore`] holding the same rooms, leaving the original file untouched.  This is
-/// what merge/analysis paths want (they clone to read), and it keeps
-/// `#[derive(Clone)]`-style ergonomics on the sketch without duplicating files on disk.
+/// [`MemoryStore`] holding a page-for-page copy of the region (cached dirty pages
+/// included), leaving the original file untouched.  This is what merge/analysis paths
+/// want (they clone to read), and it keeps `#[derive(Clone)]`-style ergonomics on the
+/// sketch without duplicating files on disk.
 impl Clone for RoomStorage {
     fn clone(&self) -> Self {
         match self {
             Self::Memory(store) => Self::Memory(store.clone()),
-            Self::File(store) => {
-                let mut memory = MemoryStore::new(store.width(), store.rooms_per_bucket());
-                store.scan_occupied(&mut |row, column, room| {
-                    let placed = place_room(&mut memory, row, column, room);
-                    assert!(
-                        matches!(placed, Ok(BucketProbe::Empty(_))),
-                        "a live bucket holds at most l rooms, each under its own key"
-                    );
-                });
-                Self::Memory(memory)
-            }
+            Self::File(store) => Self::Memory(MemoryStore::copy_of(store.as_ref())),
         }
     }
 }
@@ -640,12 +978,16 @@ mod tests {
     fn occupancy_index_marks_and_iterates_across_word_boundaries() {
         // Width 70 straddles the 64-bit word boundary in every line.
         let mut index = OccupancyIndex::new(70);
-        assert_eq!(index.bytes(), 2 * 70 * 2 * 8, "two words per line, both directions");
         let marks = [(0, 0), (0, 63), (0, 64), (0, 69), (5, 2), (63, 5), (64, 5), (69, 68)];
+        let marked = |index: &OccupancyIndex, row, column| {
+            let in_row = index.in_row(row).any(|c| c == column);
+            assert_eq!(in_row, index.in_column(column).any(|r| r == row), "mirrors agree");
+            in_row
+        };
         for &(row, column) in &marks {
-            assert!(!index.contains(row, column));
+            assert!(!marked(&index, row, column));
             index.mark(row, column);
-            assert!(index.contains(row, column));
+            assert!(marked(&index, row, column));
         }
         index.mark(0, 64); // re-marking is idempotent
         let row0: Vec<usize> = index.in_row(0).collect();
@@ -732,5 +1074,50 @@ mod tests {
         assert_eq!(seen, vec![(1, 2, -123_456_779)]);
         let cloned = storage.clone();
         assert_eq!(cloned.occupied_rooms(), 1);
+    }
+
+    /// Both backends hold one room region: fed the same stream, a memory store and a file
+    /// store hold the same bytes page for page — and so does the file store's page-copy
+    /// clone, taken while the 2-page cache still holds dirty pages.
+    #[test]
+    fn memory_and_file_stores_hold_byte_identical_room_regions() {
+        use crate::GssSketch;
+        use gss_graph::SummaryWrite;
+        let path =
+            std::env::temp_dir().join(format!("gss-storage-one-region-{}.gss", std::process::id()));
+        // l = 3 makes buckets straddle pages.
+        let config = GssConfig { rooms: 3, ..GssConfig::paper_default(30) };
+        let mut memory_sketch = GssSketch::new(config).unwrap();
+        let file = StorageBackend::File { path: path.clone(), cache_pages: 2 };
+        let mut file_sketch = GssSketch::with_storage(config, file).unwrap();
+        for t in 0..3000u64 {
+            let (source, destination) = (t % 2300 * 7 % 997, t % 2300 * 13 % 1009);
+            memory_sketch.insert(source, destination, (t % 5) as i64 + 1);
+            file_sketch.insert(source, destination, (t % 5) as i64 + 1);
+        }
+        let detached = file_sketch.room_storage().clone();
+        let (RoomStorage::Memory(memory), RoomStorage::File(file), RoomStorage::Memory(detached)) =
+            (memory_sketch.room_storage(), file_sketch.room_storage(), &detached)
+        else {
+            panic!("a memory sketch, a file sketch and a detached clone");
+        };
+        let pages = memory.grid().layout.pages() as u64;
+        assert_eq!(pages, file.grid().layout.pages() as u64);
+        for page in 0..pages {
+            let expected = memory.with_page(page, |bytes| *bytes).unwrap();
+            assert_eq!(file.with_page(page, |bytes| *bytes).unwrap(), expected, "file {page}");
+            let copied = detached.with_page(page, |bytes| *bytes).unwrap();
+            assert_eq!(copied, expected, "detached {page}");
+        }
+        for grid in [file.grid(), detached.grid()] {
+            assert_eq!(grid.occupied, memory.grid().occupied);
+            for line in 0..config.width {
+                assert!(grid.index.in_row(line).eq(memory.grid().index.in_row(line)));
+                assert!(grid.index.in_column(line).eq(memory.grid().index.in_column(line)));
+            }
+        }
+        drop(file_sketch);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(crate::wal::wal_path(&path)).ok();
     }
 }

@@ -7,11 +7,13 @@
 //!    visit exactly the rooms (same positions, same order) a naive full-grid scan visits;
 //! 2. the fused [`RoomStore::probe_bucket`] and the edge lookup [`RoomStore::weight_of`]
 //!    agree with the slot-by-slot oracle [`naive_probe_bucket`] on every bucket;
-//! 3. both properties survive `sync` → drop → [`GssSketch::open_file`] (the file backend
-//!    rebuilds its index from the room region) and snapshot round-trips onto either
-//!    backend (restore replays rooms through the store, rebuilding the index);
+//! 3. both properties survive detaching a file sketch into memory (a page-for-page copy
+//!    taken while the cache holds dirty pages), `sync` → drop → [`GssSketch::open_file`]
+//!    (the file backend rebuilds its index from the room region) and snapshot
+//!    round-trips onto either backend (restore replays rooms through the store,
+//!    rebuilding the index);
 //! 4. snapshot bytes are identical before and after the change in kind: a restored
-//!    sketch re-snapshots to the very same bytes.
+//!    sketch or a detached clone snapshots to the very bytes of the memory sketch.
 //!
 //! [`RoomStore::scan_row`]: gss_core::RoomStore::scan_row
 //! [`scan_column`]: gss_core::RoomStore::scan_column
@@ -140,6 +142,83 @@ fn assert_probe_matches_two_pass(sketch: &GssSketch, label: &str) {
     }
 }
 
+/// The whole acceptance property for one stream and configuration: indexed scans and the
+/// fused probe are unobservable on a fresh memory sketch, a fresh file sketch, the file
+/// sketch's page-copy clone, the reopened file and snapshot restores onto either backend.
+fn assert_unobservable_on_both_backends(items: &[(u64, u64, i64)], config: GssConfig) {
+    let path = fresh_path();
+    let mut memory = GssSketch::new(config).unwrap();
+    // cache_pages = 2 keeps the cache far below the matrix, forcing eviction traffic
+    // through the indexed scans as well.
+    let mut file = GssSketch::with_storage(
+        config,
+        StorageBackend::File { path: path.clone(), cache_pages: 2 },
+    )
+    .unwrap();
+    for &(s, d, w) in items {
+        memory.insert(s, d, w);
+        file.insert(s, d, w);
+    }
+    assert_scans_match_naive(&memory, "memory");
+    assert_scans_match_naive(&file, "file");
+    assert_probe_matches_two_pass(&memory, "memory");
+    assert_probe_matches_two_pass(&file, "file");
+
+    // Detaching into memory copies the region page by page while the 2-page cache still
+    // holds dirty pages: the copy must be the sketch the memory backend built.
+    let detached = file.clone();
+    assert_scans_match_naive(&detached, "page-copy clone");
+    assert_probe_matches_two_pass(&detached, "page-copy clone");
+    let bytes = memory.to_snapshot();
+    assert_eq!(&detached.to_snapshot(), &bytes, "page-copy clone snapshot drifted");
+
+    // Sync → drop → reopen: the file backend rebuilds its index from the room region.
+    drop(file);
+    let reopened = GssSketch::open_file(&path, 2).unwrap();
+    assert_scans_match_naive(&reopened, "reopened file");
+    assert_probe_matches_two_pass(&reopened, "reopened file");
+
+    // Snapshot round-trips rebuild the index on restore — onto either backend — and
+    // re-snapshot to identical bytes (the index never reaches the encoding).
+    let restored = GssSketch::from_snapshot(&bytes).unwrap();
+    assert_scans_match_naive(&restored, "snapshot restore (memory)");
+    assert_eq!(&restored.to_snapshot(), &bytes, "snapshot bytes drifted");
+
+    let restore_path = fresh_path();
+    let onto_file = GssSketch::read_snapshot_into(
+        bytes.as_slice(),
+        StorageBackend::File { path: restore_path.clone(), cache_pages: 2 },
+    )
+    .unwrap();
+    assert_scans_match_naive(&onto_file, "snapshot restore (file)");
+    assert_eq!(&onto_file.to_snapshot(), &bytes, "file-restore snapshot drifted");
+
+    drop(reopened);
+    drop(onto_file);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&restore_path).ok();
+}
+
+/// The seeded cases only sample it, so one fixed case pins it: at width 90 with `l = 3`,
+/// buckets straddle region pages on both backends.
+#[test]
+fn indexed_scans_and_fused_probes_are_unobservable_with_buckets_straddling_pages() {
+    let config = GssConfig {
+        width: 90,
+        fingerprint_bits: 12,
+        rooms: 3,
+        sequence_length: 4,
+        candidates: 4,
+        square_hashing: true,
+        sampling: true,
+        track_node_ids: true,
+        hash_seed: 0x0CC_1DE5,
+    };
+    let items: Vec<(u64, u64, i64)> =
+        (0..600u64).map(|t| (t * 7 % 131, t * 13 % 127, (t % 9) as i64 - 2)).collect();
+    assert_unobservable_on_both_backends(&items, config);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -148,50 +227,7 @@ proptest! {
         items in stream_strategy(120, 250),
         config in config_strategy(),
     ) {
-        let path = fresh_path();
-        let mut memory = GssSketch::new(config).unwrap();
-        // cache_pages = 2 keeps the cache far below the matrix, forcing eviction traffic
-        // through the indexed scans as well.
-        let mut file = GssSketch::with_storage(
-            config,
-            StorageBackend::File { path: path.clone(), cache_pages: 2 },
-        )
-        .unwrap();
-        for &(s, d, w) in &items {
-            memory.insert(s, d, w);
-            file.insert(s, d, w);
-        }
-        assert_scans_match_naive(&memory, "memory");
-        assert_scans_match_naive(&file, "file");
-        assert_probe_matches_two_pass(&memory, "memory");
-        assert_probe_matches_two_pass(&file, "file");
-
-        // Sync → drop → reopen: the file backend rebuilds its index from the room region.
-        drop(file);
-        let reopened = GssSketch::open_file(&path, 2).unwrap();
-        assert_scans_match_naive(&reopened, "reopened file");
-        assert_probe_matches_two_pass(&reopened, "reopened file");
-
-        // Snapshot round-trips rebuild the index on restore — onto either backend — and
-        // re-snapshot to identical bytes (the index never reaches the encoding).
-        let bytes = memory.to_snapshot();
-        let restored = GssSketch::from_snapshot(&bytes).unwrap();
-        assert_scans_match_naive(&restored, "snapshot restore (memory)");
-        prop_assert_eq!(&restored.to_snapshot(), &bytes, "snapshot bytes drifted");
-
-        let restore_path = fresh_path();
-        let onto_file = GssSketch::read_snapshot_into(
-            bytes.as_slice(),
-            StorageBackend::File { path: restore_path.clone(), cache_pages: 2 },
-        )
-        .unwrap();
-        assert_scans_match_naive(&onto_file, "snapshot restore (file)");
-        prop_assert_eq!(&onto_file.to_snapshot(), &bytes, "file-restore snapshot drifted");
-
-        drop(reopened);
-        drop(onto_file);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&restore_path).ok();
+        assert_unobservable_on_both_backends(&items, config);
     }
 
     /// End-to-end guard at the query level: successor and precursor queries answered
