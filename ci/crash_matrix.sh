@@ -11,7 +11,9 @@
 #   * group-commit: the threaded run under a deliberately wide group-commit window
 #               (50 ms / 4 MiB), so the kill lands mid-window with the cadence
 #               `fdatasync` still pending — acknowledgement is write()-based, so
-#               zero acknowledged loss must hold anyway, and
+#               zero acknowledged loss must hold anyway — and with automatic
+#               checkpoints every 256 KiB of shard log, so kills also land inside
+#               checkpoints racing other writers' lock-free acknowledgements, and
 #   * in all:   every recovered item's edge answers with at least its exact weight.
 #
 # Usage: ci/crash_matrix.sh [iterations-per-mode]   (default 3)

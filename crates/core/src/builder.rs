@@ -163,7 +163,7 @@ impl GssBuilder {
     }
 
     /// Scheduling knob of the write-ahead log's group-commit coordinator (default
-    /// [`GroupCommit::default`]: sync every 256 KiB of drained log or 2 ms, whichever
+    /// [`GroupCommit::default`]: sync every 256 KiB of drained log or 20 ms, whichever
     /// comes first).  A sharded build shares one coordinator across all shard logs, so
     /// a single cadence `fdatasync` covers every shard that wrote in the window.
     /// Zero in either field forces a sync on every drain round.  Ignored by the

@@ -46,6 +46,7 @@ use crate::pager::witness::{self, LockClass, Tracked};
 use crate::sketch::GssSketch;
 use crate::stats::GssStats;
 use crate::storage::StorageBackend;
+use crate::wal::{Wal, WalAck};
 use gss_graph::{StreamEdge, SummaryRead, SummaryStats, SummaryWrite, VertexId, Weight};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
@@ -59,7 +60,7 @@ pub struct ShardedGss {
     /// Per-shard lock-free commit acknowledgers (`None` for in-memory shards), captured
     /// at construction so the batched two-phase commit's acknowledgement pass never
     /// re-takes a shard lock.
-    ack_handles: Arc<Vec<Option<crate::file_store::WalAckHandle>>>,
+    ack_handles: Arc<Vec<Option<Arc<Wal>>>>,
 }
 
 impl ShardedGss {
@@ -283,7 +284,7 @@ impl ShardedGss {
         // commit frame) first, acknowledge second.  By the time the acknowledgement
         // pass runs, drain rounds led by concurrent writers have usually covered the
         // earlier shards' log bytes, so most acknowledgements return on the
-        // coordinator's already-drained fast path instead of each leading a small
+        // log's already-written fast path instead of each leading a small
         // drain round of its own — the per-call round count stops scaling with the
         // shard count.  The acknowledgement pass runs through the lock-free per-shard
         // handles, so it never re-takes a shard lock.
@@ -300,7 +301,7 @@ impl ShardedGss {
             .filter(|&index| !per_shard[index].is_empty())
             .collect();
         let mut first_fault: Option<StoreFault> = None;
-        let mut acks: Vec<(usize, crate::file_store::WalAck)> = Vec::with_capacity(pending.len());
+        let mut acks: Vec<(usize, WalAck)> = Vec::with_capacity(pending.len());
         let mut stage = |shard: &mut GssSketch, index: usize| match shard
             .insert_batch_deferred(&per_shard[index])
         {
@@ -733,6 +734,46 @@ mod tests {
             std::fs::remove_file(&path).ok();
         }
         assert_eq!(total_items, 1200);
+    }
+
+    #[test]
+    fn dropping_a_sharded_store_stops_its_cadence_thread_while_ack_handles_live() {
+        let base =
+            std::env::temp_dir().join(format!("gss-sharded-{}-cadence.gss", std::process::id()));
+        let (config, storage) = (
+            GssConfig::paper_small(24),
+            StorageBackend::File { path: base.clone(), cache_pages: 16 },
+        );
+        let group = GroupCommitter::new(GroupCommit::default());
+        let coordinator = Arc::downgrade(&group);
+        let shards = (0..2)
+            .map(|index| {
+                GssSketch::with_storage_grouped(
+                    config,
+                    storage.for_shard(index),
+                    Arc::clone(&group),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        drop(group);
+        let sharded = ShardedGss::from_shards(config, shards);
+        sharded.insert_batch(&stream(3, 300));
+        let handles = Arc::clone(&sharded.ack_handles);
+        drop(sharded);
+        // The stores were the coordinator's only owners, so dropping the last one joined
+        // its cadence thread — although every shard's log lives on in `handles`.
+        assert!(coordinator.upgrade().is_none(), "the cadence thread outlived its stores");
+        assert!(handles.iter().all(Option::is_some));
+        drop(handles);
+        for index in 0..2 {
+            let path = base.with_file_name(format!(
+                "{}.shard{index}",
+                base.file_name().unwrap().to_string_lossy()
+            ));
+            std::fs::remove_file(crate::wal::wal_path(&path)).ok();
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `pread`/`pwrite`, so the crate builds on Unix only.
 //!
 //! This file holds the store itself and its coupling to the write-ahead log — the one
-//! frame-append path, commits and the handles that acknowledge them.  The on-disk
+//! frame-append path and the commits the log acknowledges.  The on-disk
 //! layout and header are [`mod@format`]; create, open, crash recovery and the single-opener
 //! contract are [`open`]; everything that moves bytes into the sketch file (write-ahead
 //! barrier, write-back, checkpoints) is [`write_back`]; the store's page source — cached
@@ -25,10 +25,9 @@
 //! and commit is appended to the log (`<sketch>.wal`, see [`crate::wal`]) before the
 //! page holding it may be written back, the log is drained before every insert returns
 //! and evicted pages are written back synchronously on the ingest path, so a killed
-//! process loses no acknowledged item.  Drains go through the group-commit coordinator,
-//! which additionally `fdatasync`s the log on the
-//! [`GroupCommit`](crate::config::GroupCommit) cadence — bounding how far a power loss
-//! (not just a process kill) can rewind the stream.
+//! process loses no acknowledged item.  The log is synced on the cadence of its
+//! group-commit coordinator ([`GroupCommit`](crate::config::GroupCommit)), which bounds
+//! how far a power loss (not just a process kill) can rewind the stream.
 //!
 //! ## Concurrency
 //!
@@ -36,15 +35,18 @@
 //! enough to clone a slot reference, then reads the bytes under the page's shared read
 //! latch — hits on distinct pages touch no common lock, and faults on distinct stripes
 //! overlap their disk reads.  Mutation stays `&mut self` (one writer per store; sharded
-//! ingest gives each shard its own store), and the write-ahead log has its own append
-//! mutex so logging never serializes page access — frames are encoded outside that
-//! mutex and drained by the group-commit coordinator ([`crate::group_commit`]), which
-//! double-buffers the pending arena so the positioned log write runs outside every
-//! lock.  The occupancy index is a plain [`OccupancyIndex`](crate::storage::OccupancyIndex):
-//! its only writer is `store_room(&mut self)`, so the borrow checker already rules out a
-//! reader scanning it mid-mark.  See [`crate::pager`] for the full lock map; the one
-//! global rule is that the WAL append mutex is never held while taking a page-table
-//! stripe mutex (the full order is `stripe ≺ latch ≺ group ≺ wal`).
+//! ingest gives each shard its own store).  The store has one log with its own append
+//! mutex, so logging never serializes page access: frames are encoded outside that mutex,
+//! and every byte reaches the log file through the log's drain rounds, whose positioned
+//! write runs outside every lock — commits, the barrier before each page write-back and
+//! the checkpoint's tail image alike.  A sharded store acknowledges its commits through
+//! that same log without the shard lock, so a checkpoint can meet another writer's round
+//! in flight; its barrier waits that round out.  The occupancy index is a plain
+//! [`OccupancyIndex`](crate::storage::OccupancyIndex): its only writer is
+//! `store_room(&mut self)`, so the borrow checker already rules out a reader scanning it
+//! mid-mark.  See [`crate::pager`] for the full lock map; the one global rule is that the
+//! WAL append mutex is never held while taking a page-table stripe mutex (the full order
+//! is `stripe ≺ latch ≺ group ≺ wal`).
 
 pub mod format;
 pub mod open;
@@ -53,14 +55,14 @@ pub mod write_back;
 
 use crate::config::GssConfig;
 use crate::error::{DurabilityReport, StoreFault, StoreHealth};
-use crate::group_commit::{GroupCommitter, WalMember, WalState};
+use crate::group_commit::GroupCommitter;
 use crate::metrics::StoreCounters;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
 use crate::pager::witness::{self, LockClass};
 use crate::storage::RoomGrid;
-use crate::wal;
+use crate::wal::{self, AppendState, Wal, WalAck};
 use format::CLEAN_FLAG_OFFSET;
 use parking_lot::Mutex;
 use std::io;
@@ -92,7 +94,7 @@ pub struct FileHeader {
 /// a crash at exactly that boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPoint {
-    /// A group-commit drain swapped the pending arena out under the append mutex; the
+    /// A drain round swapped the log's pending arena out under the append mutex; the
     /// positioned write of the taken frames into the log file has not started yet.
     /// A kill here loses the whole swapped window — which must therefore contain no
     /// acknowledged commit.
@@ -108,60 +110,11 @@ pub enum FlushPoint {
     CheckpointDone,
 }
 
-/// An injectable observer of durability points (see [`FlushPoint`]).
-pub type FlushHook = Box<dyn FnMut(FlushPoint) + Send>;
-
-/// The deferred half of a two-phase commit: [`FileStore::log_commit_deferred`] appends
-/// the commit frame and returns this token; [`FileStore::ack_commit`] (or the shard's
-/// [`WalAckHandle`]) consumes it to drain the log.  Multi-shard batches append every
-/// shard's frame before acknowledging any of them, so concurrent drain rounds cover
-/// each other's bytes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WalAck {
-    /// Log bytes that must be drained before the commit is acknowledged.
-    target: u64,
-    /// Cumulative stream items the commit frame covers — credited to the durability
-    /// accounting ([`DurabilityReport`]) when the commit is acknowledged.
-    items: u64,
-}
-
-/// Acknowledges a deferred commit: its frames are in the log file before this returns
-/// (the acknowledged items are now crash-safe), drained through the group-commit
-/// coordinator so concurrent shard commits share one drain round and one sync cadence.
-/// A failed drain or sync poisons the store and returns its sticky [`StoreFault`]; on
-/// success the items are credited as acknowledged.
-fn ack_commit(group: &GroupCommitter, wal: &Arc<WalMember>, ack: WalAck) -> Result<(), StoreFault> {
-    wal.health().check()?;
-    group.commit(wal, ack.target).map_err(|error| {
-        wal.health().poison(StoreFault::from_io("write-ahead-log group commit", &error))
-    })?;
-    wal.record_ack(ack.items);
-    Ok(())
-}
-
-/// A lock-free acknowledger for one store's deferred commits: `Arc`s to the
-/// group-commit coordinator and the store's log membership — everything
-/// [`FileStore::ack_commit`] touches, none of it behind the sketch lock.  The sharded
-/// batch path captures one per shard at construction so its acknowledgement pass never
-/// re-takes a shard lock.
-#[derive(Clone)]
-pub(crate) struct WalAckHandle {
-    group: Arc<GroupCommitter>,
-    wal: Arc<WalMember>,
-}
-
-impl std::fmt::Debug for WalAckHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalAckHandle").finish_non_exhaustive()
-    }
-}
-
-impl WalAckHandle {
-    /// [`FileStore::ack_commit`] through the handle.
-    pub(crate) fn ack(&self, ack: WalAck) -> Result<(), StoreFault> {
-        ack_commit(&self.group, &self.wal, ack)
-    }
-}
+/// An injectable observer of durability points (see [`FlushPoint`]).  It runs on the
+/// thread that reached the point, with no store lock held on its behalf, so points of
+/// one store may fire on several threads at once — a hook that parks one thread never
+/// stalls another thread's points.
+pub type FlushHook = Arc<dyn Fn(FlushPoint) + Send + Sync>;
 
 /// A paged file-backed [`RoomStore`](crate::storage::RoomStore): lock-striped page cache
 /// with per-page latches, write-ahead room log behind its own append mutex and
@@ -176,22 +129,20 @@ pub struct FileStore {
     file: PageFile,
     /// The lock-striped page table (see [`crate::pager::page_cache`]).
     cache: PageCache,
-    /// This store's one counter set, shared with the cache, both file handles and the
-    /// log membership.
+    /// This store's one counter set, shared with the cache, the log and both file handles.
     counters: Arc<StoreCounters>,
-    /// The write-ahead room log, clean flag and drain arenas (see [`crate::wal`] and
-    /// [`crate::group_commit`]).  Its append mutex is never held while taking a
-    /// page-table stripe mutex.
-    wal: Arc<WalMember>,
-    /// Group-commit coordinator scheduling this store's log drains and syncs; the
-    /// shards of a [`ShardedGss`](crate::ShardedGss) share one.
-    group: Arc<GroupCommitter>,
+    /// The write-ahead room log and the header's clean flag (see [`crate::wal`]).  Its
+    /// append mutex is never held while taking a page-table stripe mutex.
+    wal: Arc<Wal>,
+    /// Keeps the group-commit coordinator — and its cadence thread — alive as long as the
+    /// store; the shards of a [`ShardedGss`](crate::ShardedGss) share one.
+    _group: Arc<GroupCommitter>,
     /// Pinned-page write cursor: consecutive room writes landing on the same page skip
     /// the stripe-map probe (batch ingest sorts its writes by page to maximise runs).
     /// Taken only on the single-writer mutation path, never by readers.
     write_cursor: Mutex<PageCursor>,
     sync_state: Mutex<SyncState>,
-    /// Sticky fail-stop state, shared with the write-ahead-log membership: the first
+    /// Sticky fail-stop state, shared with the write-ahead log: the first
     /// failed fsync or unrecoverable write-back poisons it, after which every write
     /// path returns the original cause while reads keep serving from cache (see
     /// [`crate::error::StoreHealth`]).
@@ -231,12 +182,6 @@ impl FileStore {
         *self.wal.hook.lock() = hook;
     }
 
-    /// Invokes the installed flush hook, if any.  The hook mutex is a leaf lock: safe to
-    /// fire while holding the WAL mutex or a stripe mutex.
-    fn fire(&self, point: FlushPoint) {
-        self.wal.fire(point);
-    }
-
     /// Poisons the store with a write-path failure and returns the sticky cause.
     fn poison_fault(&self, context: &str, error: &io::Error) -> StoreFault {
         self.health.poison(StoreFault::from_io(context, error))
@@ -256,7 +201,7 @@ impl FileStore {
     /// Current write-ahead-log bytes (on disk plus pending in memory).
     pub(crate) fn wal_bytes(&self) -> u64 {
         let _wal_held = witness::acquire(LockClass::WalAppend);
-        self.wal.wal.lock().writer.bytes()
+        self.wal.wal.lock().bytes()
     }
 
     /// Clears the header's clean flag on the first mutation after a checkpoint.  Every
@@ -264,7 +209,7 @@ impl FileStore {
     /// pass through here *before* its frames may drain: a file whose log holds
     /// acknowledged frames while its header still reads clean would discard them on
     /// reopen.
-    fn mark_unclean_locked(&self, wal: &mut WalState) -> io::Result<()> {
+    fn mark_unclean_locked(&self, wal: &mut AppendState) -> io::Result<()> {
         if wal.clean {
             wal.clean = false;
             self.file.write_all_at(&[0], CLEAN_FLAG_OFFSET)?;
@@ -281,9 +226,9 @@ impl FileStore {
     fn append_frame(&self, frame: &[u8]) -> io::Result<(u64, u64)> {
         let _wal_held = witness::acquire(LockClass::WalAppend);
         let mut wal = self.wal.wal.lock();
-        wal.writer.append_encoded(frame);
+        let appended = wal.append(frame);
         self.mark_unclean_locked(&mut wal)?;
-        Ok((wal.writer.bytes(), wal.writer.appended_bytes()))
+        Ok(appended)
     }
 
     /// [`append_frame`](Self::append_frame) for the sketch-level frames: fail-stop
@@ -318,7 +263,7 @@ impl FileStore {
     /// [`ack_commit`](Self::ack_commit) consumes to drain the log.  A multi-shard batch
     /// appends every shard's frame before acknowledging any of them, so drain rounds
     /// led by concurrent writers cover the earlier shards' bytes and most
-    /// acknowledgements return on the coordinator's already-drained fast path instead
+    /// acknowledgements return on the log's already-written fast path instead
     /// of leading a small round each.
     ///
     /// Fail-stop gated, and the commit is registered with the durability accounting so
@@ -331,15 +276,14 @@ impl FileStore {
     }
 
     /// The acknowledgement half of a commit appended by
-    /// [`log_commit_deferred`](Self::log_commit_deferred) (see the free [`ack_commit`]).
+    /// [`log_commit_deferred`](Self::log_commit_deferred): see [`Wal::ack`].
     pub(crate) fn ack_commit(&self, ack: WalAck) -> Result<(), StoreFault> {
-        ack_commit(&self.group, &self.wal, ack)
+        self.wal.ack(ack)
     }
 
-    /// A [`WalAckHandle`] for this store — acknowledges deferred commits without the
-    /// sketch lock held.
-    pub(crate) fn ack_handle(&self) -> WalAckHandle {
-        WalAckHandle { group: Arc::clone(&self.group), wal: Arc::clone(&self.wal) }
+    /// This store's log, which acknowledges deferred commits without the sketch lock held.
+    pub(crate) fn ack_handle(&self) -> Arc<Wal> {
+        Arc::clone(&self.wal)
     }
 
     /// An honest account of acknowledged-versus-durable stream items (see
@@ -356,15 +300,6 @@ impl FileStore {
             durable_items,
             breached_items: if poisoned { acked_items.saturating_sub(durable_items) } else { 0 },
         }
-    }
-}
-
-/// Leaves the shared group-commit coordinator (sharded stores outlive each other): the
-/// sync cadence must stop sweeping this store's log file.  Dropping a bare store never
-/// checkpoints — that is the sketch's job — so the file is left as a crash would.
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        self.group.deregister(&self.wal);
     }
 }
 

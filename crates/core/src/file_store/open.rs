@@ -26,7 +26,7 @@ use super::write_back::SyncState;
 use super::{FileHeader, FileStore, TailSections};
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::StoreHealth;
-use crate::group_commit::{GroupCommitter, WalMember};
+use crate::group_commit::GroupCommitter;
 use crate::metrics::StoreCounters;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
@@ -34,7 +34,7 @@ use crate::pager::page_file::PageFile;
 use crate::pager::PAGE_BYTES;
 use crate::persistence::PersistenceError;
 use crate::storage::{Layout, RoomGrid, ROOM_OCCUPIED_BYTE};
-use crate::wal::{crc32, read_replay, wal_path, WalWriter};
+use crate::wal::{crc32, read_replay, wal_path, Wal};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -260,13 +260,15 @@ impl FileStore {
         lock: LockFile,
     ) -> io::Result<Self> {
         let counters = Arc::new(StoreCounters::default());
-        let wal = match log_prefix {
-            None => WalWriter::create(&wal_path(path), Arc::clone(&counters))?,
-            Some(len) => WalWriter::open_append(&wal_path(path), len, Arc::clone(&counters))?,
-        };
         let health = Arc::new(StoreHealth::new());
-        let wal = WalMember::new(wal, header.clean, Arc::clone(&health));
-        group.register(&wal);
+        let wal = Wal::open(
+            &wal_path(path),
+            log_prefix,
+            header.clean,
+            Arc::clone(&counters),
+            Arc::clone(&health),
+            &group,
+        )?;
         // v1 tails are monolithic (no valid section split), so their generation stamps
         // are poisoned: the first sketch sync then rewrites the whole tail, upgrading
         // the file to properly sectioned v2 in place.
@@ -279,7 +281,7 @@ impl FileStore {
             cache: PageCache::new(cache_pages, Arc::clone(&counters)),
             counters,
             wal,
-            group,
+            _group: group,
             write_cursor: Mutex::new(PageCursor::default()),
             sync_state: Mutex::new(SyncState { header, buffer_gen: stamp, node_gen: stamp }),
             health,

@@ -18,7 +18,9 @@ use crate::{GssSketch, GssStats};
 use gss_graph::{StreamEdge, SummaryWrite};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 impl FileStore {
     /// Checkpoints with an opaque, whole tail (compatibility wrapper over
@@ -377,13 +379,14 @@ fn flush_hook_observes_the_checkpoint_sequence() {
     let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
-    store.set_flush_hook(Some(Box::new(move |point| sink.lock().push(point))));
+    store.set_flush_hook(Some(Arc::new(move |point| sink.lock().push(point))));
     store.store_room(0, 0, 0, sample_room(3)).unwrap();
     store.write_tail(1, b"t").unwrap();
     let seen = seen.lock().clone();
     assert_eq!(
         seen,
         vec![
+            FlushPoint::WalArenaSwap,
             FlushPoint::WalFlush,
             FlushPoint::PageWriteBack,
             FlushPoint::TailWrite,
@@ -549,6 +552,58 @@ fn injected_wal_fault_fail_stops_writes_reads_keep_serving_and_the_report_is_hon
     remove(&path);
 }
 
+/// A checkpoint waits out another writer's round in flight before its own drain.  When
+/// that round fails, the log is poisoned and never synced again, so the checkpoint must
+/// stop before it touches the tail rather than rewrite it behind an unsynced log.
+#[test]
+fn a_checkpoint_stops_when_the_round_it_waited_out_poisons_the_log() {
+    let path = temp_path("poisoned-round");
+    // Only the log: its magic write at create is occurrence 1, the parked round's arena
+    // write is 2.
+    let token = format!("gss-file-store-{}-poisoned-round.gss.wal", std::process::id());
+    let _guard = install(FaultPlan::parse("write:eio@2").unwrap().with_path_token(&token));
+    let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+    store.store_room(0, 0, 0, sample_room(7)).unwrap();
+    let (_, ack) = store.log_commit_deferred(1).unwrap();
+    let (parked, release) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    {
+        let (parked, release, seen) =
+            (Arc::clone(&parked), Arc::clone(&release), Arc::clone(&seen));
+        store.set_flush_hook(Some(Arc::new(move |point| {
+            if point == FlushPoint::WalArenaSwap && !parked.swap(true, Ordering::SeqCst) {
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            seen.lock().push(point);
+        })));
+    }
+    let store = &store;
+    std::thread::scope(|scope| {
+        let leader = scope.spawn(|| store.ack_commit(ack));
+        while !parked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The checkpoint passes its health gate and appends its TAIL frame, then waits
+        // for the parked round.  Bounded, so a checkpoint that waits elsewhere reports.
+        let logged = store.wal_bytes();
+        let checkpoint = scope.spawn(|| store.write_tail(1, b"t"));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while store.wal_bytes() == logged && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let appended = store.wal_bytes() > logged;
+        release.store(true, Ordering::SeqCst);
+        leader.join().unwrap().expect_err("the parked round's write fails");
+        checkpoint.join().unwrap().expect_err("a checkpoint behind a poisoned log fails");
+        assert!(appended, "the checkpoint logged no TAIL frame while the round was parked");
+    });
+    assert!(store.health().is_poisoned());
+    assert!(!seen.lock().contains(&FlushPoint::TailWrite), "the tail was rewritten");
+    remove(&path);
+}
+
 /// The runtime fields of [`GssStats`], named for failure messages.
 fn runtime_fields(stats: &GssStats) -> [(&'static str, u64); 13] {
     [
@@ -603,17 +658,31 @@ fn every_runtime_counter_reaches_detailed_stats() {
         drop(latch);
         reader.join().unwrap();
     });
+    // ...and a commit parks behind a leader whose round a hook holds at its arena swap.
+    let (parked, release) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let (parked_in_hook, release_in_hook) = (Arc::clone(&parked), Arc::clone(&release));
+    store.set_flush_hook(Some(Arc::new(move |point| {
+        if point == FlushPoint::WalArenaSwap && !parked_in_hook.swap(true, Ordering::SeqCst) {
+            while !release_in_hook.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+    })));
     let (_, ack) = store.log_commit_deferred(sketch.items_inserted()).unwrap();
     std::thread::scope(|scope| {
-        // ...and a commit parks behind a drain token this thread holds.
-        let token = store.group.exclusive(&store.wal);
+        let leader = scope.spawn(|| store.ack_commit(ack));
+        while !parked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
         let committer = scope.spawn(|| store.ack_commit(ack));
         while metrics::get(&store.counters.wal_group_waits) == 0 {
             std::thread::yield_now();
         }
-        drop(token);
+        release.store(true, Ordering::SeqCst);
+        leader.join().unwrap().unwrap();
         committer.join().unwrap().unwrap();
     });
+    store.set_flush_hook(None);
     sketch.insert_batch(&wired_stream(100));
     sketch.sync().unwrap_err();
     for (field, value) in runtime_fields(&sketch.detailed_stats()) {

@@ -18,6 +18,7 @@ use crate::pager::page_cache::PageIo;
 use crate::pager::witness::{self, LockClass};
 use crate::pager::PAGE_BYTES;
 use crate::storage::Layout;
+use crate::wal;
 use std::io;
 
 /// The tail sections a checkpoint may rewrite.  `None` means "unchanged since the last
@@ -60,19 +61,16 @@ impl PageIo for FileStore {
         self.drain_wal()?;
         self.file.write_all_at(&data[..], Layout::page_offset(index))?;
         metrics::add(&self.counters.pages_flushed, 1);
-        self.fire(FlushPoint::PageWriteBack);
+        self.wal.fire(FlushPoint::PageWriteBack);
         Ok(())
     }
 }
 
 impl FileStore {
     /// Drains pending write-ahead-log frames — the write-ahead barrier every page
-    /// write-back must pass first.  Routed through the group-commit coordinator so the
-    /// drain serializes with in-flight rounds; no sync is forced, because the
-    /// write-ahead invariant only needs the frames in the log *image* before the page
-    /// image changes.
+    /// write-back must pass first (see [`Wal::barrier`](crate::wal::Wal::barrier)).
     fn drain_wal(&self) -> io::Result<()> {
-        self.group.barrier(&self.wal)
+        self.wal.barrier()
     }
 
     /// Flushes every dirty page to the file (pages stay cached, now clean), draining the
@@ -90,7 +88,7 @@ impl FileStore {
             self.cache.mark_clean(slot);
         }
         if wrote {
-            self.fire(FlushPoint::PageWriteBack);
+            self.wal.fire(FlushPoint::PageWriteBack);
         }
         Ok(())
     }
@@ -125,11 +123,11 @@ impl FileStore {
         let mut sync = self.sync_state.lock();
         let generations_match =
             sections.buffer_gen == sync.buffer_gen && sections.node_gen == sync.node_gen;
-        {
+        let was_clean = {
             let _wal_held = witness::acquire(LockClass::WalAppend);
             let wal = self.wal.wal.lock();
             if wal.clean
-                && wal.writer.is_empty()
+                && wal.is_empty()
                 && sections.buffer.is_none()
                 && sections.node.is_none()
                 && generations_match
@@ -137,7 +135,8 @@ impl FileStore {
             {
                 return Ok(());
             }
-        }
+            wal.clean
+        };
         debug_assert!(
             sections.buffer.is_some() || sections.buffer_gen == sync.buffer_gen,
             "a moved buffer generation must come with its section bytes"
@@ -152,32 +151,26 @@ impl FileStore {
             sections.node.is_some() || buffer.len == sync.header.buffer.len,
             "the node section must be rewritten when the buffer section changes length"
         );
-        // 1. The tail image goes to the log first: a crash anywhere below recovers it.
-        // 2. Then mark the file unclean before touching it (a no-op when a mutation
-        //    already did — items-only checkpoints exist): a crash between the partial
-        //    tail write below and the final header update must leave the file routed
-        //    through recovery, never accepted with a torn tail.
-        {
-            // The drain token waits out any in-flight group drain before the TAIL
-            // frame is appended and synced: an overlapping arena write completing
-            // *after* this sync would leave a hole in the synced log image in front of
-            // the TAIL, hiding it from replay while step 4 overwrites the file tail.
-            let _drains_excluded = self.group.exclusive(&self.wal);
-            let _wal_held = witness::acquire(LockClass::WalAppend);
-            let mut wal = self.wal.wal.lock();
-            wal.writer.log_tail(items, sections.buffer, sections.node);
-            let pending = wal.writer.pending_bytes() as u64;
-            wal.writer.sync()?;
-            self.wal.note_synced_locked(pending);
-            self.fire(FlushPoint::WalFlush);
-            let was_clean = wal.clean;
-            self.mark_unclean_locked(&mut wal)?;
-            if was_clean {
-                self.file.sync_data()?;
-            }
+        // 1. The tail image goes to the log first, the way every frame does: appended,
+        //    drained by the barrier, synced.  A crash anywhere below recovers it.  The
+        //    barrier first waits out any round another writer has in flight (a sharded
+        //    store acknowledges outside the shard lock this checkpoint holds), so the
+        //    synced log image never has a hole in front of the TAIL.
+        // 2. Appending cleared the clean flag (a no-op when a mutation already had —
+        //    items-only checkpoints exist).  When this checkpoint cleared it, the sketch
+        //    file is synced too: a crash between the partial tail write below and the
+        //    final header update must leave the file routed through recovery, never
+        //    accepted with a torn tail.
+        self.append_frame(&wal::tail_frame(items, sections.buffer, sections.node))?;
+        self.drain_wal()?;
+        self.wal.sync()?;
+        // The sync skips a log another writer's failed round or sync has poisoned since
+        // the gate above; the tail must not be touched then.
+        self.health.check().map_err(|fault| fault.to_io())?;
+        if was_clean {
+            self.file.sync_data()?;
         }
-        // 3. Every dirty page out.  The WAL lock is released — drains and page traffic
-        //    stay independently locked.
+        // 3. Every dirty page out (its barrier finds the log drained).
         self.flush_pages()?;
         // 4. Only the tail sections whose generation moved are rewritten.
         let tail_offset = self.grid.layout.tail_offset();
@@ -190,7 +183,7 @@ impl FileStore {
             metrics::add(&self.counters.tail_bytes_written, node.len);
         }
         self.file.set_len(tail_offset + buffer.len + node.len)?;
-        self.fire(FlushPoint::TailWrite);
+        self.wal.fire(FlushPoint::TailWrite);
         // 5. Header: magic, counters, section CRCs, clean flag.  Checkpoints run with no
         //    concurrent mutators (the sketch's `&mut self` contract), so the occupancy
         //    count is quiescent here.
@@ -214,13 +207,11 @@ impl FileStore {
             let mut wal = self.wal.wal.lock();
             wal.clean = true;
             metrics::add(&self.counters.checkpoints, 1);
-            self.fire(FlushPoint::CheckpointDone);
-            // 6. Every logged frame is now covered by the checkpoint.  No drain can be
-            //    in flight here: the pending arena has been empty since step 1-2
-            //    (checkpoints run with no concurrent mutators), so any group round
-            //    since then took nothing.
-            debug_assert_eq!(wal.writer.pending_bytes(), 0, "mutation during checkpoint");
-            wal.writer.truncate()?;
+            self.wal.fire(FlushPoint::CheckpointDone);
+            // 6. Every logged frame is now covered by the checkpoint.  No round can be in
+            //    flight: the log has been drained since step 1 and checkpoints run with
+            //    no concurrent mutators, so any round since then took nothing.
+            self.wal.truncate(&mut wal)?;
         }
         sync.header = header;
         sync.buffer_gen = sections.buffer_gen;

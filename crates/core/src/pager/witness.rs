@@ -37,14 +37,15 @@ pub enum LockClass {
     StripeMap = 2,
     /// A page-slot `RwLock` latch (`PageSlot::data`).
     PageLatch = 3,
-    /// The WAL append mutex (`FileStore::wal`).
+    /// The WAL append mutex (`Wal::wal`).
     WalAppend = 4,
     /// The flush-hook mutex (leaf: user callbacks fire outside all store locks).
     Hook = 5,
-    /// The group-commit coordinator's state mutex (`GroupCommitter::group`).  Sits
-    /// between the stripe/checkpoint layer and the WAL append mutex in the DAG: the
-    /// eviction barrier takes it under a stripe guard, and the elected leader releases
-    /// it *before* draining any member's WAL, so no Group → Wal edge exists at runtime.
+    /// A group-commit mutex: a log's drain token (`Wal::group_token`) or the cadence's
+    /// member list (`Cadence::group`).  Sits between the stripe/checkpoint layer and the
+    /// WAL append mutex in the DAG: the eviction barrier takes the token under a stripe
+    /// guard, and a leader releases it *before* touching the append mutex, so no
+    /// Group → Wal edge exists at runtime.
     GroupCommit = 6,
     /// The `gss-server` namespace-registry `RwLock` (tenant name → open tenant map).
     /// Sits *above* [`LockClass::Shard`] at the very top of the DAG: a request handler

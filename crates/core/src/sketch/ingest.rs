@@ -4,13 +4,14 @@
 use super::GssSketch;
 use crate::config::MAX_SEQUENCE_LENGTH;
 use crate::error::{GssError, StoreFault};
-use crate::file_store::{WalAck, WalAckHandle};
 use crate::hashing::HashedNode;
 use crate::matrix::RoomKey;
 use crate::storage::{BucketProbe, PageSource, RoomStorage, RoomStore};
+use crate::wal::{Wal, WalAck};
 use gss_graph::{StreamEdge, SummaryWrite, VertexId, Weight};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A candidate bucket for an edge: matrix coordinates plus the sequence indices that
 /// produced them.
@@ -205,9 +206,9 @@ impl GssSketch {
         }
     }
 
-    /// A lock-free acknowledger for this sketch's deferred commits (`None` for in-memory
-    /// sketches) — see [`WalAckHandle`].
-    pub(crate) fn wal_ack_handle(&self) -> Option<WalAckHandle> {
+    /// A lock-free acknowledger for this sketch's deferred commits — its log, see
+    /// [`Wal::ack`] (`None` for in-memory sketches).
+    pub(crate) fn wal_ack_handle(&self) -> Option<Arc<Wal>> {
         match &self.matrix {
             RoomStorage::File(store) => Some(store.ack_handle()),
             RoomStorage::Memory(_) => None,
@@ -320,8 +321,9 @@ impl GssSketch {
         self.insert_nodes(source_node, destination_node, weight)
     }
 
-    /// Batched edge updating, observationally identical to per-item [`insert`] but with the
-    /// per-item work amortised across the batch:
+    /// [`SummaryWrite::insert_batch`] without the commit frame: batched edge updating,
+    /// observationally identical to per-item [`insert`] but with the per-item work
+    /// amortised across the batch:
     ///
     /// * every distinct endpoint is hashed (and its `⟨H(v), v⟩` pair registered) once;
     /// * each endpoint's square-hashing address sequence is computed once and reused by
@@ -332,11 +334,11 @@ impl GssSketch {
     ///   and later items only add weight, the resulting matrix/buffer state is exactly the
     ///   state the per-item path produces.
     ///
+    /// Returns whether a commit is owed (`false` only for an empty batch, which mutates
+    /// nothing).  On a fault the store is already poisoned and the batch may be partially
+    /// applied — the caller must not acknowledge it.
+    ///
     /// [`insert`]: SummaryWrite::insert
-    /// [`SummaryWrite::insert_batch`] without the commit frame; returns whether a commit
-    /// is owed (`false` only for an empty batch, which mutates nothing).  On a fault the
-    /// store is already poisoned and the batch may be partially applied — the caller
-    /// must not acknowledge it.
     fn insert_batch_staged(&mut self, items: &[StreamEdge]) -> Result<bool, StoreFault> {
         if items.len() < 2 {
             match items.first() {
@@ -407,10 +409,9 @@ impl GssSketch {
 
     /// [`SummaryWrite::insert_batch`] with the commit deferred — the per-shard half of
     /// the sharded two-phase commit: stages the batch, appends the commit frame, and
-    /// returns the acknowledgement token for the shard's
-    /// [`WalAckHandle`] — `None` when nothing is owed
-    /// (empty batch, in-memory sketch, or an inline automatic checkpoint already made
-    /// the commit durable).
+    /// returns the acknowledgement token for the shard's log ([`Wal::ack`]) — `None` when
+    /// nothing is owed (empty batch, in-memory sketch, or an inline automatic checkpoint
+    /// already made the commit durable).
     pub(crate) fn insert_batch_deferred(
         &mut self,
         items: &[StreamEdge],

@@ -1,4 +1,5 @@
-//! Write-ahead room log for the file-backed sketch: [`WalWriter`] and [`WalReplay`].
+//! Write-ahead room log for the file-backed sketch: the store's one log (`Wal`) and
+//! its replay ([`WalReplay`]).
 //!
 //! A [`FileStore`](crate::FileStore) sketch file is only consistent at checkpoint
 //! boundaries ([`GssSketch::sync`](crate::GssSketch::sync)); between checkpoints its page
@@ -41,33 +42,47 @@
 //!
 //! ## Locking and group commit
 //!
-//! [`WalWriter`] is not itself thread-safe; the store wraps it in a dedicated **append
-//! mutex** separate from every page-cache lock, so log appends never serialize page
-//! reads and concurrent readers never wait behind a logging writer.  Frames are encoded
-//! and checksummed on the caller's stack (`room_frame`/`buffer_frame`/`node_frame`
-//! /`commit_frame`) *before* the append mutex is taken — an append under the lock is
-//! one `memcpy`.  Draining is double-buffered: `WalWriter::take_pending` swaps the
-//! pending arena out under the mutex and reserves its file range, and the group-commit
-//! coordinator ([`crate::group_commit`]) performs the positioned write outside every
-//! lock, so appends from other writers proceed while a batch is in flight.
+//! A store has one log, `Wal`: one file handle, one counter set, and one path from its
+//! pending arena to the file.  Its **append mutex** is separate from every page-cache
+//! lock, so log appends never serialize page reads.  Frames are encoded and checksummed on
+//! the caller's stack (`room_frame`, `buffer_frame`, `node_frame`, `commit_frame`,
+//! `tail_frame`) *before* the mutex is taken — an append under it is one `memcpy`.
+//!
+//! Every frame reaches the file through a **drain round**.  The round's leader holds the
+//! log's drain token; it swaps the pending arena for a spare under the append mutex,
+//! which reserves the arena's file range, and writes it outside every lock, so appends
+//! proceed while a round is in flight.  A commit leads a round, or parks on the token and
+//! rides the leader's.  The write-ahead barrier ahead of every page write-back drains
+//! the same way, and so does a checkpoint's `TAIL` frame before its sync.  With one token
+//! per log, at most one arena write is ever in flight, and a barrier holding the token
+//! has waited out every earlier round: a sync after it can never leave a hole in front of
+//! the frames it drained.  The sync has one body too, shared by the checkpoint and the
+//! group-commit cadence ([`crate::group_commit`]).
 //!
 //! The lock-order rules (enforced by `gss-lint` L001 and the runtime witness): the
-//! append mutex is never held while a page-table stripe mutex is taken, and the
-//! group-commit state mutex sits strictly *between* the stripe layer and the append
-//! mutex — `stripe ≺ group ≺ wal` — because the eviction write-back barrier takes the
-//! coordinator (and, on its already-drained fast path, the append mutex directly)
-//! under a stripe guard while an elected leader releases the coordinator before
-//! touching any member's append mutex.  Rule **L003** (panic-in-recovery) keeps
-//! this module's replay path (`read_replay`/`parse_frame`) free of panic sites — damaged
-//! log bytes end the valid prefix, they never abort recovery.
+//! append mutex is never held while a page-table stripe mutex is taken, and the drain
+//! token's mutex sits strictly *between* the stripe layer and the append mutex —
+//! `stripe ≺ group ≺ wal` — because the eviction write-back barrier takes the token
+//! (and, on its already-drained fast path, the append mutex directly) under a stripe
+//! guard, while a leader releases the token's mutex before touching the append mutex.
+//! Rule **L003** (panic-in-recovery) keeps this module's replay path
+//! (`read_replay`/`parse_frame`) free of panic sites — damaged log bytes end the valid
+//! prefix, they never abort recovery.
 
+use crate::error::{StoreFault, StoreHealth};
+use crate::file_store::{FlushHook, FlushPoint};
+use crate::group_commit::{unpoison, Cadence, GroupCommitter};
 use crate::metrics::{self, StoreCounters};
 use crate::pager::page_file::PageFile;
+use crate::pager::witness::{self, LockClass};
 use crate::storage::ROOM_RECORD_BYTES;
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// Magic bytes identifying a GSS write-ahead log (version 1).
 pub const WAL_MAGIC: [u8; 8] = *b"GSSWAL0\x01";
@@ -224,164 +239,401 @@ pub(crate) fn commit_frame(items: u64) -> [u8; COMMIT_FRAME_BYTES] {
     seal(TAG_COMMIT, &items.to_le_bytes())
 }
 
-/// Append side of the log: an open file plus an in-memory `pending` arena so a whole
-/// insert (or, under group commit, many writers' inserts) reaches the file in one
-/// positioned `write`.  The file handle is a shared [`PageFile`] so the group-commit
-/// drain can write a taken arena (and `fdatasync` the log) without the append mutex.
-#[derive(Debug)]
-pub struct WalWriter {
-    file: Arc<PageFile>,
-    /// Bytes written (or reserved by an in-flight arena drain) in the log file,
-    /// including the magic.
-    len: u64,
-    /// Encoded frames not yet written to the file.
-    pending: Vec<u8>,
-    /// The owning store's counters; every drain of `pending` into the file counts one
-    /// `wal_flushes`.
-    pub(crate) counters: Arc<StoreCounters>,
-    /// Cumulative bytes of frames ever appended (never reset, not even by
-    /// [`truncate`](Self::truncate)): group commit compares acknowledgement targets
-    /// against cumulative drained bytes, decoupled from file offsets.
-    appended: u64,
+/// Encodes a `TAIL` frame outside any lock: the image of the tail sections a checkpoint is
+/// about to rewrite (an absent section is unchanged on disk and has no pending deltas).
+pub(crate) fn tail_frame(items: u64, buffer: Option<&[u8]>, node: Option<&[u8]>) -> Vec<u8> {
+    let sections = [buffer, node];
+    let mut frame = Vec::with_capacity(
+        1 + 9 + sections.iter().flatten().map(|s| 8 + s.len()).sum::<usize>() + 4,
+    );
+    frame.push(TAG_TAIL);
+    frame.extend_from_slice(&items.to_le_bytes());
+    frame.push(u8::from(buffer.is_some()) | (u8::from(node.is_some()) << 1));
+    for section in sections.into_iter().flatten() {
+        frame.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        frame.extend_from_slice(section);
+    }
+    let crc = crc32(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame
 }
 
-impl WalWriter {
-    /// Creates (or truncates) the log at `path` and writes the magic; the log's I/O and
-    /// drains count into `counters`.
-    pub fn create(path: &Path, counters: Arc<StoreCounters>) -> io::Result<Self> {
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        let file = Arc::new(PageFile::wrap(file, path, Arc::clone(&counters)));
-        file.write_all_at(&WAL_MAGIC, 0)?;
-        Ok(Self { file, len: WAL_MAGIC.len() as u64, pending: Vec::new(), counters, appended: 0 })
-    }
+/// The deferred half of a two-phase commit: `FileStore::log_commit_deferred` appends the
+/// commit frame and returns this token, and [`Wal::ack`] consumes it.  A multi-shard batch
+/// appends every shard's frame before acknowledging any of them, so concurrent drain
+/// rounds cover each other's bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalAck {
+    /// Cumulative appended bytes that must be written before the commit is acknowledged.
+    pub(crate) target: u64,
+    /// Cumulative stream items the commit frame covers, credited to the durability
+    /// accounting when the commit is acknowledged.
+    pub(crate) items: u64,
+}
 
-    /// Opens an existing log for appending after the first `valid_len` bytes (used after
-    /// crash recovery with [`WalReplay::valid_bytes`], so the recovery checkpoint's
-    /// `TAIL` frame lands *immediately behind* the frames it supersedes — any torn
-    /// suffix is cut off first, otherwise a second replay would stop at the tear and
-    /// never reach the `TAIL` frame).  Creates the log if missing.
-    pub fn open_append(
-        path: &Path,
-        valid_len: u64,
-        counters: Arc<StoreCounters>,
-    ) -> io::Result<Self> {
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let mut len = file.metadata()?.len().min(valid_len);
-        if len < WAL_MAGIC.len() as u64 {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&WAL_MAGIC)?;
-            len = WAL_MAGIC.len() as u64;
-        } else {
-            file.set_len(len)?;
-        }
-        let file = Arc::new(PageFile::wrap(file, path, Arc::clone(&counters)));
-        Ok(Self { file, len, pending: Vec::new(), counters, appended: 0 })
-    }
+/// What a log's append mutex guards.
+pub(crate) struct AppendState {
+    /// Encoded frames not yet drained to the file.
+    pending: Vec<u8>,
+    /// The idle half of the double buffer, swapped in when a round takes `pending`.
+    spare: Vec<u8>,
+    /// Bytes written (or reserved by an in-flight round) in the log file, magic included.
+    len: u64,
+    /// Cumulative bytes of frames ever appended, never reset — not even by truncation:
+    /// commit targets are compared against cumulative written bytes, not file offsets.
+    appended: u64,
+    /// Mirrors the sketch header's clean flag, so the header is rewritten only when the
+    /// flag actually transitions.
+    pub(crate) clean: bool,
+}
 
-    /// The shared log-file handle, for positioned drain writes and `fdatasync` issued by
-    /// the group-commit coordinator outside the append mutex.
-    pub(crate) fn shared_file(&self) -> Arc<PageFile> {
-        Arc::clone(&self.file)
-    }
-
-    fn frame(&mut self, tag: u8, payload: &[u8]) {
-        let start = self.pending.len();
-        self.pending.push(tag);
-        self.pending.extend_from_slice(payload);
-        let crc = crc32(&self.pending[start..]);
-        self.pending.extend_from_slice(&crc.to_le_bytes());
-        self.appended += (self.pending.len() - start) as u64;
-    }
-
-    /// Appends one pre-encoded frame (see `room_frame` and friends): the only work
-    /// under the append mutex is this `memcpy`.
-    pub(crate) fn append_encoded(&mut self, frame: &[u8]) {
+impl AppendState {
+    /// Appends one pre-encoded frame (see `room_frame` and friends): the only work under
+    /// the append mutex is this `memcpy`.  Returns the total log bytes and the cumulative
+    /// appended bytes (a commit's acknowledgement target).
+    pub(crate) fn append(&mut self, frame: &[u8]) -> (u64, u64) {
         self.pending.extend_from_slice(frame);
         self.appended += frame.len() as u64;
+        (self.bytes(), self.appended)
     }
 
-    /// Logs the tail image a checkpoint is about to write (only the sections being
-    /// rewritten; an absent section is unchanged on disk and has no pending deltas).
-    pub fn log_tail(&mut self, items: u64, buffer: Option<&[u8]>, node: Option<&[u8]>) {
-        let mut payload = Vec::with_capacity(
-            9 + buffer.map_or(0, |b| b.len() + 8) + node.map_or(0, |n| n.len() + 8),
-        );
-        payload.extend_from_slice(&items.to_le_bytes());
-        payload.push(u8::from(buffer.is_some()) | (u8::from(node.is_some()) << 1));
-        for section in [buffer, node].into_iter().flatten() {
-            payload.extend_from_slice(&(section.len() as u64).to_le_bytes());
-            payload.extend_from_slice(section);
-        }
-        self.frame(TAG_TAIL, &payload);
-    }
-
-    /// Whether the log holds no frames (neither durable nor pending).
-    pub fn is_empty(&self) -> bool {
+    /// Whether the log holds no frames, neither in the file nor pending.
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == WAL_MAGIC.len() as u64 && self.pending.is_empty()
     }
 
-    /// Bytes of encoded frames not yet drained to the file.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Total log bytes: durable file bytes plus the pending buffer.
-    pub fn bytes(&self) -> u64 {
+    /// Total log bytes: the file's (written or reserved) plus the pending arena.
+    pub(crate) fn bytes(&self) -> u64 {
         self.len + self.pending.len() as u64
     }
+}
 
-    /// Cumulative bytes of frames ever appended (see the field docs); monotone across
-    /// truncations, so it serves as a commit acknowledgement target.
-    pub(crate) fn appended_bytes(&self) -> u64 {
-        self.appended
+/// A store's write-ahead log: the append mutex, the one file handle, and the one path
+/// from the pending arena to the file — drain rounds, the sync and the durability
+/// accounting (see the module docs).
+pub(crate) struct Wal {
+    /// The append mutex (lock class `WalAppend`): held for appends, arena swaps and
+    /// truncation, never across a drain write or a sync.
+    pub(crate) wal: Mutex<AppendState>,
+    file: PageFile,
+    /// The owning store's counters: drains (`wal_flushes`), rounds led by commits
+    /// (`wal_group_commits`), commits parked behind another leader (`wal_group_waits`)
+    /// and log syncs (`fsyncs`).
+    counters: Arc<StoreCounters>,
+    /// Observer of durability points (crash-test kill points).  Leaf lock (class `Hook`),
+    /// held only to clone the hook out.
+    pub(crate) hook: Mutex<Option<FlushHook>>,
+    /// Cumulative appended bytes whose log-file write has completed: a commit is
+    /// acknowledged once `written` reaches its target.
+    written: AtomicU64,
+    /// Cumulative appended bytes covered by the last sync — a conservative lower bound on
+    /// durable bytes, stored only after the sync returns.
+    synced: AtomicU64,
+    /// The drain token (lock class `GroupCommit`): true while a round is in flight.  Held
+    /// only to flip the flag, never across I/O.
+    group_token: StdMutex<bool>,
+    /// Signalled when a round ends; parked committers and barriers re-check.
+    done: Condvar,
+    /// The owning store's sticky fail-stop state: a failed drain poisons it *before*
+    /// `written` advances, so a committer woken by that advance always observes the
+    /// poison (no "fsyncgate"-style false acknowledgement).
+    health: Arc<StoreHealth>,
+    /// Stream items acknowledged to callers (cumulative).
+    acked_items: AtomicU64,
+    /// Stream items whose commit frames completed their log-file write (cumulative): the
+    /// honest lower bound [`DurabilityReport`](crate::DurabilityReport) exposes.
+    durable_items: AtomicU64,
+    /// Commits awaiting durability credit: target → cumulative item count.  Leaf mutex,
+    /// never held across I/O or any other lock.
+    pending_acks: StdMutex<BTreeMap<u64, u64>>,
+    /// The coordinator's cadence, which every led commit round reports to.  Not the
+    /// coordinator itself: the cadence thread holds the logs it sweeps, so a log must
+    /// never own that thread (see [`crate::group_commit`]).
+    cadence: Arc<Cadence>,
+}
+
+impl std::fmt::Debug for Wal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Wal").finish_non_exhaustive()
     }
+}
 
-    /// Swaps the pending arena out into `into` (which must be empty) and reserves its
-    /// file range, returning the write offset.  The caller performs the positioned write
-    /// *outside* the append mutex and hands the old arena back as the next spare — the
-    /// double-buffered half of group commit.  Counts as one drain.
-    pub(crate) fn take_pending(&mut self, into: &mut Vec<u8>) -> u64 {
-        debug_assert!(into.is_empty(), "the spare arena must be empty before a swap");
-        std::mem::swap(&mut self.pending, into);
-        let offset = self.len;
-        self.len += into.len() as u64;
-        metrics::add(&self.counters.wal_flushes, 1);
-        offset
-    }
-
-    /// Drains the pending buffer into the file in one positioned write.  This is the
-    /// write-ahead barrier: callers must invoke it (or route through the group-commit
-    /// coordinator) before any dirty page covered by pending frames is written back to
-    /// the sketch file.
-    pub fn flush(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
+impl Wal {
+    /// Opens the log at `path` and registers it with `group`'s cadence.  `keep` is `None`
+    /// for an empty log, or the prefix recovery keeps ([`WalReplay::valid_bytes`]): any
+    /// torn suffix is cut off, so the recovery checkpoint's `TAIL` frame lands right behind
+    /// the frames it supersedes — a second replay would stop at the tear otherwise.  The
+    /// log's I/O and drains count into `counters`.
+    pub(crate) fn open(
+        path: &Path,
+        keep: Option<u64>,
+        clean: bool,
+        counters: Arc<StoreCounters>,
+        health: Arc<StoreHealth>,
+        group: &GroupCommitter,
+    ) -> io::Result<Arc<Self>> {
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        let mut len = file.metadata()?.len().min(keep.unwrap_or(0));
+        file.set_len(len)?;
+        let file = PageFile::wrap(file, path, Arc::clone(&counters));
+        if len < WAL_MAGIC.len() as u64 {
+            file.write_all_at(&WAL_MAGIC, 0)?;
+            len = WAL_MAGIC.len() as u64;
         }
-        self.file.write_all_at(&self.pending, self.len)?;
-        self.len += self.pending.len() as u64;
-        self.pending.clear();
-        metrics::add(&self.counters.wal_flushes, 1);
+        let state = AppendState { pending: Vec::new(), spare: Vec::new(), len, appended: 0, clean };
+        let wal = Arc::new(Self {
+            wal: Mutex::new(state),
+            file,
+            counters,
+            hook: Mutex::new(None),
+            written: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
+            group_token: StdMutex::new(false),
+            done: Condvar::new(),
+            health,
+            acked_items: AtomicU64::new(0),
+            durable_items: AtomicU64::new(0),
+            pending_acks: StdMutex::new(BTreeMap::new()),
+            cadence: Arc::clone(&group.cadence),
+        });
+        group.cadence.register(&wal);
+        Ok(wal)
+    }
+
+    /// Invokes the installed flush hook, if any.  The hook mutex is a leaf held only to
+    /// clone the hook out, so firing under any store lock is safe.
+    pub(crate) fn fire(&self, point: FlushPoint) {
+        let hook = {
+            let _hook_held = witness::acquire(LockClass::Hook);
+            self.hook.lock().clone()
+        };
+        if let Some(hook) = hook {
+            hook(point);
+        }
+    }
+
+    /// Registers a deferred commit for durability accounting: once `target` appended
+    /// bytes complete their log-file write, `items` total stream items are covered by
+    /// the log image.  Credited immediately when the log is already written past the
+    /// target (the entry would otherwise never be visited again).
+    pub(crate) fn record_commit(&self, target: u64, items: u64) {
+        unpoison(self.pending_acks.lock()).insert(target, items);
+        self.credit_durable(self.written.load(Ordering::Acquire));
+    }
+
+    /// Marks `items` total stream items as acknowledged to the caller.
+    pub(crate) fn record_ack(&self, items: u64) {
+        // relaxed: a monotone accounting counter, read only by report snapshots.
+        self.acked_items.fetch_max(items, Ordering::Relaxed);
+    }
+
+    /// Credits every pending commit whose target is covered by `written_upto`
+    /// successfully written bytes.  A poisoned log credits nothing: `written` also
+    /// advances for failed drains (to release parked committers), so its value no
+    /// longer proves the bytes reached the file.
+    fn credit_durable(&self, written_upto: u64) {
+        if self.health.is_poisoned() {
+            return;
+        }
+        let mut pending = unpoison(self.pending_acks.lock());
+        if pending.range(..=written_upto).next().is_none() {
+            return;
+        }
+        let still_pending = pending.split_off(&(written_upto.saturating_add(1)));
+        let covered = pending.values().copied().max();
+        *pending = still_pending;
+        drop(pending);
+        if let Some(items) = covered {
+            // relaxed: a monotone accounting counter, read only by report snapshots.
+            self.durable_items.fetch_max(items, Ordering::Relaxed);
+        }
+    }
+
+    /// Snapshot of `(acked_items, durable_items)` for the durability report.
+    pub(crate) fn item_counts(&self) -> (u64, u64) {
+        // relaxed: accounting counters, read only by report snapshots.
+        let acked = self.acked_items.load(Ordering::Relaxed);
+        let durable = self.durable_items.load(Ordering::Relaxed);
+        (acked, durable.min(acked))
+    }
+
+    /// Acknowledges a deferred commit once its frames are in the log file — the one
+    /// acknowledger, behind the sketch's commit and `ShardedGss`'s lock-free ack pass
+    /// alike.  A failed drain or sync poisons the store and returns its sticky
+    /// [`StoreFault`]; on success the items are credited as acknowledged.
+    pub(crate) fn ack(&self, ack: WalAck) -> Result<(), StoreFault> {
+        self.health.check()?;
+        self.commit(ack.target).map_err(|error| {
+            self.health.poison(StoreFault::from_io("write-ahead-log group commit", &error))
+        })?;
+        self.record_ack(ack.items);
         Ok(())
     }
 
-    /// Flushes and then asks the OS to persist the log (checkpoint boundaries and the
-    /// group-commit sync cadence; between those points the hot path relies on `write`
-    /// ordering, which survives process death).
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.flush()?;
-        self.file.sync_data()
+    /// Returns once the log-file write covers `target` appended bytes, leading a drain
+    /// round when none in flight will cover them and reporting it to the cadence.
+    pub(crate) fn commit(&self, target: u64) -> io::Result<()> {
+        let mut counted_wait = false;
+        loop {
+            // Acquire pairs with the AcqRel bump after a completed round, so an
+            // acknowledged committer also observes the round's writer-side state.
+            if self.written.load(Ordering::Acquire) >= target {
+                // `written` also advances for *failed* drains (to release parked
+                // committers), so reaching the target proves nothing by itself: a log
+                // poisoned at or before this point must error every commit whose bytes
+                // the failed round may have covered, not just the leader's.  The poison
+                // store is ordered before the `written` advance, so this check cannot
+                // miss the failure that woke us.
+                return self.health.check().map_err(|fault| fault.to_io());
+            }
+            self.health.check().map_err(|fault| fault.to_io())?;
+            if !self.try_claim(&mut counted_wait) {
+                continue;
+            }
+            if self.written.load(Ordering::Acquire) >= target {
+                // A barrier drained our frames while we queued for the token; the round
+                // is ours anyway, so just hand the token back.
+                self.release_token();
+                return self.health.check().map_err(|fault| fault.to_io());
+            }
+            metrics::add(&self.counters.wal_group_commits, 1);
+            let result = self.drain().and_then(|drained| self.cadence.after_round(drained));
+            self.release_token();
+            result?;
+        }
     }
 
-    /// Discards every frame: the checkpoint that covers them has committed.  The
-    /// cumulative `appended` counter is deliberately *not* reset (commit targets
-    /// survive truncation); only file offsets rewind.
-    pub fn truncate(&mut self) -> io::Result<()> {
-        self.pending.clear();
+    /// The write-ahead barrier: returns once every frame appended so far is in the log
+    /// file, without forcing a sync.  It claims the drain token like any round, so it
+    /// first waits out a round already in flight — after it, the log image has no hole.
+    /// Every page write-back passes it first (`write(2)` ordering suffices: replay only
+    /// needs the frames in the log image before the page image changes), and so does a
+    /// checkpoint's `TAIL` frame before its sync.
+    pub(crate) fn barrier(&self) -> io::Result<()> {
+        // Fast path: every appended byte's write has completed (`written` is bumped only
+        // after the positioned write returns) — the common case on the eviction path:
+        // one uncontended lock, no token traffic, no condvar broadcast.
+        {
+            let _wal_held = witness::acquire(LockClass::WalAppend);
+            let wal = self.wal.lock();
+            if self.written.load(Ordering::Acquire) >= wal.appended {
+                return Ok(());
+            }
+        }
+        // Suppressed wait counting: `wal_group_waits` meters parked *commits* only.
+        let mut counted_wait = true;
+        while !self.try_claim(&mut counted_wait) {}
+        let result = self.drain();
+        self.release_token();
+        result.map(drop)
+    }
+
+    /// Attempts to claim the drain token.  Returns `false` (after parking until the
+    /// in-flight round ends) when another leader held it.  Pass `counted_wait = true` to
+    /// suppress the `wal_group_waits` bump (non-commit callers).
+    fn try_claim(&self, counted_wait: &mut bool) -> bool {
+        let _group_held = witness::acquire(LockClass::GroupCommit);
+        let mut draining = unpoison(self.group_token.lock());
+        if *draining {
+            if !*counted_wait {
+                *counted_wait = true;
+                metrics::add(&self.counters.wal_group_waits, 1);
+            }
+            drop(unpoison(self.done.wait(draining)));
+            return false;
+        }
+        *draining = true;
+        true
+    }
+
+    /// Releases the drain token and wakes every parked committer and barrier.
+    fn release_token(&self) {
+        {
+            let _group_held = witness::acquire(LockClass::GroupCommit);
+            *unpoison(self.group_token.lock()) = false;
+        }
+        self.done.notify_all();
+    }
+
+    /// Swaps the pending arena for the spare under the append mutex and reserves its file
+    /// range: returns the write offset and the taken arena, or `None` when nothing is
+    /// pending.  Counts one drain.
+    fn take_pending(&self) -> Option<(u64, Vec<u8>)> {
+        let _wal_held = witness::acquire(LockClass::WalAppend);
+        let mut wal = self.wal.lock();
+        if wal.pending.is_empty() {
+            return None;
+        }
+        let spare = std::mem::take(&mut wal.spare);
+        let arena = std::mem::replace(&mut wal.pending, spare);
+        let offset = wal.len;
+        wal.len += arena.len() as u64;
+        metrics::add(&self.counters.wal_flushes, 1);
+        Some((offset, arena))
+    }
+
+    /// The one drain round, and the only writer of frames to the log file: take the
+    /// pending arena, write it outside every lock, hand the emptied arena back as the
+    /// next spare.  Returns the bytes written.  Must hold the drain token.
+    fn drain(&self) -> io::Result<u64> {
+        let Some((offset, mut arena)) = self.take_pending() else {
+            return Ok(0);
+        };
+        self.fire(FlushPoint::WalArenaSwap);
+        let result = self.file.write_all_at(&arena, offset);
+        let bytes = arena.len() as u64;
+        arena.clear();
+        {
+            let _wal_held = witness::acquire(LockClass::WalAppend);
+            self.wal.lock().spare = arena;
+        }
+        // The arena's bytes are consumed even when the write fails: advance `written`
+        // either way so parked committers are released instead of spinning on an
+        // unreachable target.  On failure the log is poisoned *before* `written`
+        // advances (Release before the AcqRel bump), so every parked committer whose
+        // target the failed round covered wakes, observes the poison, and errors out —
+        // a failed round never turns into a silent acknowledgement.
+        if let Err(error) = &result {
+            self.health.poison(StoreFault::from_io("write-ahead-log drain", error));
+        }
+        let end = self.written.fetch_add(bytes, Ordering::AcqRel) + bytes;
+        result?;
+        self.credit_durable(end);
+        self.fire(FlushPoint::WalFlush);
+        Ok(bytes)
+    }
+
+    /// Asks the OS to persist every written byte of the log — the one sync body, called
+    /// by the cadence sweep and by the checkpoint.  A no-op when nothing written is
+    /// unsynced.  A poisoned log is skipped outright: retrying a failed `fdatasync` and
+    /// trusting the retried success is the fsyncgate trap (the kernel may have dropped
+    /// the dirty pages the first failure covered).  A failure poisons the log and leaves
+    /// `synced` where it was.
+    pub(crate) fn sync(&self) -> io::Result<()> {
+        let written = self.written.load(Ordering::Acquire);
+        if self.health.is_poisoned() || written <= self.synced.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        if let Err(error) = self.file.sync_data() {
+            self.health.poison(StoreFault::from_io("group-commit fdatasync", &error));
+            return Err(error);
+        }
+        // fetch_max, not store: a concurrent sync may have advanced `synced` past our
+        // pre-sync snapshot.
+        self.synced.fetch_max(written, Ordering::AcqRel);
+        metrics::add(&self.counters.fsyncs, 1);
+        Ok(())
+    }
+
+    /// Discards every frame: the checkpoint covering them has committed.  Takes the
+    /// append mutex's guard; only file offsets rewind — the cumulative `appended` count is
+    /// deliberately kept (commit targets survive truncation).
+    pub(crate) fn truncate(&self, wal: &mut AppendState) -> io::Result<()> {
+        debug_assert!(wal.pending.is_empty(), "frames appended during a checkpoint");
+        wal.pending.clear();
         self.file.set_len(WAL_MAGIC.len() as u64)?;
-        self.len = WAL_MAGIC.len() as u64;
+        wal.len = WAL_MAGIC.len() as u64;
         Ok(())
     }
 }
@@ -562,11 +814,34 @@ fn parse_frame(cursor: &mut Cursor<'_>, replay: &mut WalReplay, room_count: u64)
 }
 
 #[cfg(test)]
+impl Wal {
+    /// `(written, synced, pending)` bytes, for the coordinator's tests.
+    pub(crate) fn marks(&self) -> (u64, u64, usize) {
+        let pending = self.wal.lock().pending.len();
+        (self.written.load(Ordering::Acquire), self.synced.load(Ordering::Acquire), pending)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GroupCommit;
 
     fn temp_wal(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("gss-wal-{}-{name}.wal", std::process::id()))
+    }
+
+    /// The log at `path` (see [`Wal::open`] for `keep`), registered with a zero-knob
+    /// coordinator and counting into `counters`.
+    fn open_log(path: &Path, keep: Option<u64>, counters: &Arc<StoreCounters>) -> Arc<Wal> {
+        let group = GroupCommitter::new(GroupCommit { max_delay_us: 0, max_bytes: 0 });
+        let health = Arc::new(StoreHealth::new());
+        Wal::open(path, keep, true, Arc::clone(counters), health, &group).unwrap()
+    }
+
+    /// Appends `frame` and returns the cumulative appended bytes.
+    fn append(wal: &Wal, frame: &[u8]) -> u64 {
+        wal.wal.lock().append(frame).1
     }
 
     fn sample_record(seed: u8) -> [u8; ROOM_RECORD_BYTES] {
@@ -594,23 +869,24 @@ mod tests {
     #[test]
     fn frames_round_trip_through_the_file() {
         let path = temp_wal("roundtrip");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        assert!(writer.is_empty());
-        writer.append_encoded(&room_frame(42, &sample_record(7)));
-        writer.append_encoded(&buffer_frame(100, 200, -3));
-        writer.append_encoded(&node_frame(100, 9));
-        writer.append_encoded(&commit_frame(55));
-        assert!(writer.pending_bytes() > 0);
-        writer.flush().unwrap();
-        assert_eq!(writer.pending_bytes(), 0);
-        assert_eq!(metrics::get(&writer.counters.wal_flushes), 1);
+        let counters = Arc::default();
+        let wal = open_log(&path, None, &counters);
+        assert!(wal.wal.lock().is_empty());
+        append(&wal, &room_frame(42, &sample_record(7)));
+        append(&wal, &buffer_frame(100, 200, -3));
+        append(&wal, &node_frame(100, 9));
+        append(&wal, &commit_frame(55));
+        assert!(!wal.wal.lock().pending.is_empty());
+        wal.barrier().unwrap();
+        assert!(wal.wal.lock().pending.is_empty());
+        assert_eq!(metrics::get(&counters.wal_flushes), 1);
 
         let replay = read_replay(&path, 1 << 20).unwrap().expect("valid log");
         assert_eq!(replay.rooms, vec![(42, sample_record(7))]);
         assert_eq!(replay.buffer_ops, vec![(100, 200, -3)]);
         assert_eq!(replay.node_ops, vec![(100, 9)]);
         assert_eq!(replay.items, Some(55));
-        assert_eq!(replay.valid_bytes, writer.bytes());
+        assert_eq!(replay.valid_bytes, wal.wal.lock().bytes());
         assert!(replay.tail_buffer.is_none() && replay.tail_node.is_none());
         std::fs::remove_file(&path).ok();
     }
@@ -618,29 +894,34 @@ mod tests {
     #[test]
     fn tail_frame_supersedes_earlier_deltas() {
         let path = temp_wal("tail");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        writer.append_encoded(&buffer_frame(1, 2, 3));
-        writer.append_encoded(&node_frame(1, 1));
-        writer.append_encoded(&room_frame(0, &sample_record(1)));
-        writer.log_tail(9, Some(b"BUF"), None);
-        writer.flush().unwrap();
+        let wal = open_log(&path, None, &Arc::default());
+        append(&wal, &buffer_frame(1, 2, 3));
+        append(&wal, &node_frame(1, 1));
+        append(&wal, &room_frame(0, &sample_record(1)));
+        append(&wal, &tail_frame(9, Some(b"BUF"), None));
+        wal.barrier().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
         assert!(replay.buffer_ops.is_empty() && replay.node_ops.is_empty());
         assert_eq!(replay.rooms.len(), 1, "room frames survive a tail image");
         assert_eq!(replay.items, Some(9));
         assert_eq!(replay.tail_buffer.as_deref(), Some(&b"BUF"[..]));
         assert!(replay.tail_node.is_none());
+        // The bytes the checkpoint has always logged: tag | items | flags | sections | CRC.
+        let pinned = "0509000000000000000301000000000000004201000000000000004e4a2c487b";
+        let encoded: String =
+            tail_frame(9, Some(b"B"), Some(b"N")).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(encoded, pinned);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncation_and_corruption_yield_the_valid_prefix() {
         let path = temp_wal("prefix");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        writer.append_encoded(&commit_frame(1));
-        writer.append_encoded(&commit_frame(2));
-        writer.append_encoded(&commit_frame(3));
-        writer.flush().unwrap();
+        let wal = open_log(&path, None, &Arc::default());
+        append(&wal, &commit_frame(1));
+        append(&wal, &commit_frame(2));
+        append(&wal, &commit_frame(3));
+        wal.barrier().unwrap();
         let full = std::fs::read(&path).unwrap();
         let frame_bytes = (full.len() - WAL_MAGIC.len()) / 3;
 
@@ -671,18 +952,21 @@ mod tests {
     #[test]
     fn truncate_discards_frames_and_append_reopens() {
         let path = temp_wal("truncate");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        writer.append_encoded(&commit_frame(7));
-        writer.flush().unwrap();
-        writer.truncate().unwrap();
-        assert!(writer.is_empty());
+        let wal = open_log(&path, None, &Arc::default());
+        append(&wal, &commit_frame(7));
+        wal.barrier().unwrap();
+        {
+            let mut state = wal.wal.lock();
+            wal.truncate(&mut state).unwrap();
+            assert!(state.is_empty());
+        }
         assert!(read_replay(&path, 1 << 20).unwrap().unwrap().items.is_none());
-        writer.append_encoded(&commit_frame(8));
-        writer.flush().unwrap();
-        drop(writer);
-        let mut appended = WalWriter::open_append(&path, u64::MAX, Arc::default()).unwrap();
-        appended.append_encoded(&commit_frame(9));
-        appended.flush().unwrap();
+        append(&wal, &commit_frame(8));
+        wal.barrier().unwrap();
+        drop(wal);
+        let appended = open_log(&path, Some(u64::MAX), &Arc::default());
+        append(&appended, &commit_frame(9));
+        appended.barrier().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
         assert_eq!(replay.items, Some(9));
         std::fs::remove_file(&path).ok();
@@ -691,10 +975,10 @@ mod tests {
     #[test]
     fn open_append_truncates_a_torn_suffix_so_appended_frames_stay_reachable() {
         let path = temp_wal("torn-suffix");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        writer.append_encoded(&commit_frame(1));
-        writer.flush().unwrap();
-        drop(writer);
+        let wal = open_log(&path, None, &Arc::default());
+        append(&wal, &commit_frame(1));
+        wal.barrier().unwrap();
+        drop(wal);
         // A torn frame at the end (partial write at crash time).
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[TAG_COMMIT, 0x44, 0x55]);
@@ -703,10 +987,9 @@ mod tests {
         assert_eq!(replay.items, Some(1));
         // Recovery appends its TAIL frame behind the *valid* prefix; a replay of the
         // resulting log must reach it (it would stop at the tear otherwise).
-        let mut appended =
-            WalWriter::open_append(&path, replay.valid_bytes, Arc::default()).unwrap();
-        appended.log_tail(9, Some(b"B"), Some(b"N"));
-        appended.flush().unwrap();
+        let appended = open_log(&path, Some(replay.valid_bytes), &Arc::default());
+        append(&appended, &tail_frame(9, Some(b"B"), Some(b"N")));
+        appended.barrier().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
         assert_eq!(replay.items, Some(9));
         assert_eq!(replay.tail_buffer.as_deref(), Some(&b"B"[..]));
@@ -716,9 +999,9 @@ mod tests {
     #[test]
     fn tail_frames_with_absurd_section_lengths_end_the_prefix_without_panicking() {
         let path = temp_wal("tail-overflow");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        writer.append_encoded(&commit_frame(3));
-        writer.flush().unwrap();
+        let wal = open_log(&path, None, &Arc::default());
+        append(&wal, &commit_frame(3));
+        wal.barrier().unwrap();
         // A crafted TAIL frame claiming a section of nearly u64::MAX bytes: the length
         // arithmetic must not overflow, and the frame must read as end-of-prefix.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -739,13 +1022,13 @@ mod tests {
     #[test]
     fn out_of_range_room_frames_end_the_valid_prefix_for_every_frame_kind() {
         let path = temp_wal("room-bound");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        writer.append_encoded(&room_frame(3, &sample_record(1)));
-        writer.append_encoded(&commit_frame(1));
-        writer.append_encoded(&room_frame(100, &sample_record(2))); // beyond a 10-room geometry
-        writer.append_encoded(&buffer_frame(7, 8, 9)); // foreign content after the bad frame: untrusted
-        writer.append_encoded(&commit_frame(2));
-        writer.flush().unwrap();
+        let wal = open_log(&path, None, &Arc::default());
+        append(&wal, &room_frame(3, &sample_record(1)));
+        append(&wal, &commit_frame(1));
+        append(&wal, &room_frame(100, &sample_record(2))); // beyond a 10-room geometry
+        append(&wal, &buffer_frame(7, 8, 9)); // foreign content after the bad frame: untrusted
+        append(&wal, &commit_frame(2));
+        wal.barrier().unwrap();
         let replay = read_replay(&path, 10).unwrap().unwrap();
         assert_eq!(replay.rooms, vec![(3, sample_record(1))]);
         assert_eq!(replay.items, Some(1), "nothing after the out-of-range frame applies");
@@ -756,33 +1039,30 @@ mod tests {
     #[test]
     fn take_pending_swaps_the_arena_and_reserves_the_file_range() {
         let path = temp_wal("arena-swap");
-        let mut writer = WalWriter::create(&path, Arc::default()).unwrap();
-        writer.append_encoded(&commit_frame(1));
-        assert_eq!(writer.appended_bytes(), COMMIT_FRAME_BYTES as u64);
-        let mut arena = Vec::new();
-        let offset = writer.take_pending(&mut arena);
+        let counters = Arc::default();
+        let wal = open_log(&path, None, &counters);
+        assert_eq!(append(&wal, &commit_frame(1)), COMMIT_FRAME_BYTES as u64);
+        let (offset, arena) = wal.take_pending().expect("a frame is pending");
         assert_eq!(offset, WAL_MAGIC.len() as u64);
         assert_eq!(arena.len(), COMMIT_FRAME_BYTES);
-        assert_eq!(writer.pending_bytes(), 0);
-        assert_eq!(
-            metrics::get(&writer.counters.wal_flushes),
-            1,
-            "an arena swap counts as one drain"
-        );
+        assert!(wal.wal.lock().pending.is_empty());
+        assert_eq!(metrics::get(&counters.wal_flushes), 1, "an arena swap counts as one drain");
         // Appends continue while the taken arena is in flight; its file range stays
-        // reserved, so the later flush lands *behind* it.
-        writer.append_encoded(&commit_frame(2));
-        writer.shared_file().write_all_at(&arena, offset).unwrap();
-        writer.flush().unwrap();
+        // reserved, so the later drain lands *behind* it.
+        append(&wal, &commit_frame(2));
+        wal.file.write_all_at(&arena, offset).unwrap();
+        wal.barrier().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
         assert_eq!(replay.items, Some(2));
-        assert_eq!(writer.appended_bytes(), 2 * COMMIT_FRAME_BYTES as u64);
-        writer.truncate().unwrap();
+        assert_eq!(wal.wal.lock().appended, 2 * COMMIT_FRAME_BYTES as u64);
+        let mut state = wal.wal.lock();
+        wal.truncate(&mut state).unwrap();
         assert_eq!(
-            writer.appended_bytes(),
+            state.appended,
             2 * COMMIT_FRAME_BYTES as u64,
             "commit targets survive truncation"
         );
+        drop(state);
         std::fs::remove_file(&path).ok();
     }
 

@@ -14,11 +14,12 @@
 
 use gss::prelude::*;
 use gss_core::wal::wal_path;
-use gss_core::FlushPoint;
+use gss_core::{Durability, FlushPoint, GroupCommit};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gss-crash-recovery-{}-{name}.gss", std::process::id()))
@@ -180,7 +181,7 @@ fn kill_at(point: FlushPoint, occurrence: u64, items: &[(u64, u64, i64)]) {
     {
         let fired = Arc::clone(&fired);
         let (path, copy) = (path.clone(), copy.clone());
-        sketch.room_storage().as_file().expect("file-backed").set_flush_hook(Some(Box::new(
+        sketch.room_storage().as_file().expect("file-backed").set_flush_hook(Some(Arc::new(
             move |seen| {
                 if seen == point && fired.fetch_add(1, Ordering::Relaxed) + 1 == occurrence {
                     std::fs::copy(&path, &copy).expect("snapshot sketch file");
@@ -226,5 +227,129 @@ fn kill_points_between_wal_append_page_writeback_and_tail_rewrite_all_recover() 
         for &occurrence in occurrences {
             kill_at(point, occurrence, &items);
         }
+    }
+}
+
+/// `<base>.shard<index>`, where a sharded file-backed store keeps shard `index`.
+fn shard_path(base: &Path, index: usize) -> PathBuf {
+    base.with_file_name(format!("{}.shard{index}", base.file_name().unwrap().to_string_lossy()))
+}
+
+/// What the hooks of [`a_checkpoint_waits_out_another_writers_in_flight_round`] share.
+#[derive(Default)]
+struct Scene {
+    /// Set once batch 1 is acknowledged: the next arena swap on any shard parks.
+    armed: AtomicBool,
+    /// The shard whose round is parked (`usize::MAX` until one parks).
+    parked: AtomicUsize,
+    /// Raised by the test to let the parked round go on.
+    released: Mutex<bool>,
+    wake: Condvar,
+    /// Tail rewrites seen, by shard.
+    tail_writes: Mutex<Vec<usize>>,
+    /// Whether writer A had returned when the crash image was taken (`None`: not taken).
+    copied_after_a: Mutex<Option<bool>>,
+    a_returned: AtomicBool,
+}
+
+/// `ShardedGss` acknowledges its shards' commits outside the shard locks a checkpoint
+/// takes, so a `sync` can start while another writer's drain round has swapped its log
+/// arena out but not yet written it.  A checkpoint that synced past that round would leave
+/// a hole in front of its TAIL frame — replay stops at a hole — and then rewrite the file's
+/// tail.  Writer A's round parks at its arena swap while thread B syncs: B must not reach
+/// the tail rewrite of A's shard while A is parked, and a crash image of every shard taken
+/// at that tail rewrite recovers every acknowledged item.
+#[test]
+fn a_checkpoint_waits_out_another_writers_in_flight_round() {
+    const SHARDS: usize = 2;
+    let (base, copy) = (temp_path("in-flight-round"), temp_path("in-flight-round-copy"));
+    // A cache larger than the matrix: no eviction drains during staging, so the first
+    // round after arming is writer A's lock-free acknowledgement.
+    let sharded = GssBuilder::from_config(GssConfig::paper_small(24))
+        .storage(StorageBackend::File { path: base.clone(), cache_pages: 1024 })
+        .build_sharded(SHARDS)
+        .unwrap();
+    let items = stream(3_000);
+    let edges = |range: std::ops::Range<usize>| -> Vec<StreamEdge> {
+        items[range].iter().map(|&(s, d, w)| StreamEdge::new(s, d, 0, w)).collect()
+    };
+    let scene = Arc::new(Scene { parked: AtomicUsize::new(usize::MAX), ..Scene::default() });
+    for index in 0..SHARDS {
+        let (scene, base, copy) = (Arc::clone(&scene), base.clone(), copy.clone());
+        let hook = move |point| match point {
+            FlushPoint::WalArenaSwap if scene.armed.swap(false, Ordering::SeqCst) => {
+                scene.parked.store(index, Ordering::SeqCst);
+                let mut released = scene.released.lock().unwrap();
+                while !*released {
+                    released = scene.wake.wait(released).unwrap();
+                }
+            }
+            FlushPoint::TailWrite => {
+                scene.tail_writes.lock().unwrap().push(index);
+                let mut copied = scene.copied_after_a.lock().unwrap();
+                if index == scene.parked.load(Ordering::SeqCst) && copied.is_none() {
+                    *copied = Some(scene.a_returned.load(Ordering::SeqCst));
+                    for shard in 0..SHARDS {
+                        let (from, to) = (shard_path(&base, shard), shard_path(&copy, shard));
+                        std::fs::copy(&from, &to).expect("copy the sketch file");
+                        std::fs::copy(wal_path(&from), wal_path(&to)).expect("copy the log");
+                    }
+                }
+            }
+            _ => {}
+        };
+        sharded.with_shard_read(index, |shard| {
+            shard.room_storage().as_file().unwrap().set_flush_hook(Some(Arc::new(hook)))
+        });
+    }
+    sharded.insert_batch(&edges(0..1_500));
+    scene.armed.store(true, Ordering::SeqCst);
+    std::thread::scope(|threads| {
+        let writer_a = threads.spawn(|| {
+            sharded.insert_batch(&edges(1_500..3_000));
+            scene.a_returned.store(true, Ordering::SeqCst);
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while scene.parked.load(Ordering::SeqCst) == usize::MAX {
+            assert!(Instant::now() < deadline, "writer A never led a drain round");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let parked = scene.parked.load(Ordering::SeqCst);
+        let syncer_b = threads.spawn(|| sharded.sync().expect("checkpoint every shard"));
+        // Correct code never rewrites the parked shard's tail here; code that syncs past
+        // the in-flight round does so at once.  A is released before the verdict, so a
+        // failure reports instead of hanging the scope.
+        let watch = Instant::now() + Duration::from_millis(300);
+        let mut early = false;
+        while Instant::now() < watch && !early {
+            early = scene.tail_writes.lock().unwrap().contains(&parked);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        *scene.released.lock().unwrap() = true;
+        scene.wake.notify_all();
+        writer_a.join().unwrap();
+        syncer_b.join().unwrap();
+        assert!(
+            !early,
+            "shard {parked}'s tail was rewritten while its log held an unwritten round"
+        );
+    });
+    let copied_after_a = scene.copied_after_a.lock().unwrap().expect("a crash image was taken");
+    let acknowledged = if copied_after_a { 3_000 } else { 1_500 };
+    let recovered =
+        ShardedGss::open_sharded(&copy, SHARDS, 64, Durability::Strict, GroupCommit::default())
+            .expect("the crash image taken at the tail rewrite recovers");
+    let mut exact: HashMap<(u64, u64), i64> = HashMap::new();
+    for &(source, destination, weight) in &items[..acknowledged] {
+        *exact.entry((source, destination)).or_insert(0) += weight;
+    }
+    for (&(source, destination), &weight) in &exact {
+        let reported = recovered.edge_weight(source, destination).unwrap_or(0);
+        assert!(reported >= weight, "edge ({source}, {destination}): {reported} < {weight}");
+    }
+    drop((recovered, sharded));
+    for index in 0..SHARDS {
+        remove(&shard_path(&base, index));
+        remove(&shard_path(&copy, index));
     }
 }
