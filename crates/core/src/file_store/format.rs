@@ -137,9 +137,9 @@ pub(crate) struct Header {
 
 impl Header {
     /// The header of a freshly created file: clean, no items, and the canonical empty
-    /// tail — two zero-count sections of 8 bytes each, so incremental checkpoints can
-    /// rewrite either section alone from the very first sync.  (`set_len` zero-fills
-    /// them: a zero count *is* all-zeroes.)
+    /// tail — two zero-count sections of 8 bytes each, the bytes a checkpoint of an
+    /// empty buffer and node table writes.  (`set_len` zero-fills them: a zero count
+    /// *is* all-zeroes.)
     pub(crate) fn fresh(config: &GssConfig) -> Self {
         let empty = Section::of(&0u64.to_le_bytes());
         Self {

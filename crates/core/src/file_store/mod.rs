@@ -53,26 +53,26 @@ pub mod open;
 pub mod rooms;
 pub mod write_back;
 
+use crate::buffer::LeftoverBuffer;
 use crate::config::GssConfig;
 use crate::error::{DurabilityReport, StoreFault, StoreHealth};
 use crate::group_commit::GroupCommitter;
 use crate::metrics::StoreCounters;
+use crate::node_map::NodeIdMap;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
 use crate::pager::witness::{self, LockClass};
 use crate::storage::RoomGrid;
 use crate::wal::{self, AppendState, Wal, WalAck};
-use format::CLEAN_FLAG_OFFSET;
+use format::{Header, CLEAN_FLAG_OFFSET};
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use write_back::SyncState;
 
 pub use crate::pager::PAGE_BYTES;
 pub use format::{FILE_MAGIC, FILE_MAGIC_V1};
-pub use write_back::TailSections;
 
 /// Everything [`FileStore::open`] recovers from an existing sketch file besides the store
 /// itself: the sketch-level state the file checkpoints.
@@ -82,8 +82,10 @@ pub struct FileHeader {
     pub config: GssConfig,
     /// Stream items inserted when the file was last synced (or recovered).
     pub items_inserted: u64,
-    /// Tail bytes (buffer + node-table sections, decoded by persistence).
-    pub tail: Vec<u8>,
+    /// The left-over buffer, decoded from the tail (plus the replayed log, if recovered).
+    pub buffer: LeftoverBuffer,
+    /// The `⟨H(v), v⟩` table, decoded likewise.
+    pub node_map: NodeIdMap,
     /// Whether the file was unclean and its state was rebuilt by write-ahead-log replay.
     pub recovered: bool,
 }
@@ -103,7 +105,7 @@ pub enum FlushPoint {
     WalFlush,
     /// A dirty page was written back to the room region.
     PageWriteBack,
-    /// Tail sections were rewritten; the header still describes the old tail.
+    /// The tail was rewritten; the header still describes the old tail.
     TailWrite,
     /// The checkpoint committed (header + clean flag written); the log is not yet
     /// truncated.
@@ -117,8 +119,9 @@ pub enum FlushPoint {
 pub type FlushHook = Arc<dyn Fn(FlushPoint) + Send + Sync>;
 
 /// A paged file-backed [`RoomStore`](crate::storage::RoomStore): lock-striped page cache
-/// with per-page latches, write-ahead room log behind its own append mutex and
-/// incremental checkpoints.  Reads (`&self`) run concurrently; see the module docs.
+/// with per-page latches, write-ahead room log behind its own append mutex, and
+/// checkpoints that write one whole tail image (none while the log is clean).  Reads
+/// (`&self`) run concurrently; see the module docs.
 pub struct FileStore {
     path: PathBuf,
     /// The room region's layout, occupancy index and occupied count (the index is never
@@ -141,7 +144,10 @@ pub struct FileStore {
     /// the stripe-map probe (batch ingest sorts its writes by page to maximise runs).
     /// Taken only on the single-writer mutation path, never by readers.
     write_cursor: Mutex<PageCursor>,
-    sync_state: Mutex<SyncState>,
+    /// The header as the last checkpoint (or create/open) left it: a checkpoint's item
+    /// count is compared against it, and its configuration is rewritten from it.
+    /// Serialized by its own mutex (lock class `CheckpointState`).
+    synced: Mutex<Header>,
     /// Sticky fail-stop state, shared with the write-ahead log: the first
     /// failed fsync or unrecoverable write-back poisons it, after which every write
     /// path returns the original cause while reads keep serving from cache (see

@@ -22,8 +22,7 @@
 //! process.
 
 use super::format::{Header, Section, MAGIC_RANGE, SECTIONS_RANGE};
-use super::write_back::SyncState;
-use super::{FileHeader, FileStore, TailSections};
+use super::{FileHeader, FileStore};
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::StoreHealth;
 use crate::group_commit::GroupCommitter;
@@ -32,7 +31,7 @@ use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
 use crate::pager::PAGE_BYTES;
-use crate::persistence::PersistenceError;
+use crate::persistence::{decode_tail, PersistenceError};
 use crate::storage::{Layout, RoomGrid, ROOM_OCCUPIED_BYTE};
 use crate::wal::{crc32, read_replay, wal_path, Wal};
 use parking_lot::Mutex;
@@ -71,7 +70,7 @@ impl FileStore {
         Self::assemble(path, cache_pages, file, header, None, group, lock)
     }
 
-    /// Opens an existing sketch file in place, validating the header and reading the
+    /// Opens an existing sketch file in place, validating the header and decoding the
     /// tail.  The room region is **streamed once** (sequential reads, occupancy flags
     /// only, no per-room decode or insert pass) to rebuild the in-memory occupancy index
     /// — open cost is one sequential pass over the file plus the (usually tiny) tail.
@@ -130,6 +129,9 @@ impl FileStore {
         } else {
             read_bytes(&mut file, tail_offset, header.tail_len, file_len)?
         };
+        // Decoded before the v1 upgrade below writes the header: a rejected open must
+        // leave the file byte-for-byte intact.
+        let (buffer, node_map) = decode_tail(&tail)?;
         let grid = rebuild_index(&mut file, layout)?;
         if grid.occupied != occupied as usize {
             return Err(PersistenceError::Corrupt(format!(
@@ -156,7 +158,7 @@ impl FileStore {
         let (config, items_inserted) = (header.config, header.items);
         let mut store = Self::assemble(path, cache_pages, file, header, None, group, lock)?;
         store.grid = grid;
-        Ok((store, FileHeader { config, items_inserted, tail, recovered: false }))
+        Ok((store, FileHeader { config, items_inserted, buffer, node_map, recovered: false }))
     }
 
     /// Crash recovery: rebuilds a consistent sketch file from an unclean v2 file plus its
@@ -197,10 +199,8 @@ impl FileStore {
         };
         // Decode the base tail and lay the logged deltas on top — all in memory, so a
         // decode failure rejects the file without modifying it.
-        let mut buffer = crate::buffer::LeftoverBuffer::new();
-        let mut node_map = crate::node_map::NodeIdMap::new();
         base_tail.extend_from_slice(&node_bytes);
-        crate::persistence::decode_tail(&mut buffer, &mut node_map, &base_tail)?;
+        let (mut buffer, mut node_map) = decode_tail(&base_tail)?;
         for &(source, destination, weight) in &replay.buffer_ops {
             buffer.insert(source, destination, weight);
         }
@@ -224,25 +224,13 @@ impl FileStore {
         let log_prefix = Some(replay.valid_bytes);
         let mut store = Self::assemble(path, cache_pages, file, header, log_prefix, group, lock)?;
         store.grid = grid;
-        // Checkpoint the recovered state: tail rewritten whole, header counts re-derived,
-        // clean flag set, log truncated.  A crash during *this* checkpoint replays to the
-        // same state (its tail image lands behind the frames it supersedes).
-        let buffer_section = crate::persistence::encode_buffer_section(&buffer);
-        let node_section = crate::persistence::encode_node_section(&node_map);
+        // Checkpoint the recovered state: tail rewritten, header counts re-derived, clean
+        // flag set, log truncated.  A crash during *this* checkpoint replays to the same
+        // state (its tail image lands behind the frames it supersedes).
         store
-            .checkpoint(
-                items,
-                TailSections {
-                    buffer: Some(&buffer_section),
-                    node: Some(&node_section),
-                    buffer_gen: 0,
-                    node_gen: 0,
-                },
-            )
+            .checkpoint(items, &buffer, &node_map)
             .map_err(|error| PersistenceError::Io(error.to_string()))?;
-        let mut tail = buffer_section;
-        tail.extend_from_slice(&node_section);
-        Ok((store, FileHeader { config, items_inserted: items, tail, recovered: true }))
+        Ok((store, FileHeader { config, items_inserted: items, buffer, node_map, recovered: true }))
     }
 
     /// Shared tail of `create`/`open`/`recover`: builds the store around an open file
@@ -269,10 +257,6 @@ impl FileStore {
             Arc::clone(&health),
             &group,
         )?;
-        // v1 tails are monolithic (no valid section split), so their generation stamps
-        // are poisoned: the first sketch sync then rewrites the whole tail, upgrading
-        // the file to properly sectioned v2 in place.
-        let stamp = if header.version == 1 { u64::MAX } else { 0 };
         Ok(Self {
             path: path.to_path_buf(),
             grid: RoomGrid::new(Layout::new(&header.config)),
@@ -283,7 +267,7 @@ impl FileStore {
             wal,
             _group: group,
             write_cursor: Mutex::new(PageCursor::default()),
-            sync_state: Mutex::new(SyncState { header, buffer_gen: stamp, node_gen: stamp }),
+            synced: Mutex::new(header),
             health,
             _lock: lock,
         })

@@ -3,17 +3,18 @@
 //! `format.rs`.
 
 use super::format::{Header, MAGIC_RANGE, SECTIONS_RANGE};
-use super::{FileStore, FlushPoint, TailSections, FILE_MAGIC, FILE_MAGIC_V1, PAGE_BYTES};
+use super::{FileHeader, FileStore, FlushPoint, FILE_MAGIC, FILE_MAGIC_V1, PAGE_BYTES};
+use crate::buffer::LeftoverBuffer;
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::StoreFault;
 use crate::matrix::{Room, RoomKey};
 use crate::metrics;
+use crate::node_map::NodeIdMap;
 use crate::pager::faults::{install, FaultPlan};
 use crate::pager::lock_file::lock_path;
-use crate::pager::witness::{self, LockClass};
-use crate::persistence::PersistenceError;
+use crate::persistence::{encode_tail, PersistenceError};
 use crate::storage::{BucketProbe, Layout, RoomStore, StorageBackend, ROOM_OCCUPIED_BYTE};
-use crate::wal::wal_path;
+use crate::wal::{buffer_only_tail_frame, wal_path};
 use crate::{GssSketch, GssStats};
 use gss_graph::{StreamEdge, SummaryWrite};
 use parking_lot::Mutex;
@@ -22,28 +23,33 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// A sketch's tail: its left-over buffer and its `⟨H(v), v⟩` table.
+type Tail = (LeftoverBuffer, NodeIdMap);
+
+/// A tail of `edges` buffered edges and as many registrations, distinct per `seed`.
+fn sample_tail(seed: u64, edges: u64) -> Tail {
+    let mut tail = Tail::default();
+    for edge in 0..edges {
+        tail.0.insert(seed * 100 + edge, edge, seed as i64 + 1);
+        tail.1.register(seed * 100 + edge, seed * 1000 + edge);
+    }
+    tail
+}
+
+/// The bytes a checkpoint writes for `tail` — equal bytes, equal buffer and table.
+fn encoded((buffer, node_map): &Tail) -> Vec<u8> {
+    encode_tail(buffer, node_map).0
+}
+
+/// The tail [`FileStore::open`] decoded, in [`encoded`] form.
+fn decoded(header: &FileHeader) -> Vec<u8> {
+    encode_tail(&header.buffer, &header.node_map).0
+}
+
 impl FileStore {
-    /// Checkpoints with an opaque, whole tail (compatibility wrapper over
-    /// [`checkpoint`](Self::checkpoint): the bytes land as the "buffer" section and
-    /// an empty node section, which decodes identically — section boundaries only
-    /// matter for incremental rewrites and CRCs).
-    fn write_tail(&self, items_inserted: u64, tail: &[u8]) -> std::io::Result<()> {
-        let force_gen = {
-            let _sync_held = witness::acquire(LockClass::CheckpointState);
-            let sync = self.sync_state.lock();
-            // Wrapping: v1 opens poison the stamps to u64::MAX.  Any value works here —
-            // both sections are provided, so no skip comparison ever reads it.
-            sync.buffer_gen.max(sync.node_gen).wrapping_add(1)
-        };
-        self.checkpoint(
-            items_inserted,
-            TailSections {
-                buffer: Some(tail),
-                node: Some(&[]),
-                buffer_gen: force_gen,
-                node_gen: force_gen,
-            },
-        )
+    /// [`checkpoint`](Self::checkpoint) with a [`Tail`].
+    fn write_tail(&self, items_inserted: u64, (buffer, node_map): &Tail) -> std::io::Result<()> {
+        self.checkpoint(items_inserted, buffer, node_map)
     }
 }
 
@@ -93,12 +99,12 @@ fn create_store_and_reopen_round_trips_rooms() {
         assert_eq!(store.probe_bucket(3, 5, other).unwrap(), BucketProbe::Empty(1));
         assert_eq!(store.weight_of(3, 5, other), None);
         assert_eq!(store.occupied_rooms(), 2);
-        store.write_tail(123, b"tailbytes").unwrap();
+        store.write_tail(123, &sample_tail(1, 3)).unwrap();
     }
     let (store, header) = FileStore::open(&path, 4).unwrap();
     assert_eq!(header.config, config);
     assert_eq!(header.items_inserted, 123);
-    assert_eq!(header.tail, b"tailbytes");
+    assert_eq!(decoded(&header), encoded(&sample_tail(1, 3)));
     assert!(!header.recovered);
     assert_eq!(store.occupied_rooms(), 2);
     assert_eq!(store.room(3, 5, 0).weight, 50);
@@ -152,7 +158,7 @@ fn version_1_files_still_open_and_upgrade_on_checkpoint() {
     {
         let mut store = FileStore::create(&path, &config, 4).unwrap();
         store.store_room(2, 3, 0, sample_room(9)).unwrap();
-        store.write_tail(5, b"oldtail").unwrap();
+        store.write_tail(5, &sample_tail(1, 2)).unwrap();
     }
     let mut bytes = std::fs::read(&path).unwrap();
     downgrade_to_v1(&mut bytes);
@@ -160,14 +166,14 @@ fn version_1_files_still_open_and_upgrade_on_checkpoint() {
     std::fs::remove_file(wal_path(&path)).unwrap();
     let (store, header) = FileStore::open(&path, 4).unwrap();
     assert_eq!(header.items_inserted, 5);
-    assert_eq!(header.tail, b"oldtail");
+    assert_eq!(decoded(&header), encoded(&sample_tail(1, 2)));
     assert_eq!(store.room(2, 3, 0).weight, 9);
     let upgraded = std::fs::read(&path).unwrap();
     assert_eq!(&upgraded[0..8], &FILE_MAGIC, "open upgrades the magic in place");
-    store.write_tail(6, b"newtail").unwrap();
+    store.write_tail(6, &sample_tail(2, 3)).unwrap();
     drop(store);
     let (_, reheader) = FileStore::open(&path, 4).unwrap();
-    assert_eq!(reheader.tail, b"newtail");
+    assert_eq!(decoded(&reheader), encoded(&sample_tail(2, 3)));
     remove(&path);
 }
 
@@ -175,9 +181,9 @@ fn version_1_files_still_open_and_upgrade_on_checkpoint() {
 fn upgraded_v1_files_recover_from_a_crash_before_their_first_checkpoint() {
     let path = temp_path("v1-crash");
     let config = GssConfig::paper_default(8);
-    // A decodable v1 tail: the canonical empty buffer + node sections (16 zero
-    // bytes) — recovery must decode the base tail, unlike a plain clean open.
-    let v1_tail = [0u8; 16];
+    // A monolithic v1 tail: once downgraded, both sections read as one buffer
+    // section, which recovery must decode as the base tail.
+    let v1_tail = sample_tail(1, 2);
     {
         let mut store = FileStore::create(&path, &config, 4).unwrap();
         store.store_room(2, 3, 0, sample_room(9)).unwrap();
@@ -190,7 +196,7 @@ fn upgraded_v1_files_recover_from_a_crash_before_their_first_checkpoint() {
     {
         // Open the v1 file (upgrading it), mutate, then crash before any checkpoint.
         let (mut store, header) = FileStore::open(&path, 4).unwrap();
-        assert_eq!(header.tail, v1_tail);
+        assert_eq!(decoded(&header), encoded(&v1_tail));
         store.store_room(1, 1, 0, sample_room(4)).unwrap();
         let (_, ack) = store.log_commit_deferred(6).unwrap();
         store.ack_commit(ack).unwrap();
@@ -200,7 +206,7 @@ fn upgraded_v1_files_recover_from_a_crash_before_their_first_checkpoint() {
     assert_eq!(header.items_inserted, 6);
     assert_eq!(recovered.room(1, 1, 0).weight, 4);
     assert_eq!(recovered.room(2, 3, 0).weight, 9);
-    assert_eq!(header.tail, v1_tail, "the monolithic v1 tail rides along unchanged");
+    assert_eq!(decoded(&header), encoded(&v1_tail), "the monolithic v1 tail rides along");
     remove(&path);
 }
 
@@ -210,7 +216,7 @@ fn truncated_room_region_is_rejected() {
     {
         let mut store = FileStore::create(&path, &GssConfig::paper_default(32), 2).unwrap();
         store.store_room(0, 0, 0, sample_room(1)).unwrap();
-        store.write_tail(1, b"abc").unwrap();
+        store.write_tail(1, &sample_tail(1, 1)).unwrap();
     }
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
@@ -248,7 +254,7 @@ fn occupancy_flag_corruption_is_caught_on_open() {
     {
         let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
         store.store_room(1, 1, 0, sample_room(1)).unwrap();
-        store.write_tail(1, &[]).unwrap();
+        store.write_tail(1, &Tail::default()).unwrap();
     }
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip the occupancy flag of a room deep in the region: the header still claims
@@ -290,7 +296,7 @@ fn lying_header_lengths_are_typed_errors_not_panics() {
     {
         let mut store = FileStore::create(&path, &config, 4).unwrap();
         store.store_room(1, 1, 0, sample_room(3)).unwrap();
-        store.write_tail(1, b"tail").unwrap();
+        store.write_tail(1, &sample_tail(1, 1)).unwrap();
     }
     forge_tail_lengths(&path, u64::MAX, u64::MAX, 0);
     assert!(matches!(FileStore::open(&path, 4), Err(PersistenceError::UnexpectedEof)));
@@ -325,7 +331,7 @@ fn tiny_cache_evicts_and_writes_back() {
     }
     assert_eq!(store.occupied_rooms(), 40);
     assert!(metrics::get(&store.counters.pages_flushed) > 0, "evictions write back");
-    store.write_tail(0, &[]).unwrap();
+    store.write_tail(0, &Tail::default()).unwrap();
     drop(store); // release the single-opener lock before reopening
     let (reopened, _) = FileStore::open(&path, 1).unwrap();
     for row in 0..40 {
@@ -338,38 +344,57 @@ fn tiny_cache_evicts_and_writes_back() {
 fn incremental_checkpoints_skip_unchanged_sections() {
     let path = temp_path("incremental");
     let store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
-    let buffer = b"buffer-section".to_vec();
-    let node = b"node-section-bytes".to_vec();
-    store
-        .checkpoint(
-            1,
-            TailSections { buffer: Some(&buffer), node: Some(&node), buffer_gen: 1, node_gen: 1 },
-        )
-        .unwrap();
-    let tail_bytes = || metrics::get(&store.counters.tail_bytes_written);
-    let after_first = tail_bytes();
-    assert_eq!(after_first, (buffer.len() + node.len()) as u64);
-    // Same generations: the checkpoint is a no-op (fast path).
-    store
-        .checkpoint(1, TailSections { buffer: None, node: None, buffer_gen: 1, node_gen: 1 })
-        .unwrap();
-    assert_eq!(tail_bytes(), after_first);
-    assert_eq!(metrics::get(&store.counters.checkpoints), 1);
-    // Node-only change: only the node section is rewritten.
-    let node2 = b"node-section-other".to_vec();
-    store
-        .checkpoint(
-            2,
-            TailSections { buffer: None, node: Some(&node2), buffer_gen: 1, node_gen: 2 },
-        )
-        .unwrap();
-    assert_eq!(tail_bytes(), after_first + node2.len() as u64);
+    let first = sample_tail(1, 2);
+    store.write_tail(1, &first).unwrap();
+    // A second checkpoint of an unmutated store is a no-op: nothing is counted, logged
+    // or written.
+    let state = || {
+        let checkpoints = metrics::get(&store.counters.checkpoints);
+        (checkpoints, store.wal_bytes(), std::fs::read(&path).unwrap())
+    };
+    let after_first = state();
+    assert_eq!(after_first.0, 1);
+    store.write_tail(1, &first).unwrap();
+    assert!(state() == after_first, "an unmutated store checkpointed again");
+    // Any logged mutation makes the next checkpoint rewrite both sections, even at the
+    // same item count.
+    store.log_node(7, 70).unwrap();
+    let second = sample_tail(2, 3);
+    store.write_tail(1, &second).unwrap();
+    assert_eq!(metrics::get(&store.counters.checkpoints), 2);
     drop(store);
     let (_, header) = FileStore::open(&path, 4).unwrap();
+    assert_eq!(header.items_inserted, 1);
+    assert_eq!(decoded(&header), encoded(&second));
+    remove(&path);
+}
+
+/// An unclean file left by a writer that logged one-section `TAIL` frames: its log ends
+/// in a buffer-only image followed by `NODE` deltas.  The buffer comes from the frame,
+/// the node table from the file's own section plus the later deltas.
+#[test]
+fn a_buffer_only_tail_frame_recovers_with_the_files_node_section() {
+    let path = temp_path("buffer-only-tail");
+    let on_disk = sample_tail(1, 2);
+    let logged = sample_tail(2, 3);
+    {
+        let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+        store.write_tail(1, &on_disk).unwrap();
+        store.store_room(0, 0, 0, sample_room(5)).unwrap();
+        let (buffer_bytes, buffer_len) = encode_tail(&logged.0, &NodeIdMap::new());
+        store.append_frame(&buffer_only_tail_frame(2, &buffer_bytes[..buffer_len])).unwrap();
+        store.log_node(900, 9).unwrap();
+        store.log_node(901, 19).unwrap();
+        store.wal.barrier().unwrap();
+    }
+    let (recovered, header) = FileStore::open(&path, 4).unwrap();
+    assert!(header.recovered);
     assert_eq!(header.items_inserted, 2);
-    let mut expected = buffer.clone();
-    expected.extend_from_slice(&node2);
-    assert_eq!(header.tail, expected);
+    assert_eq!(recovered.room(0, 0, 0).weight, 5);
+    let mut expected = (logged.0, on_disk.1);
+    expected.1.register(900, 9);
+    expected.1.register(901, 19);
+    assert_eq!(decoded(&header), encoded(&expected));
     remove(&path);
 }
 
@@ -381,7 +406,7 @@ fn flush_hook_observes_the_checkpoint_sequence() {
     let sink = Arc::clone(&seen);
     store.set_flush_hook(Some(Arc::new(move |point| sink.lock().push(point))));
     store.store_room(0, 0, 0, sample_room(3)).unwrap();
-    store.write_tail(1, b"t").unwrap();
+    store.write_tail(1, &sample_tail(1, 1)).unwrap();
     let seen = seen.lock().clone();
     assert_eq!(
         seen,
@@ -420,7 +445,7 @@ fn reopen_rebuilds_the_occupancy_index_and_scans_skip_empty_buckets() {
         store.store_room(7, 11, 0, sample_room(5)).unwrap();
         store.store_room(7, 40, 1, sample_room(6)).unwrap();
         store.store_room(33, 11, 0, sample_room(7)).unwrap();
-        store.write_tail(3, &[]).unwrap();
+        store.write_tail(3, &Tail::default()).unwrap();
     }
     let (reopened, _) = FileStore::open(&path, 4).unwrap();
     let mut row7 = Vec::new();
@@ -588,7 +613,7 @@ fn a_checkpoint_stops_when_the_round_it_waited_out_poisons_the_log() {
         // The checkpoint passes its health gate and appends its TAIL frame, then waits
         // for the parked round.  Bounded, so a checkpoint that waits elsewhere reports.
         let logged = store.wal_bytes();
-        let checkpoint = scope.spawn(|| store.write_tail(1, b"t"));
+        let checkpoint = scope.spawn(|| store.write_tail(1, &sample_tail(1, 1)));
         let deadline = Instant::now() + Duration::from_secs(30);
         while store.wal_bytes() == logged && Instant::now() < deadline {
             std::thread::yield_now();

@@ -27,9 +27,6 @@ pub struct StoreCounters {
     pub pages_flushed: AtomicU64,
     /// Completed checkpoints.
     pub checkpoints: AtomicU64,
-    /// Tail-section bytes rewritten by checkpoints (incremental checkpoints keep this
-    /// far below `checkpoints × tail size`).
-    pub tail_bytes_written: AtomicU64,
     /// Page-cache lookups (every room read or write touches one page).
     pub page_lookups: AtomicU64,
     /// Lookups that missed and faulted the page in from disk.

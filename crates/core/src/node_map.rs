@@ -24,8 +24,8 @@ impl NodeIdMap {
     }
 
     /// Registers that original vertex `vertex` hashes to `hash`.  Idempotent per vertex;
-    /// returns `true` when the pair was new (callers use this to stamp generations and
-    /// write-ahead log only real mutations).
+    /// returns `true` when the pair was new (callers use this to write-ahead log only
+    /// real mutations).
     pub fn register(&mut self, hash: u64, vertex: u64) -> bool {
         let list = self.by_hash.entry(hash).or_default();
         if !list.contains(&vertex) {

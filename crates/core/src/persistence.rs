@@ -138,8 +138,8 @@ pub(crate) fn write_node_section(
     Ok(())
 }
 
-/// Writes both tail sections back-to-back (the snapshot layout and the whole-tail form
-/// of a `FileStore` file).
+/// Writes both tail sections back-to-back (the snapshot layout and the tail of a
+/// `FileStore` file).
 pub(crate) fn write_tail_sections(
     buffer: &crate::buffer::LeftoverBuffer,
     node_map: &crate::node_map::NodeIdMap,
@@ -149,24 +149,21 @@ pub(crate) fn write_tail_sections(
     write_node_section(node_map, writer)
 }
 
-/// Encodes the buffer section into bytes (incremental checkpoints and WAL recovery).
-pub(crate) fn encode_buffer_section(buffer: &crate::buffer::LeftoverBuffer) -> Vec<u8> {
+/// Encodes the whole tail image a `FileStore` checkpoint logs and writes: both sections
+/// back-to-back, plus the length of the buffer section (where the node section starts).
+pub(crate) fn encode_tail(
+    buffer: &crate::buffer::LeftoverBuffer,
+    node_map: &crate::node_map::NodeIdMap,
+) -> (Vec<u8>, usize) {
     let mut bytes = Vec::new();
     write_buffer_section(buffer, &mut bytes).expect("writing to a Vec cannot fail");
-    bytes
-}
-
-/// Encodes the node-table section into bytes (incremental checkpoints and WAL recovery).
-pub(crate) fn encode_node_section(node_map: &crate::node_map::NodeIdMap) -> Vec<u8> {
-    let mut bytes = Vec::new();
+    let buffer_len = bytes.len();
     write_node_section(node_map, &mut bytes).expect("writing to a Vec cannot fail");
-    bytes
+    (bytes, buffer_len)
 }
 
-/// Reads the sections written by [`write_tail_sections`].  Decodes into bare buffer/node
-/// structures rather than a sketch so callers can validate a tail **before** assembling a
-/// sketch around live storage — an error here must not leave a half-built sketch whose
-/// drop-sync would overwrite the very file it failed to open.
+/// Reads the sections written by [`write_tail_sections`] into bare buffer/node
+/// structures.
 pub(crate) fn read_tail_sections(
     buffer: &mut crate::buffer::LeftoverBuffer,
     node_map: &mut crate::node_map::NodeIdMap,
@@ -190,22 +187,22 @@ pub(crate) fn read_tail_sections(
     Ok(())
 }
 
-/// Decodes a `FileStore` tail into bare buffer/node structures.  An empty tail (a file
-/// created but never synced with content) decodes as an empty buffer and node table.
+/// Decodes a `FileStore` tail (see [`encode_tail`]).  An empty tail decodes as an empty
+/// buffer and node table.
 pub(crate) fn decode_tail(
-    buffer: &mut crate::buffer::LeftoverBuffer,
-    node_map: &mut crate::node_map::NodeIdMap,
     bytes: &[u8],
-) -> Result<(), PersistenceError> {
+) -> Result<(crate::buffer::LeftoverBuffer, crate::node_map::NodeIdMap), PersistenceError> {
+    let mut buffer = crate::buffer::LeftoverBuffer::new();
+    let mut node_map = crate::node_map::NodeIdMap::new();
     if bytes.is_empty() {
-        return Ok(());
+        return Ok((buffer, node_map));
     }
     let mut remaining = bytes;
-    read_tail_sections(buffer, node_map, &mut remaining)?;
+    read_tail_sections(&mut buffer, &mut node_map, &mut remaining)?;
     if !remaining.is_empty() {
         return Err(PersistenceError::Corrupt("trailing bytes after sketch-file tail".into()));
     }
-    Ok(())
+    Ok((buffer, node_map))
 }
 
 impl GssSketch {
@@ -317,7 +314,8 @@ impl GssSketch {
         // The streamed tail content bypassed the write-ahead log (only live mutations
         // are logged), so a file-backed restore must checkpoint before it is handed
         // out — otherwise a crash before the caller's first sync would recover the
-        // rooms but an *empty* buffer and node table.
+        // rooms but an *empty* buffer and node table.  The commit logged just above
+        // leaves the log unclean, so this checkpoint writes the tail.
         sketch.sync()?;
         Ok(sketch)
     }

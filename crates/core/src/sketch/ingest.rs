@@ -137,11 +137,10 @@ impl GssSketch {
         .unwrap_or_else(|fault| panic!("sketch write failed during merge: {fault}"));
     }
 
-    /// Registers a `⟨H(v), v⟩` pair, bumping the node-section generation and write-ahead
-    /// logging the registration when it is new — the single mutation point of the table.
+    /// Registers a `⟨H(v), v⟩` pair, write-ahead logging the registration when it is new
+    /// — the single mutation point of the table.
     fn register_node(&mut self, hash: u64, vertex: VertexId) -> Result<(), StoreFault> {
         if self.node_map.register(hash, vertex) {
-            self.node_gen += 1;
             if let RoomStorage::File(store) = &self.matrix {
                 store.log_node(hash, vertex)?;
             }
@@ -275,7 +274,6 @@ impl GssSketch {
             }
         }
         self.buffer.insert(source_node.hash, destination_node.hash, weight);
-        self.buffer_gen += 1;
         if let RoomStorage::File(store) = &self.matrix {
             store.log_buffer_insert(source_node.hash, destination_node.hash, weight)?;
         }

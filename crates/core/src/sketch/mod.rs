@@ -30,7 +30,7 @@ mod query;
 use crate::buffer::LeftoverBuffer;
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::{ConfigError, DurabilityReport, StoreFault};
-use crate::file_store::{FileStore, TailSections};
+use crate::file_store::FileStore;
 use crate::group_commit::GroupCommitter;
 use crate::hashing::{NodeHasher, RecoverQCache};
 use crate::matrix::{MemoryStore, Room};
@@ -61,11 +61,6 @@ pub struct GssSketch {
     buffer: LeftoverBuffer,
     node_map: NodeIdMap,
     items_inserted: u64,
-    /// Generation stamp of the buffer content, bumped on every buffered insert; lets
-    /// [`sync`](Self::sync) skip re-encoding (and rewriting) an unchanged tail section.
-    buffer_gen: u64,
-    /// Generation stamp of the `⟨H(v), v⟩` table, bumped on every new registration.
-    node_gen: u64,
     /// Memo for [`NodeHasher::recover_address_cached`] on the query path.
     recover_cache: RecoverQCache,
     /// Log size at which ingest checkpoints automatically (bounds WAL growth).
@@ -129,8 +124,6 @@ impl GssSketch {
             buffer: LeftoverBuffer::new(),
             node_map: NodeIdMap::new(),
             items_inserted: 0,
-            buffer_gen: 0,
-            node_gen: 0,
             recover_cache: RecoverQCache::new(),
             wal_checkpoint_bytes: crate::config::WAL_CHECKPOINT_BYTES,
             sync_on_drop: true,
@@ -169,27 +162,20 @@ impl GssSketch {
         cache_pages: usize,
         group: Arc<GroupCommitter>,
     ) -> Result<Self, PersistenceError> {
+        // The store decoded the tail before returning, so nothing below can fail: a
+        // rejected file never gets a half-built sketch whose drop would checkpoint over it.
         let (store, header) = FileStore::open_grouped(path.as_ref(), cache_pages, group)?;
-        // Decode the tail *before* assembling the sketch: if it is corrupt, returning
-        // here drops only the bare store (no Drop), leaving the rejected file byte-for-
-        // byte intact — a half-built sketch would checkpoint its partial state over the
-        // evidence on drop.
-        let mut buffer = LeftoverBuffer::new();
-        let mut node_map = NodeIdMap::new();
-        crate::persistence::decode_tail(&mut buffer, &mut node_map, &header.tail)?;
         let mut sketch = Self::from_parts(header.config, RoomStorage::File(Box::new(store)));
-        sketch.buffer = buffer;
-        sketch.node_map = node_map;
+        sketch.buffer = header.buffer;
+        sketch.node_map = header.node_map;
         sketch.items_inserted = header.items_inserted;
         Ok(sketch)
     }
 
     /// Mutable access to the buffer and node table together (used by persistence to
-    /// stream tail sections into a sketch it is restoring).  Conservatively bumps both
-    /// tail generations: the caller streams arbitrary content in.
+    /// stream tail sections into a sketch it is restoring).  Nothing streamed in is
+    /// logged: the restore must log a frame of its own before it syncs.
     pub(crate) fn tail_parts_mut(&mut self) -> (&mut LeftoverBuffer, &mut NodeIdMap) {
-        self.buffer_gen += 1;
-        self.node_gen += 1;
         (&mut self.buffer, &mut self.node_map)
     }
 
@@ -199,9 +185,9 @@ impl GssSketch {
     }
 
     /// Checkpoints a file-backed sketch: logs the tail image to the write-ahead log,
-    /// flushes dirty pages, rewrites **only the tail sections whose generation stamp
-    /// moved**, marks the file clean and truncates the log.  A fully unchanged
-    /// sketch returns without touching the file; a no-op for in-memory sketches.  Runs
+    /// flushes dirty pages, rewrites the tail, marks the file clean and truncates the
+    /// log (see [`FileStore::checkpoint`]).  A sketch unchanged since its last checkpoint
+    /// returns without touching the file; a no-op for in-memory sketches.  Runs
     /// automatically on drop (ignoring errors there — call `sync` explicitly when
     /// durability must be confirmed).
     ///
@@ -209,25 +195,8 @@ impl GssSketch {
     /// Returns [`PersistenceError::Io`] if the file cannot be written.
     pub fn sync(&mut self) -> Result<(), PersistenceError> {
         if let RoomStorage::File(store) = &self.matrix {
-            let (synced_buffer_gen, synced_node_gen, synced_buffer_len) = store.synced_tail_state();
-            let buffer_section = (synced_buffer_gen != self.buffer_gen)
-                .then(|| crate::persistence::encode_buffer_section(&self.buffer));
-            // A resized buffer section shifts the node section, which must then be
-            // rewritten at its new offset even when its own content is unchanged.
-            let node_moved =
-                buffer_section.as_ref().is_some_and(|b| b.len() as u64 != synced_buffer_len);
-            let node_section = (synced_node_gen != self.node_gen || node_moved)
-                .then(|| crate::persistence::encode_node_section(&self.node_map));
             store
-                .checkpoint(
-                    self.items_inserted,
-                    TailSections {
-                        buffer: buffer_section.as_deref(),
-                        node: node_section.as_deref(),
-                        buffer_gen: self.buffer_gen,
-                        node_gen: self.node_gen,
-                    },
-                )
+                .checkpoint(self.items_inserted, &self.buffer, &self.node_map)
                 .map_err(|error| PersistenceError::Io(error.to_string()))?;
         }
         Ok(())

@@ -19,9 +19,14 @@
 //! tag 2  BUFFER  source hash u64 | destination hash u64 | weight delta i64
 //! tag 3  NODE    node hash u64 | original vertex id u64
 //! tag 4  COMMIT  items_inserted u64            — marks a completed insert / batch
-//! tag 5  TAIL    items u64 | flags u8 |        — full image of the tail sections a
-//!                [len u64 | bytes] per flag      checkpoint is about to rewrite
+//! tag 5  TAIL    items u64 | flags u8 |        — full image of the tail a checkpoint is
+//!                [len u64 | bytes] per flag      about to write: buffer (bit 0) and
+//!                                                node (bit 1) section
 //! ```
+//!
+//! A checkpoint always logs both sections (flags `0b11`).  Older writers logged only the
+//! sections they rewrote, so replay still accepts a one-section `TAIL` frame: the absent
+//! section is the file's own, plus the deltas logged after the frame.
 //!
 //! All integers are little-endian.  Replay ([`read_replay`]) consumes the longest valid
 //! prefix: the first truncated frame, CRC mismatch or unknown tag ends the replay —
@@ -239,17 +244,14 @@ pub(crate) fn commit_frame(items: u64) -> [u8; COMMIT_FRAME_BYTES] {
     seal(TAG_COMMIT, &items.to_le_bytes())
 }
 
-/// Encodes a `TAIL` frame outside any lock: the image of the tail sections a checkpoint is
-/// about to rewrite (an absent section is unchanged on disk and has no pending deltas).
-pub(crate) fn tail_frame(items: u64, buffer: Option<&[u8]>, node: Option<&[u8]>) -> Vec<u8> {
-    let sections = [buffer, node];
-    let mut frame = Vec::with_capacity(
-        1 + 9 + sections.iter().flatten().map(|s| 8 + s.len()).sum::<usize>() + 4,
-    );
+/// Encodes a `TAIL` frame outside any lock: the whole tail image a checkpoint is about to
+/// write, both sections flagged present.
+pub(crate) fn tail_frame(items: u64, buffer: &[u8], node: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(1 + 9 + 8 + buffer.len() + 8 + node.len() + 4);
     frame.push(TAG_TAIL);
     frame.extend_from_slice(&items.to_le_bytes());
-    frame.push(u8::from(buffer.is_some()) | (u8::from(node.is_some()) << 1));
-    for section in sections.into_iter().flatten() {
+    frame.push(0b11);
+    for section in [buffer, node] {
         frame.extend_from_slice(&(section.len() as u64).to_le_bytes());
         frame.extend_from_slice(section);
     }
@@ -822,6 +824,21 @@ impl Wal {
     }
 }
 
+/// A buffer-only `TAIL` frame as older writers logged it, built byte by byte
+/// (tag | items | flags = 0b01 | len | bytes | CRC): [`tail_frame`] always writes both
+/// sections, but replay must still accept this shape.
+#[cfg(test)]
+pub(crate) fn buffer_only_tail_frame(items: u64, buffer: &[u8]) -> Vec<u8> {
+    let mut frame = vec![TAG_TAIL];
+    frame.extend_from_slice(&items.to_le_bytes());
+    frame.push(0b01);
+    frame.extend_from_slice(&(buffer.len() as u64).to_le_bytes());
+    frame.extend_from_slice(buffer);
+    let crc = crc32(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,7 +915,7 @@ mod tests {
         append(&wal, &buffer_frame(1, 2, 3));
         append(&wal, &node_frame(1, 1));
         append(&wal, &room_frame(0, &sample_record(1)));
-        append(&wal, &tail_frame(9, Some(b"BUF"), None));
+        append(&wal, &buffer_only_tail_frame(9, b"BUF"));
         wal.barrier().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
         assert!(replay.buffer_ops.is_empty() && replay.node_ops.is_empty());
@@ -909,7 +926,7 @@ mod tests {
         // The bytes the checkpoint has always logged: tag | items | flags | sections | CRC.
         let pinned = "0509000000000000000301000000000000004201000000000000004e4a2c487b";
         let encoded: String =
-            tail_frame(9, Some(b"B"), Some(b"N")).iter().map(|b| format!("{b:02x}")).collect();
+            tail_frame(9, b"B", b"N").iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(encoded, pinned);
         std::fs::remove_file(&path).ok();
     }
@@ -988,7 +1005,7 @@ mod tests {
         // Recovery appends its TAIL frame behind the *valid* prefix; a replay of the
         // resulting log must reach it (it would stop at the tear otherwise).
         let appended = open_log(&path, Some(replay.valid_bytes), &Arc::default());
-        append(&appended, &tail_frame(9, Some(b"B"), Some(b"N")));
+        append(&appended, &tail_frame(9, b"B", b"N"));
         appended.barrier().unwrap();
         let replay = read_replay(&path, 1 << 20).unwrap().unwrap();
         assert_eq!(replay.items, Some(9));

@@ -73,11 +73,14 @@ fn build_fill_drop_reopen_round_trip() {
     std::fs::remove_dir(&dir).ok();
 }
 
-#[test]
-fn rejected_open_leaves_the_sketch_file_untouched() {
-    // A small overloaded matrix guarantees a non-empty tail (buffered edges).
-    let dir = temp_dir();
-    let path = dir.join("corrupt-tail.gss");
+/// Width 4 × 4 buckets × 1 room = 256 rooms = exactly one 4-KiB page, so the tail of
+/// the file [`overloaded_sketch_file`] writes starts at 8192 with the buffered-edge count.
+const TAIL_OFFSET: usize = 8192;
+
+/// Writes a cleanly synced sketch file at `name` whose small overloaded matrix
+/// guarantees a non-empty tail (buffered edges), and returns its path.
+fn overloaded_sketch_file(name: &str) -> PathBuf {
+    let path = temp_dir().join(name);
     let config = GssConfig {
         width: 4,
         rooms: 1,
@@ -85,34 +88,51 @@ fn rejected_open_leaves_the_sketch_file_untouched() {
         candidates: 2,
         ..GssConfig::paper_default(4)
     };
-    {
-        let mut sketch = GssBuilder::from_config(config)
-            .storage(StorageBackend::File { path: path.clone(), cache_pages: 4 })
-            .build()
-            .unwrap();
-        for s in 0..40u64 {
-            for d in 0..4u64 {
-                sketch.insert(s, d, 1);
-            }
+    let mut sketch = GssBuilder::from_config(config)
+        .storage(StorageBackend::File { path: path.clone(), cache_pages: 4 })
+        .build()
+        .unwrap();
+    for s in 0..40u64 {
+        for d in 0..4u64 {
+            sketch.insert(s, d, 1);
         }
-        assert!(sketch.buffered_edges() > 0, "tail must be non-trivial");
     }
+    assert!(sketch.buffered_edges() > 0, "tail must be non-trivial");
+    path
+}
 
-    // Corrupt the first byte of the tail (the buffered-edge count): width 4 × 4 buckets
-    // × 1 room = 256 rooms = exactly one 4-KiB page, so the tail starts at 8192.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let tail_offset = 8192;
-    bytes[tail_offset] = 0xFF;
-    std::fs::write(&path, &bytes).unwrap();
-    let before = std::fs::read(&path).unwrap();
-
-    // The open must fail — and failing must not modify the file (a regression here means
-    // the half-built sketch checkpointed partial state over the evidence on drop).
-    assert!(GssSketch::open_file(&path, 4).is_err());
-    let after = std::fs::read(&path).unwrap();
+/// Opens the sketch file at `path`, which must be rejected — and failing must not
+/// modify the file (a regression here means the open wrote before it had validated
+/// everything, or a half-built sketch checkpointed partial state over the evidence).
+fn assert_rejected_untouched(path: &std::path::Path) {
+    let before = std::fs::read(path).unwrap();
+    assert!(GssSketch::open_file(path, 4).is_err());
+    let after = std::fs::read(path).unwrap();
     assert_eq!(before, after, "rejected open must leave the file byte-for-byte intact");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_dir(&dir).ok();
+    std::fs::remove_file(path).ok();
+    std::fs::remove_dir(temp_dir()).ok();
+}
+
+#[test]
+fn rejected_open_leaves_the_sketch_file_untouched() {
+    let path = overloaded_sketch_file("corrupt-tail.gss");
+    // Corrupt the first byte of the tail (the buffered-edge count).
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[TAIL_OFFSET] = 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+    assert_rejected_untouched(&path);
+}
+
+/// The version-1 twin: a clean v1 file is upgraded to v2 in place when it opens, so its
+/// tail must be decoded before that upgrade writes the header.
+#[test]
+fn rejected_open_leaves_a_version_1_sketch_file_untouched() {
+    let path = overloaded_sketch_file("corrupt-v1-tail.gss");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[..8].copy_from_slice(&gss_core::file_store::FILE_MAGIC_V1);
+    bytes[TAIL_OFFSET..TAIL_OFFSET + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert_rejected_untouched(&path);
 }
 
 #[test]
