@@ -1,86 +1,10 @@
 //! Regenerates Table I: update speed (million insertions per second) of GSS, GSS without
-//! candidate sampling, TCM and the accelerated adjacency list on the three static datasets —
-//! plus Criterion micro-benchmarks of the per-item insert path for each structure.
+//! candidate sampling, TCM and the accelerated adjacency list on the three static datasets.
 
-use criterion::{BatchSize, Criterion};
 use gss_bench::{bench_scale, emit};
-use gss_core::GssSketch;
-use gss_datasets::SyntheticDataset;
-use gss_experiments::{
-    build_gss, build_tcm_with_ratio, gss_config_for, run_table1, DatasetRun, ExperimentScale,
-};
-use gss_graph::{AdjacencyListGraph, SummaryRead, SummaryWrite};
-use std::hint::black_box;
-
-/// Criterion benchmark: insert a fixed smoke-scale stream into each structure.
-fn criterion_inserts(scale: ExperimentScale) {
-    let dataset = SyntheticDataset::CitHepPh;
-    let run = DatasetRun::build(dataset, ExperimentScale::Smoke);
-    let widths = run.widths(scale);
-    let width = widths[widths.len() / 2];
-    let items = run.items.clone();
-
-    let mut criterion = Criterion::default().configure_from_args().sample_size(10);
-    let mut group = criterion.benchmark_group("table1_insert_stream");
-    group.throughput(criterion::Throughput::Elements(items.len() as u64));
-
-    group.bench_function("gss", |b| {
-        b.iter_batched(
-            || build_gss(dataset, width, 16),
-            |mut sketch| {
-                for item in &items {
-                    sketch.insert(item.source, item.destination, item.weight);
-                }
-                black_box(sketch.stats().items_inserted)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("gss_no_sampling", |b| {
-        b.iter_batched(
-            || {
-                GssSketch::new(gss_config_for(dataset, width, 16).with_sampling(false))
-                    .expect("valid config")
-            },
-            |mut sketch| {
-                for item in &items {
-                    sketch.insert(item.source, item.destination, item.weight);
-                }
-                black_box(sketch.stats().items_inserted)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("tcm", |b| {
-        b.iter_batched(
-            || build_tcm_with_ratio(width, 2, scale.tcm_edge_ratio()),
-            |mut sketch| {
-                for item in &items {
-                    sketch.insert(item.source, item.destination, item.weight);
-                }
-                black_box(sketch.stats().items_inserted)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("adjacency_list", |b| {
-        b.iter_batched(
-            AdjacencyListGraph::new,
-            |mut graph| {
-                for item in &items {
-                    graph.insert(item.source, item.destination, item.weight);
-                }
-                black_box(graph.edge_count())
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-    criterion.final_summary();
-}
+use gss_experiments::run_table1;
 
 fn main() {
     let scale = bench_scale("table1_update_speed");
     emit(&[run_table1(scale)], "table1_update_speed");
-    criterion_inserts(scale);
 }

@@ -16,7 +16,7 @@
 //! * **1-hop precursor queries** fan out: edges *into* a vertex may come from sources in
 //!   any shard, so every shard is scanned and the answers are unioned (sorted, deduped).
 //!   Each shard's column scans are steered by its bucket-occupancy index
-//!   ([`crate::storage::OccupancyIndex`]), so the fan-out costs `shards ×` a
+//!   (`OccupancyIndex`), so the fan-out costs `shards ×` a
 //!   load-proportional scan rather than `shards ×` a full-geometry scan — and per-shard
 //!   load factors are `1/shards` of a single sketch's to begin with;
 //! * **stats** aggregate field-wise across shards ([`SummaryStats::merged_with`]);

@@ -42,7 +42,7 @@
 //! the checkpoint's tail image alike.  A sharded store acknowledges its commits through
 //! that same log without the shard lock, so a checkpoint can meet another writer's round
 //! in flight; its barrier waits that round out.  The occupancy index is a plain
-//! [`OccupancyIndex`](crate::storage::OccupancyIndex): its only writer is
+//! `OccupancyIndex`: its only writer is
 //! `store_room(&mut self)`, so the borrow checker already rules out a reader scanning it
 //! mid-mark.  See [`crate::pager`] for the full lock map; the one global rule is that the
 //! WAL append mutex is never held while taking a page-table stripe mutex (the full order
@@ -118,7 +118,7 @@ pub enum FlushPoint {
 /// stalls another thread's points.
 pub type FlushHook = Arc<dyn Fn(FlushPoint) + Send + Sync>;
 
-/// A paged file-backed [`RoomStore`](crate::storage::RoomStore): lock-striped page cache
+/// The paged file backend of [`RoomStorage`](crate::RoomStorage): lock-striped page cache
 /// with per-page latches, write-ahead room log behind its own append mutex, and
 /// checkpoints that write one whole tail image (none while the log is clean).  Reads
 /// (`&self`) run concurrently; see the module docs.

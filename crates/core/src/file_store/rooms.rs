@@ -8,9 +8,9 @@
 //! sticky [`StoreHealth`](crate::error::StoreHealth) and comes back as the typed cause,
 //! every later write is rejected with that same cause, and reads keep serving — cache
 //! hits directly, misses degraded to uncached reads of the file image.  Only the
-//! read-side [`RoomStore`](crate::storage::RoomStore) methods (`room`, `weight_of`,
-//! `scan_*`), whose signatures carry no error, still panic on an unreadable page
-//! (poisoning first); construction, open and sync report errors properly.
+//! read-side room methods (`room`, `weight_of`, `scan_*`), whose signatures carry no
+//! error, still panic on an unreadable page (poisoning first); construction, open and
+//! sync report errors properly.
 
 use super::FileStore;
 use crate::error::StoreFault;

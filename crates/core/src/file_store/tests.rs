@@ -13,7 +13,9 @@ use crate::node_map::NodeIdMap;
 use crate::pager::faults::{install, FaultPlan};
 use crate::pager::lock_file::lock_path;
 use crate::persistence::{encode_tail, PersistenceError};
-use crate::storage::{BucketProbe, Layout, RoomStore, StorageBackend, ROOM_OCCUPIED_BYTE};
+use crate::storage::{
+    BucketProbe, Layout, PageSource, RoomStorage, StorageBackend, ROOM_OCCUPIED_BYTE,
+};
 use crate::wal::{buffer_only_tail_frame, wal_path};
 use crate::{GssSketch, GssStats};
 use gss_graph::{StreamEdge, SummaryWrite};
@@ -86,8 +88,8 @@ fn create_store_and_reopen_round_trips_rooms() {
     let config = GssConfig::paper_default(8);
     {
         let mut store = FileStore::create(&path, &config, 4).unwrap();
-        assert_eq!(store.room_count(), 8 * 8 * 2);
-        assert_eq!(store.occupied_rooms(), 0);
+        assert_eq!(store.grid().layout.room_count(), 8 * 8 * 2);
+        assert_eq!(store.grid().occupied, 0);
         assert_eq!(store.probe_bucket(3, 5, SAMPLE_KEY).unwrap(), BucketProbe::Empty(0));
         store.store_room(3, 5, 0, sample_room(42)).unwrap();
         store.store_room(7, 0, 1, sample_room(-7)).unwrap();
@@ -98,7 +100,7 @@ fn create_store_and_reopen_round_trips_rooms() {
         let other = RoomKey { source_index: 0, ..SAMPLE_KEY };
         assert_eq!(store.probe_bucket(3, 5, other).unwrap(), BucketProbe::Empty(1));
         assert_eq!(store.weight_of(3, 5, other), None);
-        assert_eq!(store.occupied_rooms(), 2);
+        assert_eq!(store.grid().occupied, 2);
         store.write_tail(123, &sample_tail(1, 3)).unwrap();
     }
     let (store, header) = FileStore::open(&path, 4).unwrap();
@@ -106,7 +108,7 @@ fn create_store_and_reopen_round_trips_rooms() {
     assert_eq!(header.items_inserted, 123);
     assert_eq!(decoded(&header), encoded(&sample_tail(1, 3)));
     assert!(!header.recovered);
-    assert_eq!(store.occupied_rooms(), 2);
+    assert_eq!(store.grid().occupied, 2);
     assert_eq!(store.room(3, 5, 0).weight, 50);
     assert_eq!(store.room(7, 0, 1).weight, -7);
     let mut seen = Vec::new();
@@ -129,7 +131,7 @@ fn unclean_files_recover_from_the_wal_and_bad_magic_is_rejected() {
     let (recovered, header) = FileStore::open(&path, 2).unwrap();
     assert!(header.recovered);
     assert_eq!(header.items_inserted, 1);
-    assert_eq!(recovered.occupied_rooms(), 1);
+    assert_eq!(recovered.grid().occupied, 1);
     assert_eq!(recovered.room(0, 0, 0).weight, 1);
     drop(recovered);
     // Same crash state but the log is gone: unrecoverable, rejected.
@@ -329,7 +331,7 @@ fn tiny_cache_evicts_and_writes_back() {
     for row in 0..40 {
         assert_eq!(store.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
     }
-    assert_eq!(store.occupied_rooms(), 40);
+    assert_eq!(store.grid().occupied, 40);
     assert!(metrics::get(&store.counters.pages_flushed) > 0, "evictions write back");
     store.write_tail(0, &Tail::default()).unwrap();
     drop(store); // release the single-opener lock before reopening
@@ -456,7 +458,8 @@ fn reopen_rebuilds_the_occupancy_index_and_scans_skip_empty_buckets() {
     assert_eq!(column11, vec![(7, 5), (33, 7)]);
     // The indexed column scan touches only the two pages holding occupied buckets of
     // this column; the naive baseline probes all 48 and touches ~one page per bucket.
-    let lookups = || metrics::get(&reopened.counters.page_lookups);
+    let reopened = RoomStorage::File(Box::new(reopened));
+    let lookups = || metrics::get(&reopened.as_file().unwrap().counters.page_lookups);
     let before = lookups();
     let mut count = 0;
     reopened.scan_column(11, &mut |_, _| count += 1);
@@ -521,6 +524,7 @@ fn dense_rows_fall_back_to_the_linear_scan_with_identical_results() {
     }
     // Row 5 stays sparse (1 of 8): exercises the bitmap path in the same store.
     store.store_room(5, 3, 0, sample_room(7)).unwrap();
+    let store = RoomStorage::File(Box::new(store));
     for row in [2usize, 5] {
         let mut indexed = Vec::new();
         store.scan_row(row, &mut |column, room| indexed.push((column, room.weight)));

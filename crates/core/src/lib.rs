@@ -30,7 +30,7 @@
 //! share).  A room is identified inside its bucket by a [`RoomKey`] — the fingerprint pair
 //! and index pair ingest, queries and restore all hand to the store.
 //!
-//! Room storage is pluggable ([`storage::RoomStore`], ten required methods): the dense
+//! Room storage is pluggable ([`RoomStorage`], one enum over two backends): the dense
 //! in-memory matrix is the default, and [`StorageBackend::File`] keeps the matrix in a
 //! paged sketch file (LRU page cache, dirty-page write-back) so a matrix larger than RAM
 //! still runs — and the file doubles as its own checkpoint, reopenable in place via
@@ -97,6 +97,6 @@ pub use persistence::PersistenceError;
 pub use sketch::GssSketch;
 pub use stats::GssStats;
 pub use storage::{
-    naive_probe_bucket, naive_scan_column, naive_scan_row, BucketProbe, OccupancyIndex,
-    RoomStorage, RoomStore, StorageBackend, ROOM_RECORD_BYTES,
+    naive_probe_bucket, naive_scan_column, naive_scan_row, BucketProbe, RoomStorage,
+    StorageBackend, ROOM_RECORD_BYTES,
 };

@@ -6,14 +6,14 @@
 //! accumulated weight.  Multiple rooms per bucket are the "multiple rooms" improvement of
 //! Section V-B2.
 //!
-//! [`MemoryStore`] is the default backend of the [`RoomStore`](crate::storage::RoomStore)
-//! abstraction: the room region — 16-byte records in row-major bucket order, exactly as
-//! the sketch file lays them out — held in one zeroed buffer of whole pages.  Scanning a
-//! row (for successor queries) walks a contiguous region, scanning a column (for
-//! precursor queries) strides by `m × l`, mirroring the cache behaviour the paper
-//! discusses.  The probe, lookup and scan kernels, and the occupancy index that makes the
-//! scans load-factor-proportional, are shared with the paged file backend
-//! ([`crate::file_store`]) in [`crate::storage`].
+//! [`MemoryStore`] is the default backend of [`RoomStorage`](crate::RoomStorage): the
+//! room region — 16-byte records in row-major bucket order, exactly as the sketch file
+//! lays them out — held in one zeroed buffer of whole pages.  Scanning a row (for
+//! successor queries) walks a contiguous region, scanning a column (for precursor
+//! queries) strides by `m × l`, mirroring the cache behaviour the paper discusses.  The
+//! probe, lookup and scan kernels, and the occupancy index that makes the scans
+//! load-factor-proportional, are shared with the paged file backend ([`crate::file_store`])
+//! in [`crate::storage`].
 
 use crate::error::StoreFault;
 use crate::pager::PAGE_BYTES;
@@ -103,9 +103,9 @@ impl Room {
     }
 }
 
-/// The in-memory `m × m × l` room store (the default
-/// [`RoomStore`](crate::storage::RoomStore) backend): the room region as one zeroed
-/// buffer of whole pages, byte for byte what a sketch file holds.
+/// The in-memory `m × m × l` room store (the default [`RoomStorage`](crate::RoomStorage)
+/// backend): the room region as one zeroed buffer of whole pages, byte for byte what a
+/// sketch file holds.
 #[derive(Clone)]
 pub struct MemoryStore {
     grid: RoomGrid,
@@ -187,7 +187,7 @@ impl PageSource for MemoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{naive_scan_row, BucketProbe, RoomStore};
+    use crate::storage::{naive_scan_row, BucketProbe, RoomStorage};
 
     fn key(
         source_fingerprint: u16,
@@ -198,14 +198,14 @@ mod tests {
         RoomKey { source_fingerprint, destination_fingerprint, source_index, destination_index }
     }
 
-    /// An occupied room (the trait's `store_room` takes the room whole).
+    /// An occupied room (`store_room` takes the room whole).
     fn room(sf: u16, df: u16, si: u8, di: u8, weight: i64) -> Room {
         key(sf, df, si, di).room(weight)
     }
 
     #[test]
     fn new_matrix_is_empty() {
-        let matrix = MemoryStore::new(4, 2);
+        let matrix = RoomStorage::Memory(MemoryStore::new(4, 2));
         assert_eq!(matrix.width(), 4);
         assert_eq!(matrix.rooms_per_bucket(), 2);
         assert_eq!(matrix.room_count(), 32);
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn store_and_find_round_trip() {
-        let mut matrix = MemoryStore::new(4, 2);
+        let mut matrix = RoomStorage::Memory(MemoryStore::new(4, 2));
         assert_eq!(matrix.probe_bucket(1, 2, key(10, 20, 3, 4)).unwrap(), BucketProbe::Empty(0));
         matrix.store_room(1, 2, 0, room(10, 20, 3, 4, 7)).unwrap();
         assert_eq!(matrix.probe_bucket(1, 2, key(10, 20, 3, 4)).unwrap(), BucketProbe::Match(0));
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn add_weight_accumulates() {
-        let mut matrix = MemoryStore::new(2, 1);
+        let mut matrix = RoomStorage::Memory(MemoryStore::new(2, 1));
         matrix.store_room(0, 1, 0, room(1, 2, 0, 0, 5)).unwrap();
         matrix.add_weight(0, 1, 0, 3).unwrap();
         assert_eq!(matrix.room(0, 1, 0).weight, 8);
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn full_bucket_has_no_empty_room() {
-        let mut matrix = MemoryStore::new(2, 2);
+        let mut matrix = RoomStorage::Memory(MemoryStore::new(2, 2));
         matrix.store_room(0, 0, 0, room(1, 1, 0, 0, 1)).unwrap();
         matrix.store_room(0, 0, 1, room(2, 2, 0, 0, 1)).unwrap();
         assert_eq!(matrix.probe_bucket(0, 0, key(3, 3, 0, 0)).unwrap(), BucketProbe::Full);
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn row_and_column_iteration_report_positions() {
-        let mut matrix = MemoryStore::new(3, 2);
+        let mut matrix = RoomStorage::Memory(MemoryStore::new(3, 2));
         matrix.store_room(1, 0, 0, room(5, 6, 1, 2, 10)).unwrap();
         matrix.store_room(1, 2, 1, room(7, 8, 3, 4, 20)).unwrap();
         matrix.store_room(0, 2, 0, room(9, 10, 5, 6, 30)).unwrap();
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn dense_rows_scan_linearly_with_identical_results() {
-        let mut matrix = MemoryStore::new(8, 2);
+        let mut matrix = RoomStorage::Memory(MemoryStore::new(8, 2));
         // Row 4: 6 of 8 buckets occupied — past the 50% dense threshold; row 6 sparse.
         for column in 0..6 {
             matrix.store_room(4, column, 0, room(5, 6, 1, 2, column as i64 + 100)).unwrap();

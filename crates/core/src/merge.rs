@@ -15,7 +15,6 @@
 use crate::config::GssConfig;
 use crate::error::ConfigError;
 use crate::sketch::GssSketch;
-use crate::storage::RoomStore;
 use gss_graph::Weight;
 
 /// An edge extracted from a sketch in the *hashed* space, used as the unit of merging.

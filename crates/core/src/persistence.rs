@@ -18,7 +18,7 @@
 //! `row u32 | column u32 |` the same fixed 16-byte room record
 //! ([`crate::storage::ROOM_RECORD_BYTES`]) used by the `FileStore` file body — one record
 //! layout for every byte of room state, wherever it lives.  The bucket-occupancy index
-//! ([`crate::storage::OccupancyIndex`]) is never serialised: restore replays each room
+//! (`OccupancyIndex`) is never serialised: restore replays each room
 //! through the store, which rebuilds the bitmaps as a side effect, so snapshot bytes are
 //! identical with or without the index.  File-backed sketches
 //! additionally checkpoint **in place**: their sketch file reopens directly via
@@ -29,7 +29,7 @@
 use crate::matrix::Room;
 use crate::sketch::GssSketch;
 use crate::storage::{
-    decode_config, decode_room, encode_config, encode_room, BucketProbe, RoomStore, CONFIG_BYTES,
+    decode_config, decode_room, encode_config, encode_room, BucketProbe, CONFIG_BYTES,
     ROOM_RECORD_BYTES,
 };
 use std::fmt;

@@ -6,7 +6,7 @@ use crate::config::MAX_SEQUENCE_LENGTH;
 use crate::error::{GssError, StoreFault};
 use crate::hashing::HashedNode;
 use crate::matrix::RoomKey;
-use crate::storage::{BucketProbe, PageSource, RoomStorage, RoomStore};
+use crate::storage::{BucketProbe, PageSource, RoomStorage};
 use crate::wal::{Wal, WalAck};
 use gss_graph::{StreamEdge, SummaryWrite, VertexId, Weight};
 use std::collections::hash_map::Entry;
@@ -252,7 +252,7 @@ impl GssSketch {
 
     /// Walks `candidates` in probe order and places the edge: add to a matching room, claim
     /// the first free room, or spill to the buffer.  Each bucket is probed in **one pass**
-    /// ([`RoomStore::probe_bucket`]) that answers match/first-empty/full together.
+    /// ([`RoomStorage::probe_bucket`]) that answers match/first-empty/full together.
     fn place_edge(
         &mut self,
         source_node: HashedNode,

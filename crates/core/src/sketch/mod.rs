@@ -38,7 +38,7 @@ use crate::metrics::{self, StoreCounters};
 use crate::node_map::NodeIdMap;
 use crate::persistence::PersistenceError;
 use crate::stats::GssStats;
-use crate::storage::{place_room, BucketProbe, RoomStorage, RoomStore, StorageBackend};
+use crate::storage::{BucketProbe, RoomStorage, StorageBackend};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -320,14 +320,14 @@ impl GssSketch {
 
     /// Restores one matrix room exactly as it was encoded (used by persistence), placed
     /// the way ingest places an edge; anything but [`BucketProbe::Empty`] stored nothing
-    /// (see [`place_room`]).
+    /// (see [`RoomStorage::place_room`]).
     pub(crate) fn restore_room(
         &mut self,
         row: usize,
         column: usize,
         room: Room,
     ) -> Result<BucketProbe, StoreFault> {
-        place_room(&mut self.matrix, row, column, room)
+        self.matrix.place_room(row, column, room)
     }
 
     /// Whether the backing store has fail-stopped (always `false` for in-memory

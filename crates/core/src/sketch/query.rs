@@ -6,7 +6,7 @@ use super::GssSketch;
 use crate::config::MAX_SEQUENCE_LENGTH;
 use crate::hashing::HashedNode;
 use crate::matrix::Room;
-use crate::storage::{RoomStorage, RoomStore};
+use crate::storage::RoomStorage;
 use gss_graph::{SummaryRead, SummaryStats, VertexId, Weight};
 
 impl GssSketch {

@@ -1,5 +1,5 @@
-//! Pluggable room storage: the [`RoomStore`] trait, the one room region both backends hold,
-//! and the kernels that read and write it.
+//! Pluggable room storage: the one room region both backends hold, the kernels that read
+//! and write it, and [`RoomStorage`], the enum the sketch holds over the two backends.
 //!
 //! The `m × m × l` room grid is the only part of a GSS sketch whose size is proportional to
 //! the configured matrix rather than to the observed stream, so it is the part that decides
@@ -16,22 +16,16 @@
 //!
 //! That difference is the crate-private `PageSource` trait: read one page, write one
 //! record, map a failure.  The record walk, the bucket probe, the edge lookup and the line
-//! scans are written once over it — the [`RoomStore`] impl every page source gets — and
-//! monomorphised per backend, so the memory backend's never-failing `io::Result`s
-//! compile away.
+//! scans are written once over it — provided methods of the trait — and monomorphised per
+//! backend, so the memory backend's never-failing `io::Result`s compile away.
 //!
 //! [`RoomStorage`] is the enum the sketch actually holds — enum dispatch keeps
 //! [`GssSketch`](crate::GssSketch) a non-generic type so every existing caller, trait
 //! object and collection keeps compiling, and keeps the probe, the edge lookup and the
 //! room writes statically dispatched (they are the inner loop of ingest and edge queries).
-//!
-//! The trait is ten required methods: geometry (`width`, `rooms_per_bucket`,
-//! `occupied_rooms`), single-room access (`room`), the read-side edge lookup
-//! (`weight_of`), the three write-path steps (`probe_bucket`, `add_weight`,
-//! `store_room`) and the two line scans (`scan_row`, `scan_column`).  `room_count`,
-//! `scan_occupied` and `load_factor` are provided on top of those.  The slot-by-slot
+//! Each of its room methods dispatches once to the backend's kernel.  The slot-by-slot
 //! oracles the equivalence tests compare against — [`naive_probe_bucket`],
-//! [`naive_scan_row`], [`naive_scan_column`] — need nothing but `room`.
+//! [`naive_scan_row`], [`naive_scan_column`] — need nothing but [`RoomStorage::room`].
 //!
 //! The streaming snapshots of [`persistence`](crate::persistence) share the room record
 //! too ([`decode_room`] reads it back), so bytes move between the in-memory matrix,
@@ -50,7 +44,7 @@ use std::path::PathBuf;
 /// Compact per-row and per-column bucket-occupancy bitmaps.
 ///
 /// One bit per bucket in each direction (`2·m²/8` bytes total, under 1% of matrix memory
-/// at `l = 2`), set on the first [`RoomStore::store_room`] into a bucket and never
+/// at `l = 2`), set on the first [`RoomStorage::store_room`] into a bucket and never
 /// cleared (rooms are never freed — deletions zero weights but keep rooms occupied).
 /// Row/column scans walk set bits with popcount-guided jumps instead of probing every
 /// bucket, which makes successor/precursor queries proportional to the load factor
@@ -60,7 +54,7 @@ use std::path::PathBuf;
 /// format and snapshot bytes stay identical) and is rebuilt from room occupancy on
 /// [`open_file`](crate::GssSketch::open_file) and snapshot restore.
 #[derive(Debug, Clone, Default)]
-pub struct OccupancyIndex {
+pub(crate) struct OccupancyIndex {
     width: usize,
     words_per_line: usize,
     /// `width` lines of `words_per_line` words; bit `c` of line `r` ⇔ bucket `(r, c)`
@@ -72,7 +66,7 @@ pub struct OccupancyIndex {
 
 impl OccupancyIndex {
     /// An all-empty index for a `width × width` bucket grid.
-    pub fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         let words_per_line = width.div_ceil(64);
         Self {
             width,
@@ -84,25 +78,25 @@ impl OccupancyIndex {
 
     /// Marks bucket `(row, column)` as holding at least one occupied room.
     #[inline]
-    pub fn mark(&mut self, row: usize, column: usize) {
+    pub(crate) fn mark(&mut self, row: usize, column: usize) {
         debug_assert!(row < self.width && column < self.width);
         self.rows[row * self.words_per_line + column / 64] |= 1u64 << (column % 64);
         self.columns[column * self.words_per_line + row / 64] |= 1u64 << (row % 64);
     }
 
     /// The occupied columns of `row`, ascending.
-    pub fn in_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn in_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         Self::set_positions(self.line(&self.rows, row))
     }
 
     /// The occupied rows of `column`, ascending.
-    pub fn in_column(&self, column: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn in_column(&self, column: usize) -> impl Iterator<Item = usize> + '_ {
         Self::set_positions(self.line(&self.columns, column))
     }
 
     /// Number of occupied buckets in `row` (popcount over the row's bitmap words).
     #[inline]
-    pub fn occupied_in_row(&self, row: usize) -> usize {
+    pub(crate) fn occupied_in_row(&self, row: usize) -> usize {
         self.line(&self.rows, row).iter().map(|word| word.count_ones() as usize).sum()
     }
 
@@ -135,7 +129,7 @@ pub(crate) fn dense_scan(occupied_buckets: usize, width: usize) -> bool {
     occupied_buckets * 2 >= width
 }
 
-/// The outcome of a fused single-pass bucket probe ([`RoomStore::probe_bucket`]).
+/// The outcome of a fused single-pass bucket probe ([`RoomStorage::probe_bucket`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BucketProbe {
     /// The bucket holds the probed edge at this slot.
@@ -345,20 +339,20 @@ impl RoomGrid {
 
 /// Where a room region's pages come from: the one thing the two backends do differently.
 /// Besides the [`RoomGrid`] beside the pages, a source owes three things — read one page,
-/// write one record, map a failure — and every [`RoomStore`] method is written once over
-/// them (the impl below).  [`MemoryStore`] hands out the pages of its region and never
-/// fails; [`FileStore`] hands out cached pages, logs each record before writing it and
-/// fail-stops.
-pub(crate) trait PageSource {
+/// write one record, map a failure — and the room kernels are written once over them, as
+/// the provided methods below.  [`MemoryStore`] hands out the pages of its region and
+/// never fails; [`FileStore`] hands out cached pages, logs each record before writing it
+/// and fail-stops.
+pub(crate) trait PageSource: Sized {
     /// The region's layout, occupancy index and occupied count.
     fn grid(&self) -> &RoomGrid;
-    /// The same, for the one kernel that changes it ([`RoomStore::store_room`]).
+    /// The same, for the one kernel that changes it ([`store_room`](Self::store_room)).
     fn grid_mut(&mut self) -> &mut RoomGrid;
     /// Runs `read` over region page `page`.
     fn with_page<T>(&self, page: u64, read: impl FnOnce(&[u8; PAGE_BYTES]) -> T) -> io::Result<T>;
     /// Writes one encoded record at flat index `flat`.
     fn write_record(&mut self, flat: usize, record: &[u8; ROOM_RECORD_BYTES]) -> io::Result<()>;
-    /// Read-side failure: unwraps a read (the read-side [`RoomStore`] signatures carry no
+    /// Read-side failure: unwraps a read (the read-side kernels' signatures carry no
     /// error).  Called once per lookup or scan, never per bucket or page run — folding it
     /// into the per-bucket loop measured 27 % off file-backed precursor queries.
     fn io_fail<T>(&self, result: io::Result<T>) -> T;
@@ -367,6 +361,102 @@ pub(crate) trait PageSource {
     /// Write-side failure, after: turns a failed write-path step into the store's sticky
     /// fault.
     fn write_fault(&self, context: &str, error: &io::Error) -> StoreFault;
+
+    fn room(&self, row: usize, column: usize, slot: usize) -> Room {
+        self.io_fail(read_room(self, self.grid().layout.flat_index(row, column, slot)))
+    }
+
+    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
+        let mut weight = None;
+        self.io_fail(walk_bucket(self, row, column, |_, record| {
+            let room = decode_room(record);
+            if room.matches(key) {
+                weight = Some(room.weight);
+            }
+            weight.is_none()
+        }));
+        weight
+    }
+
+    /// On the file backend a cache miss here may have to evict a dirty page, so a
+    /// write-back fault (or a hard read fault) poisons the store and surfaces as the
+    /// sticky [`StoreFault`].
+    fn probe_bucket(
+        &self,
+        row: usize,
+        column: usize,
+        key: RoomKey,
+    ) -> Result<BucketProbe, StoreFault> {
+        self.write_gate()?;
+        let mut probe = BucketProbe::Full;
+        walk_bucket(self, row, column, |slot, record| {
+            let room = decode_room(record);
+            if room.matches(key) {
+                probe = BucketProbe::Match(slot);
+                return false;
+            }
+            if !room.occupied && probe == BucketProbe::Full {
+                probe = BucketProbe::Empty(slot);
+            }
+            true
+        })
+        .map_err(|error| self.write_fault("bucket probe page load", &error))?;
+        Ok(probe)
+    }
+
+    /// Read, add, then write the full record — the write-ahead log carries whole records.
+    fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        self.write_gate()?;
+        let flat = self.grid().layout.flat_index(row, column, slot);
+        read_room(self, flat)
+            .and_then(|mut room| {
+                debug_assert!(room.occupied, "adding weight to an empty room");
+                room.weight += weight;
+                self.write_record(flat, &encode_room(&room))
+            })
+            .map_err(|error| self.write_fault("room write", &error))
+    }
+
+    fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
+        self.write_gate()?;
+        debug_assert!(room.occupied, "storing an unoccupied room");
+        let flat = self.grid().layout.flat_index(row, column, slot);
+        debug_assert!(
+            // An unreadable room is the write's problem, not the assert's.
+            read_room(self, flat).map(|existing| !existing.occupied).unwrap_or(true),
+            "overwriting an occupied room"
+        );
+        self.write_record(flat, &encode_room(&room))
+            .map_err(|error| self.write_fault("room write", &error))?;
+        self.grid_mut().mark(row, column);
+        Ok(())
+    }
+
+    fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
+        self.io_fail(scan_row_inner(self, row, visit));
+    }
+
+    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
+        self.io_fail(scan_column_inner(self, column, visit));
+    }
+
+    fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
+        for row in 0..self.grid().layout.width {
+            self.scan_row(row, &mut |column, room| visit(row, column, room));
+        }
+    }
 }
 
 /// Visits the `count` consecutive records starting at flat index `start` in order, one
@@ -475,111 +565,6 @@ fn scan_column_inner<S: PageSource>(
     Ok(())
 }
 
-/// The room kernels, once for both backends.
-impl<S: PageSource> RoomStore for S {
-    fn width(&self) -> usize {
-        self.grid().layout.width
-    }
-
-    fn rooms_per_bucket(&self) -> usize {
-        self.grid().layout.rooms
-    }
-
-    fn occupied_rooms(&self) -> usize {
-        self.grid().occupied
-    }
-
-    fn room(&self, row: usize, column: usize, slot: usize) -> Room {
-        self.io_fail(read_room(self, self.grid().layout.flat_index(row, column, slot)))
-    }
-
-    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
-        let mut weight = None;
-        self.io_fail(walk_bucket(self, row, column, |_, record| {
-            let room = decode_room(record);
-            if room.matches(key) {
-                weight = Some(room.weight);
-            }
-            weight.is_none()
-        }));
-        weight
-    }
-
-    /// On the file backend a cache miss here may have to evict a dirty page, so a
-    /// write-back fault (or a hard read fault) poisons the store and surfaces as the
-    /// sticky [`StoreFault`].
-    fn probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        key: RoomKey,
-    ) -> Result<BucketProbe, StoreFault> {
-        self.write_gate()?;
-        let mut probe = BucketProbe::Full;
-        walk_bucket(self, row, column, |slot, record| {
-            let room = decode_room(record);
-            if room.matches(key) {
-                probe = BucketProbe::Match(slot);
-                return false;
-            }
-            if !room.occupied && probe == BucketProbe::Full {
-                probe = BucketProbe::Empty(slot);
-            }
-            true
-        })
-        .map_err(|error| self.write_fault("bucket probe page load", &error))?;
-        Ok(probe)
-    }
-
-    /// Read, add, then write the full record — the write-ahead log carries whole records.
-    fn add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), StoreFault> {
-        self.write_gate()?;
-        let flat = self.grid().layout.flat_index(row, column, slot);
-        read_room(self, flat)
-            .and_then(|mut room| {
-                debug_assert!(room.occupied, "adding weight to an empty room");
-                room.weight += weight;
-                self.write_record(flat, &encode_room(&room))
-            })
-            .map_err(|error| self.write_fault("room write", &error))
-    }
-
-    fn store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), StoreFault> {
-        self.write_gate()?;
-        debug_assert!(room.occupied, "storing an unoccupied room");
-        let flat = self.grid().layout.flat_index(row, column, slot);
-        debug_assert!(
-            // An unreadable room is the write's problem, not the assert's.
-            read_room(self, flat).map(|existing| !existing.occupied).unwrap_or(true),
-            "overwriting an occupied room"
-        );
-        self.write_record(flat, &encode_room(&room))
-            .map_err(|error| self.write_fault("room write", &error))?;
-        self.grid_mut().mark(row, column);
-        Ok(())
-    }
-
-    fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
-        self.io_fail(scan_row_inner(self, row, visit));
-    }
-
-    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        self.io_fail(scan_column_inner(self, column, visit));
-    }
-}
-
 /// Where a sketch keeps its room matrix.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StorageBackend {
@@ -618,107 +603,11 @@ impl StorageBackend {
     }
 }
 
-/// Random access to an `m × m × l` grid of rooms.
-///
-/// Scan callbacks visit **occupied rooms only** and pass rooms by value (records are 16
-/// bytes), so implementations backed by page caches need not hand out references into
-/// locked internals.
-///
-/// **Concurrency contract**: every read method takes `&self` and both backends keep that
-/// promise literal — concurrent readers never observe torn rooms and (on the file
-/// backend, whose page cache is lock-striped with per-page latches) never serialize on a
-/// store-wide lock.  Mutation stays `&mut self`, so a store has at most one writer at a
-/// time; concurrent ingest scales by sharding (`ShardedGss`), one store per shard, with
-/// readers fanning out across all shards.
-///
-/// **Failure contract**: the three write-path methods — [`probe_bucket`], [`add_weight`]
-/// and [`store_room`] — return `Result<_, StoreFault>`.  The in-memory backend always
-/// answers `Ok`; the file backend health-gates each call and returns its sticky
-/// fail-stop cause (see [`crate::error::StoreHealth`]), which is how
-/// [`GssSketch::try_insert`](crate::GssSketch::try_insert) surfaces typed errors.
-///
-/// [`probe_bucket`]: RoomStore::probe_bucket
-/// [`add_weight`]: RoomStore::add_weight
-/// [`store_room`]: RoomStore::store_room
-pub trait RoomStore {
-    /// Side length `m`.
-    fn width(&self) -> usize;
-    /// Rooms per bucket `l`.
-    fn rooms_per_bucket(&self) -> usize;
-    /// Number of currently occupied rooms.
-    fn occupied_rooms(&self) -> usize;
-    /// Reads the room at `slot` of bucket `(row, column)`.
-    fn room(&self, row: usize, column: usize, slot: usize) -> Room;
-    /// The edge lookup: the weight of the room of bucket `(row, column)` holding `key`, if
-    /// any, in one pass over the bucket (one page lookup and one latch on the file
-    /// backend).  Read-side: it is not health-gated, so a poisoned file store keeps
-    /// answering edge queries.
-    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64>;
-    /// Fused single-pass probe of bucket `(row, column)` that opens every edge placement:
-    /// the slot holding `key`, else the first empty slot, else [`BucketProbe::Full`]
-    /// ([`naive_probe_bucket`] is the slot-by-slot reference).  On the file backend a
-    /// probe's cache miss may have to evict a dirty page, so even this read-side step can
-    /// trip over a write-back fault — it is health-gated and poisons on failure, which is
-    /// why it stays separate from [`weight_of`](RoomStore::weight_of).
-    fn probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        key: RoomKey,
-    ) -> Result<BucketProbe, StoreFault>;
-    /// Adds `weight` to the (occupied) room at `slot` of bucket `(row, column)`.
-    fn add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), StoreFault>;
-    /// Writes a fresh edge into the (empty) room at `slot` of bucket `(row, column)`.
-    fn store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), StoreFault>;
-    /// Visits every occupied room of matrix row `row` as `(column, room)`.
-    fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room));
-    /// Visits every occupied room of matrix column `column` as `(row, room)`.
-    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room));
-
-    /// Total number of rooms (`m² × l`).
-    fn room_count(&self) -> usize {
-        self.width() * self.width() * self.rooms_per_bucket()
-    }
-
-    /// Visits every occupied room as `(row, column, room)` in ascending
-    /// `(row, column, slot)` order: [`scan_row`](RoomStore::scan_row) for every row.
-    fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
-        for row in 0..self.width() {
-            self.scan_row(row, &mut |column, room| visit(row, column, room));
-        }
-    }
-
-    /// Fraction of rooms occupied.
-    fn load_factor(&self) -> f64 {
-        if self.room_count() == 0 {
-            0.0
-        } else {
-            self.occupied_rooms() as f64 / self.room_count() as f64
-        }
-    }
-}
-
 /// Reference full-grid row scan, **ignoring any occupancy index**: probes every bucket of
-/// the row through [`RoomStore::room`].  This is the geometry-proportional behaviour the
-/// indexed [`RoomStore::scan_row`] replaced; it is kept as the observational baseline for
-/// the equivalence property tests and the `query_scaling` bench.
-pub fn naive_scan_row<S: RoomStore + ?Sized>(
-    store: &S,
-    row: usize,
-    visit: &mut dyn FnMut(usize, Room),
-) {
+/// the row through [`RoomStorage::room`].  This is the geometry-proportional behaviour the
+/// indexed [`RoomStorage::scan_row`] replaced; it is kept as the observational baseline
+/// for the equivalence property tests and the `query_scaling` bench.
+pub fn naive_scan_row(store: &RoomStorage, row: usize, visit: &mut dyn FnMut(usize, Room)) {
     for column in 0..store.width() {
         for slot in 0..store.rooms_per_bucket() {
             let room = store.room(row, column, slot);
@@ -730,11 +619,7 @@ pub fn naive_scan_row<S: RoomStore + ?Sized>(
 }
 
 /// Reference full-grid column scan, ignoring any occupancy index (see [`naive_scan_row`]).
-pub fn naive_scan_column<S: RoomStore + ?Sized>(
-    store: &S,
-    column: usize,
-    visit: &mut dyn FnMut(usize, Room),
-) {
+pub fn naive_scan_column(store: &RoomStorage, column: usize, visit: &mut dyn FnMut(usize, Room)) {
     for row in 0..store.width() {
         for slot in 0..store.rooms_per_bucket() {
             let room = store.room(row, column, slot);
@@ -745,12 +630,12 @@ pub fn naive_scan_column<S: RoomStore + ?Sized>(
     }
 }
 
-/// Reference bucket probe, slot by slot through [`RoomStore::room`]: the first slot holding
-/// `key`, else the first empty slot, else [`BucketProbe::Full`] — what the two-pass
-/// `find_match`-then-`find_empty` of the original trait answered.  The oracle that
-/// [`RoomStore::probe_bucket`] and [`RoomStore::weight_of`] are checked against.
-pub fn naive_probe_bucket<S: RoomStore + ?Sized>(
-    store: &S,
+/// Reference bucket probe, slot by slot through [`RoomStorage::room`]: the first slot
+/// holding `key`, else the first empty slot, else [`BucketProbe::Full`] — what the
+/// two-pass `find_match`-then-`find_empty` of the original trait answered.  The oracle
+/// that [`RoomStorage::probe_bucket`] and [`RoomStorage::weight_of`] are checked against.
+pub fn naive_probe_bucket(
+    store: &RoomStorage,
     row: usize,
     column: usize,
     key: RoomKey,
@@ -764,34 +649,42 @@ pub fn naive_probe_bucket<S: RoomStore + ?Sized>(
     }
 }
 
-/// Puts an existing `room` into bucket `(row, column)` the way ingest places a new edge —
-/// probe with the room's own key, claim the first empty slot — and returns the probe's
-/// outcome.  Anything but [`BucketProbe::Empty`] means nothing was stored: `Full` is a
-/// bucket fed more than `l` rooms, `Match` a second room under a key the bucket already
-/// holds (ingest never produces one and an edge query could never reach it).  The
-/// placement rule of snapshot restore, whose input is untrusted.
-pub(crate) fn place_room<S: RoomStore + ?Sized>(
-    store: &mut S,
-    row: usize,
-    column: usize,
-    room: Room,
-) -> Result<BucketProbe, StoreFault> {
-    let probe = store.probe_bucket(row, column, room.key())?;
-    if let BucketProbe::Empty(slot) = probe {
-        store.store_room(row, column, slot, room)?;
-    }
-    Ok(probe)
-}
-
 /// The store a [`GssSketch`](crate::GssSketch) holds: enum dispatch over the two backends.
 /// The file backend is boxed — its WAL, page-cache and checkpoint state would otherwise
 /// inflate every in-memory sketch by the size of the larger variant.
+///
+/// Scan callbacks visit **occupied rooms only** and pass rooms by value (records are 16
+/// bytes), so a backend behind a page cache need not hand out references into locked
+/// internals.
+///
+/// **Concurrency contract**: every read method takes `&self` and both backends keep that
+/// promise literal — concurrent readers never observe torn rooms and (on the file
+/// backend, whose page cache is lock-striped with per-page latches) never serialize on a
+/// store-wide lock.  Mutation stays `&mut self`, so a store has at most one writer at a
+/// time; concurrent ingest scales by sharding (`ShardedGss`), one store per shard, with
+/// readers fanning out across all shards.
+///
+/// **Failure contract**: the three write-path methods — [`probe_bucket`](Self::probe_bucket),
+/// [`add_weight`](Self::add_weight) and [`store_room`](Self::store_room) — return
+/// `Result<_, StoreFault>`.  The in-memory backend always answers `Ok`; the file backend
+/// health-gates each call and returns its sticky fail-stop cause (see
+/// [`crate::error::StoreHealth`]), which is how
+/// [`GssSketch::try_insert`](crate::GssSketch::try_insert) surfaces typed errors.
 #[derive(Debug)]
 pub enum RoomStorage {
     /// Dense in-memory backend.
     Memory(MemoryStore),
     /// Paged file backend.
     File(Box<FileStore>),
+}
+
+macro_rules! dispatch {
+    ($self:ident, $store:ident => $body:expr) => {
+        match $self {
+            RoomStorage::Memory($store) => $body,
+            RoomStorage::File($store) => $body,
+        }
+    };
 }
 
 impl RoomStorage {
@@ -810,6 +703,123 @@ impl RoomStorage {
             Self::File(store) => Some(store),
         }
     }
+
+    fn grid(&self) -> &RoomGrid {
+        dispatch!(self, store => store.grid())
+    }
+
+    /// Side length `m`.
+    pub fn width(&self) -> usize {
+        self.grid().layout.width
+    }
+
+    /// Rooms per bucket `l`.
+    pub fn rooms_per_bucket(&self) -> usize {
+        self.grid().layout.rooms
+    }
+
+    /// Number of currently occupied rooms.
+    pub fn occupied_rooms(&self) -> usize {
+        self.grid().occupied
+    }
+
+    /// Total number of rooms (`m² × l`).
+    pub fn room_count(&self) -> usize {
+        self.grid().layout.room_count()
+    }
+
+    /// Fraction of rooms occupied.
+    pub fn load_factor(&self) -> f64 {
+        match self.room_count() {
+            0 => 0.0,
+            rooms => self.occupied_rooms() as f64 / rooms as f64,
+        }
+    }
+
+    /// Reads the room at `slot` of bucket `(row, column)`.
+    pub fn room(&self, row: usize, column: usize, slot: usize) -> Room {
+        dispatch!(self, store => store.room(row, column, slot))
+    }
+
+    /// The edge lookup: the weight of the room of bucket `(row, column)` holding `key`, if
+    /// any, in one pass over the bucket (one page lookup and one latch on the file
+    /// backend).  Read-side: it is not health-gated, so a poisoned file store keeps
+    /// answering edge queries.
+    pub fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
+        dispatch!(self, store => store.weight_of(row, column, key))
+    }
+
+    /// Fused single-pass probe of bucket `(row, column)` that opens every edge placement:
+    /// the slot holding `key`, else the first empty slot, else [`BucketProbe::Full`]
+    /// ([`naive_probe_bucket`] is the slot-by-slot reference).  On the file backend a
+    /// probe's cache miss may have to evict a dirty page, so even this read-side step can
+    /// trip over a write-back fault — it is health-gated and poisons on failure, which is
+    /// why it stays separate from [`weight_of`](Self::weight_of).
+    pub fn probe_bucket(
+        &self,
+        row: usize,
+        column: usize,
+        key: RoomKey,
+    ) -> Result<BucketProbe, StoreFault> {
+        dispatch!(self, store => store.probe_bucket(row, column, key))
+    }
+
+    /// Adds `weight` to the (occupied) room at `slot` of bucket `(row, column)`.
+    pub fn add_weight(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        weight: i64,
+    ) -> Result<(), StoreFault> {
+        dispatch!(self, store => store.add_weight(row, column, slot, weight))
+    }
+
+    /// Writes a fresh edge into the (empty) room at `slot` of bucket `(row, column)`.
+    pub fn store_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        slot: usize,
+        room: Room,
+    ) -> Result<(), StoreFault> {
+        dispatch!(self, store => store.store_room(row, column, slot, room))
+    }
+
+    /// Puts an existing `room` into bucket `(row, column)` the way ingest places a new
+    /// edge — probe with the room's own key, claim the first empty slot — and returns the
+    /// probe's outcome.  Anything but [`BucketProbe::Empty`] means nothing was stored:
+    /// `Full` is a bucket fed more than `l` rooms, `Match` a second room under a key the
+    /// bucket already holds (ingest never produces one and an edge query could never
+    /// reach it).  The placement rule of snapshot restore, whose input is untrusted.
+    pub(crate) fn place_room(
+        &mut self,
+        row: usize,
+        column: usize,
+        room: Room,
+    ) -> Result<BucketProbe, StoreFault> {
+        let probe = self.probe_bucket(row, column, room.key())?;
+        if let BucketProbe::Empty(slot) = probe {
+            self.store_room(row, column, slot, room)?;
+        }
+        Ok(probe)
+    }
+
+    /// Visits every occupied room of matrix row `row` as `(column, room)`.
+    pub fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
+        dispatch!(self, store => store.scan_row(row, visit))
+    }
+
+    /// Visits every occupied room of matrix column `column` as `(row, room)`.
+    pub fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
+        dispatch!(self, store => store.scan_column(column, visit))
+    }
+
+    /// Visits every occupied room as `(row, column, room)` in ascending
+    /// `(row, column, slot)` order: [`scan_row`](Self::scan_row) for every row.
+    pub fn scan_occupied(&self, visit: &mut dyn FnMut(usize, usize, Room)) {
+        dispatch!(self, store => store.scan_occupied(visit))
+    }
 }
 
 /// Cloning a file-backed store **detaches it into memory**: the clone is a
@@ -823,74 +833,6 @@ impl Clone for RoomStorage {
             Self::Memory(store) => Self::Memory(store.clone()),
             Self::File(store) => Self::Memory(MemoryStore::copy_of(store.as_ref())),
         }
-    }
-}
-
-macro_rules! dispatch {
-    ($self:ident, $store:ident => $body:expr) => {
-        match $self {
-            RoomStorage::Memory($store) => $body,
-            RoomStorage::File($store) => $body,
-        }
-    };
-}
-
-impl RoomStore for RoomStorage {
-    fn width(&self) -> usize {
-        dispatch!(self, store => store.width())
-    }
-
-    fn rooms_per_bucket(&self) -> usize {
-        dispatch!(self, store => store.rooms_per_bucket())
-    }
-
-    fn occupied_rooms(&self) -> usize {
-        dispatch!(self, store => store.occupied_rooms())
-    }
-
-    fn room(&self, row: usize, column: usize, slot: usize) -> Room {
-        dispatch!(self, store => store.room(row, column, slot))
-    }
-
-    fn weight_of(&self, row: usize, column: usize, key: RoomKey) -> Option<i64> {
-        dispatch!(self, store => store.weight_of(row, column, key))
-    }
-
-    fn probe_bucket(
-        &self,
-        row: usize,
-        column: usize,
-        key: RoomKey,
-    ) -> Result<BucketProbe, StoreFault> {
-        dispatch!(self, store => store.probe_bucket(row, column, key))
-    }
-
-    fn add_weight(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        weight: i64,
-    ) -> Result<(), StoreFault> {
-        dispatch!(self, store => store.add_weight(row, column, slot, weight))
-    }
-
-    fn store_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        slot: usize,
-        room: Room,
-    ) -> Result<(), StoreFault> {
-        dispatch!(self, store => store.store_room(row, column, slot, room))
-    }
-
-    fn scan_row(&self, row: usize, visit: &mut dyn FnMut(usize, Room)) {
-        dispatch!(self, store => store.scan_row(row, visit))
-    }
-
-    fn scan_column(&self, column: usize, visit: &mut dyn FnMut(usize, Room)) {
-        dispatch!(self, store => store.scan_column(column, visit))
     }
 }
 
@@ -1029,15 +971,15 @@ mod tests {
         assert_eq!(storage.weight_of(1, 2, second), Some(5));
         assert_eq!(storage.weight_of(1, 2, MISS), None);
         // Placing an existing room follows the same rule and stores only into `Empty`.
-        assert_eq!(place_room(&mut storage, 1, 2, sample_room()).unwrap(), BucketProbe::Match(0));
-        assert_eq!(place_room(&mut storage, 1, 2, MISS.room(1)).unwrap(), BucketProbe::Full);
-        assert_eq!(place_room(&mut storage, 3, 3, MISS.room(1)).unwrap(), BucketProbe::Empty(0));
+        assert_eq!(storage.place_room(1, 2, sample_room()).unwrap(), BucketProbe::Match(0));
+        assert_eq!(storage.place_room(1, 2, MISS.room(1)).unwrap(), BucketProbe::Full);
+        assert_eq!(storage.place_room(3, 3, MISS.room(1)).unwrap(), BucketProbe::Empty(0));
         assert_eq!(storage.occupied_rooms(), 3);
     }
 
     #[test]
     fn naive_scans_visit_what_indexed_scans_visit() {
-        let mut store = MemoryStore::new(5, 2);
+        let mut store = RoomStorage::Memory(MemoryStore::new(5, 2));
         store.store_room(2, 0, 0, sample_room()).unwrap();
         store.store_room(2, 4, 0, sample_room()).unwrap();
         store.store_room(0, 4, 0, sample_room()).unwrap();
@@ -1074,6 +1016,84 @@ mod tests {
         assert_eq!(seen, vec![(1, 2, -123_456_779)]);
         let cloned = storage.clone();
         assert_eq!(cloned.occupied_rooms(), 1);
+    }
+
+    /// Every `RoomStorage` method answers the same through the file arm as through the
+    /// memory arm: one op sequence runs on both, and each answer is compared.
+    #[test]
+    fn file_storage_answers_like_memory_storage() {
+        fn agree<T: PartialEq + std::fmt::Debug>(
+            stores: &mut [RoomStorage; 2],
+            op: impl Fn(&mut RoomStorage) -> T,
+        ) -> T {
+            let memory = op(&mut stores[0]);
+            assert_eq!(op(&mut stores[1]), memory, "file arm disagrees");
+            memory
+        }
+        let path =
+            std::env::temp_dir().join(format!("gss-storage-dispatch-{}.gss", std::process::id()));
+        // l = 3 makes buckets straddle pages (bucket (2, 21) does); a 2-page cache evicts
+        // dirty pages between the rows written below.
+        let config = GssConfig { rooms: 3, ..GssConfig::paper_default(32) };
+        let file = FileStore::create(&path, &config, 2).unwrap();
+        let mut stores =
+            [RoomStorage::Memory(MemoryStore::new(32, 3)), RoomStorage::File(Box::new(file))];
+        let key = |n: u16| RoomKey { source_fingerprint: n, ..SAMPLE_KEY };
+        let geometry = |s: &mut RoomStorage| {
+            (s.width(), s.rooms_per_bucket(), s.room_count(), s.occupied_rooms(), s.load_factor())
+        };
+        assert_eq!(agree(&mut stores, geometry), (32, 3, 3072, 0, 0.0));
+        // Row 2 dense (24 of 32 buckets), row 9 sparse (2 of 32).
+        for column in 0..24 {
+            agree(&mut stores, |s| s.store_room(2, column, 0, key(column as u16).room(1)).unwrap());
+        }
+        for column in [4, 30] {
+            agree(&mut stores, |s| s.store_room(9, column, 0, MISS.room(2)).unwrap());
+        }
+        let probe = |row, column, key| move |s: &mut RoomStorage| s.probe_bucket(row, column, key);
+        assert_eq!(agree(&mut stores, probe(2, 21, key(21))), Ok(BucketProbe::Match(0)));
+        assert_eq!(agree(&mut stores, probe(2, 21, MISS)), Ok(BucketProbe::Empty(1)));
+        for slot in 1..3 {
+            agree(&mut stores, |s| {
+                s.store_room(2, 21, slot, key(100 + slot as u16).room(3)).unwrap()
+            });
+        }
+        assert_eq!(agree(&mut stores, probe(2, 21, MISS)), Ok(BucketProbe::Full));
+        agree(&mut stores, |s| s.add_weight(2, 21, 2, 40).unwrap());
+        agree(&mut stores, |s| s.add_weight(9, 30, 0, -5).unwrap());
+        assert_eq!(agree(&mut stores, |s| s.room(2, 21, 2)), key(102).room(43));
+        assert_eq!(agree(&mut stores, |s| s.weight_of(2, 21, key(102))), Some(43));
+        assert_eq!(agree(&mut stores, |s| s.weight_of(2, 21, MISS)), None);
+        let place = |row, column, room| move |s: &mut RoomStorage| s.place_room(row, column, room);
+        assert_eq!(agree(&mut stores, place(5, 5, MISS.room(7))), Ok(BucketProbe::Empty(0)));
+        assert_eq!(agree(&mut stores, place(5, 5, MISS.room(8))), Ok(BucketProbe::Match(0)));
+        assert_eq!(agree(&mut stores, place(2, 21, MISS.room(9))), Ok(BucketProbe::Full));
+        assert_eq!(agree(&mut stores, geometry), (32, 3, 3072, 29, 29.0 / 3072.0));
+        for row in [2, 9] {
+            let rooms = agree(&mut stores, |s| {
+                let mut seen = Vec::new();
+                s.scan_row(row, &mut |column, room| seen.push((column, room)));
+                seen
+            });
+            assert_eq!(rooms.len(), if row == 2 { 26 } else { 2 }, "row {row}");
+        }
+        let column = agree(&mut stores, |s| {
+            let mut seen = Vec::new();
+            s.scan_column(21, &mut |row, room| seen.push((row, room)));
+            seen
+        });
+        assert_eq!(column.len(), 3);
+        let all = agree(&mut stores, |s| {
+            let mut seen = Vec::new();
+            s.scan_occupied(&mut |row, column, room| seen.push((row, column, room)));
+            seen
+        });
+        assert_eq!(all.len(), 29);
+        let flushed = &stores[1].as_file().unwrap().counters().pages_flushed;
+        assert!(crate::metrics::get(flushed) > 0, "dirty pages were evicted");
+        drop(stores);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(crate::wal::wal_path(&path)).ok();
     }
 
     /// Both backends hold one room region: fed the same stream, a memory store and a file

@@ -3,9 +3,9 @@
 //!
 //! For any insert sequence and configuration, on the memory *and* the file backend:
 //!
-//! 1. the occupancy-indexed [`RoomStore::scan_row`]/[`scan_column`]/[`scan_occupied`]
+//! 1. the occupancy-indexed [`RoomStorage::scan_row`]/[`scan_column`]/[`scan_occupied`]
 //!    visit exactly the rooms (same positions, same order) a naive full-grid scan visits;
-//! 2. the fused [`RoomStore::probe_bucket`] and the edge lookup [`RoomStore::weight_of`]
+//! 2. the fused [`RoomStorage::probe_bucket`] and the edge lookup [`RoomStorage::weight_of`]
 //!    agree with the slot-by-slot oracle [`naive_probe_bucket`] on every bucket;
 //! 3. both properties survive detaching a file sketch into memory (a page-for-page copy
 //!    taken while the cache holds dirty pages), `sync` → drop → [`GssSketch::open_file`]
@@ -15,18 +15,17 @@
 //! 4. snapshot bytes are identical before and after the change in kind: a restored
 //!    sketch or a detached clone snapshots to the very bytes of the memory sketch.
 //!
-//! [`RoomStore::scan_row`]: gss_core::RoomStore::scan_row
-//! [`scan_column`]: gss_core::RoomStore::scan_column
-//! [`scan_occupied`]: gss_core::RoomStore::scan_occupied
-//! [`RoomStore::probe_bucket`]: gss_core::RoomStore::probe_bucket
-//! [`RoomStore::weight_of`]: gss_core::RoomStore::weight_of
+//! [`RoomStorage::scan_row`]: gss_core::RoomStorage::scan_row
+//! [`scan_column`]: gss_core::RoomStorage::scan_column
+//! [`scan_occupied`]: gss_core::RoomStorage::scan_occupied
+//! [`RoomStorage::probe_bucket`]: gss_core::RoomStorage::probe_bucket
+//! [`RoomStorage::weight_of`]: gss_core::RoomStorage::weight_of
 //! [`naive_probe_bucket`]: gss_core::naive_probe_bucket
 //! [`GssSketch::open_file`]: gss_core::GssSketch::open_file
 
 use gss::prelude::*;
 use gss_core::{
-    naive_probe_bucket, naive_scan_column, naive_scan_row, BucketProbe, RoomKey, RoomStore,
-    StorageBackend,
+    naive_probe_bucket, naive_scan_column, naive_scan_row, BucketProbe, RoomKey, StorageBackend,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
