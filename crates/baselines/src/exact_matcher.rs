@@ -5,8 +5,7 @@
 //! publicly available; for the reproduction its role — an exact oracle that says whether a
 //! pattern instance occurs in the current window, at adjacency-list memory cost — is played
 //! by [`ExactWindowMatcher`], which materialises each window as an exact
-//! [`AdjacencyListGraph`] and runs the same VF2-style matcher used on the sketch.  See
-//! `DESIGN.md` for the substitution note.
+//! [`AdjacencyListGraph`] and runs the same VF2-style matcher used on the sketch.
 
 use gss_graph::algorithms::{find_pattern_matches, PatternGraph};
 use gss_graph::{AdjacencyListGraph, StreamEdge, SummaryRead, SummaryWrite, VertexId};

@@ -13,7 +13,8 @@
 //! * [`triest`] — **TRIÈST** (IMPR variant), the fixed-memory reservoir triangle counter
 //!   used in the Fig. 14 comparison.
 //! * [`exact_matcher`] — an exact windowed subgraph matcher standing in for SJ-tree in the
-//!   Fig. 15 comparison (see `DESIGN.md` for the substitution rationale).
+//!   Fig. 15 comparison: SJ-tree's implementation is not public, and an exact oracle at
+//!   adjacency-list memory cost is the role it plays there.
 //!
 //! * [`adjacency_baseline`] — the "Adjacency Lists" row of Table I: a map-indexed adjacency
 //!   list with linear-scan aggregation (the hash-map-based exact graph used as ground truth

@@ -3,10 +3,17 @@
 //!
 //! These are not a paper figure; they support the `O(1)` update / query-cost claims of
 //! Section VI-A with wall-clock measurements on this machine.
+//!
+//! The last group, `sharded_memory`, is the in-process A/B shape for kernel changes:
+//! build this target in two trees (each with its own `CARGO_TARGET_DIR`) and run the two
+//! binaries alternately; in process it resolves costs smaller than the end-to-end
+//! benchmark's run-to-run noise.
 
-use gss_datasets::SyntheticDataset;
+use gss_core::{GssConfig, ShardedGss};
+use gss_datasets::{PreferentialAttachmentGenerator, SyntheticDataset};
 use gss_experiments::{build_gss, build_tcm_with_ratio, DatasetRun, ExperimentScale};
-use gss_graph::{AdjacencyListGraph, SummaryRead, SummaryWrite, VertexId};
+use gss_graph::{AdjacencyListGraph, StreamEdge, SummaryRead, SummaryWrite, VertexId};
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -42,6 +49,51 @@ fn insert_run(summary: &mut impl SummaryWrite, next: &mut u64) -> usize {
         summary.insert(black_box(*next % 10_000), black_box((*next * 7) % 10_000), 1);
     }
     INSERTS
+}
+
+/// A 2-shard width-128 memory `ShardedGss` holding `items` (load ≈ 0.73 for the
+/// deduplicated stream of [`sharded_memory`]), fed in 4 096-item batches.
+fn fill_sharded(items: &[StreamEdge]) -> ShardedGss {
+    let sketch = ShardedGss::new(GssConfig::paper_default(128), 2).expect("valid configuration");
+    for batch in items.chunks(4096) {
+        sketch.insert_batch(batch);
+    }
+    sketch
+}
+
+/// Ingest and the three primitive queries on the sharded in-memory sketch, over a
+/// deduplicated preferential-attachment stream; prints the load and an answer checksum so
+/// two builds can be checked to answer identically.
+fn sharded_memory() {
+    let mut seen = HashSet::new();
+    let items: Vec<StreamEdge> = PreferentialAttachmentGenerator::new(15_000, 60_000, 42)
+        .generate()
+        .into_iter()
+        .filter(|item| seen.insert((item.source, item.destination)))
+        .collect();
+    time("sharded_memory", "insert_batch", items.len(), || {
+        fill_sharded(&items).stats().items_inserted as usize
+    });
+
+    let sketch = fill_sharded(&items);
+    let edges: Vec<(VertexId, VertexId)> = items
+        .iter()
+        .step_by(items.len() / 4096)
+        .map(|item| (item.source, item.destination))
+        .collect();
+    let nodes: Vec<VertexId> = edges.iter().step_by(16).map(|&(source, _)| source).collect();
+    let precursor_count = || nodes.iter().map(|&v| sketch.precursors(v).len()).sum::<usize>();
+    println!(
+        "  sharded_memory: {} items, load {:.3}, checksum {}/{}/{}",
+        items.len(),
+        sketch.detailed_stats().matrix_load_factor,
+        edge_hits(&sketch, &edges),
+        successor_count(&sketch, &nodes),
+        precursor_count(),
+    );
+    time("sharded_memory", "edge_weight", edges.len(), || edge_hits(&sketch, &edges));
+    time("sharded_memory", "successors", nodes.len(), || successor_count(&sketch, &nodes));
+    time("sharded_memory", "precursors", nodes.len(), precursor_count);
 }
 
 /// How many of `queries` the summary holds an edge for.
@@ -91,4 +143,6 @@ fn main() {
     time("one_hop_queries", "adjacency_successors", nodes.len(), || {
         successor_count(&adjacency, &nodes)
     });
+
+    sharded_memory();
 }

@@ -1,9 +1,9 @@
 //! # gss-bench — benchmark harness
 //!
-//! One `harness = false` bench target per table/figure of the paper (see `DESIGN.md` for the
-//! index).  Accuracy figures print the same x/y series the paper plots and write CSVs under
-//! `target/experiments/`; timing targets (Table I, `micro_operations`) additionally run
-//! under Criterion.
+//! One `harness = false` bench target per table/figure of the paper (the `[[bench]]`
+//! entries of this crate's `Cargo.toml` are the index).  Accuracy figures print the same x/y
+//! series the paper plots and write CSVs under `target/experiments/`; timing targets
+//! (Table I, `micro_operations`) time their rows with plain `Instant` loops.
 //!
 //! All targets read the experiment scale from the `GSS_SCALE` environment variable
 //! (`smoke` — default, `laptop`, `paper`).

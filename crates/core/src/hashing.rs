@@ -8,16 +8,21 @@
 //! `q₁ = (a·f(v) + b) mod p`, `qᵢ = (a·qᵢ₋₁ + b) mod p` seeded by the fingerprint, which is
 //! what makes bucket positions *reversible*: from a room's `(row, fingerprint, index)` the
 //! original `H(v)` can be recovered exactly.
+//!
+//! [`NodeHasher`] is the one home of this address rule, for both versions of the sketch:
+//! it maps a node to its rows ([`NodeHasher::address_sequence_into`]) and a room back to
+//! the node ([`NodeHasher::recover_hash`]).  In the basic version of Section IV the
+//! sequence is the node's own address alone and recovery is plain recomposition.
 
-use crate::config::GssConfig;
+use crate::config::{GssConfig, MAX_SEQUENCE_LENGTH};
 use serde::{Deserialize, Serialize};
 
 /// Multiplier of the linear congruential sequence (a primitive root modulo [`LCG_MODULUS`]).
-pub const LCG_MULTIPLIER: u64 = 75;
+pub(crate) const LCG_MULTIPLIER: u64 = 75;
 /// Additive constant of the linear congruential sequence (a small prime, per the paper).
-pub const LCG_INCREMENT: u64 = 74;
+pub(crate) const LCG_INCREMENT: u64 = 74;
 /// Modulus of the linear congruential sequence (the Fermat prime 2^16 + 1).
-pub const LCG_MODULUS: u64 = 65_537;
+pub(crate) const LCG_MODULUS: u64 = 65_537;
 
 /// A precomputed mul-shift reciprocal (libdivide-style strength reduction): division and
 /// remainder by a runtime-constant divisor become one 64×64→128 multiplication each,
@@ -33,7 +38,7 @@ pub const LCG_MODULUS: u64 = 65_537;
 /// both identities whenever `n·d < 2⁶⁴`.  Every use in this module keeps `d ≤ 2²⁰` (the
 /// matrix width cap) and `n < 2⁴¹`, far inside the bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Reciprocal {
+pub(crate) struct Reciprocal {
     divisor: u64,
     /// `⌊2⁶⁴/divisor⌋ + 1`, or 0 for `divisor == 1` (where both results are trivial).
     magic: u64,
@@ -41,7 +46,7 @@ pub struct Reciprocal {
 
 impl Reciprocal {
     /// Precomputes the reciprocal of `divisor` (which must be positive).
-    pub fn new(divisor: u64) -> Self {
+    pub(crate) fn new(divisor: u64) -> Self {
         debug_assert!(divisor > 0, "reciprocal of zero");
         // `⌊(2⁶⁴−1)/d⌋ + 1` equals `⌊2⁶⁴/d⌋ + 1` for d ∤ 2⁶⁴ and exactly `2⁶⁴/d` for a
         // power of two — both forms satisfy the identities above.  d = 1 would overflow,
@@ -50,17 +55,12 @@ impl Reciprocal {
         Self { divisor, magic }
     }
 
-    /// The divisor this reciprocal was built for.
-    pub fn divisor(self) -> u64 {
-        self.divisor
-    }
-
     /// `n % divisor`, exact for `n·divisor < 2⁶⁴`.
     // Not the `Rem` trait: this is a scalar helper with a documented domain bound, and a
     // `%` operator spelling would hide that it is an approximation outside the bound.
     #[allow(clippy::should_implement_trait)]
     #[inline]
-    pub fn rem(self, n: u64) -> u64 {
+    pub(crate) fn rem(self, n: u64) -> u64 {
         debug_assert!(
             self.divisor == 1 || n.checked_mul(self.divisor).is_some(),
             "n = {n} outside the exactness bound for divisor {}",
@@ -73,7 +73,7 @@ impl Reciprocal {
     /// `n / divisor`, exact for `n·divisor < 2⁶⁴`.
     #[allow(clippy::should_implement_trait)]
     #[inline]
-    pub fn div(self, n: u64) -> u64 {
+    pub(crate) fn div(self, n: u64) -> u64 {
         debug_assert!(
             self.divisor == 1 || n.checked_mul(self.divisor).is_some(),
             "n = {n} outside the exactness bound for divisor {}",
@@ -93,7 +93,7 @@ impl Reciprocal {
 /// subtractions), so the LCG hot loops carry no data-dependent branches.  Bit-identical
 /// to `n % LCG_MODULUS`.
 #[inline]
-pub fn mod_fermat_65537(n: u64) -> u64 {
+pub(crate) fn mod_fermat_65537(n: u64) -> u64 {
     // 2³² ≡ 1: fold the halves; the sum is below 2³³.
     let folded = (n >> 32) + (n & 0xFFFF_FFFF);
     // 2¹⁶ ≡ −1: the residue is `lo − hi` with hi < 2¹⁷ and lo < 2¹⁶; biasing by 2·65537
@@ -134,12 +134,12 @@ pub struct HashedNode {
 }
 
 /// The node hash function of a sketch instance, together with the geometry needed to split
-/// hashes into addresses and fingerprints and to generate address sequences.
+/// hashes into addresses and fingerprints and to map a node to its rows and back.
 ///
 /// All per-item arithmetic is division-free: the fingerprint range `F` is a power of two
-/// (shift/mask), reductions modulo the width go through a precomputed [`Reciprocal`], and
+/// (shift/mask), reductions modulo the width go through a precomputed `Reciprocal`, and
 /// the linear congruential sequence reduces modulo its Fermat-prime modulus with
-/// [`mod_fermat_65537`].  Every result is bit-identical to the straightforward `%`/`/`
+/// `mod_fermat_65537`.  Every result is bit-identical to the straightforward `%`/`/`
 /// arithmetic (property-tested below), so hashes, sketches and snapshots are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeHasher {
@@ -147,6 +147,8 @@ pub struct NodeHasher {
     fingerprint_range: u64,
     seed: u64,
     sequence_length: usize,
+    /// Square hashing (Section V-A); off, this is the basic version of Section IV.
+    square_hashing: bool,
     /// log₂ `F`, for the shift/mask address–fingerprint split.
     fingerprint_shift: u32,
     /// Mul-shift reciprocal of the matrix width `m`.
@@ -168,6 +170,7 @@ impl NodeHasher {
             fingerprint_range,
             seed: config.hash_seed,
             sequence_length: config.sequence_length,
+            square_hashing: config.square_hashing,
             fingerprint_shift: fingerprint_range.trailing_zeros(),
             width_reciprocal,
             pow32_mod_width: width_reciprocal.rem(1u64 << 32),
@@ -192,7 +195,7 @@ impl NodeHasher {
     ///
     /// Division-free: with `F = 2^b`, `n mod m·F = ((n ≫ b) mod m)·F + (n mod F)`, and the
     /// 63-bit quotient `n ≫ b` reduces modulo the width in two reciprocal mul-shifts
-    /// (split at 32 bits so each step stays inside the [`Reciprocal`] exactness bound).
+    /// (split at 32 bits so each step stays inside the `Reciprocal` exactness bound).
     pub fn hash_vertex(&self, vertex: u64) -> u64 {
         let n = self.mix(vertex);
         let low = n & (self.fingerprint_range - 1);
@@ -221,22 +224,22 @@ impl NodeHasher {
         address as u64 * self.fingerprint_range + fingerprint as u64
     }
 
-    /// The linear congruential sequence `q₁..q_r` seeded by a fingerprint (Equation 1).
-    pub fn lcg_sequence(&self, fingerprint: u16) -> Vec<u64> {
-        lcg_sequence(fingerprint as u64, self.sequence_length)
-    }
-
-    /// The address sequence `h₁(v)..h_r(v)` of Equation 2: `hᵢ(v) = (h(v) + qᵢ) mod m`.
+    /// [`address_sequence_into`](Self::address_sequence_into) collected into a `Vec`.
     pub fn address_sequence(&self, node: HashedNode) -> Vec<usize> {
-        self.lcg_sequence(node.fingerprint)
-            .into_iter()
-            .map(|q| self.width_reciprocal.rem(node.address as u64 + q) as usize)
-            .collect()
+        let mut out = [0usize; MAX_SEQUENCE_LENGTH];
+        let count = self.address_sequence_into(node, &mut out);
+        out[..count].to_vec()
     }
 
-    /// Allocation-free variant of [`address_sequence`](Self::address_sequence): fills the
-    /// first `r` entries of `out` and returns `r`.  Used on the per-item insert path.
+    /// The rows a node's edges are stored to as source (its columns as destination): the
+    /// address sequence `h₁(v)..h_r(v)` of Equation 2, `hᵢ(v) = (h(v) + qᵢ) mod m`, or the
+    /// node's own address `h(v)` alone in the basic version.  Fills the first entries of
+    /// `out` and returns how many; allocation-free, for the per-item paths.
     pub fn address_sequence_into(&self, node: HashedNode, out: &mut [usize]) -> usize {
+        if !self.square_hashing {
+            out[0] = node.address;
+            return 1;
+        }
         let length = self.sequence_length.min(out.len());
         let mut q = lcg_start(node.fingerprint as u64);
         for slot in out.iter_mut().take(length) {
@@ -246,8 +249,8 @@ impl NodeHasher {
         length
     }
 
-    /// Allocation-free variant of [`candidate_pairs`](Self::candidate_pairs): fills `out`
-    /// with up to `candidates` (row-index, column-index) pairs and returns the count.
+    /// The candidate-bucket sample of Section V-B1: fills `out` with up to `candidates`
+    /// (row-index, column-index) pairs, each in `[0, r) × [0, r)`, and returns the count.
     pub fn candidate_pairs_into(
         &self,
         source_fingerprint: u16,
@@ -255,20 +258,35 @@ impl NodeHasher {
         candidates: usize,
         out: &mut [(usize, usize)],
     ) -> usize {
-        let seed = source_fingerprint as u64 + destination_fingerprint as u64;
         let count = candidates.min(out.len());
-        let mut q = lcg_start(seed);
-        for slot in out.iter_mut().take(count) {
-            let r = self.sequence_reciprocal;
-            *slot = ((r.rem(r.div(q)) as usize), (r.rem(q) as usize));
-            q = lcg_next(q);
-        }
+        self.sample_into(source_fingerprint, destination_fingerprint, &mut out[..count], |i, j| {
+            (i, j)
+        });
         count
     }
 
+    /// Fills `out` with the first `out.len()` pairs of the candidate-bucket sample, each
+    /// pair `(i, j)` passed through `make`: a linear congruential sequence seeded by the
+    /// sum of the two fingerprints, `q` decomposed as `(⌊q/r⌋ mod r, q mod r)`
+    /// (Equations 4–5).
+    #[inline]
+    pub(crate) fn sample_into<T>(
+        &self,
+        source_fingerprint: u16,
+        destination_fingerprint: u16,
+        out: &mut [T],
+        make: impl Fn(usize, usize) -> T,
+    ) {
+        let r = self.sequence_reciprocal;
+        let mut q = lcg_start(source_fingerprint as u64 + destination_fingerprint as u64);
+        for slot in out {
+            *slot = make(r.rem(r.div(q)) as usize, r.rem(q) as usize);
+            q = lcg_next(q);
+        }
+    }
+
     /// The `index`-th element `q_{index+1}` of the LCG sequence seeded by `fingerprint`
-    /// — the quantity [`recover_address`](Self::recover_address) subtracts.  Depends on
-    /// nothing but its arguments, which is what makes it memoisable.
+    /// — the quantity [`recover_hash`](Self::recover_hash) subtracts.
     #[inline]
     fn sequence_q(fingerprint: u16, index: usize) -> u64 {
         let mut q = lcg_start(fingerprint as u64);
@@ -278,147 +296,20 @@ impl NodeHasher {
         q
     }
 
-    /// Recovers the original matrix address `h(v)` from the row/column `position` a room was
-    /// found at, the stored fingerprint, and the stored 0-based sequence index — the inverse
-    /// of [`address_sequence`](Self::address_sequence), used by successor/precursor queries.
-    /// Allocation-free: this runs once per matching room during a scan, so the LCG is
-    /// replayed inline instead of materialising the sequence.
-    pub fn recover_address(&self, position: usize, fingerprint: u16, index: usize) -> usize {
-        self.recover_address_from_q(position, Self::sequence_q(fingerprint, index))
-    }
-
-    /// [`recover_address`](Self::recover_address) through a [`RecoverQCache`], so
-    /// hub-heavy query mixes (many rooms sharing `(fingerprint, index)` pairs across
-    /// repeated scans) replay the LCG once per pair instead of once per matching room.
-    pub fn recover_address_cached(
-        &self,
-        position: usize,
-        fingerprint: u16,
-        index: usize,
-        cache: &RecoverQCache,
-    ) -> usize {
-        let q = cache.q_for(fingerprint, index, || Self::sequence_q(fingerprint, index));
-        self.recover_address_from_q(position, q)
-    }
-
+    /// Recovers the full hash `H(v)` of the node a room names, from the row/column
+    /// `position` the room was found at and that half of its key — the stored fingerprint
+    /// and 0-based sequence index: the inverse of
+    /// [`address_sequence_into`](Self::address_sequence_into), used by the neighbour
+    /// queries and by merging.  Allocation-free: the LCG is replayed inline.
     #[inline]
-    fn recover_address_from_q(&self, position: usize, q: u64) -> usize {
-        let q = self.width_reciprocal.rem(q);
-        self.width_reciprocal.rem(position as u64 + self.width - q) as usize
-    }
-
-    /// Recovers the full hash `H(v)` from a room's position, fingerprint and sequence index.
     pub fn recover_hash(&self, position: usize, fingerprint: u16, index: usize) -> u64 {
-        self.compose(self.recover_address(position, fingerprint, index), fingerprint)
-    }
-
-    /// [`recover_hash`](Self::recover_hash) through a [`RecoverQCache`].
-    pub fn recover_hash_cached(
-        &self,
-        position: usize,
-        fingerprint: u16,
-        index: usize,
-        cache: &RecoverQCache,
-    ) -> u64 {
-        self.compose(self.recover_address_cached(position, fingerprint, index, cache), fingerprint)
-    }
-
-    /// The candidate-bucket sample of Section V-B1: `k` (row-index, column-index) pairs,
-    /// each in `[0, r) × [0, r)`, drawn by a linear congruential sequence seeded by the sum
-    /// of the two fingerprints (Equations 4–5).
-    pub fn candidate_pairs(
-        &self,
-        source_fingerprint: u16,
-        destination_fingerprint: u16,
-        candidates: usize,
-    ) -> Vec<(usize, usize)> {
-        let r = self.sequence_reciprocal;
-        let seed = source_fingerprint as u64 + destination_fingerprint as u64;
-        lcg_sequence(seed, candidates)
-            .into_iter()
-            .map(|q| ((r.rem(r.div(q)) as usize), (r.rem(q) as usize)))
-            .collect()
-    }
-}
-
-/// A tiny fixed-size memo of `(fingerprint, sequence index) → q` for
-/// [`NodeHasher::recover_address_cached`], the ROADMAP's hub-heavy query follow-up.
-///
-/// Direct-mapped, 256 entries (2 KiB): each slot packs `key + 1` in the high half and the
-/// cached `q < 2¹⁷` in the low half of one `AtomicU64`, so lookups are a single relaxed
-/// load and collisions simply overwrite — always correct, at worst a recomputation.
-/// Relaxed ordering suffices because an entry's value is a pure function of its key.
-pub struct RecoverQCache {
-    slots: Box<[AtomicU64; Self::SLOTS]>,
-}
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-impl RecoverQCache {
-    const SLOTS: usize = 256;
-
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self { slots: Box::new(std::array::from_fn(|_| AtomicU64::new(0))) }
-    }
-
-    /// The cached `q` for `(fingerprint, index)`, computing and storing it on a miss.
-    #[inline]
-    fn q_for(&self, fingerprint: u16, index: usize, compute: impl FnOnce() -> u64) -> u64 {
-        debug_assert!(index < 16, "sequence indices are 4-bit");
-        let key = ((fingerprint as u64) << 4) | index as u64;
-        // Multiplicative scatter so fingerprints differing only in high bits (or only in
-        // the index) spread over the slots.
-        let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize & (Self::SLOTS - 1);
-        // relaxed: each slot is a self-contained (key, value) word — a torn or stale view
-        // is impossible within one load, and a lost race just recomputes the same q.
-        let entry = self.slots[slot].load(Ordering::Relaxed);
-        if entry >> 32 == key + 1 {
-            return entry & 0xFFFF_FFFF;
+        if !self.square_hashing {
+            return self.compose(position, fingerprint);
         }
-        let q = compute();
-        // relaxed: last-writer-wins cache fill; both racers store the identical value.
-        self.slots[slot].store(((key + 1) << 32) | q, Ordering::Relaxed);
-        q
+        let q = self.width_reciprocal.rem(Self::sequence_q(fingerprint, index));
+        let address = self.width_reciprocal.rem(position as u64 + self.width - q) as usize;
+        self.compose(address, fingerprint)
     }
-}
-
-impl Default for RecoverQCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Clones the current entries (each slot copied with a relaxed load; any concurrent
-/// writes are benignly lost — the clone just starts slightly colder).
-impl Clone for RecoverQCache {
-    fn clone(&self) -> Self {
-        let fresh = Self::new();
-        for (slot, source) in fresh.slots.iter().zip(self.slots.iter()) {
-            // relaxed: best-effort snapshot; entries racing the clone are benignly lost.
-            slot.store(source.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        fresh
-    }
-}
-
-impl std::fmt::Debug for RecoverQCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // relaxed: debug formatting; an approximate fill count is fine.
-        let filled = self.slots.iter().filter(|s| s.load(Ordering::Relaxed) != 0).count();
-        f.debug_struct("RecoverQCache").field("filled", &filled).finish()
-    }
-}
-
-/// The raw linear congruential sequence of Equation 1 / Equation 4.
-pub fn lcg_sequence(seed: u64, length: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(length);
-    let mut current = lcg_start(seed);
-    for _ in 0..length {
-        out.push(current);
-        current = lcg_next(current);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -463,19 +354,17 @@ mod tests {
 
     #[test]
     fn lcg_sequence_matches_recurrence() {
-        let seq = lcg_sequence(9, 4);
         let q1 = (LCG_MULTIPLIER * 9 + LCG_INCREMENT) % LCG_MODULUS;
         let q2 = (LCG_MULTIPLIER * q1 + LCG_INCREMENT) % LCG_MODULUS;
-        assert_eq!(seq[0], q1);
-        assert_eq!(seq[1], q2);
-        assert_eq!(seq.len(), 4);
+        assert_eq!(NodeHasher::sequence_q(9, 0), q1);
+        assert_eq!(NodeHasher::sequence_q(9, 1), q2);
     }
 
     #[test]
     fn lcg_sequences_have_no_short_repeats() {
         // The paper requires the cycle of the sequence to exceed r (≤ 16 here).
-        for seed in 0..2048u64 {
-            let seq = lcg_sequence(seed, 16);
+        for seed in 0..2048u16 {
+            let seq: Vec<u64> = (0..16).map(|index| NodeHasher::sequence_q(seed, index)).collect();
             let distinct: std::collections::HashSet<_> = seq.iter().collect();
             assert_eq!(distinct.len(), 16, "seed {seed} produced repeats: {seq:?}");
         }
@@ -498,84 +387,36 @@ mod tests {
             let seq = h.address_sequence(node);
             for (index, &position) in seq.iter().enumerate() {
                 assert_eq!(
-                    h.recover_address(position, node.fingerprint, index),
-                    node.address,
+                    h.recover_hash(position, node.fingerprint, index),
+                    node.hash,
                     "vertex {vertex} index {index}"
                 );
-                assert_eq!(h.recover_hash(position, node.fingerprint, index), node.hash);
             }
         }
     }
 
-    #[test]
-    fn cached_recover_address_matches_the_uncached_path() {
-        // Every (fingerprint, index) pair, hammered twice (miss then hit), across widths
-        // — including slot collisions, which must recompute rather than mis-answer.
-        for width in [1usize, 64, 997, 1024] {
-            let h = hasher(width, 12);
-            let cache = RecoverQCache::new();
-            let mut state = 0xCAC4E_u64;
-            for _ in 0..5000 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let fingerprint = (state >> 40) as u16 & 0x0FFF;
-                let index = (state >> 7) as usize % 16;
-                let position = (state >> 13) as usize % width;
-                for _ in 0..2 {
-                    assert_eq!(
-                        h.recover_address_cached(position, fingerprint, index, &cache),
-                        h.recover_address(position, fingerprint, index),
-                        "width {width} fingerprint {fingerprint} index {index}"
-                    );
-                    assert_eq!(
-                        h.recover_hash_cached(position, fingerprint, index, &cache),
-                        h.recover_hash(position, fingerprint, index)
-                    );
-                }
-            }
-            // The clone carries the entries (or at worst recomputes): still correct.
-            let cloned = cache.clone();
-            assert_eq!(h.recover_address_cached(0, 7, 3, &cloned), h.recover_address(0, 7, 3));
-            assert!(format!("{cache:?}").contains("filled"));
-        }
-    }
-
-    #[test]
-    fn allocation_free_variants_match_the_vec_versions() {
-        let h = hasher(513, 16);
-        let mut addresses = [0usize; 16];
-        let mut pairs = [(0usize, 0usize); 16];
-        for vertex in 0..200u64 {
-            let node = h.hashed_node(vertex);
-            let count = h.address_sequence_into(node, &mut addresses);
-            assert_eq!(&addresses[..count], h.address_sequence(node).as_slice());
-            let other = h.hashed_node(vertex + 1);
-            let pair_count =
-                h.candidate_pairs_into(node.fingerprint, other.fingerprint, 16, &mut pairs);
-            assert_eq!(
-                &pairs[..pair_count],
-                h.candidate_pairs(node.fingerprint, other.fingerprint, 16).as_slice()
-            );
-        }
+    /// All 16 sampled candidate pairs of a fingerprint pair.
+    fn sampled_pairs(h: &NodeHasher, source: u16, destination: u16) -> [(usize, usize); 16] {
+        let mut pairs = [(0, 0); 16];
+        assert_eq!(h.candidate_pairs_into(source, destination, 16, &mut pairs), 16);
+        pairs
     }
 
     #[test]
     fn candidate_pairs_stay_inside_the_mapped_square() {
         let h = hasher(100, 16);
-        let pairs = h.candidate_pairs(123, 456, 16);
-        assert_eq!(pairs.len(), 16);
+        let pairs = sampled_pairs(&h, 123, 456);
         assert!(pairs.iter().all(|&(i, j)| i < 16 && j < 16));
         // Deterministic per fingerprint pair.
-        assert_eq!(pairs, h.candidate_pairs(123, 456, 16));
+        assert_eq!(pairs, sampled_pairs(&h, 123, 456));
         // And commutative in the seed (the paper seeds with the *sum* of fingerprints).
-        assert_eq!(pairs, h.candidate_pairs(456, 123, 16));
+        assert_eq!(pairs, sampled_pairs(&h, 456, 123));
     }
 
     #[test]
     fn different_fingerprints_usually_get_different_candidates() {
         let h = hasher(100, 16);
-        let a = h.candidate_pairs(1, 2, 16);
-        let b = h.candidate_pairs(3, 4, 16);
-        assert_ne!(a, b);
+        assert_ne!(sampled_pairs(&h, 1, 2), sampled_pairs(&h, 3, 4));
     }
 
     /// A deterministic pseudo-random walk over u64 (SplitMix-ish), for the bit-identity
@@ -591,7 +432,7 @@ mod tests {
         let mut state = 0x1D5A_F00Du64;
         for &d in &divisors {
             let r = Reciprocal::new(d);
-            assert_eq!(r.divisor(), d);
+            assert_eq!(r.divisor, d);
             // Boundary numerators plus a random sweep, all within n·d < 2⁶⁴.
             let cap = u64::MAX / d;
             let mut numerators = vec![0, 1, d - 1, d, d.saturating_add(1), cap - 1, cap];
@@ -642,6 +483,8 @@ mod tests {
                     let h = NodeHasher::new(&config);
                     let range = h.hash_range();
                     let fingerprint_range = config.fingerprint_range();
+                    let mut addresses = [0usize; MAX_SEQUENCE_LENGTH];
+                    let mut pairs = [(0usize, 0usize); MAX_SEQUENCE_LENGTH];
                     for _ in 0..200 {
                         let vertex = walk(&mut state);
                         // hash_vertex ≡ mix % M, split ≡ (/F, %F).
@@ -650,17 +493,23 @@ mod tests {
                         assert_eq!(node.address as u64, hash / fingerprint_range);
                         assert_eq!(node.fingerprint as u64, hash % fingerprint_range);
                         assert!(hash < range);
-                        // Address sequence ≡ (h + qᵢ) % m over the reference LCG.
-                        let mut q = (LCG_MULTIPLIER * (node.fingerprint as u64 % LCG_MODULUS)
-                            + LCG_INCREMENT)
-                            % LCG_MODULUS;
-                        for &address in &h.address_sequence(node) {
-                            assert_eq!(
-                                address as u64,
-                                (node.address as u64 + q) % h.width,
-                                "width {width} bits {bits}"
-                            );
-                            q = (LCG_MULTIPLIER * q + LCG_INCREMENT) % LCG_MODULUS;
+                        // Address sequence ≡ (h + qᵢ) % m over the reference LCG; the basic
+                        // version's is the node's own address.
+                        let count = h.address_sequence_into(node, &mut addresses);
+                        if config.square_hashing {
+                            let mut q = (LCG_MULTIPLIER * (node.fingerprint as u64 % LCG_MODULUS)
+                                + LCG_INCREMENT)
+                                % LCG_MODULUS;
+                            for &address in &addresses[..count] {
+                                assert_eq!(
+                                    address as u64,
+                                    (node.address as u64 + q) % h.width,
+                                    "width {width} bits {bits}"
+                                );
+                                q = (LCG_MULTIPLIER * q + LCG_INCREMENT) % LCG_MODULUS;
+                            }
+                        } else {
+                            assert_eq!(&addresses[..count], [node.address]);
                         }
                         // Candidate pairs ≡ ((q/r) % r, q % r) over the reference LCG.
                         let other = h.hash_vertex(walk(&mut state)) % fingerprint_range;
@@ -668,9 +517,13 @@ mod tests {
                         let r = sequence_length as u64;
                         let mut q =
                             (LCG_MULTIPLIER * (seed % LCG_MODULUS) + LCG_INCREMENT) % LCG_MODULUS;
-                        for &(i, j) in
-                            &h.candidate_pairs(node.fingerprint, other as u16, sequence_length)
-                        {
+                        let count = h.candidate_pairs_into(
+                            node.fingerprint,
+                            other as u16,
+                            sequence_length,
+                            &mut pairs,
+                        );
+                        for &(i, j) in &pairs[..count] {
                             assert_eq!((i as u64, j as u64), ((q / r) % r, q % r));
                             q = (LCG_MULTIPLIER * q + LCG_INCREMENT) % LCG_MODULUS;
                         }

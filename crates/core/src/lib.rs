@@ -87,7 +87,7 @@ pub use config::{
 pub use error::{ConfigError, DurabilityReport, GssError, StoreFault, StoreHealth};
 pub use file_store::{FileStore, FlushHook, FlushPoint};
 pub use group_commit::GroupCommitter;
-pub use hashing::{HashedNode, NodeHasher, Reciprocal, RecoverQCache};
+pub use hashing::{HashedNode, NodeHasher};
 pub use matrix::{MemoryStore, RoomKey};
 pub use merge::HashedEdge;
 pub use pager::faults::{

@@ -36,10 +36,13 @@ impl GssSketch {
     /// in order.
     pub fn hashed_edges(&self) -> Vec<HashedEdge> {
         let mut edges = Vec::with_capacity(self.stored_edges());
+        let recover = |position, (fingerprint, index): (u16, u8)| {
+            self.hasher().recover_hash(position, fingerprint, index.into())
+        };
         self.room_storage().scan_occupied(&mut |row, column, room| {
             edges.push(HashedEdge {
-                source_hash: self.recover_hash(row, room.source_half()),
-                destination_hash: self.recover_hash(column, room.destination_half()),
+                source_hash: recover(row, room.source_half()),
+                destination_hash: recover(column, room.destination_half()),
                 weight: room.weight,
             });
         });
@@ -109,39 +112,41 @@ mod tests {
 
     #[test]
     fn merged_sketch_equals_single_sketch_over_concatenated_stream() {
-        let config = GssConfig::paper_small(64);
-        let stream_a = stream(1, 1500);
-        let stream_b = stream(2, 1500);
+        // Merging recovers every room's hashes; the basic version by plain recomposition.
+        for config in [GssConfig::paper_small(64), GssConfig::basic(64)] {
+            let stream_a = stream(1, 1500);
+            let stream_b = stream(2, 1500);
 
-        let mut sketch_a = GssSketch::new(config).unwrap();
-        let mut sketch_b = GssSketch::new(config).unwrap();
-        let mut reference = GssSketch::new(config).unwrap();
-        let mut exact = AdjacencyListGraph::new();
-        for &(s, d, w) in &stream_a {
-            sketch_a.insert(s, d, w);
-            reference.insert(s, d, w);
-            exact.insert(s, d, w);
-        }
-        for &(s, d, w) in &stream_b {
-            sketch_b.insert(s, d, w);
-            reference.insert(s, d, w);
-            exact.insert(s, d, w);
-        }
+            let mut sketch_a = GssSketch::new(config).unwrap();
+            let mut sketch_b = GssSketch::new(config).unwrap();
+            let mut reference = GssSketch::new(config).unwrap();
+            let mut exact = AdjacencyListGraph::new();
+            for &(s, d, w) in &stream_a {
+                sketch_a.insert(s, d, w);
+                reference.insert(s, d, w);
+                exact.insert(s, d, w);
+            }
+            for &(s, d, w) in &stream_b {
+                sketch_b.insert(s, d, w);
+                reference.insert(s, d, w);
+                exact.insert(s, d, w);
+            }
 
-        sketch_a.merge_from(&sketch_b).unwrap();
-        // The merged sketch answers every edge query exactly like the reference sketch.
-        for (key, _) in exact.edges() {
-            assert_eq!(
-                sketch_a.edge_weight(key.source, key.destination),
-                reference.edge_weight(key.source, key.destination),
-                "edge {key:?}"
-            );
-        }
-        // And successor sets keep translating back to original ids.
-        for v in exact.vertices().into_iter().take(100) {
-            let merged = sketch_a.successors(v);
-            for truth in exact.successors(v) {
-                assert!(merged.contains(&truth), "missing successor {truth} of {v}");
+            sketch_a.merge_from(&sketch_b).unwrap();
+            // The merged sketch answers every edge query exactly like the reference sketch.
+            for (key, _) in exact.edges() {
+                assert_eq!(
+                    sketch_a.edge_weight(key.source, key.destination),
+                    reference.edge_weight(key.source, key.destination),
+                    "edge {key:?}"
+                );
+            }
+            // And successor sets keep translating back to original ids.
+            for v in exact.vertices().into_iter().take(100) {
+                let merged = sketch_a.successors(v);
+                for truth in exact.successors(v) {
+                    assert!(merged.contains(&truth), "missing successor {truth} of {v}");
+                }
             }
         }
     }

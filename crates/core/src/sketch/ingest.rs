@@ -40,9 +40,8 @@ impl Candidate {
 /// the stack — the insert path performs no heap allocation.
 pub(super) const MAX_CANDIDATES: usize = MAX_SEQUENCE_LENGTH * MAX_SEQUENCE_LENGTH;
 
-/// A hashed endpoint together with its address sequence (all zeros without square hashing,
-/// where only the node's own address is used).  A batch caches one per distinct vertex, so
-/// consecutive items sharing an endpoint reuse both.
+/// A hashed endpoint together with its address sequence.  A batch caches one per distinct
+/// vertex, so consecutive items sharing an endpoint reuse both.
 #[derive(Debug, Clone, Copy)]
 struct Endpoint {
     node: HashedNode,
@@ -53,9 +52,7 @@ impl GssSketch {
     /// Pairs a hashed node with its address sequence.
     fn endpoint(&self, node: HashedNode) -> Endpoint {
         let mut addresses = [0usize; MAX_SEQUENCE_LENGTH];
-        if self.config.square_hashing {
-            self.hasher.address_sequence_into(node, &mut addresses);
-        }
+        self.hasher.address_sequence_into(node, &mut addresses);
         Endpoint { node, addresses }
     }
 
@@ -93,16 +90,13 @@ impl GssSketch {
         }
         let r = self.config.sequence_length;
         if self.config.sampling {
-            let mut pairs = [(0usize, 0usize); MAX_SEQUENCE_LENGTH];
-            let count = self.hasher.candidate_pairs_into(
+            let count = self.config.effective_candidates();
+            self.hasher.sample_into(
                 source.fingerprint,
                 destination.fingerprint,
-                self.config.candidates.min(pairs.len()),
-                &mut pairs,
+                &mut out[..count],
+                |i, j| candidate(source_addresses[i], destination_addresses[j], i, j),
             );
-            for (slot, &(i, j)) in out.iter_mut().zip(pairs.iter().take(count)) {
-                *slot = candidate(source_addresses[i], destination_addresses[j], i, j);
-            }
             count
         } else {
             // Probe the full r × r square in row-major order, as in Section V-A.

@@ -32,7 +32,7 @@ use crate::config::{GroupCommit, GssConfig};
 use crate::error::{ConfigError, DurabilityReport, StoreFault};
 use crate::file_store::FileStore;
 use crate::group_commit::GroupCommitter;
-use crate::hashing::{NodeHasher, RecoverQCache};
+use crate::hashing::NodeHasher;
 use crate::matrix::{MemoryStore, Room};
 use crate::metrics::{self, StoreCounters};
 use crate::node_map::NodeIdMap;
@@ -61,8 +61,6 @@ pub struct GssSketch {
     buffer: LeftoverBuffer,
     node_map: NodeIdMap,
     items_inserted: u64,
-    /// Memo for [`NodeHasher::recover_address_cached`] on the query path.
-    recover_cache: RecoverQCache,
     /// Log size at which ingest checkpoints automatically (bounds WAL growth).
     wal_checkpoint_bytes: u64,
     /// Cleared by [`abandon`](Self::abandon) so drop simulates a crash.
@@ -124,7 +122,6 @@ impl GssSketch {
             buffer: LeftoverBuffer::new(),
             node_map: NodeIdMap::new(),
             items_inserted: 0,
-            recover_cache: RecoverQCache::new(),
             wal_checkpoint_bytes: crate::config::WAL_CHECKPOINT_BYTES,
             sync_on_drop: true,
             config,

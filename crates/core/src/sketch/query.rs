@@ -10,40 +10,6 @@ use crate::storage::RoomStorage;
 use gss_graph::{SummaryRead, SummaryStats, VertexId, Weight};
 
 impl GssSketch {
-    /// Recovers a node's hash from a room that names it: `position` is the room's row (for
-    /// its source) or column (for its destination), `(fingerprint, index)` that half of
-    /// the room's key.  Memoises the LCG replay per `(fingerprint, index)` — hub scans hit
-    /// many matching rooms.  Shared by the neighbour scan and by merging.
-    #[inline]
-    pub(crate) fn recover_hash(&self, position: usize, (fingerprint, index): (u16, u8)) -> u64 {
-        if self.config.square_hashing {
-            self.hasher.recover_hash_cached(
-                position,
-                fingerprint,
-                index as usize,
-                &self.recover_cache,
-            )
-        } else {
-            self.hasher.compose(position, fingerprint)
-        }
-    }
-
-    /// The rows scanned by a successor query (columns for a precursor query): the node's
-    /// address sequence under square hashing, or its single address in the basic version.
-    /// Allocation-free: fills the stack array `out` and returns the count.
-    fn scan_addresses_into(
-        &self,
-        node: HashedNode,
-        out: &mut [usize; MAX_SEQUENCE_LENGTH],
-    ) -> usize {
-        if self.config.square_hashing {
-            self.hasher.address_sequence_into(node, out)
-        } else {
-            out[0] = node.address;
-            1
-        }
-    }
-
     /// Translates a set of sketch-node hashes to original vertex ids via the reverse table.
     /// Without id tracking the raw hashes are returned (documented fallback).
     fn hashes_to_vertices(&self, hashes: impl IntoIterator<Item = u64>) -> Vec<VertexId> {
@@ -73,12 +39,13 @@ impl GssSketch {
     ) -> Vec<u64> {
         let mut result: Vec<u64> = Vec::new();
         let mut addresses = [0usize; MAX_SEQUENCE_LENGTH];
-        let count = self.scan_addresses_into(node, &mut addresses);
+        let count = self.hasher.address_sequence_into(node, &mut addresses);
         for (index, &line) in addresses[..count].iter().enumerate() {
             let wanted = (node.fingerprint, index as u8);
             scan(&self.matrix, line, &mut |position, room| {
                 if own(&room) == wanted {
-                    result.push(self.recover_hash(position, other(&room)));
+                    let (fingerprint, index) = other(&room);
+                    result.push(self.hasher.recover_hash(position, fingerprint, index.into()));
                 }
             });
         }

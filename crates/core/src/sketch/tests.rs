@@ -1,6 +1,7 @@
 //! Unit tests of the sketch, in one module so each keeps the name it has always had
 //! (`sketch::tests::…`).
 
+use super::ingest::{Candidate, MAX_CANDIDATES};
 use super::*;
 use crate::config::GssConfig;
 use gss_graph::{AdjacencyListGraph, StreamEdge, SummaryRead, SummaryWrite};
@@ -73,6 +74,28 @@ fn no_sampling_configuration_works() {
     let (sketch, exact) = build_pair(config);
     for (key, weight) in exact.edges() {
         assert_eq!(sketch.edge_weight(key.source, key.destination), Some(weight));
+    }
+}
+
+/// Every edge probes `min(k, r²)` candidate buckets, `r²` without sampling and one in the
+/// basic version — including `k` above 16, where the sample is longer than one sequence.
+#[test]
+fn probe_count_matches_effective_candidates() {
+    let mut configs: Vec<GssConfig> = [1, 8, 16, 17, 32, 256]
+        .into_iter()
+        .map(|candidates| GssConfig { candidates, ..GssConfig::paper_default(64) })
+        .collect();
+    configs.push(GssConfig::paper_default(64).with_sampling(false));
+    configs.push(GssConfig::basic(64));
+    for config in configs {
+        let sketch = GssSketch::new(config).unwrap();
+        let hasher = sketch.hasher();
+        let mut candidates = [Candidate::default(); MAX_CANDIDATES];
+        for vertex in 0..100u64 {
+            let (source, destination) = (hasher.hashed_node(vertex), hasher.hashed_node(!vertex));
+            let count = sketch.collect_candidates(source, destination, &mut candidates);
+            assert_eq!(count, config.effective_candidates(), "{}", sketch.name());
+        }
     }
 }
 

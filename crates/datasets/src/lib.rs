@@ -13,7 +13,7 @@
 //!   paper's square-hashing design targets.
 //! * [`synthetic`] — named profiles that match each paper dataset's published |V|, |E| and
 //!   stream length, so the experiment harness can run "email-EuAll-like" workloads at the
-//!   same scale as the paper (CAIDA is scaled down, see `DESIGN.md`).
+//!   same scale as the paper (the laptop profile scales CAIDA down to ~1/64 of its items).
 //! * [`snap`] — a parser for SNAP-style edge-list files so the real datasets can be dropped
 //!   in when available.
 //!

@@ -2,8 +2,7 @@
 //!
 //! These experiments are not figures in the paper, but they exercise the design choices
 //! Section V motivates (sequence length `r`, candidate count `k`, rooms `l`, fingerprint
-//! width) and validate the Section VI models against measurements, which `DESIGN.md` lists
-//! as part of the reproduction.
+//! width) and validate the Section VI models against measurements.
 
 use crate::builders::gss_config_for;
 use crate::context::DatasetRun;
