@@ -1,12 +1,14 @@
-//! # gss-bench — benchmark harness
+//! # gss-bench — timing benches
 //!
-//! One `harness = false` bench target per table/figure of the paper (the `[[bench]]`
-//! entries of this crate's `Cargo.toml` are the index).  Accuracy figures print the same x/y
-//! series the paper plots and write CSVs under `target/experiments/`; timing targets
-//! (Table I, `micro_operations`) time their rows with plain `Instant` loops.
+//! The `harness = false` bench targets of this crate time the library itself, not a paper
+//! figure: `micro_operations` (per-operation latencies, and the in-process A/B shape for
+//! kernel changes), `ingest_scaling`, `query_scaling`, `snapshot_io` and
+//! `durability_cost` (the `[[bench]]` entries of this crate's `Cargo.toml` are the index).
+//! Each times its rows with plain `Instant` loops.  The paper's tables and figures are
+//! regenerated by the `gss-experiments` binary, one subcommand per figure.
 //!
-//! All targets read the experiment scale from the `GSS_SCALE` environment variable
-//! (`smoke` — default, `laptop`, `paper`).
+//! All but `micro_operations` read the experiment scale from the `GSS_SCALE` environment
+//! variable (`smoke` — default, `laptop`, `paper`).
 //!
 //! ## Quick start
 //!
@@ -20,11 +22,12 @@
 
 use gss_experiments::ExperimentScale;
 
-pub use gss_experiments::emit;
-
 /// The scale selected for this bench run, with a banner so logs are self-describing.
+///
+/// # Panics
+/// If `GSS_SCALE` names no scale: a mistyped scale must not run at smoke scale.
 pub fn bench_scale(target: &str) -> ExperimentScale {
-    let scale = ExperimentScale::from_env();
+    let scale = ExperimentScale::from_env().expect("GSS_SCALE names smoke, laptop or paper");
     println!(
         "## {target} — GSS paper reproduction bench (scale: {}, set GSS_SCALE=laptop|paper to \
          enlarge)\n",
@@ -36,20 +39,6 @@ pub fn bench_scale(target: &str) -> ExperimentScale {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gss_experiments::{experiments_dir, Table};
-
-    #[test]
-    fn emit_writes_numbered_csvs_for_multiple_tables() {
-        let mut a = Table::new("a", &["x"]);
-        a.push_row(vec!["1".into()]);
-        let b = Table::new("b", &["y"]);
-        emit(&[a, b], "bench_emit_test");
-        let dir = experiments_dir();
-        assert!(dir.join("bench_emit_test_0.csv").exists());
-        assert!(dir.join("bench_emit_test_1.csv").exists());
-        std::fs::remove_file(dir.join("bench_emit_test_0.csv")).ok();
-        std::fs::remove_file(dir.join("bench_emit_test_1.csv")).ok();
-    }
 
     #[test]
     fn bench_scale_defaults_to_smoke_without_env() {

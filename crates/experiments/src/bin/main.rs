@@ -9,6 +9,8 @@
 //! ```
 //!
 //! Every experiment prints its table(s) and writes CSV copies under `target/experiments/`.
+//! An unknown experiment or scale name (as the argument or in `GSS_SCALE`) prints the
+//! usage line and exits with status 2.
 
 use gss_datasets::SyntheticDataset;
 use gss_experiments::figures::accuracy::run_accuracy_figure;
@@ -53,19 +55,28 @@ fn run(experiment: &str, scale: ExperimentScale) -> bool {
     true
 }
 
+/// Prints `problem` and the usage line to stderr and exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!(
+        "{problem}\nusage: gss-experiments [fig03|fig08..fig15|table1|ablation|model|all] \
+         [smoke|laptop|paper]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let experiment = args.first().map(String::as_str).unwrap_or("all");
-    let scale = args
-        .get(1)
-        .and_then(|name| ExperimentScale::parse(name))
-        .unwrap_or_else(ExperimentScale::from_env);
+    let scale = match args.get(1) {
+        Some(name) => ExperimentScale::parse(name)
+            .unwrap_or_else(|| usage_error(&format!("unknown scale {name:?}"))),
+        None => ExperimentScale::from_env().unwrap_or_else(|| {
+            let name = std::env::var("GSS_SCALE").unwrap_or_default();
+            usage_error(&format!("unknown scale {name:?} in GSS_SCALE"))
+        }),
+    };
     println!("# GSS experiment runner — experiment: {experiment}, scale: {}\n", scale.name());
     if !run(experiment, scale) {
-        eprintln!(
-            "unknown experiment {experiment:?}; expected one of fig03, fig08..fig15, table1, \
-             ablation, model, all"
-        );
-        std::process::exit(2);
+        usage_error(&format!("unknown experiment {experiment:?}"));
     }
 }

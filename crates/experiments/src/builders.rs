@@ -30,7 +30,7 @@ pub fn gss_config_for(dataset: SyntheticDataset, width: usize, fingerprint_bits:
 /// on the storage backend selected by `GSS_STORAGE` (memory by default).
 pub fn build_gss(dataset: SyntheticDataset, width: usize, fingerprint_bits: u32) -> GssSketch {
     let storage = storage_backend_from_env(
-        ExperimentScale::from_env(),
+        ExperimentScale::from_env().expect("GSS_SCALE names smoke, laptop or paper"),
         &format!("{}-w{width}-f{fingerprint_bits}", dataset.name()),
     );
     GssSketch::with_storage(gss_config_for(dataset, width, fingerprint_bits), storage)

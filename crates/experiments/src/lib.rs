@@ -15,17 +15,18 @@
 //!   parameter ablations and a model-vs-measurement check.
 //! * [`report`] — ASCII/CSV result tables written under `target/experiments/`.
 //!
-//! The `gss-experiments` binary exposes all of this on the command line; the `gss-bench`
-//! crate wraps the same runners as `cargo bench` targets.
+//! The `gss-experiments` binary is the one entry point per figure:
+//! `gss-experiments <figure> [scale]`.
 //!
 //! ## Quick start
 //!
 //! ```
 //! use gss_experiments::{ExperimentScale, Table};
 //!
-//! // The scale is read from GSS_SCALE (smoke by default) and round-trips by name.
-//! let scale = ExperimentScale::from_env();
+//! // Scales round-trip by name; an unknown name parses to nothing.
+//! let scale = ExperimentScale::parse("laptop").unwrap();
 //! assert_eq!(ExperimentScale::parse(scale.name()), Some(scale));
+//! assert_eq!(ExperimentScale::parse("papr"), None);
 //!
 //! // Result tables render to ASCII and CSV.
 //! let mut table = Table::new("demo", &["x", "y"]);

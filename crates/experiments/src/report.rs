@@ -300,6 +300,19 @@ mod tests {
     }
 
     #[test]
+    fn emit_writes_numbered_csvs_for_multiple_tables() {
+        let mut a = Table::new("a", &["x"]);
+        a.push_row(vec!["1".into()]);
+        let b = Table::new("b", &["y"]);
+        emit(&[a, b], "bench_emit_test");
+        let dir = experiments_dir();
+        assert!(dir.join("bench_emit_test_0.csv").exists());
+        assert!(dir.join("bench_emit_test_1.csv").exists());
+        std::fs::remove_file(dir.join("bench_emit_test_0.csv")).ok();
+        std::fs::remove_file(dir.join("bench_emit_test_1.csv")).ok();
+    }
+
+    #[test]
     fn float_formatting_is_compact() {
         assert_eq!(fmt_float(0.0), "0");
         assert_eq!(fmt_float(123.456), "123.46");

@@ -4,14 +4,15 @@
 //! CI.  Every experiment therefore accepts a scale:
 //!
 //! * [`ExperimentScale::Smoke`] — heavily reduced datasets (~1/32 of laptop scale) and
-//!   sampled query sets.  This is the default for `cargo bench` and finishes in minutes.
+//!   sampled query sets.  This is the default and finishes in minutes.
 //! * [`ExperimentScale::Laptop`] — the paper's dataset sizes (CAIDA scaled to 1/64) and
 //!   larger query samples.  Expect tens of minutes and a few GB of memory.
 //! * [`ExperimentScale::Paper`] — the paper's full sizes and memory ratios; only sensible on
 //!   a large-memory server.
 //!
-//! The scale is picked from the `GSS_SCALE` environment variable (`smoke`, `laptop`,
-//! `paper`) so the same bench binaries serve all three.
+//! The scale is named on the `gss-experiments` command line or in the `GSS_SCALE`
+//! environment variable (`smoke`, `laptop`, `paper`; unset means smoke).  An unknown name is
+//! an error, never a silent smoke run.
 //!
 //! Orthogonally, `GSS_STORAGE` (`memory` — default, `file`) selects the room-storage
 //! backend experiment sketches are built on ([`storage_backend_from_env`]): `file` routes
@@ -36,16 +37,16 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Reads the scale from the `GSS_SCALE` environment variable, defaulting to `Smoke`.
-    pub fn from_env() -> Self {
-        match std::env::var("GSS_SCALE").unwrap_or_default().to_ascii_lowercase().as_str() {
-            "laptop" => Self::Laptop,
-            "paper" => Self::Paper,
-            _ => Self::Smoke,
+    /// Reads the scale from the `GSS_SCALE` environment variable through [`Self::parse`]:
+    /// unset or empty means `Smoke`, an unknown name gives `None`.
+    pub fn from_env() -> Option<Self> {
+        match std::env::var("GSS_SCALE").unwrap_or_default().as_str() {
+            "" => Some(Self::Smoke),
+            name => Self::parse(name),
         }
     }
 
-    /// Parses a scale name (used by the CLI).
+    /// Parses a scale name, case-insensitively.
     pub fn parse(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "smoke" => Some(Self::Smoke),

@@ -5,7 +5,7 @@
 //! be supported" — either by reconstructing the graph or by invoking the primitives lazily
 //! during the algorithm.  This module is the concrete realisation of that claim: every
 //! function takes a `&dyn` [`SummaryRead`](crate::summary::SummaryRead), so the same
-//! (un-monomorphised) code runs on the exact graph, on GSS, on TCM and on gMatrix, and the
+//! (un-monomorphised) code runs on the exact graph, on GSS and on TCM, and the
 //! experiments compare their answers.
 //!
 //! * [`node_query`] — weighted out/in degree (the node query of Fig. 11).

@@ -7,8 +7,8 @@
 //!   the paper (Definition 1): an unbounded, timestamped sequence of weighted directed edges.
 //! * [`SummaryRead`] / [`SummaryWrite`] — the traits capturing the three *graph query
 //!   primitives* of Definition 4 (edge query, 1-hop successor query, 1-hop precursor
-//!   query) and stream ingestion (per-item, batch and iterator insertion).  GSS, TCM,
-//!   gMatrix and the exact adjacency-list graph all implement both halves, so every
+//!   query) and stream ingestion (per-item, batch and iterator insertion).  GSS, TCM, the
+//!   paper's adjacency list and the exact one all implement both halves, so every
 //!   compound query and every experiment is written once, against these traits.
 //!   [`GraphSummary`] is the blanket-implemented `SummaryRead + SummaryWrite` umbrella.
 //! * [`exact::AdjacencyListGraph`] — an exact, loss-less implementation used as ground truth

@@ -1,6 +1,6 @@
 //! The summary traits: [`SummaryRead`], [`SummaryWrite`] and the [`GraphSummary`] umbrella.
 //!
-//! Every summarization structure in this workspace — the GSS sketch, the TCM and gMatrix
+//! Every summarization structure in this workspace — the GSS sketch, the TCM and adjacency-list
 //! baselines, and the exact adjacency-list graph — supports the three graph query
 //! primitives of Definition 4 plus edge insertion.  The API is split along the
 //! read/write axis:
@@ -17,9 +17,9 @@
 //! * [`GraphSummary`] — the umbrella `SummaryRead + SummaryWrite`, blanket-implemented for
 //!   every type that implements both, so existing `S: GraphSummary` bounds keep working.
 //!
-//! Both traits are object-safe: write-only summaries (e.g. `gss_baselines::GSketch`, which
-//! supports edge-weight estimation but no topology queries) can implement `SummaryWrite`
-//! alone, and `Box<dyn GraphSummary>` supports streaming ingestion.
+//! The split follows the borrow each half needs: queries take `&self`, ingestion `&mut self`,
+//! so a compound query asks for the read half only and runs on any shared reference.  Both
+//! traits are object-safe, so `Box<dyn GraphSummary>` supports streaming ingestion.
 
 use crate::stream::StreamEdge;
 use crate::types::{VertexId, Weight};

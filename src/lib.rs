@@ -6,8 +6,8 @@
 //! * [`core`] ([`gss_core`]) — the GSS sketch itself.
 //! * [`graph`] ([`gss_graph`]) — the streaming-graph substrate: the [`graph::GraphSummary`]
 //!   trait, the exact adjacency-list graph and the compound-query algorithms.
-//! * [`baselines`] ([`gss_baselines`]) — TCM, gMatrix, CM/CU/gSketch, TRIÈST and the exact
-//!   windowed matcher.
+//! * [`baselines`] ([`gss_baselines`]) — TCM, TRIÈST, the exact windowed matcher and
+//!   Table I's adjacency lists.
 //! * [`datasets`] ([`gss_datasets`]) — deterministic generators for paper-scale workloads
 //!   and a SNAP edge-list parser.
 //! * [`analysis`] ([`gss_analysis`]) — the closed-form accuracy and buffer models of

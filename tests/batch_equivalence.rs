@@ -9,8 +9,7 @@
 //! and duplicate folding must not alter room placement); the baselines exercise the
 //! default per-item fallback.
 
-use gss::baselines::{GMatrix, GSketch, PaperAdjacencyList};
-use gss::graph::EdgeKey;
+use gss::baselines::PaperAdjacencyList;
 use gss::prelude::*;
 use proptest::prelude::*;
 
@@ -80,8 +79,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Batch ≡ sequential for every `GraphSummary` implementor: GSS (augmented, small and
-    /// basic variants — the overridden batch path), TCM, gMatrix, the paper's adjacency
-    /// list and the exact adjacency list (the default per-item fallback).
+    /// basic variants — the overridden batch path), TCM, the paper's adjacency list and the
+    /// exact adjacency list (the default per-item fallback).
     #[test]
     fn insert_batch_matches_per_item_insert_for_every_implementor(
         items in stream_strategy(64, 240),
@@ -99,9 +98,6 @@ proptest! {
         let basic = || GssSketch::new(GssConfig::basic(16)).unwrap();
         assert_batch_equivalent(basic(), basic(), &items, chunk, 64);
         assert_batch_equivalent(TcmSketch::new(16, 3), TcmSketch::new(16, 3), &items, chunk, 64);
-        assert_batch_equivalent(
-            GMatrix::new(12, 2, 64), GMatrix::new(12, 2, 64), &items, chunk, 64,
-        );
         assert_batch_equivalent(
             PaperAdjacencyList::new(), PaperAdjacencyList::new(), &items, chunk, 64,
         );
@@ -123,28 +119,6 @@ proptest! {
         assert_batch_route_equivalent(make(), make(), &items, chunk, 64, |sharded, batch| {
             sharded.try_insert_batch(batch).expect("in-memory shards never fail")
         });
-    }
-
-    /// gSketch is write-only (`SummaryWrite` alone): batch ingest must produce the same
-    /// counter state, observed through its native estimate query.
-    #[test]
-    fn gsketch_batches_match_per_item_updates(
-        items in stream_strategy(64, 240),
-        chunk in 1usize..64,
-    ) {
-        let mut sequential = GSketch::new(4, 32, 2);
-        let mut batched = GSketch::new(4, 32, 2);
-        for item in &items {
-            sequential.insert_item(item);
-        }
-        for batch in items.chunks(chunk) {
-            batched.insert_batch(batch);
-        }
-        prop_assert_eq!(batched.items_inserted(), sequential.items_inserted());
-        for item in &items {
-            let key = EdgeKey::new(item.source, item.destination);
-            prop_assert_eq!(batched.estimate(key), sequential.estimate(key));
-        }
     }
 
     /// Streaming into a boxed `dyn GraphSummary` — the `Self: Sized` regression the trait
