@@ -4,12 +4,13 @@
 //! These are not a paper figure; they support the `O(1)` update / query-cost claims of
 //! Section VI-A with wall-clock measurements on this machine.
 //!
-//! The last group, `sharded_memory`, is the in-process A/B shape for kernel changes:
+//! The last group, `sharded_memory`, is the in-process A/B shape for kernel and restore
+//! changes (its `restore` row loads a snapshot of every shard):
 //! build this target in two trees (each with its own `CARGO_TARGET_DIR`) and run the two
 //! binaries alternately; in process it resolves costs smaller than the end-to-end
 //! benchmark's run-to-run noise.
 
-use gss_core::{GssConfig, ShardedGss};
+use gss_core::{GssConfig, GssSketch, ShardedGss};
 use gss_datasets::{PreferentialAttachmentGenerator, SyntheticDataset};
 use gss_experiments::{build_gss, build_tcm_with_ratio, DatasetRun, ExperimentScale};
 use gss_graph::{AdjacencyListGraph, StreamEdge, SummaryRead, SummaryWrite, VertexId};
@@ -94,6 +95,27 @@ fn sharded_memory() {
     time("sharded_memory", "edge_weight", edges.len(), || edge_hits(&sketch, &edges));
     time("sharded_memory", "successors", nodes.len(), || successor_count(&sketch, &nodes));
     time("sharded_memory", "precursors", nodes.len(), precursor_count);
+
+    // Restore: `from_snapshot` of every shard, the in-process form of `lib_memory`'s
+    // `recover_s` (one operation is one restore of the whole store).
+    let snapshots: Vec<Vec<u8>> = (0..sketch.shard_count())
+        .map(|shard| sketch.with_shard_read(shard, GssSketch::to_snapshot))
+        .collect();
+    let restore = || -> Vec<GssSketch> {
+        snapshots.iter().map(|bytes| GssSketch::from_snapshot(bytes).expect("loads")).collect()
+    };
+    let restored = restore();
+    println!(
+        "  sharded_memory: restore checksum {} items, {} stored edges",
+        restored.iter().map(GssSketch::items_inserted).sum::<u64>(),
+        restored.iter().map(GssSketch::stored_edges).sum::<usize>(),
+    );
+    // Restored sketches are dropped after timing, as `lib_memory` drops its loads.
+    let mut kept = Vec::new();
+    time("sharded_memory", "restore", 1, || {
+        kept.push(restore());
+        kept.len()
+    });
 }
 
 /// How many of `queries` the summary holds an edge for.
@@ -113,7 +135,7 @@ fn main() {
     let widths = run.widths(ExperimentScale::Smoke);
     let width = widths[widths.len() / 2];
 
-    let mut gss = build_gss(dataset, width, 16);
+    let mut gss = build_gss(dataset, width, 16, ExperimentScale::Smoke);
     let mut tcm = build_tcm_with_ratio(width, 2, 8.0);
     let mut adjacency = AdjacencyListGraph::new();
     run.insert_into(&mut gss);

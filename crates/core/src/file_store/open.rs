@@ -204,6 +204,7 @@ impl FileStore {
         for &(source, destination, weight) in &replay.buffer_ops {
             buffer.insert(source, destination, weight);
         }
+        node_map.reserve(replay.node_ops.len());
         for &(hash, vertex) in &replay.node_ops {
             node_map.register(hash, vertex);
         }

@@ -17,20 +17,37 @@
 //! The format is versioned ([`FORMAT_MAGIC`]) and only stores *occupied* rooms, each as
 //! `row u32 | column u32 |` the same fixed 16-byte room record
 //! ([`crate::storage::ROOM_RECORD_BYTES`]) used by the `FileStore` file body — one record
-//! layout for every byte of room state, wherever it lives.  The bucket-occupancy index
-//! (`OccupancyIndex`) is never serialised: restore replays each room
-//! through the store, which rebuilds the bitmaps as a side effect, so snapshot bytes are
-//! identical with or without the index.  File-backed sketches
-//! additionally checkpoint **in place**: their sketch file reopens directly via
-//! [`GssSketch::open_file`] with no decode pass over the matrix (see
-//! [`crate::file_store`]); the tail sections of that file reuse the buffer/node encoders
-//! below.
+//! layout for every byte of room state, wherever it lives.
+//!
+//! **One decoder.**  Restore is one linear pass of one decoder over byte slices: it takes
+//! each section whole after one bounds check, and sizes nothing from a count before the
+//! bytes that count promises are present.  [`GssSketch::from_snapshot`] and the
+//! `FileStore` tail decode run it over their slice directly; the reader entry points feed
+//! it rooms and buffered edges in chunks of at most 64 KiB, each sized from counts already
+//! read, so they never read past the snapshot's last byte and a larger-than-RAM restore
+//! onto [`StorageBackend::File`] holds no RAM-sized buffer.  Only the node section is
+//! read whole, entry by entry: it fills an in-memory table of the same order anyway.
+//!
+//! **Room placement.**  The encoder writes rooms in storage order, so the fast case is a
+//! room whose bucket lies above every bucket placed so far: that bucket is known to be
+//! empty, and its rooms go straight into slots 0, 1, … with the run itself checking for
+//! more than `l` rooms and for two rooms of one edge.  Any other room is placed the way
+//! ingest places an edge (a bucket probe), so any room order still loads.  Both paths
+//! write through the store, which rebuilds the bucket-occupancy index (`OccupancyIndex`)
+//! as a side effect; the index is never serialised, so snapshot bytes are identical with
+//! or without it.  File-backed sketches additionally checkpoint **in place**: their
+//! sketch file reopens directly via [`GssSketch::open_file`] with no decode pass over the
+//! matrix (see [`crate::file_store`]); the tail sections of that file share the
+//! buffer/node encoders and the decoder below.
 
-use crate::matrix::Room;
+use crate::buffer::LeftoverBuffer;
+use crate::error::StoreFault;
+use crate::matrix::{Room, RoomKey};
+use crate::node_map::NodeIdMap;
 use crate::sketch::GssSketch;
 use crate::storage::{
-    decode_config, decode_room, encode_config, encode_room, BucketProbe, CONFIG_BYTES,
-    ROOM_RECORD_BYTES,
+    decode_config, decode_room, encode_config, encode_room, BucketProbe, RoomStorage,
+    StorageBackend, ROOM_RECORD_BYTES,
 };
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -39,6 +56,15 @@ use std::path::Path;
 /// Magic bytes identifying a GSS snapshot (version 2 — version 1 was the non-streaming
 /// format without the shared fixed-size room record).
 pub const FORMAT_MAGIC: [u8; 4] = *b"GSS\x02";
+
+/// One snapshot room entry: `row u32 | column u32 |` room record.
+const ROOM_ENTRY_BYTES: usize = 8 + ROOM_RECORD_BYTES;
+/// One buffered edge: `source u64 | destination u64 | weight i64`.
+const BUFFERED_EDGE_BYTES: usize = 24;
+/// The head of one node-section entry: `hash u64 | vertex count u32`, then the vertices.
+const NODE_HEAD_BYTES: usize = 12;
+/// Most bytes a reader-fed restore reads into its buffer per request.
+const READ_CHUNK_BYTES: usize = 64 << 10;
 
 /// Errors produced while encoding or decoding a snapshot or sketch file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,24 +105,6 @@ impl From<io::Error> for PersistenceError {
     }
 }
 
-fn read_array<const N: usize>(reader: &mut impl Read) -> Result<[u8; N], PersistenceError> {
-    let mut buffer = [0u8; N];
-    reader.read_exact(&mut buffer)?;
-    Ok(buffer)
-}
-
-fn read_u32(reader: &mut impl Read) -> Result<u32, PersistenceError> {
-    Ok(u32::from_le_bytes(read_array(reader)?))
-}
-
-fn read_u64(reader: &mut impl Read) -> Result<u64, PersistenceError> {
-    Ok(u64::from_le_bytes(read_array(reader)?))
-}
-
-fn read_i64(reader: &mut impl Read) -> Result<i64, PersistenceError> {
-    Ok(i64::from_le_bytes(read_array(reader)?))
-}
-
 fn write_bytes(writer: &mut impl Write, bytes: &[u8]) -> Result<(), PersistenceError> {
     writer.write_all(bytes)?;
     Ok(())
@@ -105,7 +113,7 @@ fn write_bytes(writer: &mut impl Write, bytes: &[u8]) -> Result<(), PersistenceE
 /// Writes the buffered-edge section (shared by snapshots and the tail of `FileStore`
 /// sketch files).  Sorted so equal buffers serialise to identical bytes.
 pub(crate) fn write_buffer_section(
-    buffer: &crate::buffer::LeftoverBuffer,
+    buffer: &LeftoverBuffer,
     writer: &mut impl Write,
 ) -> Result<(), PersistenceError> {
     let mut buffered: Vec<(u64, u64, i64)> = buffer.edges().collect();
@@ -119,21 +127,27 @@ pub(crate) fn write_buffer_section(
     Ok(())
 }
 
-/// Writes the `⟨H(v), v⟩` node-table section.  Sorted so equal tables serialise to
-/// identical bytes.
+/// Writes the `⟨H(v), v⟩` node-table section: one entry per hash, ascending, each with its
+/// vertices in registration order — so equal tables serialise to identical bytes.
 pub(crate) fn write_node_section(
-    node_map: &crate::node_map::NodeIdMap,
+    node_map: &NodeIdMap,
     writer: &mut impl Write,
 ) -> Result<(), PersistenceError> {
-    let mut node_entries: Vec<(u64, &[u64])> = node_map.iter().collect();
-    node_entries.sort_unstable_by_key(|(hash, _)| *hash);
-    write_bytes(writer, &(node_entries.len() as u64).to_le_bytes())?;
-    for (hash, vertices) in node_entries {
+    let mut pairs: Vec<(u64, u64)> = node_map.iter().collect();
+    // Stable, so each hash keeps the registration order `iter` yields its vertices in.
+    pairs.sort_by_key(|&(hash, _)| hash);
+    let hashes = pairs.windows(2).filter(|pair| pair[0].0 != pair[1].0).count()
+        + usize::from(!pairs.is_empty());
+    write_bytes(writer, &(hashes as u64).to_le_bytes())?;
+    let mut rest = pairs.as_slice();
+    while let Some(&(hash, _)) = rest.first() {
+        let (entry, after) = rest.split_at(rest.iter().take_while(|pair| pair.0 == hash).count());
         write_bytes(writer, &hash.to_le_bytes())?;
-        write_bytes(writer, &(vertices.len() as u32).to_le_bytes())?;
-        for &vertex in vertices {
+        write_bytes(writer, &(entry.len() as u32).to_le_bytes())?;
+        for &(_, vertex) in entry {
             write_bytes(writer, &vertex.to_le_bytes())?;
         }
+        rest = after;
     }
     Ok(())
 }
@@ -141,8 +155,8 @@ pub(crate) fn write_node_section(
 /// Writes both tail sections back-to-back (the snapshot layout and the tail of a
 /// `FileStore` file).
 pub(crate) fn write_tail_sections(
-    buffer: &crate::buffer::LeftoverBuffer,
-    node_map: &crate::node_map::NodeIdMap,
+    buffer: &LeftoverBuffer,
+    node_map: &NodeIdMap,
     writer: &mut impl Write,
 ) -> Result<(), PersistenceError> {
     write_buffer_section(buffer, writer)?;
@@ -151,10 +165,7 @@ pub(crate) fn write_tail_sections(
 
 /// Encodes the whole tail image a `FileStore` checkpoint logs and writes: both sections
 /// back-to-back, plus the length of the buffer section (where the node section starts).
-pub(crate) fn encode_tail(
-    buffer: &crate::buffer::LeftoverBuffer,
-    node_map: &crate::node_map::NodeIdMap,
-) -> (Vec<u8>, usize) {
+pub(crate) fn encode_tail(buffer: &LeftoverBuffer, node_map: &NodeIdMap) -> (Vec<u8>, usize) {
     let mut bytes = Vec::new();
     write_buffer_section(buffer, &mut bytes).expect("writing to a Vec cannot fail");
     let buffer_len = bytes.len();
@@ -162,47 +173,301 @@ pub(crate) fn encode_tail(
     (bytes, buffer_len)
 }
 
-/// Reads the sections written by [`write_tail_sections`] into bare buffer/node
-/// structures.
-pub(crate) fn read_tail_sections(
-    buffer: &mut crate::buffer::LeftoverBuffer,
-    node_map: &mut crate::node_map::NodeIdMap,
-    reader: &mut impl Read,
-) -> Result<(), PersistenceError> {
-    let buffered_count = read_u64(reader)?;
-    for _ in 0..buffered_count {
-        let source = read_u64(reader)?;
-        let destination = read_u64(reader)?;
-        let weight = read_i64(reader)?;
-        buffer.insert(source, destination, weight);
-    }
-    let node_count = read_u64(reader)?;
-    for _ in 0..node_count {
-        let hash = read_u64(reader)?;
-        let vertex_count = read_u32(reader)?;
-        for _ in 0..vertex_count {
-            node_map.register(hash, read_u64(reader)?);
-        }
-    }
-    Ok(())
-}
-
 /// Decodes a `FileStore` tail (see [`encode_tail`]).  An empty tail decodes as an empty
 /// buffer and node table.
-pub(crate) fn decode_tail(
-    bytes: &[u8],
-) -> Result<(crate::buffer::LeftoverBuffer, crate::node_map::NodeIdMap), PersistenceError> {
-    let mut buffer = crate::buffer::LeftoverBuffer::new();
-    let mut node_map = crate::node_map::NodeIdMap::new();
+pub(crate) fn decode_tail(bytes: &[u8]) -> Result<(LeftoverBuffer, NodeIdMap), PersistenceError> {
+    let mut buffer = LeftoverBuffer::new();
+    let mut node_map = NodeIdMap::new();
     if bytes.is_empty() {
         return Ok((buffer, node_map));
     }
     let mut remaining = bytes;
-    read_tail_sections(&mut buffer, &mut node_map, &mut remaining)?;
+    decode_tail_sections(&mut remaining, &mut buffer, &mut node_map)?;
     if !remaining.is_empty() {
         return Err(PersistenceError::Corrupt("trailing bytes after sketch-file tail".into()));
     }
     Ok((buffer, node_map))
+}
+
+/// Where the decoder's bytes come from.  A slice hands out sub-slices of itself; a reader
+/// ([`ReadSource`]) reads each request into one reused buffer.
+trait Source {
+    /// Most bytes one request for a run of fixed-size entries asks for.
+    const CHUNK_BYTES: usize;
+
+    /// The next `len` bytes, or [`PersistenceError::UnexpectedEof`].
+    fn take_bytes(&mut self, len: usize) -> Result<&[u8], PersistenceError>;
+
+    /// The `count` entries of a node section (its count already taken), whole, with their
+    /// vertex total.
+    fn take_node_section(&mut self, count: u64) -> Result<(&[u8], usize), PersistenceError>;
+
+    /// The next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<&[u8; N], PersistenceError> {
+        self.take_bytes(N)?.try_into().map_err(|_| PersistenceError::UnexpectedEof)
+    }
+
+    /// A little-endian `u64` count or counter.
+    fn take_count(&mut self) -> Result<u64, PersistenceError> {
+        Ok(u64::from_le_bytes(*self.take_array()?))
+    }
+}
+
+impl Source for &[u8] {
+    const CHUNK_BYTES: usize = usize::MAX;
+
+    fn take_bytes(&mut self, len: usize) -> Result<&[u8], PersistenceError> {
+        let (head, rest) = split_at(self, len)?;
+        *self = rest;
+        Ok(head)
+    }
+
+    fn take_node_section(&mut self, count: u64) -> Result<(&[u8], usize), PersistenceError> {
+        let (mut len, mut vertices) = (0usize, 0usize);
+        for _ in 0..count {
+            let (head, _) = split_at(&self[len..], NODE_HEAD_BYTES)?;
+            let entry_vertices = vertex_count(head);
+            len = entry_vertices
+                .checked_mul(8)
+                .and_then(|list| list.checked_add(len + NODE_HEAD_BYTES))
+                .filter(|&end| end <= self.len())
+                .ok_or(PersistenceError::UnexpectedEof)?;
+            vertices += entry_vertices;
+        }
+        Ok((self.take_bytes(len)?, vertices))
+    }
+}
+
+/// A reader as a [`Source`].  Every request is sized from counts already read and read in
+/// chunks of at most [`READ_CHUNK_BYTES`], so the buffer grows only with bytes that arrived
+/// and nothing past the snapshot's last byte is read.  The node section accumulates whole
+/// (the table it fills is in memory anyway); every other request replaces the last.
+struct ReadSource<R> {
+    reader: R,
+    buffer: Vec<u8>,
+}
+
+impl<R: Read> ReadSource<R> {
+    /// Appends the next `len` bytes of the reader to the buffer, `len` at most a chunk.
+    fn append(&mut self, len: usize) -> Result<(), PersistenceError> {
+        let start = self.buffer.len();
+        self.buffer.resize(start + len, 0);
+        self.reader.read_exact(&mut self.buffer[start..])?;
+        Ok(())
+    }
+}
+
+impl<R: Read> Source for ReadSource<R> {
+    const CHUNK_BYTES: usize = READ_CHUNK_BYTES;
+
+    fn take_bytes(&mut self, len: usize) -> Result<&[u8], PersistenceError> {
+        debug_assert!(len <= READ_CHUNK_BYTES, "requests are chunked");
+        self.buffer.clear();
+        self.append(len)?;
+        Ok(&self.buffer)
+    }
+
+    fn take_node_section(&mut self, count: u64) -> Result<(&[u8], usize), PersistenceError> {
+        self.buffer.clear();
+        let mut vertices = 0usize;
+        for _ in 0..count {
+            self.append(NODE_HEAD_BYTES)?;
+            let entry_vertices = vertex_count(&self.buffer[self.buffer.len() - NODE_HEAD_BYTES..]);
+            vertices = vertices.saturating_add(entry_vertices);
+            let mut left = entry_vertices as u64 * 8;
+            while left > 0 {
+                let chunk = left.min(READ_CHUNK_BYTES as u64);
+                self.append(chunk as usize)?;
+                left -= chunk;
+            }
+        }
+        Ok((&self.buffer, vertices))
+    }
+}
+
+/// `bytes` split after its first `len` bytes, if it holds that many.
+fn split_at(bytes: &[u8], len: usize) -> Result<(&[u8], &[u8]), PersistenceError> {
+    if len <= bytes.len() {
+        Ok(bytes.split_at(len))
+    } else {
+        Err(PersistenceError::UnexpectedEof)
+    }
+}
+
+/// The vertex count of a node-section entry head.
+fn vertex_count(head: &[u8]) -> usize {
+    u32::from_le_bytes([head[8], head[9], head[10], head[11]]) as usize
+}
+
+/// The little-endian `u64` at `offset` of a chunk whose length was checked when it was
+/// taken.
+fn u64_at(bytes: &[u8], offset: usize) -> u64 {
+    u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("eight bytes"))
+}
+
+/// Takes `count` entries of `entry` bytes each from `source`, in runs of at most
+/// [`Source::CHUNK_BYTES`], and hands each run to `each`.
+fn take_entries<S: Source>(
+    source: &mut S,
+    count: u64,
+    entry: usize,
+    mut each: impl FnMut(&[u8]) -> Result<(), PersistenceError>,
+) -> Result<(), PersistenceError> {
+    let per_run = (S::CHUNK_BYTES / entry) as u64;
+    let mut left = count;
+    while left > 0 {
+        let run = left.min(per_run);
+        let len = usize::try_from(run)
+            .ok()
+            .and_then(|run| run.checked_mul(entry))
+            .ok_or(PersistenceError::UnexpectedEof)?;
+        each(source.take_bytes(len)?)?;
+        left -= run;
+    }
+    Ok(())
+}
+
+/// Reads the sections written by [`write_tail_sections`] into bare buffer/node
+/// structures.  Duplicate pairs in the input stay idempotent, as
+/// [`NodeIdMap::register`] is.
+fn decode_tail_sections<S: Source>(
+    source: &mut S,
+    buffer: &mut LeftoverBuffer,
+    node_map: &mut NodeIdMap,
+) -> Result<(), PersistenceError> {
+    let buffered = source.take_count()?;
+    take_entries(source, buffered, BUFFERED_EDGE_BYTES, |edges| {
+        for edge in edges.chunks_exact(BUFFERED_EDGE_BYTES) {
+            buffer.insert(u64_at(edge, 0), u64_at(edge, 8), u64_at(edge, 16) as i64);
+        }
+        Ok(())
+    })?;
+    let count = source.take_count()?;
+    let (mut section, vertices) = source.take_node_section(count)?;
+    node_map.reserve(vertices);
+    while !section.is_empty() {
+        let (head, rest) = split_at(section, NODE_HEAD_BYTES)?;
+        let (list, rest) = split_at(rest, vertex_count(head).saturating_mul(8))?;
+        let hash = u64_at(head, 0);
+        for vertex in list.chunks_exact(8) {
+            node_map.register(hash, u64_at(vertex, 0));
+        }
+        section = rest;
+    }
+    Ok(())
+}
+
+/// Places the rooms of a snapshot in the sketch being restored.  A room whose bucket lies
+/// above every bucket placed so far starts a run in a bucket known to be empty, written at
+/// slots 0, 1, …; the run checks for more than `l` rooms and for two rooms of one edge.
+/// Any other room is placed by [`RoomStorage::place_room`], so room order is free.
+struct RoomLoader {
+    width: usize,
+    rooms: usize,
+    /// The bucket of the current run (`row · m + column`), the highest placed so far.
+    run: Option<usize>,
+    /// The keys of the run's rooms, in slot order.
+    keys: Vec<RoomKey>,
+}
+
+impl RoomLoader {
+    /// Places a run of whole room entries.
+    fn load(&mut self, storage: &mut RoomStorage, entries: &[u8]) -> Result<(), PersistenceError> {
+        for entry in entries.chunks_exact(ROOM_ENTRY_BYTES) {
+            let row = u32::from_le_bytes(entry[0..4].try_into().expect("four bytes"));
+            let column = u32::from_le_bytes(entry[4..8].try_into().expect("four bytes"));
+            let room = decode_room(entry[8..].try_into().expect("one room record"));
+            if !room.occupied {
+                return Err(PersistenceError::Corrupt(format!(
+                    "room at ({row}, {column}) encoded as unoccupied"
+                )));
+            }
+            let (row, column) = (row as usize, column as usize);
+            if row >= self.width || column >= self.width {
+                return Err(PersistenceError::Corrupt(format!(
+                    "room at ({row}, {column}) outside a {} x {} matrix",
+                    self.width, self.width
+                )));
+            }
+            let bucket = row * self.width + column;
+            let probe = match self.run {
+                Some(run) if bucket < run => storage.place_room(row, column, room),
+                _ => self.extend_run(storage, bucket, row, column, room),
+            }
+            .map_err(|fault| PersistenceError::from(fault.to_io()))?;
+            let excess = match probe {
+                BucketProbe::Empty(_) => continue,
+                BucketProbe::Full => format!("more than {} rooms", self.rooms),
+                BucketProbe::Match(_) => "two rooms for one edge".to_string(),
+            };
+            return Err(PersistenceError::Corrupt(format!(
+                "bucket ({row}, {column}) holds {excess}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Adds a room to the run of `bucket` (starting that run when it lies above the
+    /// current one) and answers what a probe of the bucket would have.
+    fn extend_run(
+        &mut self,
+        storage: &mut RoomStorage,
+        bucket: usize,
+        row: usize,
+        column: usize,
+        room: Room,
+    ) -> Result<BucketProbe, StoreFault> {
+        if self.run != Some(bucket) {
+            self.run = Some(bucket);
+            self.keys.clear();
+        }
+        let key = room.key();
+        if let Some(slot) = self.keys.iter().position(|&held| held == key) {
+            return Ok(BucketProbe::Match(slot));
+        }
+        let slot = self.keys.len();
+        if slot == self.rooms {
+            return Ok(BucketProbe::Full);
+        }
+        storage.store_room(row, column, slot, room)?;
+        self.keys.push(key);
+        Ok(BucketProbe::Empty(slot))
+    }
+}
+
+/// The one snapshot decoder: reads a snapshot from `source` into a fresh sketch on
+/// `storage`.
+fn decode_snapshot<S: Source>(
+    source: &mut S,
+    storage: StorageBackend,
+) -> Result<GssSketch, PersistenceError> {
+    if *source.take_array()? != FORMAT_MAGIC {
+        return Err(PersistenceError::BadMagic);
+    }
+    let config = decode_config(source.take_array()?)?;
+    let items_inserted = source.take_count()?;
+    let mut sketch = GssSketch::with_storage(config, storage)
+        .map_err(|error| PersistenceError::InvalidConfig(error.to_string()))?;
+    let room_count = source.take_count()?;
+    let mut loader =
+        RoomLoader { width: config.width, rooms: config.rooms, run: None, keys: Vec::new() };
+    take_entries(source, room_count, ROOM_ENTRY_BYTES, |entries| {
+        loader.load(sketch.rooms_mut(), entries)
+    })?;
+    {
+        let (buffer, node_map) = sketch.tail_parts_mut();
+        decode_tail_sections(source, buffer, node_map)?;
+    }
+    sketch
+        .set_items_inserted(items_inserted)
+        .map_err(|fault| PersistenceError::from(fault.to_io()))?;
+    // The streamed tail content bypassed the write-ahead log (only live mutations are
+    // logged), so a file-backed restore must checkpoint before it is handed out —
+    // otherwise a crash before the caller's first sync would recover the rooms but an
+    // *empty* buffer and node table.  The commit logged just above leaves the log
+    // unclean, so this checkpoint writes the tail.
+    sketch.sync()?;
+    Ok(sketch)
 }
 
 impl GssSketch {
@@ -250,74 +515,22 @@ impl GssSketch {
     /// outside the matrix, overfull buckets, two rooms for one edge in a bucket — is
     /// reported as a [`PersistenceError`]; malformed input never panics.
     pub fn read_snapshot_from(reader: impl Read) -> Result<Self, PersistenceError> {
-        Self::read_snapshot_into(reader, crate::storage::StorageBackend::Memory)
+        Self::read_snapshot_into(reader, StorageBackend::Memory)
     }
 
     /// Like [`read_snapshot_from`](Self::read_snapshot_from), but restores the matrix
     /// onto an explicit storage backend — the way to bring a snapshot of a
     /// larger-than-RAM sketch back up without a RAM-sized allocation: restore it straight
-    /// into a fresh [`StorageBackend::File`](crate::storage::StorageBackend::File).
+    /// into a fresh [`StorageBackend::File`].
     ///
     /// # Errors
     /// As [`read_snapshot_from`](Self::read_snapshot_from), plus an
     /// [`PersistenceError::Io`] if the target sketch file cannot be created.
     pub fn read_snapshot_into(
-        mut reader: impl Read,
-        storage: crate::storage::StorageBackend,
+        reader: impl Read,
+        storage: StorageBackend,
     ) -> Result<Self, PersistenceError> {
-        let reader = &mut reader;
-        if read_array::<4>(reader)? != FORMAT_MAGIC {
-            return Err(PersistenceError::BadMagic);
-        }
-        let config = decode_config(&read_array::<CONFIG_BYTES>(reader)?)?;
-        let items_inserted = read_u64(reader)?;
-        let mut sketch = GssSketch::with_storage(config, storage)
-            .map_err(|error| PersistenceError::InvalidConfig(error.to_string()))?;
-
-        let room_count = read_u64(reader)?;
-        for _ in 0..room_count {
-            let row = read_u32(reader)?;
-            let column = read_u32(reader)?;
-            let room: Room = decode_room(&read_array::<ROOM_RECORD_BYTES>(reader)?);
-            if !room.occupied {
-                return Err(PersistenceError::Corrupt(format!(
-                    "room at ({row}, {column}) encoded as unoccupied"
-                )));
-            }
-            if row as usize >= config.width || column as usize >= config.width {
-                return Err(PersistenceError::Corrupt(format!(
-                    "room at ({row}, {column}) outside a {} x {} matrix",
-                    config.width, config.width
-                )));
-            }
-            // Placed the way ingest places an edge, so any room order in the input works.
-            let excess = match sketch
-                .restore_room(row as usize, column as usize, room)
-                .map_err(|fault| PersistenceError::from(fault.to_io()))?
-            {
-                BucketProbe::Empty(_) => continue,
-                BucketProbe::Full => format!("more than {} rooms", config.rooms),
-                BucketProbe::Match(_) => "two rooms for one edge".to_string(),
-            };
-            return Err(PersistenceError::Corrupt(format!(
-                "bucket ({row}, {column}) holds {excess}"
-            )));
-        }
-
-        {
-            let (buffer, node_map) = sketch.tail_parts_mut();
-            read_tail_sections(buffer, node_map, reader)?;
-        }
-        sketch
-            .set_items_inserted(items_inserted)
-            .map_err(|fault| PersistenceError::from(fault.to_io()))?;
-        // The streamed tail content bypassed the write-ahead log (only live mutations
-        // are logged), so a file-backed restore must checkpoint before it is handed
-        // out — otherwise a crash before the caller's first sync would recover the
-        // rooms but an *empty* buffer and node table.  The commit logged just above
-        // leaves the log unclean, so this checkpoint writes the tail.
-        sketch.sync()?;
-        Ok(sketch)
+        decode_snapshot(&mut ReadSource { reader, buffer: Vec::new() }, storage)
     }
 
     /// Serialises the sketch to a self-describing byte snapshot (an in-memory wrapper
@@ -328,11 +541,12 @@ impl GssSketch {
         bytes
     }
 
-    /// Restores a sketch from a byte snapshot, rejecting trailing bytes (a wrapper around
-    /// [`read_snapshot_from`](Self::read_snapshot_from)).
+    /// Restores a sketch from a byte snapshot, rejecting trailing bytes: the decoder of
+    /// [`read_snapshot_from`](Self::read_snapshot_from) run over the slice directly, with
+    /// the same errors.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, PersistenceError> {
         let mut remaining = bytes;
-        let sketch = Self::read_snapshot_from(&mut remaining)?;
+        let sketch = decode_snapshot(&mut remaining, StorageBackend::Memory)?;
         if !remaining.is_empty() {
             return Err(PersistenceError::Corrupt("trailing bytes after snapshot".to_string()));
         }
@@ -367,10 +581,16 @@ impl GssSketch {
 mod tests {
     use super::*;
     use crate::config::GssConfig;
+    use crate::storage::CONFIG_BYTES;
     use gss_graph::{SummaryRead, SummaryWrite};
 
     fn populated_sketch() -> GssSketch {
-        let mut sketch = GssSketch::new(GssConfig::paper_small(48)).unwrap();
+        populated_sketch_of_width(48)
+    }
+
+    /// 2 500 items over 500 vertices at matrix width `width`.
+    fn populated_sketch_of_width(width: usize) -> GssSketch {
+        let mut sketch = GssSketch::new(GssConfig::paper_small(width)).unwrap();
         let mut state = 77u64;
         for _ in 0..2500 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -404,15 +624,31 @@ mod tests {
         }
     }
 
+    /// A reader that returns at most 7 bytes per `read`, like a pipe under pressure.
+    struct ShortReads<'a>(&'a [u8]);
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let len = out.len().min(7).min(self.0.len());
+            out[..len].copy_from_slice(&self.0[..len]);
+            self.0 = &self.0[len..];
+            Ok(len)
+        }
+    }
+
     #[test]
     fn streaming_round_trip_matches_byte_round_trip() {
-        let original = populated_sketch();
-        // Stream through a pipe-like buffer in small chunks to exercise partial reads.
+        // Narrow enough that the buffer section is exercised too.
+        let original = populated_sketch_of_width(16);
+        assert!(original.buffered_edges() > 0);
         let mut streamed = Vec::new();
         original.write_snapshot_to(&mut streamed).unwrap();
         assert_eq!(streamed, original.to_snapshot());
-        let restored = GssSketch::read_snapshot_from(streamed.as_slice()).unwrap();
-        assert_eq!(restored.stored_edges(), original.stored_edges());
+        // Restored through short reads and from the slice, each sketch snapshots to the
+        // bytes it was loaded from.
+        let restored = GssSketch::read_snapshot_from(ShortReads(&streamed)).unwrap();
+        assert_eq!(restored.to_snapshot(), streamed);
+        assert_eq!(GssSketch::from_snapshot(&streamed).unwrap().to_snapshot(), streamed);
         // read_snapshot_from stops at the snapshot boundary inside a larger stream.
         let mut embedded = streamed.clone();
         embedded.extend_from_slice(b"extra trailing payload");
@@ -420,6 +656,9 @@ mod tests {
         let from_stream = GssSketch::read_snapshot_from(&mut cursor).unwrap();
         assert_eq!(from_stream.stored_edges(), original.stored_edges());
         assert_eq!(cursor, b"extra trailing payload");
+        let mut short = ShortReads(&embedded);
+        assert_eq!(GssSketch::read_snapshot_from(&mut short).unwrap().to_snapshot(), streamed);
+        assert_eq!(short.0, b"extra trailing payload");
     }
 
     #[test]

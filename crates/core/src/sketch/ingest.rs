@@ -213,12 +213,9 @@ impl GssSketch {
     /// # Panics
     /// As [`insert_hashed`](Self::insert_hashed): merging is infallible by signature.
     pub(crate) fn absorb_node_map(&mut self, other: &GssSketch) {
-        for (hash, vertices) in other.node_map.iter() {
-            for &vertex in vertices {
-                self.register_node(hash, vertex).unwrap_or_else(|fault| {
-                    panic!("node registration failed during merge: {fault}")
-                });
-            }
+        for (hash, vertex) in other.node_map.iter() {
+            self.register_node(hash, vertex)
+                .unwrap_or_else(|fault| panic!("node registration failed during merge: {fault}"));
         }
     }
 

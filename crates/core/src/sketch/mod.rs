@@ -29,16 +29,16 @@ mod query;
 
 use crate::buffer::LeftoverBuffer;
 use crate::config::{GroupCommit, GssConfig};
-use crate::error::{ConfigError, DurabilityReport, StoreFault};
+use crate::error::{ConfigError, DurabilityReport};
 use crate::file_store::FileStore;
 use crate::group_commit::GroupCommitter;
 use crate::hashing::NodeHasher;
-use crate::matrix::{MemoryStore, Room};
+use crate::matrix::MemoryStore;
 use crate::metrics::{self, StoreCounters};
 use crate::node_map::NodeIdMap;
 use crate::persistence::PersistenceError;
 use crate::stats::GssStats;
-use crate::storage::{BucketProbe, RoomStorage, StorageBackend};
+use crate::storage::{RoomStorage, StorageBackend};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -315,16 +315,10 @@ impl GssSketch {
         &self.node_map
     }
 
-    /// Restores one matrix room exactly as it was encoded (used by persistence), placed
-    /// the way ingest places an edge; anything but [`BucketProbe::Empty`] stored nothing
-    /// (see [`RoomStorage::place_room`]).
-    pub(crate) fn restore_room(
-        &mut self,
-        row: usize,
-        column: usize,
-        room: Room,
-    ) -> Result<BucketProbe, StoreFault> {
-        self.matrix.place_room(row, column, room)
+    /// Write access to the room storage (used by persistence to place the rooms of a
+    /// sketch it is restoring).
+    pub(crate) fn rooms_mut(&mut self) -> &mut RoomStorage {
+        &mut self.matrix
     }
 
     /// Whether the backing store has fail-stopped (always `false` for in-memory

@@ -14,7 +14,7 @@ impl GssSketch {
     /// Without id tracking the raw hashes are returned (documented fallback).
     fn hashes_to_vertices(&self, hashes: impl IntoIterator<Item = u64>) -> Vec<VertexId> {
         let mut out: Vec<VertexId> = if self.config.track_node_ids {
-            hashes.into_iter().flat_map(|h| self.node_map.vertices_for(h).iter().copied()).collect()
+            hashes.into_iter().flat_map(|h| self.node_map.vertices_for(h)).collect()
         } else {
             hashes.into_iter().collect()
         };

@@ -33,7 +33,9 @@ pub struct GssStats {
     pub occupancy_index_bytes: usize,
     /// Buffer bytes (adjacency lists + indices).
     pub buffer_bytes: usize,
-    /// Bytes of the `⟨H(v), v⟩` reverse table.
+    /// Heap bytes the `⟨H(v), v⟩` reverse table holds: its slot capacity × 16, the
+    /// allocation itself rather than an estimate from the entry count (see
+    /// [`NodeIdMap::bytes`](crate::node_map::NodeIdMap::bytes)).
     pub node_map_bytes: usize,
     /// Number of distinct original vertices registered in the reverse table.
     pub distinct_hashed_nodes: usize,

@@ -27,10 +27,16 @@ pub fn gss_config_for(dataset: SyntheticDataset, width: usize, fingerprint_bits:
 }
 
 /// Builds the GSS sketch the paper evaluates for a dataset/width/fingerprint combination,
-/// on the storage backend selected by `GSS_STORAGE` (memory by default).
-pub fn build_gss(dataset: SyntheticDataset, width: usize, fingerprint_bits: u32) -> GssSketch {
+/// on the storage backend selected by `GSS_STORAGE` (memory by default) with the page-cache
+/// budget of the run's `scale`.
+pub fn build_gss(
+    dataset: SyntheticDataset,
+    width: usize,
+    fingerprint_bits: u32,
+    scale: ExperimentScale,
+) -> GssSketch {
     let storage = storage_backend_from_env(
-        ExperimentScale::from_env().expect("GSS_SCALE names smoke, laptop or paper"),
+        scale,
         &format!("{}-w{width}-f{fingerprint_bits}", dataset.name()),
     );
     GssSketch::with_storage(gss_config_for(dataset, width, fingerprint_bits), storage)
@@ -61,7 +67,7 @@ mod tests {
 
     #[test]
     fn build_gss_produces_configured_sketch() {
-        let sketch = build_gss(SyntheticDataset::LkmlReply, 300, 12);
+        let sketch = build_gss(SyntheticDataset::LkmlReply, 300, 12, ExperimentScale::Smoke);
         assert_eq!(sketch.config().width, 300);
         assert_eq!(sketch.config().fingerprint_bits, 12);
         assert!(sketch.name().contains("fsize=12"));
@@ -69,7 +75,7 @@ mod tests {
 
     #[test]
     fn tcm_ratio_sizing_tracks_gss_memory() {
-        let gss = build_gss(SyntheticDataset::WebNotreDame, 400, 16);
+        let gss = build_gss(SyntheticDataset::WebNotreDame, 400, 16, ExperimentScale::Smoke);
         let tcm = build_tcm_with_ratio(400, 2, 8.0);
         let achieved = tcm.memory_bytes() as f64 / gss.config().matrix_bytes() as f64;
         assert!((achieved - 8.0).abs() / 8.0 < 0.05, "achieved ratio {achieved}");

@@ -163,8 +163,8 @@ pub fn run_accuracy_figure_on(
         &["width", "gss_fsize12", "gss_fsize16", tcm_header.as_str()],
     );
     for width in run.widths(scale) {
-        let mut gss12 = build_gss(dataset, width, 12);
-        let mut gss16 = build_gss(dataset, width, 16);
+        let mut gss12 = build_gss(dataset, width, 12, scale);
+        let mut gss16 = build_gss(dataset, width, 16, scale);
         let mut tcm = build_tcm_with_ratio(width, gss16.config().rooms, tcm_ratio);
         run.insert_into(&mut gss12);
         run.insert_into(&mut gss16);

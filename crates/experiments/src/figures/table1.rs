@@ -67,7 +67,7 @@ pub fn run_table1_dataset_on(
 ) -> SpeedMeasurements {
     let repeats = repetitions(scale);
     let width = speed_width(run, scale);
-    let gss = measure(run, repeats, || build_gss(dataset, width, 16));
+    let gss = measure(run, repeats, || build_gss(dataset, width, 16, scale));
     let gss_no_sampling = measure(run, repeats, || {
         GssSketch::new(gss_config_for(dataset, width, 16).with_sampling(false))
             .expect("valid config")

@@ -89,14 +89,26 @@ proptest! {
 
 #[test]
 fn huge_section_counts_do_not_preallocate() {
-    // A snapshot header claiming u64::MAX rooms must fail fast on EOF instead of trying
-    // to reserve memory for the claimed count.
+    // A snapshot claiming u64::MAX rooms, buffered edges or node entries must fail fast on
+    // EOF instead of trying to reserve memory for the claimed count.
     let config = GssConfig::paper_default(8);
     let sketch = GssSketch::new(config).unwrap();
-    let mut bytes = sketch.to_snapshot();
-    let room_count_offset = 4 + 45 + 8; // magic + config + items
-    bytes[room_count_offset..room_count_offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert_eq!(GssSketch::from_snapshot(&bytes).err(), Some(PersistenceError::UnexpectedEof));
+    let snapshot = sketch.to_snapshot();
+    // magic + config + items, then the room count; with no rooms the buffer-section
+    // count follows it, then the node-section count.
+    let room_count_offset = 4 + 45 + 8;
+    let buffer_count_offset = room_count_offset + 8;
+    let node_count_offset = buffer_count_offset + 8;
+    assert_eq!(snapshot.len(), node_count_offset + 8);
+    for offset in [room_count_offset, buffer_count_offset, node_count_offset] {
+        let mut bytes = snapshot.clone();
+        bytes[offset..offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(GssSketch::from_snapshot(&bytes).err(), Some(PersistenceError::UnexpectedEof));
+        assert_eq!(
+            GssSketch::read_snapshot_from(bytes.as_slice()).err(),
+            Some(PersistenceError::UnexpectedEof)
+        );
+    }
 }
 
 /// Byte offsets of the room region of a snapshot: `magic(4) | config(45) | items(8) |
