@@ -321,6 +321,7 @@ mod tests {
         assert_eq!(reopened.edge_weight(1, 2), Some(9));
         drop(reopened);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(crate::wal::wal_path(&path)).ok();
         // An uncreatable path surfaces as a ConfigError carrying the I/O failure.
         let bad =
             GssSketch::builder().width(8).storage_file("/nonexistent-gss-dir/sketch.gss").build();

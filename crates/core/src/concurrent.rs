@@ -732,6 +732,7 @@ mod tests {
             assert_eq!(shard.config(), &config);
             total_items += shard.items_inserted();
             std::fs::remove_file(&path).ok();
+            std::fs::remove_file(crate::wal::wal_path(&path)).ok();
         }
         assert_eq!(total_items, 1200);
     }

@@ -85,13 +85,6 @@ impl Layout {
         HEADER_BYTES + page * PAGE_BYTES as u64
     }
 
-    /// File byte offset of the record at flat index `flat` (log replay writes records
-    /// straight into the file, beneath the page cache).
-    pub(crate) fn record_offset(&self, flat: usize) -> u64 {
-        let run = self.run_at(flat, 1);
-        Self::page_offset(run.page) + run.offset as u64
-    }
-
     /// Byte offset where the tail begins (room region rounded up to whole pages).
     pub(crate) fn tail_offset(&self) -> u64 {
         Self::page_offset(self.pages() as u64)
@@ -247,7 +240,6 @@ mod tests {
                             // Row-major and gap-free: each room sits right behind the
                             // previous one, so distinct rooms never share bytes and
                             // the region is covered exactly.
-                            assert_eq!(layout.record_offset(flat), next_offset);
                             assert_eq!(
                                 Layout::page_offset(run.page) + run.offset as u64,
                                 next_offset

@@ -5,10 +5,16 @@
 //! Every room mutation is appended to a write-ahead log (`<sketch>.wal`, see
 //! [`crate::wal`]) before the page holding it may be written back, and every checkpoint
 //! first logs the tail image it is about to write.  Re-opening a file whose clean flag
-//! is clear therefore **replays the log** — room records back into the room region,
-//! buffer/node deltas on top of the last checkpointed tail — instead of rejecting the
+//! is clear therefore **replays the log** — buffer/node deltas on top of the last
+//! checkpointed tail, room records into the room region — instead of rejecting the
 //! file; only an unclean file with no log (e.g. a v1 file) still fails with
 //! [`PersistenceError::Corrupt`].
+//!
+//! There is one open path; a clean file takes it as an unclean one whose log replays
+//! nothing.  One pass reads the room region page by page to rebuild the occupancy index,
+//! first copying into each page every replayed room record that falls on it (the last
+//! frame logged for a room last) and writing a page that took any back with one
+//! positioned write.  A recovered file is then checkpointed clean.
 //!
 //! **Single-opener contract**: a sketch file (plus its log) must be open in at most one
 //! process at a time.  Recovery *mutates* — it replays the log into the room region and
@@ -32,11 +38,12 @@ use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
 use crate::pager::PAGE_BYTES;
 use crate::persistence::{decode_tail, PersistenceError};
-use crate::storage::{Layout, RoomGrid, ROOM_OCCUPIED_BYTE};
-use crate::wal::{crc32, read_replay, wal_path, Wal};
+use crate::storage::{Layout, RoomGrid, ROOM_OCCUPIED_BYTE, ROOM_RECORD_BYTES};
+use crate::wal::{crc32, read_replay, wal_path, Wal, WalReplay};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -71,21 +78,26 @@ impl FileStore {
     }
 
     /// Opens an existing sketch file in place, validating the header and decoding the
-    /// tail.  The room region is **streamed once** (sequential reads, occupancy flags
-    /// only, no per-room decode or insert pass) to rebuild the in-memory occupancy index
-    /// — open cost is one sequential pass over the file plus the (usually tiny) tail.
-    /// The store gets a private group-commit coordinator with the default
-    /// [`GroupCommit`] cadence.
+    /// tail.  The room region is **streamed once**, page by page (sequential reads,
+    /// occupancy flags only, no per-room decode or insert pass), to rebuild the in-memory
+    /// occupancy index — open cost is one sequential pass over the file plus the
+    /// (usually tiny) tail.  The store gets a private group-commit coordinator with the
+    /// default [`GroupCommit`] cadence.
     ///
     /// An **unclean** v2 file (crash before the last checkpoint completed) is recovered
-    /// by replaying its write-ahead log; see the module docs.  Unclean v1 files are still
-    /// rejected as [`PersistenceError::Corrupt`] — they predate the log.
+    /// by replaying its write-ahead log within that same pass; see the module docs.
+    /// Unclean v1 files are still rejected as [`PersistenceError::Corrupt`] — they
+    /// predate the log.
     pub fn open(path: &Path, cache_pages: usize) -> Result<(Self, FileHeader), PersistenceError> {
         Self::open_grouped(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
     }
 
     /// [`open`](Self::open) registering the reopened store's log with a shared
     /// group-commit coordinator (sharded stores pool their fsync scheduling).
+    ///
+    /// The one open path: a clean file opens as an unclean one whose log replays
+    /// nothing.  Everything that can reject the file (tail, replay, logged deltas) is
+    /// decoded before the one pass over the room region writes a byte.
     pub fn open_grouped(
         path: &Path,
         cache_pages: usize,
@@ -96,19 +108,20 @@ impl FileStore {
         let mut page = [0u8; PAGE_BYTES];
         file.read_exact(&mut page)?;
         let mut header = Header::decode(&page)?;
-        if !header.clean {
-            if header.version == 1 {
-                return Err(PersistenceError::Corrupt(
-                    "sketch file was not cleanly synced (crash or missing sync before reopen) \
-                     and predates the write-ahead log"
-                        .to_string(),
-                ));
-            }
-            return Self::recover(file, path, header, cache_pages, group, lock);
-        }
         let layout = Layout::new(&header.config);
-        let (occupied, room_count) = (header.occupied, layout.room_count());
-        if occupied > room_count as u64 {
+        let (clean, occupied, room_count) = (header.clean, header.occupied, layout.room_count());
+        // A clean file never reads its log: a stale one (crash after the clean flag
+        // landed but before truncation) is fully covered by the completed checkpoint, and
+        // `assemble` discards it.
+        let replay = if clean {
+            WalReplay::default()
+        } else if header.version == 1 {
+            return Err(unclean("predates the write-ahead log"));
+        } else {
+            read_replay(&wal_path(path), room_count as u64)?
+                .ok_or_else(|| unclean("has no write-ahead log to replay"))?
+        };
+        if clean && occupied > room_count as u64 {
             return Err(PersistenceError::Corrupt(format!(
                 "header claims {occupied} occupied rooms in a {room_count}-room matrix"
             )));
@@ -116,24 +129,46 @@ impl FileStore {
         let tail_offset = layout.tail_offset();
         let file_len = file.metadata()?.len();
         let tail = if header.version == 2 {
-            if header.buffer.len.checked_add(header.node.len) != Some(header.tail_len) {
+            if clean && header.buffer.len.checked_add(header.node.len) != Some(header.tail_len) {
                 return Err(PersistenceError::Corrupt(format!(
                     "tail sections ({} + {} bytes) disagree with the tail length {}",
                     header.buffer.len, header.node.len, header.tail_len
                 )));
             }
-            let node_offset = section_end(tail_offset, header.buffer.len, file_len)?;
-            let mut tail = read_section(&mut file, tail_offset, header.buffer, file_len, "buffer")?;
-            tail.extend(read_section(&mut file, node_offset, header.node, file_len, "node")?);
+            // The tail image a mid-checkpoint crash logged wins; otherwise the file's
+            // sections, which the header CRCs must validate (the last completed
+            // checkpoint wrote them and nothing has touched them since).
+            let mut tail = match replay.tail_buffer {
+                Some(bytes) => bytes,
+                None => read_section(&mut file, tail_offset, header.buffer, file_len, "buffer")?,
+            };
+            tail.extend(match replay.tail_node {
+                Some(bytes) => bytes,
+                None => {
+                    let node_offset = section_end(tail_offset, header.buffer.len, file_len)?;
+                    read_section(&mut file, node_offset, header.node, file_len, "node")?
+                }
+            });
             tail
         } else {
             read_bytes(&mut file, tail_offset, header.tail_len, file_len)?
         };
-        // Decoded before the v1 upgrade below writes the header: a rejected open must
-        // leave the file byte-for-byte intact.
-        let (buffer, node_map) = decode_tail(&tail)?;
-        let grid = rebuild_index(&mut file, layout)?;
-        if grid.occupied != occupied as usize {
+        // The tail decoded and the logged deltas laid on top, all in memory, before the
+        // pass below or the v1 upgrade writes: a rejected open leaves the file
+        // byte-for-byte intact.
+        let (mut buffer, mut node_map) = decode_tail(&tail)?;
+        for &(source, destination, weight) in &replay.buffer_ops {
+            buffer.insert(source, destination, weight);
+        }
+        node_map.reserve(replay.node_ops.len());
+        for &(hash, vertex) in &replay.node_ops {
+            node_map.register(hash, vertex);
+        }
+        let items_inserted = replay.items.unwrap_or(header.items);
+        let grid = rebuild_index(&mut file, layout, replay.rooms)?;
+        if !clean {
+            header.occupied = grid.occupied as u64;
+        } else if grid.occupied != occupied as usize {
             return Err(PersistenceError::Corrupt(format!(
                 "header claims {occupied} occupied rooms but the room region holds {}",
                 grid.occupied
@@ -153,90 +188,26 @@ impl FileStore {
             }
             file.sync_data()?;
         }
-        // A stale log (crash after the clean flag landed but before truncation) is fully
-        // covered by the completed checkpoint: `assemble` discards it.
-        let (config, items_inserted) = (header.config, header.items);
-        let mut store = Self::assemble(path, cache_pages, file, header, None, group, lock)?;
-        store.grid = grid;
-        Ok((store, FileHeader { config, items_inserted, buffer, node_map, recovered: false }))
-    }
-
-    /// Crash recovery: rebuilds a consistent sketch file from an unclean v2 file plus its
-    /// write-ahead log, then checkpoints the recovered state so the file is clean again.
-    /// See the module docs for the replay semantics.
-    fn recover(
-        mut file: File,
-        path: &Path,
-        mut header: Header,
-        cache_pages: usize,
-        group: Arc<GroupCommitter>,
-        lock: LockFile,
-    ) -> Result<(Self, FileHeader), PersistenceError> {
-        let log = wal_path(path);
-        let layout = Layout::new(&header.config);
-        let replay = read_replay(&log, layout.room_count() as u64)?.ok_or_else(|| {
-            PersistenceError::Corrupt(
-                "sketch file was not cleanly synced (crash or missing sync before reopen) and \
-                 has no write-ahead log to replay"
-                    .to_string(),
-            )
-        })?;
-        let tail_offset = layout.tail_offset();
-        let file_len = file.metadata()?.len();
-        // Base tail sections: the image a mid-checkpoint crash logged wins; otherwise the
-        // file's sections, which the header CRCs must validate (they were written by the
-        // last completed checkpoint and not touched since).
-        let mut base_tail = match replay.tail_buffer {
-            Some(bytes) => bytes,
-            None => read_section(&mut file, tail_offset, header.buffer, file_len, "buffer")?,
-        };
-        let node_bytes = match replay.tail_node {
-            Some(bytes) => bytes,
-            None => {
-                let node_offset = section_end(tail_offset, header.buffer.len, file_len)?;
-                read_section(&mut file, node_offset, header.node, file_len, "node")?
-            }
-        };
-        // Decode the base tail and lay the logged deltas on top — all in memory, so a
-        // decode failure rejects the file without modifying it.
-        base_tail.extend_from_slice(&node_bytes);
-        let (mut buffer, mut node_map) = decode_tail(&base_tail)?;
-        for &(source, destination, weight) in &replay.buffer_ops {
-            buffer.insert(source, destination, weight);
-        }
-        node_map.reserve(replay.node_ops.len());
-        for &(hash, vertex) in &replay.node_ops {
-            node_map.register(hash, vertex);
-        }
-        let items = replay.items.unwrap_or(header.items);
-        // Replay room records into the room region (full post-write values: idempotent
-        // over whatever subset of dirty pages reached the file before the crash).
-        // `read_replay` bounds every index below `room_count`.
-        for &(index, ref record) in &replay.rooms {
-            debug_assert!(index < layout.room_count() as u64, "replay indices are bounds-checked");
-            file.seek(SeekFrom::Start(layout.record_offset(index as usize)))?;
-            file.write_all(record)?;
-        }
-        let grid = rebuild_index(&mut file, layout)?;
-        header.occupied = grid.occupied as u64;
-        // Cut any torn suffix off the log before appending: the recovery checkpoint's
-        // TAIL frame must be reachable by a replay of the log as it stands.
+        // Recovery cuts any torn suffix off the log: the recovery checkpoint's `TAIL`
+        // frame must be reachable by a replay of the log as it stands.
         let config = header.config;
-        let log_prefix = Some(replay.valid_bytes);
+        let log_prefix = (!clean).then_some(replay.valid_bytes);
         let mut store = Self::assemble(path, cache_pages, file, header, log_prefix, group, lock)?;
         store.grid = grid;
-        // Checkpoint the recovered state: tail rewritten, header counts re-derived, clean
-        // flag set, log truncated.  A crash during *this* checkpoint replays to the same
-        // state (its tail image lands behind the frames it supersedes).
-        store
-            .checkpoint(items, &buffer, &node_map)
-            .map_err(|error| PersistenceError::Io(error.to_string()))?;
-        Ok((store, FileHeader { config, items_inserted: items, buffer, node_map, recovered: true }))
+        if !clean {
+            // Checkpoint the recovered state: tail rewritten, header counts re-derived,
+            // clean flag set, log truncated.  A crash during *this* checkpoint replays to
+            // the same state (its tail image lands behind the frames it supersedes).
+            store
+                .checkpoint(items_inserted, &buffer, &node_map)
+                .map_err(|error| PersistenceError::Io(error.to_string()))?;
+        }
+        Ok((store, FileHeader { config, items_inserted, buffer, node_map, recovered: !clean }))
     }
 
-    /// Shared tail of `create`/`open`/`recover`: builds the store around an open file
-    /// whose header page reads `header` (clean flag included), with the bookkeeping of an
-    /// all-empty room region — open and recovery install the grid they rebuilt.
+    /// Shared tail of `create` and `open`: builds the store around an open file whose
+    /// header page reads `header` (clean flag included), with the bookkeeping of an
+    /// all-empty room region — open installs the grid it rebuilt.
     /// The log at `<path>.wal` starts empty (`log_prefix` `None`) or keeps its first
     /// `log_prefix` bytes (recovery).  The store's one counter set is born here.
     fn assemble(
@@ -275,6 +246,13 @@ impl FileStore {
     }
 }
 
+/// The error of an unclean file that cannot be recovered, and `why`.
+fn unclean(why: &str) -> PersistenceError {
+    PersistenceError::Corrupt(format!(
+        "sketch file was not cleanly synced (crash or missing sync before reopen) and {why}"
+    ))
+}
+
 /// Bounds a header-supplied section `[offset, offset + len)` by the file length with
 /// checked arithmetic, returning its end — called **before** anything is allocated
 /// for the section, so a header lying about its lengths is a typed error, never an
@@ -300,8 +278,7 @@ fn read_bytes(
     Ok(bytes)
 }
 
-/// Reads the tail section `section` found at `offset` and checks it against its header
-/// CRC — the one section read clean open and recovery share.
+/// Reads the tail section `section` found at `offset` and checks it against its CRC.
 fn read_section(
     file: &mut File,
     offset: u64,
@@ -316,10 +293,19 @@ fn read_section(
     Ok(bytes)
 }
 
-/// Streams the room region sequentially and rebuilds the occupancy index and count from
-/// the per-record occupancy flags, bypassing the page cache (the pass is one-shot and
-/// would otherwise evict the whole cache).
-fn rebuild_index(file: &mut File, layout: Layout) -> Result<RoomGrid, PersistenceError> {
+/// Streams the room region sequentially, page by page, and rebuilds the occupancy index
+/// and count from the per-record occupancy flags, bypassing the page cache (the pass is
+/// one-shot and would otherwise evict the whole cache).  The replayed `rooms` (log order,
+/// flat indices below the room count) are laid over each page before its flags are read
+/// — sorted stably by index, so the last frame logged for a room lands last — and a page
+/// that took any is written back with one positioned write.
+fn rebuild_index(
+    file: &mut File,
+    layout: Layout,
+    mut rooms: Vec<(u64, [u8; ROOM_RECORD_BYTES])>,
+) -> Result<RoomGrid, PersistenceError> {
+    rooms.sort_by_key(|&(index, _)| index);
+    let mut rooms = rooms.as_slice();
     let mut grid = RoomGrid::new(layout);
     let mut page = [0u8; PAGE_BYTES];
     let mut flat = 0usize;
@@ -327,7 +313,17 @@ fn rebuild_index(file: &mut File, layout: Layout) -> Result<RoomGrid, Persistenc
     while flat < layout.room_count() {
         file.read_exact(&mut page)?;
         // Started on a page boundary, each run is one page's worth of records.
-        for record in layout.run_at(flat, layout.room_count() - flat).records(&page) {
+        let run = layout.run_at(flat, layout.room_count() - flat);
+        let end = (flat + run.len) as u64;
+        let (here, rest) = rooms.split_at(rooms.partition_point(|&(index, _)| index < end));
+        for &(index, ref record) in here {
+            page[layout.run_at(index as usize, 1).bytes()].copy_from_slice(record);
+        }
+        if !here.is_empty() {
+            file.write_all_at(&page, Layout::page_offset(run.page))?;
+        }
+        rooms = rest;
+        for record in run.records(&page) {
             if record[ROOM_OCCUPIED_BYTE] != 0 {
                 let (row, column) = layout.bucket_of(flat);
                 grid.mark(row, column);

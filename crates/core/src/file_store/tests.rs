@@ -262,8 +262,8 @@ fn occupancy_flag_corruption_is_caught_on_open() {
     // Flip the occupancy flag of a room deep in the region: the header still claims
     // one occupied room, so the index rebuild detects the mismatch.
     let layout = Layout::new(&GssConfig::paper_default(8));
-    let room_offset =
-        layout.record_offset(layout.flat_index(5, 5, 0)) as usize + ROOM_OCCUPIED_BYTE;
+    let run = layout.run_at(layout.flat_index(5, 5, 0), 1);
+    let room_offset = Layout::page_offset(run.page) as usize + run.offset + ROOM_OCCUPIED_BYTE;
     assert_eq!(bytes[room_offset], 0);
     bytes[room_offset] = 1;
     std::fs::write(&path, &bytes).unwrap();

@@ -1098,9 +1098,12 @@ mod tests {
 
     /// Both backends hold one room region: fed the same stream, a memory store and a file
     /// store hold the same bytes page for page — and so does the file store's page-copy
-    /// clone, taken while the 2-page cache still holds dirty pages.
+    /// clone, taken while the 2-page cache still holds dirty pages.  So does the file
+    /// sketch recovered from its log after it is abandoned (stale page images in the file,
+    /// several frames per room), and once more reopened clean.
     #[test]
     fn memory_and_file_stores_hold_byte_identical_room_regions() {
+        use crate::file_store::format::CLEAN_FLAG_OFFSET;
         use crate::GssSketch;
         use gss_graph::SummaryWrite;
         let path =
@@ -1121,22 +1124,39 @@ mod tests {
         else {
             panic!("a memory sketch, a file sketch and a detached clone");
         };
-        let pages = memory.grid().layout.pages() as u64;
-        assert_eq!(pages, file.grid().layout.pages() as u64);
-        for page in 0..pages {
-            let expected = memory.with_page(page, |bytes| *bytes).unwrap();
-            assert_eq!(file.with_page(page, |bytes| *bytes).unwrap(), expected, "file {page}");
-            let copied = detached.with_page(page, |bytes| *bytes).unwrap();
-            assert_eq!(copied, expected, "detached {page}");
-        }
-        for grid in [file.grid(), detached.grid()] {
-            assert_eq!(grid.occupied, memory.grid().occupied);
-            for line in 0..config.width {
-                assert!(grid.index.in_row(line).eq(memory.grid().index.in_row(line)));
-                assert!(grid.index.in_column(line).eq(memory.grid().index.in_column(line)));
+        /// `store` holds `memory`'s region page for page, and the same occupancy index.
+        fn assert_same_region(store: &impl PageSource, memory: &MemoryStore, label: &str) {
+            let pages = memory.grid().layout.pages() as u64;
+            assert_eq!(pages, store.grid().layout.pages() as u64);
+            for page in 0..pages {
+                let expected = memory.with_page(page, |bytes| *bytes).unwrap();
+                assert_eq!(
+                    store.with_page(page, |bytes| *bytes).unwrap(),
+                    expected,
+                    "{label} {page}"
+                );
+            }
+            let (grid, expected) = (store.grid(), memory.grid());
+            assert_eq!(grid.occupied, expected.occupied);
+            for line in 0..expected.layout.width {
+                assert!(grid.index.in_row(line).eq(expected.index.in_row(line)));
+                assert!(grid.index.in_column(line).eq(expected.index.in_column(line)));
             }
         }
-        drop(file_sketch);
+        assert_same_region(&**file, memory, "file");
+        assert_same_region(detached, memory, "detached");
+        // Abandoned, the file holds stale page images and the log several frames per
+        // room: the first reopen recovers, and its drop checkpoints, so the second is clean.
+        file_sketch.abandon();
+        for (clean, label) in [(0, "recovered"), (1, "clean")] {
+            assert_eq!(std::fs::read(&path).unwrap()[CLEAN_FLAG_OFFSET as usize], clean);
+            let reopened = GssSketch::open_file(&path, 2).unwrap();
+            assert_eq!(reopened.items_inserted(), 3000);
+            let RoomStorage::File(file) = reopened.room_storage() else {
+                panic!("a reopened file sketch");
+            };
+            assert_same_region(&**file, memory, label);
+        }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(crate::wal::wal_path(&path)).ok();
     }

@@ -1,5 +1,5 @@
 //! Write-ahead room log for the file-backed sketch: the store's one log (`Wal`) and
-//! its replay ([`WalReplay`]).
+//! its replay (`WalReplay`).
 //!
 //! A [`FileStore`](crate::FileStore) sketch file is only consistent at checkpoint
 //! boundaries ([`GssSketch::sync`](crate::GssSketch::sync)); between checkpoints its page
@@ -28,14 +28,17 @@
 //! sections they rewrote, so replay still accepts a one-section `TAIL` frame: the absent
 //! section is the file's own, plus the deltas logged after the frame.
 //!
-//! All integers are little-endian.  Replay ([`read_replay`]) consumes the longest valid
+//! All integers are little-endian.  Replay (`read_replay`) consumes the longest valid
 //! prefix: the first truncated frame, CRC mismatch or unknown tag ends the replay —
 //! everything before it is applied, everything after is discarded, and nothing panics.
 //!
 //! ## Replay semantics
 //!
 //! * `ROOM` frames carry the room's **full post-write value**, so replay is idempotent
-//!   regardless of which dirty pages reached the file before the crash.
+//!   regardless of which dirty pages reached the file before the crash.  The last frame
+//!   logged for a room index wins: recovery sorts the frames stably by index and lays
+//!   them over the room region page by page, in the one pass that rebuilds the occupancy
+//!   index ([`crate::file_store::open`]), writing each touched page back once.
 //! * `BUFFER`/`NODE` frames are deltas **since the last completed checkpoint** (the log
 //!   is truncated when a checkpoint commits), applied on top of the checkpointed tail.
 //! * A `TAIL` frame (appended at the start of a checkpoint, before the sketch file's
@@ -642,8 +645,9 @@ impl Wal {
 
 /// Everything recovered from a log: see the module docs for the replay semantics.
 #[derive(Debug, Default, Clone)]
-pub struct WalReplay {
-    /// Room writes in log order (`flat index`, full record); apply all, idempotently.
+pub(crate) struct WalReplay {
+    /// Room writes in log order (`flat index`, full record).  The last frame per index
+    /// wins; open applies them page by page, in index order.
     pub rooms: Vec<(u64, [u8; ROOM_RECORD_BYTES])>,
     /// Buffer deltas since the checkpoint the replay is based on.
     pub buffer_ops: Vec<(u64, u64, i64)>,
@@ -684,7 +688,7 @@ impl<'a> Cursor<'a> {
 /// Returns `None` when the log is missing or does not start with the magic — the caller
 /// decides whether that makes an unclean sketch file unrecoverable.  Never panics on
 /// damaged input.
-pub fn read_replay(path: &Path, room_count: u64) -> io::Result<Option<WalReplay>> {
+pub(crate) fn read_replay(path: &Path, room_count: u64) -> io::Result<Option<WalReplay>> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(error) if error.kind() == io::ErrorKind::NotFound => return Ok(None),

@@ -297,6 +297,7 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("width,gss,tcm"));
         std::fs::remove_file(path).ok();
+        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]

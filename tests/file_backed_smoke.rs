@@ -70,6 +70,7 @@ fn build_fill_drop_reopen_round_trip() {
 
     drop(again);
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
     std::fs::remove_dir(&dir).ok();
 }
 
@@ -110,6 +111,7 @@ fn assert_rejected_untouched(path: &std::path::Path) {
     let after = std::fs::read(path).unwrap();
     assert_eq!(before, after, "rejected open must leave the file byte-for-byte intact");
     std::fs::remove_file(path).ok();
+    std::fs::remove_file(gss_core::wal::wal_path(path)).ok();
     std::fs::remove_dir(temp_dir()).ok();
 }
 
@@ -165,5 +167,6 @@ fn snapshots_restore_onto_a_file_backend() {
     assert_eq!(reopened.stored_edges(), original.stored_edges());
     drop(reopened);
     std::fs::remove_file(&target).ok();
+    std::fs::remove_file(gss_core::wal::wal_path(&target)).ok();
     std::fs::remove_dir(&dir).ok();
 }

@@ -123,6 +123,7 @@ proptest! {
         prop_assert_eq!(&bytes, &file_bytes, "backends must snapshot to identical bytes");
         drop(reopened);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
     }
 
     #[test]
@@ -149,6 +150,7 @@ proptest! {
         assert_same_answers(&memory, &file, &items, "batched memory vs file");
         drop(file);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
     }
 }
 
@@ -299,6 +301,7 @@ fn concurrent_writers_and_readers_match_memory_and_reopen() {
     });
     for index in 0..SHARDS {
         std::fs::remove_file(shard_path(&base, index)).ok();
+        std::fs::remove_file(gss_core::wal::wal_path(&shard_path(&base, index))).ok();
     }
 }
 
@@ -360,5 +363,6 @@ fn concurrent_strict_writers_lose_nothing_across_a_simulated_crash() {
     });
     for index in 0..SHARDS {
         std::fs::remove_file(shard_path(&base, index)).ok();
+        std::fs::remove_file(gss_core::wal::wal_path(&shard_path(&base, index))).ok();
     }
 }
