@@ -79,7 +79,7 @@ fn main() {
     // `file_cache_pages()`), every run reported `pages_flushed: 0` and the "write-back"
     // cost it claimed to measure never happened.
     let room_pages = (config.width * config.width * config.rooms * gss_core::ROOM_RECORD_BYTES)
-        .div_ceil(gss_core::pager::PAGE_BYTES);
+        .div_ceil(gss_core::PAGE_BYTES);
     let cache_pages = scale.file_cache_pages().min(room_pages / 2).max(8);
     let mitems = |count: usize, seconds: f64| count as f64 / seconds / 1e6;
 
@@ -110,7 +110,7 @@ fn main() {
         let stats = sketch.detailed_stats();
         drop(sketch);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
+        std::fs::remove_file(gss_core::wal_path(&path)).ok();
         table.push_row(vec![
             "ingest file (strict)".into(),
             fmt_float(seconds),
@@ -174,7 +174,7 @@ fn main() {
         assert_eq!(recovered.items_inserted(), count as u64, "no item loss in recovery");
         drop(recovered);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
+        std::fs::remove_file(gss_core::wal_path(&path)).ok();
         table.push_row(vec![
             format!("recover {percent}% ({count} items)"),
             fmt_float(seconds),
@@ -198,7 +198,7 @@ fn main() {
         let seconds = start.elapsed().as_secs_f64();
         drop(reopened);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
+        std::fs::remove_file(gss_core::wal_path(&path)).ok();
         table.push_row(vec!["open clean (no replay)".into(), fmt_float(seconds), "-".into()]);
         report.push("open_clean", &[("seconds", seconds)]);
     }

@@ -12,7 +12,9 @@
 
 use gss_core::{GssConfig, GssSketch, ShardedGss};
 use gss_datasets::{PreferentialAttachmentGenerator, SyntheticDataset};
-use gss_experiments::{build_gss, build_tcm_with_ratio, DatasetRun, ExperimentScale};
+use gss_experiments::{
+    build_gss, build_tcm_with_ratio, gss_config_for, DatasetRun, ExperimentScale,
+};
 use gss_graph::{AdjacencyListGraph, StreamEdge, SummaryRead, SummaryWrite, VertexId};
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -135,7 +137,8 @@ fn main() {
     let widths = run.widths(ExperimentScale::Smoke);
     let width = widths[widths.len() / 2];
 
-    let mut gss = build_gss(dataset, width, 16, ExperimentScale::Smoke);
+    let config = gss_config_for(dataset, width, 16);
+    let mut gss = build_gss(config, ExperimentScale::Smoke, &format!("micro-w{width}"));
     let mut tcm = build_tcm_with_ratio(width, 2, 8.0);
     let mut adjacency = AdjacencyListGraph::new();
     run.insert_into(&mut gss);

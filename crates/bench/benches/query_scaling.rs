@@ -10,7 +10,6 @@
 //! workspace root via [`gss_experiments::BenchReport`], seeding the repo's first
 //! query-performance trajectory next to `BENCH_ingest.json` and `BENCH_snapshot.json`.
 
-use gss_core::metrics;
 use gss_core::{naive_scan_column, naive_scan_row, GssConfig, GssSketch, StorageBackend};
 use gss_datasets::{Xoshiro256, ZipfSampler};
 use gss_experiments::{fmt_float, BenchReport, ExperimentScale, Table};
@@ -155,9 +154,9 @@ fn measure(
     mut query: impl FnMut(&GssSketch, u64) -> usize,
 ) -> (f64, f64, f64) {
     let pages = || {
-        sketch.room_storage().as_file().map(|file| {
-            let counters = file.counters();
-            (metrics::get(&counters.page_lookups), metrics::get(&counters.page_faults))
+        sketch.room_storage().as_file().map(|_| {
+            let stats = sketch.detailed_stats();
+            (stats.page_lookups, stats.page_faults)
         })
     };
     let before = pages();

@@ -43,11 +43,6 @@ impl LeftoverBuffer {
         self.edges
     }
 
-    /// Returns `true` if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.edges == 0
-    }
-
     /// Adds `weight` to the buffered edge `(source, destination)`, creating it if needed.
     pub fn insert(&mut self, source: u64, destination: u64, weight: i64) {
         let list = self.forward.entry(source).or_default();
@@ -102,6 +97,13 @@ impl LeftoverBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LeftoverBuffer {
+        /// Returns `true` if nothing is buffered.
+        fn is_empty(&self) -> bool {
+            self.edges == 0
+        }
+    }
 
     #[test]
     fn empty_buffer_reports_nothing() {

@@ -3,7 +3,9 @@
 //! [`GssBuilder`] is the documented entry point for building a sketch, replacing the
 //! `GssConfig::paper_default` / `GssSketch::new` two-step: start from the paper's
 //! evaluation defaults, override the knobs you care about, and `build()` — validation
-//! happens once, at the end.
+//! happens once, at the end.  It is the one public way to give a file-backed sketch a
+//! group-commit knob other than the default: the constructors that take a coordinator
+//! are crate-private.
 //!
 //! ```
 //! use gss_core::GssSketch;
@@ -33,7 +35,8 @@ use std::path::PathBuf;
 /// evaluation setting (`l = 2`, `r = k = 16`, 16-bit fingerprints, square hashing and
 /// candidate sampling on, node-id tracking on) at a matrix width of 1000, with the room
 /// matrix stored in memory.  Use [`storage`](Self::storage) /
-/// [`storage_file`](Self::storage_file) to put the matrix in a paged sketch file instead.
+/// [`storage_file`](Self::storage_file) to put the matrix in a paged sketch file instead,
+/// and [`group_commit`](Self::group_commit) to set the sync cadence of its log.
 #[derive(Debug, Clone)]
 pub struct GssBuilder {
     config: GssConfig,
@@ -137,7 +140,7 @@ impl GssBuilder {
 
     /// Namespace-friendly file storage: the sketch file lives at `<dir>/<name>.gss`, so
     /// the file name carries the namespace name (which also makes
-    /// [`crate::pager::faults`] path-token scoping line up with tenant names — the
+    /// [`FaultPlan`](crate::FaultPlan) path-token scoping line up with tenant names — the
     /// `gss-server` tenant layout and its isolation tests rely on this).  Sharded
     /// builds fan out to `<dir>/<name>.gss.shardN` as usual.
     pub fn storage_dir(self, dir: impl Into<PathBuf>, name: &str) -> Self {
@@ -154,7 +157,7 @@ impl GssBuilder {
     }
 
     /// Write-ahead-log size at which a file-backed sketch checkpoints itself during
-    /// ingest (default [`crate::config::WAL_CHECKPOINT_BYTES`], 64 MiB), bounding
+    /// ingest (default `WAL_CHECKPOINT_BYTES`, 64 MiB), bounding
     /// sidecar-log disk use and crash-recovery replay time for runs that never call
     /// [`GssSketch::sync`] explicitly.  Ignored by the in-memory backend.
     pub fn wal_checkpoint_bytes(mut self, bytes: u64) -> Self {
@@ -213,7 +216,7 @@ impl GssBuilder {
 
     /// Like [`build_sharded`](Self::build_sharded), but holds **total** matrix memory at
     /// the budget of a single sketch by shrinking each shard's width to `width / √shards`
-    /// ([`GssConfig::equal_memory_width`]) — the equal-memory comparison mode, and the one
+    /// (`GssConfig::equal_memory_width`) — the equal-memory comparison mode, and the one
     /// place the width rule meets shard construction.  The narrower per-shard matrix
     /// raises per-shard load factor, trading a little accuracy headroom for a fair budget.
     ///

@@ -52,7 +52,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
 
 /// A cloneable, thread-safe handle to a set of GSS sketch shards partitioned by source
-/// vertex (see the [module docs](self) for the sharding semantics).
+/// vertex (see the `concurrent` module docs for the sharding semantics).
 #[derive(Debug, Clone)]
 pub struct ShardedGss {
     config: GssConfig,
@@ -64,7 +64,8 @@ pub struct ShardedGss {
 }
 
 impl ShardedGss {
-    /// Builds `shards` empty sketches sharing one configuration.
+    /// Builds `shards` empty in-memory sketches sharing one configuration.  No thread
+    /// starts: the shards have no log for a group-commit coordinator to sync.
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the configuration is invalid or `shards == 0`.
@@ -76,7 +77,9 @@ impl ShardedGss {
     /// backend.  A [`StorageBackend::File`] base path fans out to one file per shard
     /// (`<name>.shard0`, `<name>.shard1`, …), so each shard owns its page cache, its
     /// portion of the on-disk matrix and its own write-ahead log (`<name>.shardN.wal`) —
-    /// shards recover independently after a crash.
+    /// shards recover independently after a crash.  The shard logs share one
+    /// group-commit coordinator under the default knob; set another through
+    /// [`GssBuilder::group_commit`](crate::GssBuilder::group_commit).
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the configuration is invalid, `shards == 0`, or a
@@ -92,11 +95,12 @@ impl ShardedGss {
     /// [`with_storage`](Self::with_storage) with an explicit group-commit knob.  All
     /// shard logs register with **one** coordinator, so a single cadence `fdatasync`
     /// covers every shard that wrote since the last one — N writer threads share one
-    /// fsync schedule instead of paying one each.
+    /// fsync schedule instead of paying one each.  The coordinator's cadence thread
+    /// starts with the first shard log, so a memory backend starts none.
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_grouped(
+    pub(crate) fn with_storage_grouped(
         config: GssConfig,
         shards: usize,
         storage: &StorageBackend,
@@ -381,7 +385,7 @@ impl ShardedGss {
             .fold(SummaryStats::default(), |acc, shard| acc.merged_with(&shard.stats()))
     }
 
-    /// Detailed statistics folded across shards by [`GssStats::merged_with`] (geometry
+    /// Detailed statistics folded across shards by `GssStats::merged_with` (geometry
     /// fields are per-shard; vertices hashed in several shards are counted once per shard).
     pub fn detailed_stats(&self) -> GssStats {
         self.read_shards()
@@ -425,19 +429,6 @@ impl ShardedGss {
             Ok(shards) => Ok(shards.into_iter().map(RwLock::into_inner).collect()),
             Err(shards) => Err(Self { config, shards, ack_handles }),
         }
-    }
-
-    /// Consumes the handle and returns the merged sketch if this was the last clone.
-    ///
-    /// # Errors
-    /// Returns `self` unchanged when other handles still exist.
-    pub fn try_into_inner(self) -> Result<GssSketch, Self> {
-        let config = self.config;
-        let mut sketches = self.into_shards()?;
-        if sketches.len() == 1 {
-            return Ok(sketches.pop().expect("length checked"));
-        }
-        Ok(Self::merge_sketches(config, &sketches))
     }
 
     /// Drops every shard with no checkpoint ([`GssSketch::abandon`] per shard), leaving
@@ -494,6 +485,21 @@ mod tests {
     use crate::persistence::PersistenceError;
     use gss_graph::AdjacencyListGraph;
     use std::thread;
+
+    impl ShardedGss {
+        /// Consumes the handle and returns the merged sketch if this was the last clone.
+        ///
+        /// # Errors
+        /// Returns `self` unchanged when other handles still exist.
+        fn try_into_inner(self) -> Result<GssSketch, Self> {
+            let config = self.config;
+            let mut sketches = self.into_shards()?;
+            if sketches.len() == 1 {
+                return Ok(sketches.pop().expect("length checked"));
+            }
+            Ok(Self::merge_sketches(config, &sketches))
+        }
+    }
 
     fn stream(seed: u64, items: usize) -> Vec<StreamEdge> {
         let mut state = seed | 1;

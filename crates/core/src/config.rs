@@ -41,7 +41,7 @@ pub const MAX_TOTAL_ROOMS: u128 = 1 << 34;
 /// Durability policy of a file-backed sketch (ignored by the in-memory backend).
 ///
 /// There is one policy.  A file-backed sketch keeps a write-ahead room log
-/// (`<sketch>.wal`, see [`crate::wal`]), drains it to the log file before every
+/// (`<sketch>.wal`, see the `wal` module), drains it to the log file before every
 /// `insert`/`insert_batch` call returns, and writes evicted dirty pages back
 /// synchronously on the ingest path: a killed process loses **no acknowledged item**,
 /// and an unclean file is recovered by log replay instead of rejected.
@@ -58,7 +58,7 @@ pub enum Durability {
     Strict,
 }
 
-/// Scheduling knob of the group-commit coordinator (see [`crate::group_commit`]).
+/// Scheduling knob of the group-commit coordinator (see the `group_commit` module).
 ///
 /// Every drained write-ahead-log arena is counted against this budget; the coordinator's
 /// cadence thread sweeps on the delay window (woken early when the byte budget trips),
@@ -66,6 +66,10 @@ pub enum Durability {
 /// batch drained in the window, off the commit path.  Smaller values tighten the
 /// power-loss staleness bound at the cost of more syncs; zero in either field forces a
 /// synchronous sweep on every drain round (classic per-commit fsync).
+///
+/// Only a file-backed sketch has a log, so only it uses the knob: the cadence thread
+/// starts when the coordinator's first log registers, never for an in-memory sketch, and
+/// never under a zero knob.
 ///
 /// This is a runtime knob, not part of [`GssConfig`]: it is never persisted, and a file
 /// written under one setting reopens under any other.
@@ -189,14 +193,8 @@ impl GssConfig {
         self
     }
 
-    /// Returns a copy with a different hash seed.
-    pub fn with_hash_seed(mut self, seed: u64) -> Self {
-        self.hash_seed = seed;
-        self
-    }
-
     /// Fingerprint range `F = 2^fingerprint_bits`.
-    pub fn fingerprint_range(&self) -> u64 {
+    pub(crate) fn fingerprint_range(&self) -> u64 {
         1u64 << self.fingerprint_bits
     }
 
@@ -206,7 +204,7 @@ impl GssConfig {
     }
 
     /// Number of buckets in the matrix (`m²`).
-    pub fn bucket_count(&self) -> usize {
+    pub(crate) fn bucket_count(&self) -> usize {
         self.width * self.width
     }
 
@@ -232,7 +230,7 @@ impl GssConfig {
     /// and per-column) of one bit per bucket, each row/column line rounded up to whole
     /// 64-bit words — `≈ 2·m²/8` bytes, under 1% of [`matrix_bytes`](Self::matrix_bytes)
     /// at the paper's `l = 2`.
-    pub fn occupancy_index_bytes(&self) -> usize {
+    pub(crate) fn occupancy_index_bytes(&self) -> usize {
         2 * self.width * self.width.div_ceil(64) * 8
     }
 
@@ -240,12 +238,12 @@ impl GssConfig {
     /// sketch of this configuration: matrix memory grows with `width²`, so each shard gets
     /// `width / √shards` (rounded, at least 1).  Used by the equal-memory sharding mode for
     /// apples-to-apples sharded-vs-single comparisons.
-    pub fn equal_memory_width(&self, shards: usize) -> usize {
+    pub(crate) fn equal_memory_width(&self, shards: usize) -> usize {
         ((self.width as f64) / (shards.max(1) as f64).sqrt()).round().max(1.0) as usize
     }
 
     /// Effective number of probed candidate buckets per edge.
-    pub fn effective_candidates(&self) -> usize {
+    pub(crate) fn effective_candidates(&self) -> usize {
         if !self.square_hashing {
             1
         } else if self.sampling {
@@ -261,7 +259,7 @@ impl GssConfig {
     /// [`MAX_ROOMS_PER_BUCKET`], [`MAX_TOTAL_ROOMS`]) are enforced here so every
     /// validated configuration — including one decoded from an untrusted snapshot or
     /// sketch-file header — has overflow-free size arithmetic and a bounded footprint.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.width == 0 {
             return Err(ConfigError::new("matrix width must be positive"));
         }
@@ -307,6 +305,15 @@ impl GssConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GssConfig {
+        /// Returns a copy with a different hash seed (the hashing, format and storage
+        /// tests seed their sketches apart).
+        pub(crate) fn with_hash_seed(mut self, seed: u64) -> Self {
+            self.hash_seed = seed;
+            self
+        }
+    }
 
     #[test]
     fn paper_default_matches_section_vii_settings() {

@@ -27,13 +27,8 @@ pub struct ConfigError {
 
 impl ConfigError {
     /// Creates a new configuration error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         Self { message: message.into() }
-    }
-
-    /// The human-readable description of the problem.
-    pub fn message(&self) -> &str {
-        &self.message
     }
 }
 
@@ -57,12 +52,12 @@ pub struct StoreFault {
 
 impl StoreFault {
     /// Creates a fault record.
-    pub fn new(kind: io::ErrorKind, message: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: io::ErrorKind, message: impl Into<String>) -> Self {
         Self { kind, message: message.into() }
     }
 
     /// Captures an [`io::Error`] with added context about the failing operation.
-    pub fn from_io(context: &str, error: &io::Error) -> Self {
+    pub(crate) fn from_io(context: &str, error: &io::Error) -> Self {
         Self { kind: error.kind(), message: format!("{context}: {error}") }
     }
 
@@ -71,14 +66,9 @@ impl StoreFault {
         self.kind
     }
 
-    /// The human-readable description.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-
     /// Re-materializes the fault as an [`io::Error`] (same kind) for `io::Result`
     /// plumbing.
-    pub fn to_io(&self) -> io::Error {
+    pub(crate) fn to_io(&self) -> io::Error {
         io::Error::new(self.kind, self.message.clone())
     }
 
@@ -86,7 +76,7 @@ impl StoreFault {
     /// (`gss-server` sends it in `STORE_FAILED` responses).  `io::ErrorKind` has no
     /// stable discriminant of its own, so the mapping here is the contract: codes are
     /// append-only and never reused.  Kinds without an entry collapse to `0` (other).
-    pub fn wire_code(&self) -> u16 {
+    pub(crate) fn wire_code(&self) -> u16 {
         match self.kind {
             io::ErrorKind::NotFound => 1,
             io::ErrorKind::PermissionDenied => 2,
@@ -98,24 +88,6 @@ impl StoreFault {
             io::ErrorKind::TimedOut => 8,
             _ => 0,
         }
-    }
-
-    /// Rebuilds a fault from a wire code and message (the client half of
-    /// [`wire_code`](Self::wire_code)).  Unknown codes collapse to
-    /// [`io::ErrorKind::Other`], mirroring the forward map.
-    pub fn from_wire(code: u16, message: impl Into<String>) -> Self {
-        let kind = match code {
-            1 => io::ErrorKind::NotFound,
-            2 => io::ErrorKind::PermissionDenied,
-            3 => io::ErrorKind::WriteZero,
-            4 => io::ErrorKind::UnexpectedEof,
-            5 => storage_full_kind(),
-            6 => io::ErrorKind::Interrupted,
-            7 => io::ErrorKind::InvalidData,
-            8 => io::ErrorKind::TimedOut,
-            _ => io::ErrorKind::Other,
-        };
-        Self { kind, message: message.into() }
     }
 }
 
@@ -177,23 +149,12 @@ impl From<StoreFault> for GssError {
 impl GssError {
     /// The stable wire code of this error for network protocols: the high byte selects
     /// the variant (`0x01` config, `0x02` store-failed), the low byte carries the
-    /// fault's [`StoreFault::wire_code`] (0 for config errors).  Append-only, like the
+    /// fault's wire code (its [`io::ErrorKind`]'s; 0 for config errors).  Append-only, like the
     /// fault codes.
     pub fn wire_code(&self) -> u16 {
         match self {
             GssError::Config(_) => 0x0100,
             GssError::StoreFailed(fault) => 0x0200 | fault.wire_code(),
-        }
-    }
-
-    /// Rebuilds an error from a wire code and message (the client half of
-    /// [`wire_code`](Self::wire_code)).  Codes outside the known variants rebuild as a
-    /// store failure with an unknown kind, the conservative reading for a caller
-    /// deciding whether to retry.
-    pub fn from_wire(code: u16, message: impl Into<String>) -> Self {
-        match code & 0xFF00 {
-            0x0100 => GssError::Config(ConfigError::new(message)),
-            _ => GssError::StoreFailed(StoreFault::from_wire(code & 0x00FF, message)),
         }
     }
 }
@@ -276,6 +237,53 @@ pub struct DurabilityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ConfigError {
+        /// The human-readable description of the problem.
+        fn message(&self) -> &str {
+            &self.message
+        }
+    }
+
+    impl StoreFault {
+        /// The human-readable description.
+        fn message(&self) -> &str {
+            &self.message
+        }
+
+        /// Rebuilds a fault from a wire code and message (the client half of
+        /// [`wire_code`](Self::wire_code)).  Unknown codes collapse to
+        /// [`io::ErrorKind::Other`], mirroring the forward map.  Only these
+        /// round-trip tests decode a code: `gss-server`'s client keeps the code and message
+        /// as they came.
+        fn from_wire(code: u16, message: impl Into<String>) -> Self {
+            let kind = match code {
+                1 => io::ErrorKind::NotFound,
+                2 => io::ErrorKind::PermissionDenied,
+                3 => io::ErrorKind::WriteZero,
+                4 => io::ErrorKind::UnexpectedEof,
+                5 => storage_full_kind(),
+                6 => io::ErrorKind::Interrupted,
+                7 => io::ErrorKind::InvalidData,
+                8 => io::ErrorKind::TimedOut,
+                _ => io::ErrorKind::Other,
+            };
+            Self { kind, message: message.into() }
+        }
+    }
+
+    impl GssError {
+        /// Rebuilds an error from a wire code and message (the client half of
+        /// [`wire_code`](Self::wire_code)).  Codes outside the known variants rebuild as a
+        /// store failure with an unknown kind, the conservative reading for a caller
+        /// deciding whether to retry.
+        fn from_wire(code: u16, message: impl Into<String>) -> Self {
+            match code & 0xFF00 {
+                0x0100 => GssError::Config(ConfigError::new(message)),
+                _ => GssError::StoreFailed(StoreFault::from_wire(code & 0x00FF, message)),
+            }
+        }
+    }
 
     #[test]
     fn display_includes_message() {

@@ -68,11 +68,10 @@ use crate::wal::{self, AppendState, Wal, WalAck};
 use format::{Header, CLEAN_FLAG_OFFSET};
 use parking_lot::Mutex;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-pub use crate::pager::PAGE_BYTES;
-pub use format::{FILE_MAGIC, FILE_MAGIC_V1};
+pub use format::FILE_MAGIC_V1;
 
 /// Everything [`FileStore::open`] recovers from an existing sketch file besides the store
 /// itself: the sketch-level state the file checkpoints.
@@ -87,6 +86,8 @@ pub struct FileHeader {
     /// The `⟨H(v), v⟩` table, decoded likewise.
     pub node_map: NodeIdMap,
     /// Whether the file was unclean and its state was rebuilt by write-ahead-log replay.
+    /// Only the store's tests read it.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub recovered: bool,
 }
 
@@ -172,16 +173,6 @@ impl FileStore {
     /// Default page-cache capacity: 1024 pages = 4 MiB of resident room records.
     pub const DEFAULT_CACHE_PAGES: usize = 1024;
 
-    /// Location of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Page-cache capacity in pages.
-    pub fn cache_pages(&self) -> usize {
-        self.cache_pages
-    }
-
     /// Installs (or clears) the durability-point observer used by kill-point tests.
     pub fn set_flush_hook(&self, hook: Option<FlushHook>) {
         let _hook_held = witness::acquire(LockClass::Hook);
@@ -200,7 +191,7 @@ impl FileStore {
 
     /// This store's runtime counters since it was created or opened.  Every read is an
     /// atomic load — observing a store never takes one of its locks.
-    pub fn counters(&self) -> &StoreCounters {
+    pub(crate) fn counters(&self) -> &StoreCounters {
         &self.counters
     }
 
@@ -296,7 +287,7 @@ impl FileStore {
     /// [`DurabilityReport`]).  On a healthy store nothing is breached — pending log
     /// bytes drain on the policy's schedule; once poisoned, every acknowledged item not
     /// covered by a completed log-file write is reported as possibly lost.
-    pub fn durability_report(&self) -> DurabilityReport {
+    pub(crate) fn durability_report(&self) -> DurabilityReport {
         let (acked_items, durable_items) = self.wal.item_counts();
         let poisoned = self.health.is_poisoned();
         DurabilityReport {

@@ -29,10 +29,9 @@
 
 use super::format::{Header, Section, MAGIC_RANGE, SECTIONS_RANGE};
 use super::{FileHeader, FileStore};
-use crate::config::{GroupCommit, GssConfig};
+use crate::config::GssConfig;
 use crate::error::StoreHealth;
 use crate::group_commit::GroupCommitter;
-use crate::metrics::StoreCounters;
 use crate::pager::lock_file::LockFile;
 use crate::pager::page_cache::{PageCache, PageCursor};
 use crate::pager::page_file::PageFile;
@@ -41,8 +40,8 @@ use crate::persistence::{decode_tail, PersistenceError};
 use crate::storage::{Layout, RoomGrid, ROOM_OCCUPIED_BYTE, ROOM_RECORD_BYTES};
 use crate::wal::{crc32, read_replay, wal_path, Wal, WalReplay};
 use parking_lot::Mutex;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::OpenOptions;
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
@@ -50,15 +49,9 @@ use std::sync::Arc;
 impl FileStore {
     /// Creates a fresh sketch file at `path` (truncating any existing file): header with
     /// `config`, a zeroed page-aligned room region sized by `set_len`, no tail, an empty
-    /// write-ahead log at `<path>.wal`.  The store gets a private group-commit
-    /// coordinator with the default [`GroupCommit`] cadence.
-    pub fn create(path: &Path, config: &GssConfig, cache_pages: usize) -> io::Result<Self> {
-        Self::create_grouped(path, config, cache_pages, GroupCommitter::new(GroupCommit::default()))
-    }
-
-    /// [`create`](Self::create) registering the new store's log with a shared
-    /// group-commit coordinator (sharded stores pool their fsync scheduling).
-    pub fn create_grouped(
+    /// write-ahead log at `<path>.wal` registered with `group` (sharded stores share one
+    /// coordinator, pooling their fsync scheduling).
+    pub(crate) fn create(
         path: &Path,
         config: &GssConfig,
         cache_pages: usize,
@@ -67,46 +60,43 @@ impl FileStore {
         // Claim the single-opener lock before truncating anything: a create aimed at a
         // live sketch file must fail without destroying it.
         let lock = LockFile::acquire(path)?;
-        let mut file =
+        let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         let header = Header::fresh(config);
-        file.write_all(&header.encode())?;
+        file.write_all_at(&header.encode(), 0)?;
         // A sparse zero region where the filesystem supports it; room records decode
         // all-zeroes as unoccupied rooms, so no explicit formatting pass is needed.
         file.set_len(Layout::new(config).tail_offset() + header.tail_len)?;
+        let file = PageFile::wrap(file, path, Arc::default());
         Self::assemble(path, cache_pages, file, header, None, group, lock)
     }
 
     /// Opens an existing sketch file in place, validating the header and decoding the
-    /// tail.  The room region is **streamed once**, page by page (sequential reads,
-    /// occupancy flags only, no per-room decode or insert pass), to rebuild the in-memory
-    /// occupancy index — open cost is one sequential pass over the file plus the
-    /// (usually tiny) tail.  The store gets a private group-commit coordinator with the
-    /// default [`GroupCommit`] cadence.
+    /// tail, and registers its log with `group`.  The room region is **streamed once**,
+    /// page by page (sequential reads, occupancy flags only, no per-room decode or insert
+    /// pass), to rebuild the in-memory occupancy index — open cost is one sequential pass
+    /// over the file plus the (usually tiny) tail.  Every read and write goes through the
+    /// file's one [`PageFile`], so an armed fault plan can fail any of them.
     ///
     /// An **unclean** v2 file (crash before the last checkpoint completed) is recovered
     /// by replaying its write-ahead log within that same pass; see the module docs.
     /// Unclean v1 files are still rejected as [`PersistenceError::Corrupt`] — they
     /// predate the log.
-    pub fn open(path: &Path, cache_pages: usize) -> Result<(Self, FileHeader), PersistenceError> {
-        Self::open_grouped(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
-    }
-
-    /// [`open`](Self::open) registering the reopened store's log with a shared
-    /// group-commit coordinator (sharded stores pool their fsync scheduling).
     ///
     /// The one open path: a clean file opens as an unclean one whose log replays
     /// nothing.  Everything that can reject the file (tail, replay, logged deltas) is
     /// decoded before the one pass over the room region writes a byte.
-    pub fn open_grouped(
+    pub(crate) fn open(
         path: &Path,
         cache_pages: usize,
         group: Arc<GroupCommitter>,
     ) -> Result<(Self, FileHeader), PersistenceError> {
         let lock = LockFile::acquire(path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file_len = file.metadata()?.len();
+        let file = PageFile::wrap(file, path, Arc::default());
         let mut page = [0u8; PAGE_BYTES];
-        file.read_exact(&mut page)?;
+        file.read_exact_at(&mut page, 0)?;
         let mut header = Header::decode(&page)?;
         let layout = Layout::new(&header.config);
         let (clean, occupied, room_count) = (header.clean, header.occupied, layout.room_count());
@@ -127,7 +117,6 @@ impl FileStore {
             )));
         }
         let tail_offset = layout.tail_offset();
-        let file_len = file.metadata()?.len();
         let tail = if header.version == 2 {
             if clean && header.buffer.len.checked_add(header.node.len) != Some(header.tail_len) {
                 return Err(PersistenceError::Corrupt(format!(
@@ -140,18 +129,18 @@ impl FileStore {
             // checkpoint wrote them and nothing has touched them since).
             let mut tail = match replay.tail_buffer {
                 Some(bytes) => bytes,
-                None => read_section(&mut file, tail_offset, header.buffer, file_len, "buffer")?,
+                None => read_section(&file, tail_offset, header.buffer, file_len, "buffer")?,
             };
             tail.extend(match replay.tail_node {
                 Some(bytes) => bytes,
                 None => {
                     let node_offset = section_end(tail_offset, header.buffer.len, file_len)?;
-                    read_section(&mut file, node_offset, header.node, file_len, "node")?
+                    read_section(&file, node_offset, header.node, file_len, "node")?
                 }
             });
             tail
         } else {
-            read_bytes(&mut file, tail_offset, header.tail_len, file_len)?
+            read_bytes(&file, tail_offset, header.tail_len, file_len)?
         };
         // The tail decoded and the logged deltas laid on top, all in memory, before the
         // pass below or the v1 upgrade writes: a rejected open leaves the file
@@ -165,7 +154,7 @@ impl FileStore {
             node_map.register(hash, vertex);
         }
         let items_inserted = replay.items.unwrap_or(header.items);
-        let grid = rebuild_index(&mut file, layout, replay.rooms)?;
+        let grid = rebuild_index(&file, layout, replay.rooms)?;
         if !clean {
             header.occupied = grid.occupied as u64;
         } else if grid.occupied != occupied as usize {
@@ -183,8 +172,10 @@ impl FileStore {
             header.node = Section::of(&[]);
             let upgraded = header.encode();
             for range in [MAGIC_RANGE, SECTIONS_RANGE] {
-                file.seek(SeekFrom::Start(range.start as u64))?;
-                file.write_all(upgraded.get(range).unwrap_or_default())?;
+                file.write_all_at(
+                    upgraded.get(range.clone()).unwrap_or_default(),
+                    range.start as u64,
+                )?;
             }
             file.sync_data()?;
         }
@@ -205,21 +196,22 @@ impl FileStore {
         Ok((store, FileHeader { config, items_inserted, buffer, node_map, recovered: !clean }))
     }
 
-    /// Shared tail of `create` and `open`: builds the store around an open file whose
+    /// Shared tail of `create` and `open`: builds the store around the sketch file whose
     /// header page reads `header` (clean flag included), with the bookkeeping of an
     /// all-empty room region — open installs the grid it rebuilt.
     /// The log at `<path>.wal` starts empty (`log_prefix` `None`) or keeps its first
-    /// `log_prefix` bytes (recovery).  The store's one counter set is born here.
+    /// `log_prefix` bytes (recovery).  The store's one counter set is the one `file`
+    /// counts into.
     fn assemble(
         path: &Path,
         cache_pages: usize,
-        file: File,
+        file: PageFile,
         header: Header,
         log_prefix: Option<u64>,
         group: Arc<GroupCommitter>,
         lock: LockFile,
     ) -> io::Result<Self> {
-        let counters = Arc::new(StoreCounters::default());
+        let counters = Arc::clone(file.counters());
         let health = Arc::new(StoreHealth::new());
         let wal = Wal::open(
             &wal_path(path),
@@ -233,7 +225,7 @@ impl FileStore {
             path: path.to_path_buf(),
             grid: RoomGrid::new(Layout::new(&header.config)),
             cache_pages: cache_pages.max(1),
-            file: PageFile::wrap(file, path, Arc::clone(&counters)),
+            file,
             cache: PageCache::new(cache_pages, Arc::clone(&counters)),
             counters,
             wal,
@@ -266,21 +258,20 @@ fn section_end(offset: u64, len: u64, file_len: u64) -> Result<u64, PersistenceE
 
 /// Reads `[offset, offset + len)` of `file`, bounded by [`section_end`] first.
 fn read_bytes(
-    file: &mut File,
+    file: &PageFile,
     offset: u64,
     len: u64,
     file_len: u64,
 ) -> Result<Vec<u8>, PersistenceError> {
     section_end(offset, len, file_len)?;
     let mut bytes = vec![0u8; len as usize];
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(&mut bytes)?;
+    file.read_exact_at(&mut bytes, offset)?;
     Ok(bytes)
 }
 
 /// Reads the tail section `section` found at `offset` and checks it against its CRC.
 fn read_section(
-    file: &mut File,
+    file: &PageFile,
     offset: u64,
     section: Section,
     file_len: u64,
@@ -300,7 +291,7 @@ fn read_section(
 /// — sorted stably by index, so the last frame logged for a room lands last — and a page
 /// that took any is written back with one positioned write.
 fn rebuild_index(
-    file: &mut File,
+    file: &PageFile,
     layout: Layout,
     mut rooms: Vec<(u64, [u8; ROOM_RECORD_BYTES])>,
 ) -> Result<RoomGrid, PersistenceError> {
@@ -309,11 +300,10 @@ fn rebuild_index(
     let mut grid = RoomGrid::new(layout);
     let mut page = [0u8; PAGE_BYTES];
     let mut flat = 0usize;
-    file.seek(SeekFrom::Start(Layout::page_offset(0)))?;
     while flat < layout.room_count() {
-        file.read_exact(&mut page)?;
         // Started on a page boundary, each run is one page's worth of records.
         let run = layout.run_at(flat, layout.room_count() - flat);
+        file.read_exact_at(&mut page, Layout::page_offset(run.page))?;
         let end = (flat + run.len) as u64;
         let (here, rest) = rooms.split_at(rooms.partition_point(|&(index, _)| index < end));
         for &(index, ref record) in here {

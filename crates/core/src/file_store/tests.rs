@@ -2,16 +2,18 @@
 //! always had (`file_store::tests::…`); the on-disk format's own tests sit in
 //! `format.rs`.
 
-use super::format::{Header, MAGIC_RANGE, SECTIONS_RANGE};
-use super::{FileHeader, FileStore, FlushPoint, FILE_MAGIC, FILE_MAGIC_V1, PAGE_BYTES};
+use super::format::{Header, FILE_MAGIC, FILE_MAGIC_V1, MAGIC_RANGE, SECTIONS_RANGE};
+use super::{FileHeader, FileStore, FlushPoint};
 use crate::buffer::LeftoverBuffer;
 use crate::config::{GroupCommit, GssConfig};
 use crate::error::StoreFault;
+use crate::group_commit::GroupCommitter;
 use crate::matrix::{Room, RoomKey};
 use crate::metrics;
 use crate::node_map::NodeIdMap;
 use crate::pager::faults::{install, FaultPlan};
 use crate::pager::lock_file::lock_path;
+use crate::pager::PAGE_BYTES;
 use crate::persistence::{encode_tail, PersistenceError};
 use crate::storage::{
     BucketProbe, Layout, PageSource, RoomStorage, StorageBackend, ROOM_OCCUPIED_BYTE,
@@ -55,6 +57,16 @@ impl FileStore {
     }
 }
 
+/// [`FileStore::create`] with a coordinator of its own under the default knob.
+fn create(path: &Path, config: &GssConfig, cache_pages: usize) -> std::io::Result<FileStore> {
+    FileStore::create(path, config, cache_pages, GroupCommitter::new(GroupCommit::default()))
+}
+
+/// [`FileStore::open`] with a coordinator of its own under the default knob.
+fn open(path: &Path, cache_pages: usize) -> Result<(FileStore, FileHeader), PersistenceError> {
+    FileStore::open(path, cache_pages, GroupCommitter::new(GroupCommit::default()))
+}
+
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gss-file-store-{}-{name}.gss", std::process::id()))
 }
@@ -87,7 +99,7 @@ fn create_store_and_reopen_round_trips_rooms() {
     let path = temp_path("roundtrip");
     let config = GssConfig::paper_default(8);
     {
-        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        let mut store = create(&path, &config, 4).unwrap();
         assert_eq!(store.grid().layout.room_count(), 8 * 8 * 2);
         assert_eq!(store.grid().occupied, 0);
         assert_eq!(store.probe_bucket(3, 5, SAMPLE_KEY).unwrap(), BucketProbe::Empty(0));
@@ -103,7 +115,7 @@ fn create_store_and_reopen_round_trips_rooms() {
         assert_eq!(store.grid().occupied, 2);
         store.write_tail(123, &sample_tail(1, 3)).unwrap();
     }
-    let (store, header) = FileStore::open(&path, 4).unwrap();
+    let (store, header) = open(&path, 4).unwrap();
     assert_eq!(header.config, config);
     assert_eq!(header.items_inserted, 123);
     assert_eq!(decoded(&header), encoded(&sample_tail(1, 3)));
@@ -121,14 +133,14 @@ fn create_store_and_reopen_round_trips_rooms() {
 fn unclean_files_recover_from_the_wal_and_bad_magic_is_rejected() {
     let path = temp_path("unclean");
     {
-        let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
+        let mut store = create(&path, &GssConfig::paper_default(4), 2).unwrap();
         store.store_room(0, 0, 0, sample_room(1)).unwrap();
         let (_, ack) = store.log_commit_deferred(1).unwrap();
         store.ack_commit(ack).unwrap();
         // No write_tail: the clean flag stays cleared, the room lives only in the
         // cache — and in the drained WAL.
     }
-    let (recovered, header) = FileStore::open(&path, 2).unwrap();
+    let (recovered, header) = open(&path, 2).unwrap();
     assert!(header.recovered);
     assert_eq!(header.items_inserted, 1);
     assert_eq!(recovered.grid().occupied, 1);
@@ -136,20 +148,20 @@ fn unclean_files_recover_from_the_wal_and_bad_magic_is_rejected() {
     drop(recovered);
     // Same crash state but the log is gone: unrecoverable, rejected.
     {
-        let mut store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
+        let mut store = create(&path, &GssConfig::paper_default(4), 2).unwrap();
         store.store_room(0, 0, 0, sample_room(1)).unwrap();
     }
     std::fs::remove_file(wal_path(&path)).unwrap();
     assert!(matches!(
-        FileStore::open(&path, 2),
+        open(&path, 2),
         Err(PersistenceError::Corrupt(message)) if message.contains("cleanly")
     ));
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[0] = b'X';
     std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::BadMagic)));
+    assert!(matches!(open(&path, 2), Err(PersistenceError::BadMagic)));
     std::fs::write(&path, b"GS").unwrap();
-    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::UnexpectedEof)));
+    assert!(matches!(open(&path, 2), Err(PersistenceError::UnexpectedEof)));
     remove(&path);
 }
 
@@ -158,7 +170,7 @@ fn version_1_files_still_open_and_upgrade_on_checkpoint() {
     let path = temp_path("v1-compat");
     let config = GssConfig::paper_default(8);
     {
-        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        let mut store = create(&path, &config, 4).unwrap();
         store.store_room(2, 3, 0, sample_room(9)).unwrap();
         store.write_tail(5, &sample_tail(1, 2)).unwrap();
     }
@@ -166,7 +178,7 @@ fn version_1_files_still_open_and_upgrade_on_checkpoint() {
     downgrade_to_v1(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
     std::fs::remove_file(wal_path(&path)).unwrap();
-    let (store, header) = FileStore::open(&path, 4).unwrap();
+    let (store, header) = open(&path, 4).unwrap();
     assert_eq!(header.items_inserted, 5);
     assert_eq!(decoded(&header), encoded(&sample_tail(1, 2)));
     assert_eq!(store.room(2, 3, 0).weight, 9);
@@ -174,7 +186,7 @@ fn version_1_files_still_open_and_upgrade_on_checkpoint() {
     assert_eq!(&upgraded[0..8], &FILE_MAGIC, "open upgrades the magic in place");
     store.write_tail(6, &sample_tail(2, 3)).unwrap();
     drop(store);
-    let (_, reheader) = FileStore::open(&path, 4).unwrap();
+    let (_, reheader) = open(&path, 4).unwrap();
     assert_eq!(decoded(&reheader), encoded(&sample_tail(2, 3)));
     remove(&path);
 }
@@ -187,7 +199,7 @@ fn upgraded_v1_files_recover_from_a_crash_before_their_first_checkpoint() {
     // section, which recovery must decode as the base tail.
     let v1_tail = sample_tail(1, 2);
     {
-        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        let mut store = create(&path, &config, 4).unwrap();
         store.store_room(2, 3, 0, sample_room(9)).unwrap();
         store.write_tail(5, &v1_tail).unwrap();
     }
@@ -197,13 +209,13 @@ fn upgraded_v1_files_recover_from_a_crash_before_their_first_checkpoint() {
     std::fs::remove_file(wal_path(&path)).unwrap();
     {
         // Open the v1 file (upgrading it), mutate, then crash before any checkpoint.
-        let (mut store, header) = FileStore::open(&path, 4).unwrap();
+        let (mut store, header) = open(&path, 4).unwrap();
         assert_eq!(decoded(&header), encoded(&v1_tail));
         store.store_room(1, 1, 0, sample_room(4)).unwrap();
         let (_, ack) = store.log_commit_deferred(6).unwrap();
         store.ack_commit(ack).unwrap();
     }
-    let (recovered, header) = FileStore::open(&path, 4).unwrap();
+    let (recovered, header) = open(&path, 4).unwrap();
     assert!(header.recovered, "the acknowledged mutation survives the crash");
     assert_eq!(header.items_inserted, 6);
     assert_eq!(recovered.room(1, 1, 0).weight, 4);
@@ -216,28 +228,28 @@ fn upgraded_v1_files_recover_from_a_crash_before_their_first_checkpoint() {
 fn truncated_room_region_is_rejected() {
     let path = temp_path("truncated");
     {
-        let mut store = FileStore::create(&path, &GssConfig::paper_default(32), 2).unwrap();
+        let mut store = create(&path, &GssConfig::paper_default(32), 2).unwrap();
         store.store_room(0, 0, 0, sample_room(1)).unwrap();
         store.write_tail(1, &sample_tail(1, 1)).unwrap();
     }
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
-    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::UnexpectedEof)));
+    assert!(matches!(open(&path, 2), Err(PersistenceError::UnexpectedEof)));
     remove(&path);
 }
 
 #[test]
 fn missing_file_reports_io_error() {
     let path = temp_path("missing-never-created");
-    assert!(matches!(FileStore::open(&path, 2), Err(PersistenceError::Io(_))));
+    assert!(matches!(open(&path, 2), Err(PersistenceError::Io(_))));
     assert!(!lock_path(&path).exists(), "a failed open releases the advisory lock");
 }
 
 #[test]
 fn second_opener_is_refused_while_the_store_lives() {
     let path = temp_path("single-opener");
-    let store = FileStore::create(&path, &GssConfig::paper_default(4), 2).unwrap();
-    match FileStore::open(&path, 2) {
+    let store = create(&path, &GssConfig::paper_default(4), 2).unwrap();
+    match open(&path, 2) {
         Err(PersistenceError::Io(message)) => {
             assert!(message.contains("locked"), "error names the conflict: {message}")
         }
@@ -245,7 +257,7 @@ fn second_opener_is_refused_while_the_store_lives() {
     }
     drop(store);
     // Drop released the lock: the file (clean — no mutations) reopens normally.
-    let (reopened, _) = FileStore::open(&path, 2).unwrap();
+    let (reopened, _) = open(&path, 2).unwrap();
     drop(reopened);
     remove(&path);
 }
@@ -254,7 +266,7 @@ fn second_opener_is_refused_while_the_store_lives() {
 fn occupancy_flag_corruption_is_caught_on_open() {
     let path = temp_path("occupancy-mismatch");
     {
-        let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+        let mut store = create(&path, &GssConfig::paper_default(8), 4).unwrap();
         store.store_room(1, 1, 0, sample_room(1)).unwrap();
         store.write_tail(1, &Tail::default()).unwrap();
     }
@@ -268,7 +280,7 @@ fn occupancy_flag_corruption_is_caught_on_open() {
     bytes[room_offset] = 1;
     std::fs::write(&path, &bytes).unwrap();
     assert!(matches!(
-        FileStore::open(&path, 4),
+        open(&path, 4),
         Err(PersistenceError::Corrupt(message)) if message.contains("occupied")
     ));
     remove(&path);
@@ -296,23 +308,23 @@ fn lying_header_lengths_are_typed_errors_not_panics() {
     let config = GssConfig::paper_default(8);
     // Clean file: the plain open path.
     {
-        let mut store = FileStore::create(&path, &config, 4).unwrap();
+        let mut store = create(&path, &config, 4).unwrap();
         store.store_room(1, 1, 0, sample_room(3)).unwrap();
         store.write_tail(1, &sample_tail(1, 1)).unwrap();
     }
     forge_tail_lengths(&path, u64::MAX, u64::MAX, 0);
-    assert!(matches!(FileStore::open(&path, 4), Err(PersistenceError::UnexpectedEof)));
+    assert!(matches!(open(&path, 4), Err(PersistenceError::UnexpectedEof)));
     // Unclean file with a replayable log: the recovery path reads each section.
     for (buffer_len, node_len) in [(u64::MAX, 0), (8, u64::MAX), (u64::MAX, u64::MAX)] {
         {
-            let mut store = FileStore::create(&path, &config, 4).unwrap();
+            let mut store = create(&path, &config, 4).unwrap();
             store.store_room(1, 1, 0, sample_room(3)).unwrap();
             let (_, ack) = store.log_commit_deferred(1).unwrap();
             store.ack_commit(ack).unwrap();
         }
         forge_tail_lengths(&path, buffer_len.wrapping_add(node_len), buffer_len, node_len);
         assert!(
-            matches!(FileStore::open(&path, 4), Err(PersistenceError::UnexpectedEof)),
+            matches!(open(&path, 4), Err(PersistenceError::UnexpectedEof)),
             "buffer_len {buffer_len} node_len {node_len}"
         );
     }
@@ -324,7 +336,7 @@ fn tiny_cache_evicts_and_writes_back() {
     let path = temp_path("evict");
     // width 40, l 2 → 3200 rooms = 50 KiB ≫ one 4-KiB page: a 1-page cache thrashes.
     let config = GssConfig::paper_default(40);
-    let mut store = FileStore::create(&path, &config, 1).unwrap();
+    let mut store = create(&path, &config, 1).unwrap();
     for row in 0..40 {
         store.store_room(row, (row * 7) % 40, 0, sample_room(row as i64 + 1)).unwrap();
     }
@@ -335,7 +347,7 @@ fn tiny_cache_evicts_and_writes_back() {
     assert!(metrics::get(&store.counters.pages_flushed) > 0, "evictions write back");
     store.write_tail(0, &Tail::default()).unwrap();
     drop(store); // release the single-opener lock before reopening
-    let (reopened, _) = FileStore::open(&path, 1).unwrap();
+    let (reopened, _) = open(&path, 1).unwrap();
     for row in 0..40 {
         assert_eq!(reopened.room(row, (row * 7) % 40, 0).weight, row as i64 + 1);
     }
@@ -345,7 +357,7 @@ fn tiny_cache_evicts_and_writes_back() {
 #[test]
 fn incremental_checkpoints_skip_unchanged_sections() {
     let path = temp_path("incremental");
-    let store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+    let store = create(&path, &GssConfig::paper_default(8), 4).unwrap();
     let first = sample_tail(1, 2);
     store.write_tail(1, &first).unwrap();
     // A second checkpoint of an unmutated store is a no-op: nothing is counted, logged
@@ -365,7 +377,7 @@ fn incremental_checkpoints_skip_unchanged_sections() {
     store.write_tail(1, &second).unwrap();
     assert_eq!(metrics::get(&store.counters.checkpoints), 2);
     drop(store);
-    let (_, header) = FileStore::open(&path, 4).unwrap();
+    let (_, header) = open(&path, 4).unwrap();
     assert_eq!(header.items_inserted, 1);
     assert_eq!(decoded(&header), encoded(&second));
     remove(&path);
@@ -380,7 +392,7 @@ fn a_buffer_only_tail_frame_recovers_with_the_files_node_section() {
     let on_disk = sample_tail(1, 2);
     let logged = sample_tail(2, 3);
     {
-        let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+        let mut store = create(&path, &GssConfig::paper_default(8), 4).unwrap();
         store.write_tail(1, &on_disk).unwrap();
         store.store_room(0, 0, 0, sample_room(5)).unwrap();
         let (buffer_bytes, buffer_len) = encode_tail(&logged.0, &NodeIdMap::new());
@@ -389,7 +401,7 @@ fn a_buffer_only_tail_frame_recovers_with_the_files_node_section() {
         store.log_node(901, 19).unwrap();
         store.wal.barrier().unwrap();
     }
-    let (recovered, header) = FileStore::open(&path, 4).unwrap();
+    let (recovered, header) = open(&path, 4).unwrap();
     assert!(header.recovered);
     assert_eq!(header.items_inserted, 2);
     assert_eq!(recovered.room(0, 0, 0).weight, 5);
@@ -403,7 +415,7 @@ fn a_buffer_only_tail_frame_recovers_with_the_files_node_section() {
 #[test]
 fn flush_hook_observes_the_checkpoint_sequence() {
     let path = temp_path("hook");
-    let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+    let mut store = create(&path, &GssConfig::paper_default(8), 4).unwrap();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
     store.set_flush_hook(Some(Arc::new(move |point| sink.lock().push(point))));
@@ -426,7 +438,7 @@ fn flush_hook_observes_the_checkpoint_sequence() {
 #[test]
 fn row_and_column_scans_match_memory_semantics() {
     let path = temp_path("scan");
-    let mut store = FileStore::create(&path, &GssConfig::paper_default(3), 8).unwrap();
+    let mut store = create(&path, &GssConfig::paper_default(3), 8).unwrap();
     store.store_room(1, 0, 0, sample_room(10)).unwrap();
     store.store_room(1, 2, 1, sample_room(20)).unwrap();
     store.store_room(0, 2, 0, sample_room(30)).unwrap();
@@ -443,13 +455,13 @@ fn row_and_column_scans_match_memory_semantics() {
 fn reopen_rebuilds_the_occupancy_index_and_scans_skip_empty_buckets() {
     let path = temp_path("index-rebuild");
     {
-        let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 4).unwrap();
+        let mut store = create(&path, &GssConfig::paper_default(48), 4).unwrap();
         store.store_room(7, 11, 0, sample_room(5)).unwrap();
         store.store_room(7, 40, 1, sample_room(6)).unwrap();
         store.store_room(33, 11, 0, sample_room(7)).unwrap();
         store.write_tail(3, &Tail::default()).unwrap();
     }
-    let (reopened, _) = FileStore::open(&path, 4).unwrap();
+    let (reopened, _) = open(&path, 4).unwrap();
     let mut row7 = Vec::new();
     reopened.scan_row(7, &mut |column, room| row7.push((column, room.weight)));
     assert_eq!(row7, vec![(11, 5), (40, 6)]);
@@ -478,7 +490,7 @@ fn reopen_rebuilds_the_occupancy_index_and_scans_skip_empty_buckets() {
 #[test]
 fn concurrent_readers_scan_without_latch_contention() {
     let path = temp_path("concurrent-readers");
-    let mut store = FileStore::create(&path, &GssConfig::paper_default(48), 64).unwrap();
+    let mut store = create(&path, &GssConfig::paper_default(48), 64).unwrap();
     for row in 0..48 {
         store.store_room(row, (row * 5) % 48, 0, sample_room(row as i64 + 1)).unwrap();
     }
@@ -517,7 +529,7 @@ fn concurrent_readers_scan_without_latch_contention() {
 #[test]
 fn dense_rows_fall_back_to_the_linear_scan_with_identical_results() {
     let path = temp_path("dense-escape");
-    let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 8).unwrap();
+    let mut store = create(&path, &GssConfig::paper_default(8), 8).unwrap();
     // Row 2: 6 of 8 buckets occupied — well past the 50% dense threshold.
     for column in 0..6 {
         store.store_room(2, column, 0, sample_room(column as i64 + 100)).unwrap();
@@ -552,7 +564,7 @@ fn injected_wal_fault_fail_stops_writes_reads_keep_serving_and_the_report_is_hon
             .with_path_token(&token),
     );
     let config = GssConfig::paper_default(8);
-    let mut store = FileStore::create(&path, &config, 4).unwrap();
+    let mut store = create(&path, &config, 4).unwrap();
     store.store_room(0, 0, 0, sample_room(7)).unwrap();
     let (_, ack) = store.log_commit_deferred(1).unwrap();
     store.ack_commit(ack).unwrap();
@@ -591,7 +603,7 @@ fn a_checkpoint_stops_when_the_round_it_waited_out_poisons_the_log() {
     // write is 2.
     let token = format!("gss-file-store-{}-poisoned-round.gss.wal", std::process::id());
     let _guard = install(FaultPlan::parse("write:eio@2").unwrap().with_path_token(&token));
-    let mut store = FileStore::create(&path, &GssConfig::paper_default(8), 4).unwrap();
+    let mut store = create(&path, &GssConfig::paper_default(8), 4).unwrap();
     store.store_room(0, 0, 0, sample_room(7)).unwrap();
     let (_, ack) = store.log_commit_deferred(1).unwrap();
     let (parked, release) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
@@ -799,4 +811,52 @@ fn a_fixed_stream_leaves_pinned_file_and_log_bytes() {
     assert_eq!((crate::wal::crc32(&file), file.len()), (0xbbe0_4030, 69_336), "sketch file");
     assert_eq!((fnv1a(&log), log.len()), (0x1744_d391_bc86_b634, 58_112), "log");
     remove(&path);
+}
+
+/// The room region of the sketch file at `path`.
+fn room_region(path: &Path, config: &GssConfig) -> Vec<u8> {
+    let file = std::fs::read(path).unwrap();
+    file[Layout::page_offset(0) as usize..Layout::new(config).tail_offset() as usize].to_vec()
+}
+
+/// Recovery writes the room region through the sketch file's `PageFile`, so a fault plan
+/// can fail the pass: the open returns a typed error before its checkpoint (the log is
+/// as the crash left it), and the next open recovers what an unfaulted one does.
+#[test]
+fn a_write_fault_in_the_recovery_pass_is_a_typed_error_and_the_next_open_recovers() {
+    for kind in ["eio", "torn"] {
+        let path = temp_path(&format!("recovery-fault-{kind}"));
+        let reference = temp_path(&format!("recovery-fault-{kind}-reference"));
+        let storage = StorageBackend::File { path: path.clone(), cache_pages: 64 };
+        let mut sketch = GssSketch::builder().width(32).storage(storage).build().unwrap();
+        sketch.insert_batch(&wired_stream(3000));
+        let config = *sketch.config();
+        sketch.abandon();
+        let (crashed, log) = (room_region(&path, &config), std::fs::read(wal_path(&path)).unwrap());
+        std::fs::copy(&path, &reference).unwrap();
+        std::fs::copy(wal_path(&path), wal_path(&reference)).unwrap();
+
+        let token = path.file_name().unwrap().to_string_lossy().into_owned();
+        let guard =
+            install(FaultPlan::parse(&format!("write:{kind}@1")).unwrap().with_path_token(token));
+        let error = GssSketch::open_file(&path, 64).expect_err("the first page write fails");
+        assert!(matches!(error, PersistenceError::Io(_)), "{kind}: {error:?}");
+        assert_eq!(guard.plan().injected(), 1, "{kind}");
+        drop(guard);
+        assert_eq!(std::fs::read(wal_path(&path)).unwrap(), log, "{kind}: the log is untouched");
+        if kind == "eio" {
+            assert!(room_region(&path, &config) == crashed, "no room page was written");
+        }
+
+        let recovered = GssSketch::open_file(&path, 64).unwrap();
+        let unfaulted = GssSketch::open_file(&reference, 64).unwrap();
+        assert_eq!(recovered.items_inserted(), 3000);
+        assert_eq!(recovered.items_inserted(), unfaulted.items_inserted());
+        drop((recovered, unfaulted));
+        assert!(room_region(&reference, &config) != crashed, "recovery replayed rooms");
+        let same = room_region(&path, &config) == room_region(&reference, &config);
+        assert!(same, "{kind}: the same room region as an unfaulted recovery");
+        remove(&path);
+        remove(&reference);
+    }
 }

@@ -72,14 +72,15 @@ impl FileStore {
     /// Checkpoints the file: logs the tail image of `buffer` and `node_map`, flushes the
     /// write-ahead log and every dirty page, rewrites the tail, updates the header
     /// (counters, section lengths/CRCs, clean flag) and truncates the log.  After this
-    /// the file reopens via [`FileStore::open`] with no replay.
+    /// the file reopens via [`GssSketch::open_file`](crate::GssSketch::open_file) with no
+    /// replay.
     ///
     /// A clean store (nothing logged since the last checkpoint, same `items`) returns
     /// immediately without encoding anything: every change to the buffer or the node
     /// table is logged, so a clean log means the tail on disk is current.
     /// Checkpoints run with no concurrent *mutators* (the sketch reaches them through
     /// `&mut self` paths); concurrent readers are safe throughout.
-    pub fn checkpoint(
+    pub(crate) fn checkpoint(
         &self,
         items: u64,
         buffer: &LeftoverBuffer,

@@ -15,7 +15,9 @@
 //!   share one cadence instead of N, and the knob bounds how far a power loss (not just a
 //!   kill) can rewind the stream.
 //! * **The sweep runs off the commit path.**  Under a non-zero knob a background thread
-//!   (`gss-group-sync`) sweeps; under a zero knob every led round sweeps inline.
+//!   (`gss-group-sync`) sweeps; under a zero knob every led round sweeps inline.  The
+//!   thread starts when the first log registers, so a coordinator with no log — the one
+//!   every in-memory sketch carries — never starts one.
 //!
 //! ## Ownership
 //!
@@ -76,12 +78,16 @@ struct CadenceState {
 /// shards of a [`ShardedGss`](crate::ShardedGss) share one).
 ///
 /// With a non-zero [`GroupCommit`] knob the cadence sweep runs on a dedicated background
-/// thread (`gss-group-sync`), so commits pay only their positioned arena `write(2)`.  A
-/// zero knob (either field) sweeps inline, syncing every led round.
-pub struct GroupCommitter {
+/// thread (`gss-group-sync`), started when the first log registers, so commits pay only
+/// their positioned arena `write(2)` and a coordinator without a log — every in-memory
+/// sketch has one — costs no thread.  A zero knob (either field) sweeps inline, syncing
+/// every led round.
+pub(crate) struct GroupCommitter {
     pub(crate) cadence: Arc<Cadence>,
-    /// The cadence thread; `None` under a zero knob (inline sweeps).
-    thread: Option<std::thread::JoinHandle<()>>,
+    /// The cadence thread; `None` until a log registers under a non-zero knob, and
+    /// forever under a zero knob (inline sweeps).  Leaf mutex, held only to start or
+    /// take the handle.
+    thread: StdMutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 pub(crate) fn unpoison<T>(result: Result<T, PoisonError<T>>) -> T {
@@ -91,9 +97,9 @@ pub(crate) fn unpoison<T>(result: Result<T, PoisonError<T>>) -> T {
 }
 
 impl GroupCommitter {
-    /// Creates a coordinator with the given scheduling knob, spawning the cadence thread
-    /// unless the knob is zero (sync-every-round semantics need no cadence).
-    pub fn new(knob: GroupCommit) -> Arc<Self> {
+    /// Creates a coordinator with the given scheduling knob.  No thread starts here: the
+    /// cadence thread starts with the first [`register`](Self::register)ed log.
+    pub(crate) fn new(knob: GroupCommit) -> Arc<Self> {
         let cadence = Arc::new(Cadence {
             knob,
             group: StdMutex::new(Vec::new()),
@@ -103,14 +109,28 @@ impl GroupCommitter {
             bytes_since_sync: AtomicU64::new(0),
             last_sync_micros: AtomicU64::new(0),
         });
-        let thread = cadence.threaded().then(|| {
-            let cadence = Arc::clone(&cadence);
-            std::thread::Builder::new()
-                .name("gss-group-sync".into())
-                .spawn(move || cadence.run())
-                .expect("spawn the group-commit cadence thread")
-        });
-        Arc::new(Self { cadence, thread })
+        Arc::new(Self { cadence, thread: StdMutex::new(None) })
+    }
+
+    /// Adds a log to the sweep, first starting the cadence thread if the knob is non-zero
+    /// and no earlier log started it.
+    ///
+    /// # Errors
+    /// The I/O error of a failed thread spawn; the log is then not registered.
+    pub(crate) fn register(&self, wal: &Arc<Wal>) -> io::Result<()> {
+        if self.cadence.threaded() {
+            let mut thread = unpoison(self.thread.lock());
+            if thread.is_none() {
+                let cadence = Arc::clone(&self.cadence);
+                *thread = Some(
+                    std::thread::Builder::new()
+                        .name("gss-group-sync".into())
+                        .spawn(move || cadence.run())?,
+                );
+            }
+        }
+        self.cadence.register(wal);
+        Ok(())
     }
 }
 
@@ -121,7 +141,7 @@ impl Cadence {
     }
 
     /// Adds a log to the sweep.
-    pub(crate) fn register(&self, wal: &Arc<Wal>) {
+    fn register(&self, wal: &Arc<Wal>) {
         let _group_held = witness::acquire(LockClass::GroupCommit);
         unpoison(self.group.lock()).push(Arc::downgrade(wal));
     }
@@ -197,7 +217,7 @@ impl Cadence {
 
 impl Drop for GroupCommitter {
     fn drop(&mut self) {
-        if let Some(thread) = self.thread.take() {
+        if let Some(thread) = unpoison(self.thread.get_mut()).take() {
             unpoison(self.cadence.state.lock()).shutdown = true;
             self.cadence.wake.notify_all();
             let _ = thread.join();
@@ -254,6 +274,32 @@ mod tests {
         let wal = Wal::open(&path, None, true, Arc::clone(&counters), Arc::clone(&health), group)
             .expect("open wal");
         Log { wal, counters, health, path }
+    }
+
+    /// Whether `committer` holds a cadence thread.
+    fn holds_thread(committer: &GroupCommitter) -> bool {
+        unpoison(committer.thread.lock()).is_some()
+    }
+
+    #[test]
+    fn the_cadence_thread_starts_with_the_first_log_and_drop_joins_it() {
+        let committer = GroupCommitter::new(GroupCommit::default());
+        assert!(!holds_thread(&committer), "a coordinator without a log starts no thread");
+        let cadence = Arc::clone(&committer.cadence);
+        let first = log("lifecycle-a", &committer);
+        assert!(holds_thread(&committer), "the first log starts the cadence thread");
+        let second = log("lifecycle-b", &committer);
+        assert!(holds_thread(&committer));
+        drop((first, second));
+        // The cadence thread holds the cadence until it exits: once the coordinator is
+        // dropped only the test does, so the thread has exited, not merely been told to.
+        drop(committer);
+        assert_eq!(Arc::strong_count(&cadence), 1, "drop joins the cadence thread");
+
+        let zero = GroupCommitter::new(GroupCommit { max_delay_us: 0, max_bytes: 0 });
+        let member = log("lifecycle-zero", &zero);
+        assert!(!holds_thread(&zero), "a zero knob sweeps inline and never starts a thread");
+        drop(member);
     }
 
     #[test]

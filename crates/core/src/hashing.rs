@@ -178,11 +178,6 @@ impl NodeHasher {
         }
     }
 
-    /// The value range `M = m × F` of the map function.
-    pub fn hash_range(&self) -> u64 {
-        self.width * self.fingerprint_range
-    }
-
     /// 64-bit mix underlying `H(·)` (a SplitMix64 finaliser keyed by the sketch seed).
     fn mix(&self, vertex: u64) -> u64 {
         let mut z = vertex.wrapping_add(self.seed).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -196,7 +191,7 @@ impl NodeHasher {
     /// Division-free: with `F = 2^b`, `n mod m·F = ((n ≫ b) mod m)·F + (n mod F)`, and the
     /// 63-bit quotient `n ≫ b` reduces modulo the width in two reciprocal mul-shifts
     /// (split at 32 bits so each step stays inside the `Reciprocal` exactness bound).
-    pub fn hash_vertex(&self, vertex: u64) -> u64 {
+    pub(crate) fn hash_vertex(&self, vertex: u64) -> u64 {
         let n = self.mix(vertex);
         let low = n & (self.fingerprint_range - 1);
         let t = n >> self.fingerprint_shift;
@@ -211,7 +206,7 @@ impl NodeHasher {
 
     /// Splits a full hash into address and fingerprint (`h(v) = ⌊H/F⌋`, `f(v) = H mod F`).
     /// `F` is a power of two, so the split is a shift and a mask.
-    pub fn split(&self, hash: u64) -> HashedNode {
+    pub(crate) fn split(&self, hash: u64) -> HashedNode {
         HashedNode {
             hash,
             address: (hash >> self.fingerprint_shift) as usize,
@@ -315,6 +310,13 @@ impl NodeHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NodeHasher {
+        /// The value range `M = m × F` of the map function.
+        fn hash_range(&self) -> u64 {
+            self.width * self.fingerprint_range
+        }
+    }
 
     fn hasher(width: usize, fingerprint_bits: u32) -> NodeHasher {
         NodeHasher::new(&GssConfig::paper_default(width).with_fingerprint_bits(fingerprint_bits))

@@ -24,7 +24,7 @@
 //! folds duplicate keys before probing, and [`ShardedGss`] runs ingest over several
 //! sketch shards with per-shard locks for concurrent writers.
 //!
-//! The sketch itself is the [`sketch`] module, split along the paper's procedures: the
+//! The sketch itself, [`GssSketch`], lives in the `sketch` module, split along the paper's procedures: the
 //! struct and its lifecycle, the write path (`sketch/ingest.rs`) and the read path
 //! (`sketch/query.rs`: the edge lookup and the one neighbour scan both 1-hop queries
 //! share).  A room is identified inside its bucket by a [`RoomKey`] — the fingerprint pair
@@ -37,6 +37,17 @@
 //! [`GssSketch::open_file`].
 //! Snapshots stream ([`GssSketch::write_snapshot_to`] / [`GssSketch::read_snapshot_from`])
 //! and share the same fixed-size room-record layout as the sketch file.
+//!
+//! ## One way in
+//!
+//! Every module is private; what callers use is re-exported here, so rustc's dead-code
+//! lint sees every item nothing reaches.  Each sketch shape has one public constructor
+//! per way in: [`GssSketch::new`], [`GssSketch::with_storage`] and
+//! [`GssSketch::open_file`]; [`ShardedGss::new`], [`ShardedGss::with_storage`] and
+//! [`ShardedGss::open_sharded`].  Every other knob — the group-commit cadence of a
+//! file-backed sketch's log, its checkpoint size — is set through [`GssBuilder`].  The
+//! group-commit coordinator is internal: its sync thread starts when a sketch file's
+//! log registers with it, so an in-memory sketch starts no thread.
 //!
 //! ## Quick start
 //!
@@ -59,40 +70,36 @@
 //! assert_eq!(sharded.edge_weight(7, 8), Some(1));
 //! ```
 
-pub mod buffer;
-pub mod builder;
-pub mod concurrent;
-pub mod config;
-pub mod error;
-pub mod file_store;
-pub mod group_commit;
-pub mod hashing;
-pub mod matrix;
-pub mod merge;
-pub mod metrics;
-pub mod node_map;
-pub mod pager;
-pub mod persistence;
-pub mod sketch;
-pub mod stats;
-pub mod storage;
-pub mod wal;
+mod buffer;
+mod builder;
+mod concurrent;
+mod config;
+mod error;
+mod file_store;
+mod group_commit;
+mod hashing;
+mod matrix;
+mod merge;
+mod metrics;
+mod node_map;
+mod pager;
+mod persistence;
+mod sketch;
+mod stats;
+mod storage;
+mod wal;
 
 pub use builder::GssBuilder;
 pub use concurrent::ShardedGss;
-pub use config::{
-    Durability, GroupCommit, GssConfig, MAX_FINGERPRINT_BITS, MAX_ROOMS_PER_BUCKET,
-    MAX_SEQUENCE_LENGTH, MAX_TOTAL_ROOMS, MAX_WIDTH,
-};
-pub use error::{ConfigError, DurabilityReport, GssError, StoreFault, StoreHealth};
-pub use file_store::{FileStore, FlushHook, FlushPoint};
-pub use group_commit::GroupCommitter;
+pub use config::{Durability, GroupCommit, GssConfig, MAX_SEQUENCE_LENGTH};
+pub use error::{ConfigError, DurabilityReport, GssError, StoreFault};
+pub use file_store::{FileStore, FlushHook, FlushPoint, FILE_MAGIC_V1};
 pub use hashing::{HashedNode, NodeHasher};
 pub use matrix::{MemoryStore, RoomKey};
-pub use merge::HashedEdge;
 pub use pager::faults::{
     install as install_fault_plan, FaultGuard, FaultKind, FaultOp, FaultPlan, FaultSite,
 };
+pub use pager::{witness, PAGE_BYTES};
 pub use persistence::PersistenceError;
 pub use sketch::GssSketch;
 pub use stats::GssStats;
@@ -100,3 +107,4 @@ pub use storage::{
     naive_probe_bucket, naive_scan_column, naive_scan_row, BucketProbe, RoomStorage,
     StorageBackend, ROOM_RECORD_BYTES,
 };
+pub use wal::{crc32, wal_path, Crc32};

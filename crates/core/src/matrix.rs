@@ -40,7 +40,7 @@ pub struct Room {
 
 /// What identifies a sketch edge inside its bucket: the fingerprint pair and the index
 /// pair — exactly bytes `0..6` of the shared 16-byte room record
-/// ([`crate::storage::encode_room`]).  Ingest, the edge query and restore all build one
+/// (`storage::encode_room`).  Ingest, the edge query and restore all build one
 /// of these per candidate bucket and hand it to the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoomKey {
@@ -56,8 +56,8 @@ pub struct RoomKey {
 
 impl RoomKey {
     /// An occupied room holding this edge at `weight` — the one place an occupied
-    /// [`Room`] is made.
-    pub fn room(self, weight: i64) -> Room {
+    /// `Room` is made.
+    pub(crate) fn room(self, weight: i64) -> Room {
         Room {
             source_fingerprint: self.source_fingerprint,
             destination_fingerprint: self.destination_fingerprint,
@@ -84,21 +84,21 @@ impl Room {
     /// Returns `true` if this room holds the edge identified by `key` (the match test of
     /// the edge-update and edge-query procedures).
     #[inline]
-    pub fn matches(&self, key: RoomKey) -> bool {
+    pub(crate) fn matches(&self, key: RoomKey) -> bool {
         self.occupied && self.key() == key
     }
 
     /// The source half of the key, `(f(s), i_s)`: what a successor scan filters on and a
     /// precursor scan recovers the neighbour from.
     #[inline]
-    pub fn source_half(&self) -> (u16, u8) {
+    pub(crate) fn source_half(&self) -> (u16, u8) {
         (self.source_fingerprint, self.source_index)
     }
 
     /// The destination half of the key, `(f(d), i_d)` — the mirror of
     /// [`source_half`](Self::source_half).
     #[inline]
-    pub fn destination_half(&self) -> (u16, u8) {
+    pub(crate) fn destination_half(&self) -> (u16, u8) {
         (self.destination_fingerprint, self.destination_index)
     }
 }
@@ -124,7 +124,7 @@ impl std::fmt::Debug for MemoryStore {
 
 impl MemoryStore {
     /// Allocates an empty matrix of `width × width` buckets with `rooms_per_bucket` rooms.
-    pub fn new(width: usize, rooms_per_bucket: usize) -> Self {
+    pub(crate) fn new(width: usize, rooms_per_bucket: usize) -> Self {
         let grid = RoomGrid::new(Layout { width, rooms: rooms_per_bucket });
         // All-zero records decode as empty rooms, so the zeroed allocation is the format.
         let region = vec![[0u8; PAGE_BYTES]; grid.layout.pages()].into_boxed_slice();

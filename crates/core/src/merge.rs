@@ -34,7 +34,7 @@ impl GssSketch {
     /// order, then the buffered edges sorted by `(source, destination)` — a fixed order,
     /// because replaying them (as [`merge_from`](Self::merge_from) does) places edges
     /// in order.
-    pub fn hashed_edges(&self) -> Vec<HashedEdge> {
+    pub(crate) fn hashed_edges(&self) -> Vec<HashedEdge> {
         let mut edges = Vec::with_capacity(self.stored_edges());
         let recover = |position, (fingerprint, index): (u16, u8)| {
             self.hasher().recover_hash(position, fingerprint, index.into())
@@ -64,7 +64,7 @@ impl GssSketch {
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the configurations differ.
-    pub fn merge_from(&mut self, other: &GssSketch) -> Result<(), ConfigError> {
+    pub(crate) fn merge_from(&mut self, other: &GssSketch) -> Result<(), ConfigError> {
         if self.config() != other.config() {
             return Err(ConfigError::new(format!(
                 "cannot merge sketches with different configurations ({:?} vs {:?})",
@@ -86,7 +86,10 @@ impl GssSketch {
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the sketches do not all share `config`.
-    pub fn merge_all(config: GssConfig, sketches: &[GssSketch]) -> Result<GssSketch, ConfigError> {
+    pub(crate) fn merge_all(
+        config: GssConfig,
+        sketches: &[GssSketch],
+    ) -> Result<GssSketch, ConfigError> {
         let mut merged = GssSketch::new(config)?;
         for sketch in sketches {
             merged.merge_from(sketch)?;

@@ -171,11 +171,6 @@ impl NodeIdMap {
         self.used + self.side.len()
     }
 
-    /// Returns `true` if no vertex has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Number of hash values onto which at least two vertices collide.
     pub fn colliding_hashes(&self) -> usize {
         self.colliding
@@ -231,6 +226,13 @@ fn cluster_order(slots: &[Slot]) -> impl Iterator<Item = Slot> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NodeIdMap {
+        /// Returns `true` if no vertex has been registered.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     #[test]
     fn register_and_lookup() {

@@ -50,9 +50,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// The I/O operation classes a plan can target, matching [`PageFile`]'s surface.
-///
-/// [`PageFile`]: crate::pager::page_file::PageFile
+/// The I/O operation classes a plan can target, matching `PageFile`'s surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
     /// Positioned reads (`read_exact_at`).
@@ -122,11 +120,6 @@ impl FaultKind {
             _ => None,
         }
     }
-
-    /// Whether the page layer may retry the operation (bounded) instead of failing.
-    pub fn is_transient(self) -> bool {
-        matches!(self, FaultKind::Eintr | FaultKind::ShortRead)
-    }
 }
 
 /// One scheduled failure: the `at`-th occurrence (1-based) of `op` fails with `kind`.
@@ -140,7 +133,7 @@ pub struct FaultSite {
     pub at: u64,
 }
 
-/// A deterministic fault schedule, shared by every [`PageFile`](super::page_file::PageFile) it matched at open
+/// A deterministic fault schedule, shared by every `PageFile` it matched at open
 /// time.  Occurrence counters are *plan-global*: a plan matching both the sketch file
 /// and its log counts their operations together, which keeps single-threaded harness
 /// runs deterministic.
@@ -155,7 +148,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan applying to every file opened while it is installed.
-    pub fn new(sites: Vec<FaultSite>) -> Self {
+    pub(crate) fn new(sites: Vec<FaultSite>) -> Self {
         Self { path_token: None, sites, ..Self::default() }
     }
 
@@ -210,7 +203,7 @@ impl FaultPlan {
     }
 
     /// Counts one occurrence of `op` and returns the fault scheduled for it, if any.
-    pub fn next(&self, op: FaultOp) -> Option<FaultKind> {
+    pub(crate) fn next(&self, op: FaultOp) -> Option<FaultKind> {
         // relaxed: the counter orders nothing; determinism comes from the caller's
         // own operation order (single fetch_add per I/O call).
         let occurrence = self.counts[op.index()].fetch_add(1, Ordering::Relaxed) + 1;
@@ -319,6 +312,13 @@ pub fn plan_for(path: &Path) -> Option<Arc<FaultPlan>> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+
+    impl FaultKind {
+        /// Whether the page layer may retry the operation (bounded) instead of failing.
+        fn is_transient(self) -> bool {
+            matches!(self, FaultKind::Eintr | FaultKind::ShortRead)
+        }
+    }
 
     #[test]
     fn parse_accepts_the_grammar_and_rejects_junk() {

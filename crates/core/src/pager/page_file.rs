@@ -71,6 +71,11 @@ impl PageFile {
         Self { file, faults: plan_for(path), counters }
     }
 
+    /// The counter set this handle counts into — its owning store's.
+    pub(crate) fn counters(&self) -> &Arc<StoreCounters> {
+        &self.counters
+    }
+
     fn next_fault(&self, op: FaultOp) -> Option<FaultKind> {
         let kind = self.faults.as_ref()?.next(op);
         if kind.is_some() {

@@ -14,7 +14,7 @@
 //! legitimately holds a stripe mutex and a page latch while draining the WAL.  The one
 //! deliberate inversion — `PageCache::lookup`'s error path takes a stripe mutex while
 //! the *fresh, pinned* slot's latch is held — is registered through
-//! [`acquire_declared`], which records the edge for reporting but excludes it from the
+//! `acquire_declared`, which records the edge for reporting but excludes it from the
 //! cycle check (mirroring the static `gss-lint: allow(L001, ...)` waiver at the same
 //! site).  Same-class nesting is a self-edge and flags immediately.
 //!
@@ -57,10 +57,12 @@ pub enum LockClass {
     NamespaceRegistry = 7,
 }
 
-pub const CLASS_COUNT: usize = 8;
+pub(crate) const CLASS_COUNT: usize = 8;
 
 impl LockClass {
-    pub fn name(self) -> &'static str {
+    /// The class's name in the witness's panic messages (armed builds only).
+    #[cfg(debug_assertions)]
+    fn name(self) -> &'static str {
         match self {
             LockClass::Shard => "Shard",
             LockClass::CheckpointState => "CheckpointState",
@@ -99,13 +101,13 @@ pub struct Held {
 /// Wraps a real lock guard together with its witness token so functions can hand both
 /// back as one value; dereferences to the guard's target.
 #[derive(Debug)]
-pub struct Tracked<G> {
+pub(crate) struct Tracked<G> {
     _held: Held,
     guard: G,
 }
 
 impl<G> Tracked<G> {
-    pub fn new(held: Held, guard: G) -> Self {
+    pub(crate) fn new(held: Held, guard: G) -> Self {
         Self { _held: held, guard }
     }
 }
@@ -204,7 +206,7 @@ pub fn acquire(class: LockClass) -> Held {
 /// where the held latch belongs to a freshly inserted slot that is pinned by a strong
 /// reference and therefore can never be the eviction victim on another thread.
 #[inline]
-pub fn acquire_declared(class: LockClass) -> Held {
+pub(crate) fn acquire_declared(class: LockClass) -> Held {
     imp::register(class, true)
 }
 

@@ -432,7 +432,7 @@ impl GssSketch {
     /// [`try_insert`](Self::try_insert)).  On an error the batch may be partially
     /// applied and is **not** acknowledged; the store rejects all further writes with
     /// the same sticky cause.
-    pub fn try_insert_batch(&mut self, items: &[StreamEdge]) -> Result<(), GssError> {
+    pub(crate) fn try_insert_batch(&mut self, items: &[StreamEdge]) -> Result<(), GssError> {
         if self.insert_batch_staged(items)? {
             self.commit_wal()?;
         }
@@ -448,7 +448,7 @@ impl SummaryWrite for GssSketch {
             .unwrap_or_else(|error| panic!("sketch write failed: {error}"));
     }
 
-    /// [`try_insert_batch`](GssSketch::try_insert_batch) plus a panic (see
+    /// `try_insert_batch` plus a panic (see
     /// [`insert`](SummaryWrite::insert)).
     fn insert_batch(&mut self, items: &[StreamEdge]) {
         self.try_insert_batch(items).unwrap_or_else(|error| panic!("sketch write failed: {error}"));

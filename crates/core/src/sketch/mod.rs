@@ -50,7 +50,7 @@ use std::sync::Arc;
 /// owned by the original and checkpointed by [`sync`](Self::sync) (also run on drop).
 ///
 /// File-backed sketches are crash-consistent: every mutation is write-ahead logged
-/// (see [`crate::wal`]) and the log is drained before an insert returns, so a killed
+/// (see the `wal` module) and the log is drained before an insert returns, so a killed
 /// process reopens its sketch file via [`open_file`](Self::open_file) having lost
 /// nothing acknowledged.
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ impl GssSketch {
     ///
     /// # Errors
     /// As [`with_storage`](Self::with_storage).
-    pub fn with_storage_grouped(
+    pub(crate) fn with_storage_grouped(
         config: GssConfig,
         storage: StorageBackend,
         group: Arc<GroupCommitter>,
@@ -103,7 +103,7 @@ impl GssSketch {
                 RoomStorage::Memory(MemoryStore::new(config.width, config.rooms))
             }
             StorageBackend::File { path, cache_pages } => RoomStorage::File(Box::new(
-                FileStore::create_grouped(&path, &config, cache_pages, group).map_err(|error| {
+                FileStore::create(&path, &config, cache_pages, group).map_err(|error| {
                     ConfigError::new(format!(
                         "cannot create sketch file {}: {error}",
                         path.display()
@@ -135,12 +135,13 @@ impl GssSketch {
     /// occupancy-flag reads), then decodes only the buffer and node table.
     ///
     /// An **unclean** file (the process died before its last checkpoint) is recovered by
-    /// replaying the write-ahead log — see [`crate::wal`]; only an unclean file with no
+    /// replaying the write-ahead log — see the `wal` module; only an unclean file with no
     /// usable log is rejected.
     ///
     /// The file (and its log) must not be open in any other process: recovery mutates,
-    /// so opening a *live* ingester's file would corrupt it — see the single-opener
-    /// contract in [`crate::file_store::open`].  Use snapshots to share live state.
+    /// so opening a *live* ingester's file would corrupt it.  A second opener is refused
+    /// with an I/O error naming the owning process while the first holds the file's
+    /// `<path>.lock` sidecar.  Use snapshots to share live state.
     ///
     /// # Errors
     /// Returns a [`PersistenceError`] if the file is missing, truncated, from a different
@@ -154,14 +155,14 @@ impl GssSketch {
     ///
     /// # Errors
     /// As [`open_file`](Self::open_file).
-    pub fn open_file_grouped(
+    pub(crate) fn open_file_grouped(
         path: impl AsRef<Path>,
         cache_pages: usize,
         group: Arc<GroupCommitter>,
     ) -> Result<Self, PersistenceError> {
         // The store decoded the tail before returning, so nothing below can fail: a
         // rejected file never gets a half-built sketch whose drop would checkpoint over it.
-        let (store, header) = FileStore::open_grouped(path.as_ref(), cache_pages, group)?;
+        let (store, header) = FileStore::open(path.as_ref(), cache_pages, group)?;
         let mut sketch = Self::from_parts(header.config, RoomStorage::File(Box::new(store)));
         sketch.buffer = header.buffer;
         sketch.node_map = header.node_map;
@@ -183,7 +184,7 @@ impl GssSketch {
 
     /// Checkpoints a file-backed sketch: logs the tail image to the write-ahead log,
     /// flushes dirty pages, rewrites the tail, marks the file clean and truncates the
-    /// log (see [`FileStore::checkpoint`]).  A sketch unchanged since its last checkpoint
+    /// log (see `FileStore::checkpoint`).  A sketch unchanged since its last checkpoint
     /// returns without touching the file; a no-op for in-memory sketches.  Runs
     /// automatically on drop (ignoring errors there — call `sync` explicitly when
     /// durability must be confirmed).
@@ -217,11 +218,6 @@ impl GssSketch {
     /// [`RoomStorage::as_file`]).
     pub fn room_storage(&self) -> &RoomStorage {
         &self.matrix
-    }
-
-    /// Builds a sketch with the paper's default parameters at the given matrix width.
-    pub fn with_width(width: usize) -> Self {
-        Self::new(GssConfig::paper_default(width)).expect("paper defaults are valid")
     }
 
     /// The configuration this sketch was built with.
@@ -261,7 +257,7 @@ impl GssSketch {
     }
 
     /// Detailed structural statistics.  The runtime fields of a file-backed sketch are
-    /// read straight from its store's [`StoreCounters`]; an in-memory sketch has no
+    /// read straight from its store's `StoreCounters`; an in-memory sketch has no
     /// store, so it reads an idle set and reports them all as 0.
     pub fn detailed_stats(&self) -> GssStats {
         let (file, idle) = (self.matrix.as_file(), StoreCounters::default());
@@ -300,12 +296,12 @@ impl GssSketch {
     /// Memory footprint in bytes under the paper's storage layout (matrix + buffer,
     /// excluding the optional node-id table).  This is the quantity the equal-memory
     /// comparisons of Section VII are based on.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.config.matrix_bytes() + self.buffer.bytes()
     }
 
     /// Overrides the write-ahead-log size at which the sketch checkpoints itself during
-    /// ingest (default [`crate::config::WAL_CHECKPOINT_BYTES`]; clamped to at least 1).
+    /// ingest (default `WAL_CHECKPOINT_BYTES`; clamped to at least 1).
     pub fn set_wal_checkpoint_bytes(&mut self, bytes: u64) {
         self.wal_checkpoint_bytes = bytes.max(1);
     }

@@ -101,7 +101,7 @@ fn probe_count_matches_effective_candidates() {
 
 #[test]
 fn duplicate_items_accumulate_instead_of_duplicating() {
-    let mut sketch = GssSketch::with_width(32);
+    let mut sketch = GssSketch::new(GssConfig::paper_default(32)).unwrap();
     for _ in 0..10 {
         sketch.insert(5, 9, 2);
     }
@@ -111,7 +111,7 @@ fn duplicate_items_accumulate_instead_of_duplicating() {
 
 #[test]
 fn deletions_subtract_weight() {
-    let mut sketch = GssSketch::with_width(32);
+    let mut sketch = GssSketch::new(GssConfig::paper_default(32)).unwrap();
     sketch.insert(1, 2, 10);
     sketch.insert(1, 2, -4);
     assert_eq!(sketch.edge_weight(1, 2), Some(6));
@@ -182,7 +182,7 @@ fn stats_track_structure_sizes() {
 
 #[test]
 fn name_reflects_configuration() {
-    let sketch = GssSketch::with_width(100);
+    let sketch = GssSketch::new(GssConfig::paper_default(100)).unwrap();
     assert!(sketch.name().contains("fsize=16"));
     assert!(sketch.name().contains("w=100"));
     let basic = GssSketch::new(GssConfig::basic(10)).unwrap();
@@ -247,7 +247,7 @@ fn insert_batch_is_observationally_identical_to_per_item_insert() {
 
 #[test]
 fn insert_batch_folds_duplicates_and_counts_every_item() {
-    let mut sketch = GssSketch::with_width(32);
+    let mut sketch = GssSketch::new(GssConfig::paper_default(32)).unwrap();
     let items: Vec<StreamEdge> = (0..10).map(|t| StreamEdge::new(5, 9, t, 2)).collect();
     sketch.insert_batch(&items);
     assert_eq!(sketch.edge_weight(5, 9), Some(20));
@@ -257,7 +257,7 @@ fn insert_batch_folds_duplicates_and_counts_every_item() {
 
 #[test]
 fn empty_and_singleton_batches_behave_like_per_item_inserts() {
-    let mut sketch = GssSketch::with_width(16);
+    let mut sketch = GssSketch::new(GssConfig::paper_default(16)).unwrap();
     sketch.insert_batch(&[]);
     assert_eq!(sketch.items_inserted(), 0);
     sketch.insert_batch(&[StreamEdge::new(1, 2, 0, 7)]);

@@ -35,7 +35,7 @@ pub struct GssStats {
     pub buffer_bytes: usize,
     /// Heap bytes the `⟨H(v), v⟩` reverse table holds: its slot capacity × 16, the
     /// allocation itself rather than an estimate from the entry count (see
-    /// [`NodeIdMap::bytes`](crate::node_map::NodeIdMap::bytes)).
+    /// `NodeIdMap::bytes`).
     pub node_map_bytes: usize,
     /// Number of distinct original vertices registered in the reverse table.
     pub distinct_hashed_nodes: usize,
@@ -72,7 +72,7 @@ pub struct GssStats {
     /// Transient I/O errors (`EINTR`, short reads) absorbed by the pager's bounded
     /// retry loop instead of surfacing to callers.
     pub io_retries: u64,
-    /// Faults injected by the deterministic fault plan ([`crate::pager::faults`]);
+    /// Faults injected by the deterministic fault plan ([`FaultPlan`](crate::FaultPlan));
     /// always 0 outside fault-injection runs.
     pub injected_faults: u64,
     /// 1 when the store has fail-stopped (sticky poisoned state after an unrecoverable
@@ -90,7 +90,7 @@ impl GssStats {
     /// (they are per shard), `buffer_percentage` is recomputed from the summed edge counts
     /// and `matrix_load_factor` is the room-weighted mean (`matrix_bytes` is proportional
     /// to the room count).  A vertex hashed in several shards is counted once per shard.
-    pub fn merged_with(&self, other: &GssStats) -> GssStats {
+    pub(crate) fn merged_with(&self, other: &GssStats) -> GssStats {
         let (matrix_edges, buffered_edges) =
             (self.matrix_edges + other.matrix_edges, self.buffered_edges + other.buffered_edges);
         let stored = matrix_edges + buffered_edges;

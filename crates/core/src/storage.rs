@@ -585,7 +585,7 @@ pub enum StorageBackend {
 impl StorageBackend {
     /// Convenience constructor for the file backend with the default cache size
     /// ([`FileStore::DEFAULT_CACHE_PAGES`]).
-    pub fn file(path: impl Into<PathBuf>) -> Self {
+    pub(crate) fn file(path: impl Into<PathBuf>) -> Self {
         Self::File { path: path.into(), cache_pages: FileStore::DEFAULT_CACHE_PAGES }
     }
 
@@ -665,10 +665,10 @@ pub fn naive_probe_bucket(
 /// readers fanning out across all shards.
 ///
 /// **Failure contract**: the three write-path methods — [`probe_bucket`](Self::probe_bucket),
-/// [`add_weight`](Self::add_weight) and [`store_room`](Self::store_room) — return
+/// `add_weight` and `store_room` — return
 /// `Result<_, StoreFault>`.  The in-memory backend always answers `Ok`; the file backend
 /// health-gates each call and returns its sticky fail-stop cause (see
-/// [`crate::error::StoreHealth`]), which is how
+/// `StoreHealth`), which is how
 /// [`GssSketch::try_insert`](crate::GssSketch::try_insert) surfaces typed errors.
 #[derive(Debug)]
 pub enum RoomStorage {
@@ -689,7 +689,7 @@ macro_rules! dispatch {
 
 impl RoomStorage {
     /// Which backend this is, for stats and display.
-    pub fn backend_name(&self) -> &'static str {
+    pub(crate) fn backend_name(&self) -> &'static str {
         match self {
             Self::Memory(_) => "memory",
             Self::File(_) => "file",
@@ -724,12 +724,12 @@ impl RoomStorage {
     }
 
     /// Total number of rooms (`m² × l`).
-    pub fn room_count(&self) -> usize {
+    pub(crate) fn room_count(&self) -> usize {
         self.grid().layout.room_count()
     }
 
     /// Fraction of rooms occupied.
-    pub fn load_factor(&self) -> f64 {
+    pub(crate) fn load_factor(&self) -> f64 {
         match self.room_count() {
             0 => 0.0,
             rooms => self.occupied_rooms() as f64 / rooms as f64,
@@ -765,7 +765,7 @@ impl RoomStorage {
     }
 
     /// Adds `weight` to the (occupied) room at `slot` of bucket `(row, column)`.
-    pub fn add_weight(
+    pub(crate) fn add_weight(
         &mut self,
         row: usize,
         column: usize,
@@ -776,7 +776,7 @@ impl RoomStorage {
     }
 
     /// Writes a fresh edge into the (empty) room at `slot` of bucket `(row, column)`.
-    pub fn store_room(
+    pub(crate) fn store_room(
         &mut self,
         row: usize,
         column: usize,
@@ -1035,7 +1035,8 @@ mod tests {
         // l = 3 makes buckets straddle pages (bucket (2, 21) does); a 2-page cache evicts
         // dirty pages between the rows written below.
         let config = GssConfig { rooms: 3, ..GssConfig::paper_default(32) };
-        let file = FileStore::create(&path, &config, 2).unwrap();
+        let group = crate::group_commit::GroupCommitter::new(Default::default());
+        let file = FileStore::create(&path, &config, 2, group).unwrap();
         let mut stores =
             [RoomStorage::Memory(MemoryStore::new(32, 3)), RoomStorage::File(Box::new(file))];
         let key = |n: u16| RoomKey { source_fingerprint: n, ..SAMPLE_KEY };

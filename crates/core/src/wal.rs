@@ -364,7 +364,9 @@ impl std::fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// Opens the log at `path` and registers it with `group`'s cadence.  `keep` is `None`
+    /// Opens the log at `path` and registers it with `group`'s cadence, which starts the
+    /// coordinator's cadence thread if this is its first log (a failed spawn is this
+    /// call's error).  `keep` is `None`
     /// for an empty log, or the prefix recovery keeps ([`WalReplay::valid_bytes`]): any
     /// torn suffix is cut off, so the recovery checkpoint's `TAIL` frame lands right behind
     /// the frames it supersedes — a second replay would stop at the tear otherwise.  The
@@ -402,7 +404,7 @@ impl Wal {
             pending_acks: StdMutex::new(BTreeMap::new()),
             cadence: Arc::clone(&group.cadence),
         });
-        group.cadence.register(&wal);
+        group.register(&wal)?;
         Ok(wal)
     }
 

@@ -1,9 +1,9 @@
 //! Construction of the summaries compared in the figures, with the paper's sizing rules.
 //!
-//! Every GSS sketch built here honours the `GSS_STORAGE` environment variable (see
-//! [`crate::scale::storage_backend_from_env`]): `GSS_STORAGE=file` runs the whole figure
-//! suite on the paged file backend, which is how `GSS_SCALE=paper` matrices larger than
-//! RAM are exercised.
+//! Every GSS sketch a figure builds comes from [`build_gss`], so every one honours the
+//! `GSS_STORAGE` environment variable (see [`crate::scale::storage_backend_from_env`]):
+//! `GSS_STORAGE=file` runs the whole figure suite on the paged file backend, which is how
+//! `GSS_SCALE=paper` matrices larger than RAM are exercised.
 
 use crate::scale::{storage_backend_from_env, ExperimentScale};
 use gss_analysis::tcm_width_for_ratio;
@@ -26,21 +26,12 @@ pub fn gss_config_for(dataset: SyntheticDataset, width: usize, fingerprint_bits:
     base.with_fingerprint_bits(fingerprint_bits)
 }
 
-/// Builds the GSS sketch the paper evaluates for a dataset/width/fingerprint combination,
-/// on the storage backend selected by `GSS_STORAGE` (memory by default) with the page-cache
-/// budget of the run's `scale`.
-pub fn build_gss(
-    dataset: SyntheticDataset,
-    width: usize,
-    fingerprint_bits: u32,
-    scale: ExperimentScale,
-) -> GssSketch {
-    let storage = storage_backend_from_env(
-        scale,
-        &format!("{}-w{width}-f{fingerprint_bits}", dataset.name()),
-    );
-    GssSketch::with_storage(gss_config_for(dataset, width, fingerprint_bits), storage)
-        .expect("paper configurations are valid and the sketch file is creatable")
+/// Builds a figure's GSS sketch with `config`, on the storage backend selected by
+/// `GSS_STORAGE` (memory by default) with the page-cache budget of the run's `scale`;
+/// `label` tags the sketch file's name.  Every GSS a figure builds comes from here.
+pub fn build_gss(config: GssConfig, scale: ExperimentScale, label: &str) -> GssSketch {
+    GssSketch::with_storage(config, storage_backend_from_env(scale, label))
+        .expect("figure configurations are valid and the sketch file is creatable")
 }
 
 /// Builds the TCM baseline sized at `ratio ×` the memory of the *16-bit fingerprint* GSS at
@@ -67,7 +58,8 @@ mod tests {
 
     #[test]
     fn build_gss_produces_configured_sketch() {
-        let sketch = build_gss(SyntheticDataset::LkmlReply, 300, 12, ExperimentScale::Smoke);
+        let config = gss_config_for(SyntheticDataset::LkmlReply, 300, 12);
+        let sketch = build_gss(config, ExperimentScale::Smoke, "lkml-w300-f12");
         assert_eq!(sketch.config().width, 300);
         assert_eq!(sketch.config().fingerprint_bits, 12);
         assert!(sketch.name().contains("fsize=12"));
@@ -75,7 +67,8 @@ mod tests {
 
     #[test]
     fn tcm_ratio_sizing_tracks_gss_memory() {
-        let gss = build_gss(SyntheticDataset::WebNotreDame, 400, 16, ExperimentScale::Smoke);
+        let config = gss_config_for(SyntheticDataset::WebNotreDame, 400, 16);
+        let gss = build_gss(config, ExperimentScale::Smoke, "web-w400-f16");
         let tcm = build_tcm_with_ratio(400, 2, 8.0);
         let achieved = tcm.memory_bytes() as f64 / gss.config().matrix_bytes() as f64;
         assert!((achieved - 8.0).abs() / 8.0 < 0.05, "achieved ratio {achieved}");

@@ -4,19 +4,24 @@
 //! Section V motivates (sequence length `r`, candidate count `k`, rooms `l`, fingerprint
 //! width) and validate the Section VI models against measurements.
 
-use crate::builders::gss_config_for;
+use crate::builders::{build_gss, gss_config_for};
 use crate::context::DatasetRun;
 use crate::metrics::{average_relative_error, mips};
 use crate::report::{fmt_float, Table};
 use crate::scale::ExperimentScale;
 use gss_analysis::{edge_query_correct_rate, leftover_probability, BufferModelParams};
-use gss_core::{GssConfig, GssSketch};
+use gss_core::GssConfig;
 use gss_datasets::SyntheticDataset;
 use gss_graph::SummaryRead;
 
 /// Evaluates one GSS configuration: returns `(buffer_percentage, edge_are, mips)`.
-fn evaluate_config(run: &DatasetRun, config: GssConfig, sample: usize) -> (f64, f64, f64) {
-    let mut sketch = GssSketch::new(config).expect("ablation configs are valid");
+fn evaluate_config(
+    run: &DatasetRun,
+    config: GssConfig,
+    sample: usize,
+    scale: ExperimentScale,
+) -> (f64, f64, f64) {
+    let mut sketch = build_gss(config, scale, "ablation");
     let elapsed = run.insert_into(&mut sketch);
     let queries = run.edge_query_sample(sample, 0xAB1A);
     let pairs: Vec<(i64, i64)> = queries
@@ -61,7 +66,7 @@ pub fn run_parameter_ablation_on(scale: ExperimentScale, run: &DatasetRun) -> Ta
         ("fingerprint=12".to_string(), base.with_fingerprint_bits(12)),
     ];
     for (name, config) in variants {
-        let (buffer, are, speed) = evaluate_config(run, config, sample);
+        let (buffer, are, speed) = evaluate_config(run, config, sample, scale);
         table.push_row(vec![name, fmt_float(buffer), fmt_float(are), format!("{speed:.4}")]);
     }
     table
@@ -93,7 +98,7 @@ pub fn run_model_vs_measured_on(scale: ExperimentScale, run: &DatasetRun) -> Tab
     let average_degree = 2.0 * total_edges / run.vertices.len() as f64;
     for width in run.widths(scale) {
         let config = gss_config_for(dataset, width, 16);
-        let (buffer, are, _) = evaluate_config(run, config, sample);
+        let (buffer, are, _) = evaluate_config(run, config, sample, scale);
         let model_collision =
             1.0 - edge_query_correct_rate(config.hash_range() as f64, total_edges, average_degree);
         let model_leftover = leftover_probability(&BufferModelParams {

@@ -9,7 +9,7 @@
 //! | Fig. 11 | node-query ARE | 256× (scale-capped) |
 //! | Fig. 12 | reachability true-negative recall | 256× (scale-capped) |
 
-use crate::builders::{build_gss, build_tcm_with_ratio};
+use crate::builders::{build_gss, build_tcm_with_ratio, gss_config_for};
 use crate::context::DatasetRun;
 use crate::metrics::{average_relative_error, mean, set_precision, true_negative_recall};
 use crate::report::{fmt_float, Table};
@@ -163,8 +163,9 @@ pub fn run_accuracy_figure_on(
         &["width", "gss_fsize12", "gss_fsize16", tcm_header.as_str()],
     );
     for width in run.widths(scale) {
-        let mut gss12 = build_gss(dataset, width, 12, scale);
-        let mut gss16 = build_gss(dataset, width, 16, scale);
+        let label = |bits| format!("{}-w{width}-f{bits}", dataset.name());
+        let mut gss12 = build_gss(gss_config_for(dataset, width, 12), scale, &label(12));
+        let mut gss16 = build_gss(gss_config_for(dataset, width, 16), scale, &label(16));
         let mut tcm = build_tcm_with_ratio(width, gss16.config().rooms, tcm_ratio);
         run.insert_into(&mut gss12);
         run.insert_into(&mut gss16);

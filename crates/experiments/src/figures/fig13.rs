@@ -6,10 +6,11 @@
 //! equal memory ("When GSS has 1 room in each bucket, the width of the matrix is 2^0.5 times
 //! larger to make the memory unchanged").
 
+use crate::builders::build_gss;
 use crate::context::DatasetRun;
 use crate::report::{fmt_float, Table};
 use crate::scale::ExperimentScale;
-use gss_core::{GssConfig, GssSketch};
+use gss_core::GssConfig;
 use gss_datasets::SyntheticDataset;
 
 /// The three datasets the paper plots in Fig. 13.
@@ -34,8 +35,8 @@ fn variant_config(base_width: usize, rooms: usize, square_hashing: bool) -> GssC
     }
 }
 
-fn buffer_percentage_for(run: &DatasetRun, config: GssConfig) -> f64 {
-    let mut sketch = GssSketch::new(config).expect("variant configs are valid");
+fn buffer_percentage_for(run: &DatasetRun, config: GssConfig, scale: ExperimentScale) -> f64 {
+    let mut sketch = build_gss(config, scale, "fig13");
     run.insert_into(&mut sketch);
     sketch.buffer_percentage()
 }
@@ -57,10 +58,10 @@ pub fn run_fig13_dataset_on(
         &["width", "room1", "room2", "room1_no_square_hash", "room2_no_square_hash"],
     );
     for width in run.widths(scale) {
-        let room1 = buffer_percentage_for(run, variant_config(width, 1, true));
-        let room2 = buffer_percentage_for(run, variant_config(width, 2, true));
-        let room1_plain = buffer_percentage_for(run, variant_config(width, 1, false));
-        let room2_plain = buffer_percentage_for(run, variant_config(width, 2, false));
+        let room1 = buffer_percentage_for(run, variant_config(width, 1, true), scale);
+        let room2 = buffer_percentage_for(run, variant_config(width, 2, true), scale);
+        let room1_plain = buffer_percentage_for(run, variant_config(width, 1, false), scale);
+        let room2_plain = buffer_percentage_for(run, variant_config(width, 2, false), scale);
         table.push_row(vec![
             width.to_string(),
             fmt_float(room1),

@@ -6,11 +6,12 @@
 //! the query primitives on GSS, and reports each estimator's relative error against the
 //! exact count.
 
+use crate::builders::build_gss;
 use crate::context::DatasetRun;
 use crate::report::{fmt_float, Table};
 use crate::scale::ExperimentScale;
 use gss_baselines::Triest;
-use gss_core::{GssConfig, GssSketch};
+use gss_core::GssConfig;
 use gss_datasets::SyntheticDataset;
 use gss_graph::algorithms::count_triangles;
 
@@ -36,10 +37,8 @@ pub fn run_fig14_on(scale: ExperimentScale, run: &DatasetRun) -> Table {
     for &paper_mb in &PAPER_MEMORY_MB {
         let bytes = paper_mb * 1_048_576.0 * memory_scale;
         // GSS under the budget.
-        let mut gss = GssSketch::new(
-            GssConfig::paper_small(gss_width_for_bytes(bytes)).with_fingerprint_bits(16),
-        )
-        .expect("valid config");
+        let config = GssConfig::paper_small(gss_width_for_bytes(bytes)).with_fingerprint_bits(16);
+        let mut gss = build_gss(config, scale, "fig14");
         run.insert_into(&mut gss);
         let gss_count = count_triangles(&gss, &run.vertices) as f64;
         let gss_error =

@@ -8,11 +8,12 @@
 //! returns is verified edge-by-edge against the exact window graph; the exact matcher is
 //! correct by construction, so its row is the constant 1.0 the paper plots.
 
+use crate::builders::build_gss;
 use crate::context::DatasetRun;
 use crate::report::{fmt_float, Table};
 use crate::scale::ExperimentScale;
 use gss_baselines::ExactWindowMatcher;
-use gss_core::{GssConfig, GssSketch};
+use gss_core::GssConfig;
 use gss_datasets::SyntheticDataset;
 use gss_graph::algorithms::find_pattern_matches;
 use gss_graph::{StreamEdge, SummaryRead, SummaryWrite};
@@ -39,14 +40,18 @@ fn gss_width_for_tenth(bytes: usize) -> usize {
 }
 
 /// Evaluates one window: returns `(correct, attempted)` GSS pattern verdicts.
-fn evaluate_window(window: &[StreamEdge], instances_per_size: usize, seed: u64) -> (usize, usize) {
+fn evaluate_window(
+    window: &[StreamEdge],
+    instances_per_size: usize,
+    seed: u64,
+    scale: ExperimentScale,
+) -> (usize, usize) {
     let exact = ExactWindowMatcher::from_window(window);
     if exact.vertex_count() < 4 {
         return (0, 0);
     }
-    let mut gss =
-        GssSketch::new(GssConfig::paper_default(gss_width_for_tenth(exact.memory_bytes())))
-            .expect("valid config");
+    let config = GssConfig::paper_default(gss_width_for_tenth(exact.memory_bytes()));
+    let mut gss = build_gss(config, scale, "fig15");
     for item in window {
         gss.insert(item.source, item.destination, item.weight);
     }
@@ -94,7 +99,8 @@ pub fn run_fig15_on(scale: ExperimentScale, run: &DatasetRun) -> Table {
             let offset = (window_index * run.items.len() / windows_per_size)
                 .min(run.items.len().saturating_sub(window_size));
             let window = &run.items[offset..(offset + window_size).min(run.items.len())];
-            let (c, a) = evaluate_window(window, instances_per_size, 0xF15 + window_index as u64);
+            let seed = 0xF15 + window_index as u64;
+            let (c, a) = evaluate_window(window, instances_per_size, seed, scale);
             correct += c;
             attempted += a;
         }

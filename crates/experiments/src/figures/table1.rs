@@ -11,7 +11,6 @@ use crate::metrics::mips;
 use crate::report::Table;
 use crate::scale::ExperimentScale;
 use gss_baselines::PaperAdjacencyList;
-use gss_core::GssSketch;
 use gss_datasets::SyntheticDataset;
 use gss_graph::SummaryWrite;
 
@@ -67,10 +66,11 @@ pub fn run_table1_dataset_on(
 ) -> SpeedMeasurements {
     let repeats = repetitions(scale);
     let width = speed_width(run, scale);
-    let gss = measure(run, repeats, || build_gss(dataset, width, 16, scale));
+    let config = gss_config_for(dataset, width, 16);
+    let label = format!("{}-w{width}", dataset.name());
+    let gss = measure(run, repeats, || build_gss(config, scale, &label));
     let gss_no_sampling = measure(run, repeats, || {
-        GssSketch::new(gss_config_for(dataset, width, 16).with_sampling(false))
-            .expect("valid config")
+        build_gss(config.with_sampling(false), scale, &format!("{label}-no-sampling"))
     });
     let tcm = measure(run, repeats, || build_tcm_with_ratio(width, 2, scale.tcm_edge_ratio()));
     let adjacency = measure(run, repeats, PaperAdjacencyList::new);

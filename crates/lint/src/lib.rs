@@ -129,14 +129,9 @@ fn in_module_dir(path: &str, dir: &str) -> bool {
 fn l003_scope(path: &str, basename: &str) -> &'static [&'static str] {
     match basename {
         "wal.rs" => &["read_replay", "parse_frame", "take", "u64"],
-        "open.rs" if in_module_dir(path, "file_store") => &[
-            "open_grouped",
-            "assemble",
-            "section_end",
-            "read_bytes",
-            "read_section",
-            "rebuild_index",
-        ],
+        "open.rs" if in_module_dir(path, "file_store") => {
+            &["open", "assemble", "section_end", "read_bytes", "read_section", "rebuild_index"]
+        }
         "format.rs" if in_module_dir(path, "file_store") => &["decode", "field"],
         _ => &[],
     }
@@ -221,7 +216,7 @@ fn parse_waivers(lexed: &Lexed) -> Vec<Waiver> {
 }
 
 /// Lock classes the guard tracker distinguishes (the runtime witness in
-/// `gss_core::pager::witness` mirrors these dynamically).
+/// `gss_core::witness` mirrors these dynamically).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GuardClass {
     Stripe,
@@ -757,7 +752,7 @@ mod tests {
 
     #[test]
     fn a_scoped_name_matching_no_fn_is_reported() {
-        let source = "fn open_grouped() {}\nfn recover() {}\nfn assemble() {}\n\
+        let source = "fn open() {}\nfn recover() {}\nfn assemble() {}\n\
                       fn section_end() {}\nfn read_bytes() {}\nfn read_section() {}\n\
                       fn rebuild_index() {}\n";
         let open_rs = "crates/core/src/file_store/open.rs";
@@ -765,13 +760,13 @@ mod tests {
         assert!(report.unmatched_scope.is_empty(), "{:?}", report.unmatched_scope);
         // One rename (or a misspelt list entry) and the rule would stop covering the
         // function without this check noticing.
-        let renamed = source.replace("fn open_grouped", "fn open_with_group");
+        let renamed = source.replace("fn open(", "fn open_with_group(");
         let report = analyze_file(open_rs, &renamed);
-        assert_eq!(report.unmatched_scope, ["open_grouped"]);
+        assert_eq!(report.unmatched_scope, ["open"]);
         // Functions that exist only inside `#[cfg(test)]` do not count.
-        let test_only = renamed + "#[cfg(test)]\nmod tests {\n    fn open_grouped() {}\n}\n";
+        let test_only = renamed + "#[cfg(test)]\nmod tests {\n    fn open() {}\n}\n";
         let report = analyze_file(open_rs, &test_only);
-        assert_eq!(report.unmatched_scope, ["open_grouped"]);
+        assert_eq!(report.unmatched_scope, ["open"]);
         // The scope follows the directory module, not the bare file name.
         assert!(analyze_file("crates/core/src/open.rs", "fn f() {}\n").unmatched_scope.is_empty());
         assert_eq!(

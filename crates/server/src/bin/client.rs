@@ -208,7 +208,7 @@ fn wirecheck(cli: &Cli) -> Result<(), String> {
     handmade.push(protocol::VERSION);
     handmade.push(0x09); // HEALTH opcode
     handmade.extend_from_slice(&0u32.to_le_bytes());
-    handmade.extend_from_slice(&gss_core::wal::crc32(&handmade.clone()).to_le_bytes());
+    handmade.extend_from_slice(&gss_core::crc32(&handmade.clone()).to_le_bytes());
     let encoded = protocol::encode_request(&Request::Health);
     if handmade != encoded {
         return Err(format!("frame layout drifted: {handmade:02x?} vs {encoded:02x?}"));

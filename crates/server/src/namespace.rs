@@ -17,7 +17,7 @@
 use crate::net;
 use crate::protocol::{err, WireEdge, WireStats};
 use crate::rate_limit::TokenBucket;
-use gss_core::pager::witness::{self, LockClass};
+use gss_core::witness::{self, LockClass};
 use gss_core::{Durability, FileStore, GroupCommit, GssBuilder, GssError, ShardedGss};
 use gss_graph::StreamEdge;
 use parking_lot::{Mutex, RwLock};

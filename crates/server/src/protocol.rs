@@ -1,8 +1,9 @@
 //! The GSS wire protocol: versioned, CRC-framed, length-prefixed binary frames.
 //!
 //! The protocol is deliberately in the style of the write-ahead-log frame format
-//! ([`gss_core::wal`]): a fixed header carrying magic, version, kind and payload
-//! length, then the payload, with a CRC-32 sealing header and payload together.  A
+//! (`gss-core`'s `wal` module, checksummed by [`gss_core::crc32`]): a fixed header
+//! carrying magic, version, kind and payload length, then the payload, with a CRC-32
+//! sealing header and payload together.  A
 //! frame is the unit of both directions — every request is one frame, every response
 //! is one frame.
 //!
@@ -44,7 +45,7 @@
 //! [`err`], codes `0x0100..0x02FF` carry [`gss_core::GssError::wire_code`]
 //! unchanged, and `0x0300` marks a failed snapshot/checkpoint).
 
-use gss_core::wal::Crc32;
+use gss_core::Crc32;
 use std::fmt;
 
 /// Magic bytes opening every frame.
@@ -580,7 +581,7 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, ProtocolErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gss_core::wal::crc32;
+    use gss_core::crc32;
 
     fn all_requests() -> Vec<Request> {
         vec![

@@ -13,7 +13,7 @@
 //!   rewrite — exactly the orderings the recovery protocol must tolerate.
 
 use gss::prelude::*;
-use gss_core::wal::wal_path;
+use gss_core::wal_path;
 use gss_core::{Durability, FlushPoint, GroupCommit};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

@@ -17,7 +17,7 @@
 //!   whole ingest with `io_retries` counted in [`GssStats`] and no poisoning.
 
 use gss::prelude::*;
-use gss_core::wal::wal_path;
+use gss_core::wal_path;
 use gss_core::{
     install_fault_plan, DurabilityReport, FaultKind, FaultOp, FaultPlan, FaultSite, GssError,
 };

@@ -70,7 +70,7 @@ fn build_fill_drop_reopen_round_trip() {
 
     drop(again);
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
+    std::fs::remove_file(gss_core::wal_path(&path)).ok();
     std::fs::remove_dir(&dir).ok();
 }
 
@@ -111,7 +111,7 @@ fn assert_rejected_untouched(path: &std::path::Path) {
     let after = std::fs::read(path).unwrap();
     assert_eq!(before, after, "rejected open must leave the file byte-for-byte intact");
     std::fs::remove_file(path).ok();
-    std::fs::remove_file(gss_core::wal::wal_path(path)).ok();
+    std::fs::remove_file(gss_core::wal_path(path)).ok();
     std::fs::remove_dir(temp_dir()).ok();
 }
 
@@ -131,7 +131,7 @@ fn rejected_open_leaves_the_sketch_file_untouched() {
 fn rejected_open_leaves_a_version_1_sketch_file_untouched() {
     let path = overloaded_sketch_file("corrupt-v1-tail.gss");
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[..8].copy_from_slice(&gss_core::file_store::FILE_MAGIC_V1);
+    bytes[..8].copy_from_slice(&gss_core::FILE_MAGIC_V1);
     bytes[TAIL_OFFSET..TAIL_OFFSET + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     assert_rejected_untouched(&path);
@@ -167,6 +167,6 @@ fn snapshots_restore_onto_a_file_backend() {
     assert_eq!(reopened.stored_edges(), original.stored_edges());
     drop(reopened);
     std::fs::remove_file(&target).ok();
-    std::fs::remove_file(gss_core::wal::wal_path(&target)).ok();
+    std::fs::remove_file(gss_core::wal_path(&target)).ok();
     std::fs::remove_dir(&dir).ok();
 }

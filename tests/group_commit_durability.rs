@@ -12,8 +12,7 @@
 //! reference on every query the sketch answers.
 
 use gss::prelude::*;
-use gss_core::wal::wal_path;
-use gss_core::{GroupCommit, GroupCommitter};
+use gss_core::{wal_path, GroupCommit};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,12 +31,11 @@ fn remove(path: &Path) {
 /// Builds a small file-backed sketch whose log drains through a coordinator
 /// with the given window knob (a tiny cache keeps evictions in play mid-stream).
 fn build(path: &Path, knob: GroupCommit) -> GssSketch {
-    GssSketch::with_storage_grouped(
-        GssConfig::paper_small(24),
-        StorageBackend::File { path: path.to_path_buf(), cache_pages: 2 },
-        GroupCommitter::new(knob),
-    )
-    .unwrap()
+    GssBuilder::from_config(GssConfig::paper_small(24))
+        .storage(StorageBackend::File { path: path.to_path_buf(), cache_pages: 2 })
+        .group_commit(knob)
+        .build()
+        .unwrap()
 }
 
 /// Ingests `items` (mixing per-item and batched inserts on a fixed cadence so both

@@ -196,8 +196,8 @@ fn assert_unobservable_on_both_backends(items: &[(u64, u64, i64)], config: GssCo
     drop(onto_file);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&restore_path).ok();
-    std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
-    std::fs::remove_file(gss_core::wal::wal_path(&restore_path)).ok();
+    std::fs::remove_file(gss_core::wal_path(&path)).ok();
+    std::fs::remove_file(gss_core::wal_path(&restore_path)).ok();
 }
 
 /// The seeded cases only sample it, so one fixed case pins it: at width 90 with `l = 3`,

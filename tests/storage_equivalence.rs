@@ -123,7 +123,7 @@ proptest! {
         prop_assert_eq!(&bytes, &file_bytes, "backends must snapshot to identical bytes");
         drop(reopened);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
+        std::fs::remove_file(gss_core::wal_path(&path)).ok();
     }
 
     #[test]
@@ -150,7 +150,7 @@ proptest! {
         assert_same_answers(&memory, &file, &items, "batched memory vs file");
         drop(file);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(gss_core::wal::wal_path(&path)).ok();
+        std::fs::remove_file(gss_core::wal_path(&path)).ok();
     }
 }
 
@@ -279,7 +279,7 @@ fn concurrent_writers_and_readers_match_memory_and_reopen() {
     // must actually have exercised those classes (otherwise the check is vacuous).
     #[cfg(debug_assertions)]
     {
-        use gss_core::pager::witness::{self, LockClass};
+        use gss_core::witness::{self, LockClass};
         let report = witness::report();
         assert!(report.is_acyclic(), "lock-order cycle observed: {:?}", report.cycle());
         assert!(report.acquisitions_of(LockClass::StripeMap) > 0, "stripe locks were taken");
@@ -301,7 +301,7 @@ fn concurrent_writers_and_readers_match_memory_and_reopen() {
     });
     for index in 0..SHARDS {
         std::fs::remove_file(shard_path(&base, index)).ok();
-        std::fs::remove_file(gss_core::wal::wal_path(&shard_path(&base, index))).ok();
+        std::fs::remove_file(gss_core::wal_path(&shard_path(&base, index))).ok();
     }
 }
 
@@ -343,7 +343,7 @@ fn concurrent_strict_writers_lose_nothing_across_a_simulated_crash() {
     // Same witness check over the strict-durability path (WAL fsync per insert).
     #[cfg(debug_assertions)]
     {
-        use gss_core::pager::witness;
+        use gss_core::witness;
         let report = witness::report();
         assert!(report.is_acyclic(), "lock-order cycle observed: {:?}", report.cycle());
     }
@@ -363,6 +363,6 @@ fn concurrent_strict_writers_lose_nothing_across_a_simulated_crash() {
     });
     for index in 0..SHARDS {
         std::fs::remove_file(shard_path(&base, index)).ok();
-        std::fs::remove_file(gss_core::wal::wal_path(&shard_path(&base, index))).ok();
+        std::fs::remove_file(gss_core::wal_path(&shard_path(&base, index))).ok();
     }
 }

@@ -9,7 +9,7 @@
 //! bytes and re-materialised per case.
 
 use gss::prelude::*;
-use gss_core::wal::wal_path;
+use gss_core::wal_path;
 use gss_core::PersistenceError;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -146,10 +146,10 @@ proptest! {
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
     ) {
         let expected = bytewise_crc32(&bytes);
-        prop_assert_eq!(gss_core::wal::crc32(&bytes), expected);
+        prop_assert_eq!(gss_core::crc32(&bytes), expected);
         let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut.index(bytes.len() + 1)).collect();
         cuts.sort_unstable();
-        let mut incremental = gss_core::wal::Crc32::new();
+        let mut incremental = gss_core::Crc32::new();
         let mut from = 0;
         for cut in cuts {
             incremental.update(&bytes[from..cut]);

@@ -8,7 +8,7 @@
 #![cfg(debug_assertions)]
 
 use gss::prelude::*;
-use gss_core::pager::witness::{self, LockClass};
+use gss_core::witness::{self, LockClass};
 use gss_core::ShardedGss;
 
 #[test]
